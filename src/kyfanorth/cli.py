@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
 from .decide import (
-    _range_model,
+    _pair_setup,
     check_pair,
     check_pair_blocks,
     check_parallel,
@@ -49,7 +48,6 @@ from .oracle import (
     oracle_check_subspace,
     sample_range_points,
 )
-from .subdiff import build_frame
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -156,16 +154,6 @@ def _tol_from(problem, args) -> Tolerances:
         raise ParseError(f"bad tolerances: {exc}") from exc
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("KYFAN_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 def cmd_norm(args) -> int:
     problem = load_problem(args.problem)
     k = args.k if args.k is not None else problem.k
@@ -214,9 +202,6 @@ def cmd_check(args) -> int:
             decision = check_pair(a, b, problem.k, field=field, tol=tol,
                                   want_certificate=not args.no_cert)
     timings = {"total_s": time.perf_counter() - t0}
-    cap = _thread_cap()
-    if cap is not None:
-        decision.details["threads_cap"] = cap
     report = encode_report(decision, timings=timings, seed=args.seed)
     if args.report:
         save_report(args.report, decision, timings=timings, seed=args.seed)
@@ -302,8 +287,7 @@ def cmd_sweep_plot(args) -> int:
     a, b = problem.pair()
     if args.grid < 8:
         raise ParseError("--grid must be at least 8")
-    frame = build_frame(a, problem.k)
-    model = _range_model(frame, b)
+    model = _pair_setup(a, b, problem.k, _tol_from(problem, args)).model
     thetas = np.linspace(0.0, 2.0 * np.pi, args.grid, endpoint=False)
     h = model.support(thetas)
     fixed = complex(model.fixed_part)

@@ -15,7 +15,7 @@ or an explicit norm-decreasing scalar.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -191,42 +191,33 @@ class RangeSetModel:
             bound = abs(self._singleton_value())
         return bound * (1.0 + 1e-12) + 1e-300
 
+    def _closed_extreme(self, sign: float) -> SweepOutcome:
+        # a point, or a disk of radius _tail_const about fixed_part when
+        # degenerate: the extreme support value and its angle are explicit
+        if self.degenerate:
+            z, radius = complex(self.fixed_part), self._tail_const
+        else:
+            z, radius = self._singleton_value(), 0.0
+        turn = np.pi if sign < 0 else 0.0
+        theta = 0.0 if z == 0 else (cmath.phase(z) + turn) % _TWO_PI
+        v = radius + sign * abs(z)
+        return SweepOutcome(theta=theta, value=v, lower=v, evals=0)
+
     def minimum(self, tol_abs: float) -> SweepOutcome:
         """min over theta of the support function, with closed forms when
         the set is a point or a disk-invariant offset."""
-        if self.degenerate:
-            z = complex(self.fixed_part)
-            theta = 0.0 if z == 0 else (cmath.phase(z) + np.pi) % _TWO_PI
-            v = self._tail_const - abs(z)
-            return SweepOutcome(theta=theta, value=v, lower=v, evals=0)
-        if self._is_singleton():
-            z = self._singleton_value()
-            theta = 0.0 if z == 0 else (cmath.phase(z) + np.pi) % _TWO_PI
-            return SweepOutcome(theta=theta, value=-abs(z), lower=-abs(z),
-                                evals=0)
+        if self.degenerate or self._is_singleton():
+            return self._closed_extreme(-1.0)
         return swept_minimum(self.support, self.lipschitz(), tol_abs=tol_abs)
 
     def maximum(self, tol_abs: float) -> SweepOutcome:
         """max over theta of the support function = max |z| over the set."""
-        if self.degenerate:
-            z = complex(self.fixed_part)
-            theta = cmath.phase(z) % _TWO_PI if z != 0 else 0.0
-            v = self._tail_const + abs(z)
-            return SweepOutcome(theta=theta, value=v, lower=v, evals=0)
-        if self._is_singleton():
-            z = self._singleton_value()
-            theta = cmath.phase(z) % _TWO_PI if z != 0 else 0.0
-            return SweepOutcome(theta=theta, value=abs(z), lower=abs(z),
-                                evals=0)
+        if self.degenerate or self._is_singleton():
+            return self._closed_extreme(1.0)
         neg = swept_minimum(lambda th: -self.support(th), self.lipschitz(),
                             tol_abs=tol_abs)
         return SweepOutcome(theta=neg.theta, value=-neg.value,
                             lower=-neg.lower, evals=neg.evals)
-
-    def contains(self, z: complex, tol: float, n_dirs: int = 64) -> bool:
-        th = np.linspace(0.0, _TWO_PI, n_dirs, endpoint=False)
-        lhs = np.real(np.exp(-1j * th) * complex(z))
-        return bool(np.all(lhs <= self.support(th) + tol))
 
 
 def _range_model(frame: SubdifferentialFrame, b: np.ndarray) -> RangeSetModel:
@@ -472,22 +463,7 @@ def _purify_coefficient(t: np.ndarray, hs: list, q: int,
 
 
 # ---------------------------------------------------------------------------
-# verdict banding
-
-
-def _band(margin: float, scale: float, tol: Tolerances) -> Verdict:
-    if margin >= -tol.decide * scale:
-        return Verdict.ORTHOGONAL
-    if margin < -tol.strict * scale:
-        return Verdict.NOT_ORTHOGONAL
-    return Verdict.BOUNDARY
-
-
-def _banded_verdict(value: float, lower: float, scale: float,
-                    tol: Tolerances) -> Verdict:
-    v1 = _band(value, scale, tol)
-    v2 = _band(lower, scale, tol)
-    return v1 if v1 == v2 else Verdict.BOUNDARY
+# pair setup shared by every pair-shaped entry point
 
 
 def _tol_or_default(tol: Tolerances | None) -> Tolerances:
@@ -496,6 +472,49 @@ def _tol_or_default(tol: Tolerances | None) -> Tolerances:
 
 def _frame_for(a: np.ndarray, k: int, tol: Tolerances) -> SubdifferentialFrame:
     return build_frame(a, k, cluster_tol=tol.cluster, rank_tol=tol.rank)
+
+
+@dataclass
+class _PairSetup:
+    """Validated pair (A, B) with the frame of A, ||B||_(k), the margin
+    scale and the range-set model that every pair decision and certificate
+    reads."""
+
+    a: np.ndarray
+    b: np.ndarray
+    k: int
+    tol: Tolerances
+    frame: SubdifferentialFrame
+    norm_b: float
+    scale: float
+    model: RangeSetModel
+
+    @property
+    def sweep_tol(self) -> float:
+        return 1e-3 * self.tol.decide * self.scale
+
+
+def _pair_setup(a, b, k: int, tol: Tolerances | None = None,
+                frame: SubdifferentialFrame | None = None) -> _PairSetup:
+    tol = _tol_or_default(tol)
+    a = as_matrix(a)
+    b = as_matrix(b)
+    require_square(a)
+    if b.shape != a.shape:
+        raise ShapeMismatch(f"direction shape {b.shape} != {a.shape}")
+    require_k(k, a.shape[0])
+    if frame is None:
+        frame = _frame_for(a, k, tol)
+    norm_b = ky_fan_norm(b, k)
+    return _PairSetup(a=a, b=b, k=k, tol=tol, frame=frame, norm_b=norm_b,
+                      scale=tol.margin_scale(frame.norm_value, norm_b),
+                      model=_range_model(frame, b))
+
+
+def _require_orthogonal(setup: _PairSetup, what: str) -> None:
+    outcome = setup.model.minimum(setup.sweep_tol)
+    if setup.tol.band(outcome.value, setup.scale) is not Verdict.ORTHOGONAL:
+        raise NotOrthogonal(f"margin {outcome.value:.3e} rejects {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -512,47 +531,10 @@ def check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     two real directions. The margin is the smallest one-sided derivative of
     the norm along rotated copies of B (nonnegative iff orthogonal).
     """
-    tol = _tol_or_default(tol)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_square(a)
-    if b.shape != a.shape:
-        raise ShapeMismatch(f"direction shape {b.shape} != {a.shape}")
-    require_k(k, a.shape[0])
     if field not in (COMPLEX_FIELD, REAL_FIELD):
         raise ValueError(f"unknown scalar field {field!r}")
-    frame = _frame_for(a, k, tol)
-    norm_a = frame.norm_value
-    norm_b = ky_fan_norm(b, k)
-    scale = tol.margin_scale(norm_a, norm_b)
-    model = _range_model(frame, b)
-    if field == REAL_FIELD:
-        two = model.support(np.array([0.0, np.pi]))
-        i = int(np.argmin(two))
-        outcome = SweepOutcome(theta=float([0.0, np.pi][i]), value=float(two[i]),
-                               lower=float(two[i]), evals=2)
-    else:
-        outcome = model.minimum(tol_abs=1e-3 * tol.decide * scale)
-    verdict = _banded_verdict(outcome.value, outcome.lower, scale, tol)
-    details = {
-        "field": field,
-        "norm_a": norm_a,
-        "norm_b": norm_b,
-        "boundary_value": float(frame.svd.s[k - 1]),
-        "q": frame.part.q,
-        "r": frame.part.r,
-        "degenerate_zero": frame.degenerate_zero,
-        "cluster_tol": frame.part.cluster_tol,
-        "sweep_evals": outcome.evals,
-        "margin_lower_bound": outcome.lower,
-        "support_theta": outcome.theta,
-    }
-    decision = Decision(verdict=verdict, margin=outcome.value, scale=scale,
-                        method="support-sweep", tolerances=tol, details=details)
-    if want_certificate:
-        _attach_pair_certificate(decision, a, b, k, frame, model, outcome,
-                                 field, tol)
-    return decision
+    return _decide_pair(_pair_setup(a, b, k, tol), field, want_certificate,
+                        blocks=False)
 
 
 def check_pair_blocks(a, b, k: int, tol: Tolerances | None = None,
@@ -563,93 +545,75 @@ def check_pair_blocks(a, b, k: int, tol: Tolerances | None = None,
     leading trace z1 and boundary block C, orthogonality holds iff -z1 lies
     in {tr(T C)} over the trace-q coefficient polytope (positive boundary
     value), or iff |z1| is at most the top-q singular sum of the widened
-    block (boundary value zero). Must agree with check_pair everywhere.
+    block (boundary value zero). This is the range-set model check_pair
+    reads, so the two agree by construction; the block form reports the
+    leading trace and always certifies with a BLOCK_COEFFICIENT.
     """
-    tol = _tol_or_default(tol)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_square(a)
-    if b.shape != a.shape:
-        raise ShapeMismatch(f"direction shape {b.shape} != {a.shape}")
-    require_k(k, a.shape[0])
-    frame = _frame_for(a, k, tol)
-    norm_a = frame.norm_value
-    norm_b = ky_fan_norm(b, k)
-    scale = tol.margin_scale(norm_a, norm_b)
-    i1, i2 = frame.part.boundary
-    rotated = frame.svd.u.conj().T @ b @ frame.svd.v
-    lead = complex(np.trace(rotated[:i1, :i1]))
-    q = frame.part.q
-    if frame.degenerate_zero:
-        stacked = rotated[i1:, i1:i2]
-        bound = top_q_singsum(stacked, q)
-        margin = bound - abs(lead)
-        outcome = SweepOutcome(theta=0.0, value=margin, lower=margin, evals=0)
-        model = None
+    return _decide_pair(_pair_setup(a, b, k, tol), COMPLEX_FIELD,
+                        want_certificate, blocks=True)
+
+
+def _decide_pair(setup: _PairSetup, field: str, want_certificate: bool,
+                 blocks: bool) -> Decision:
+    frame, model, scale = setup.frame, setup.model, setup.scale
+    if field == REAL_FIELD:
+        two = model.support(np.array([0.0, np.pi]))
+        i = int(np.argmin(two))
+        outcome = SweepOutcome(theta=float([0.0, np.pi][i]), value=float(two[i]),
+                               lower=float(two[i]), evals=2)
     else:
-        block = rotated[i1:i2, i1:i2]
-        model = RangeSetModel(fixed_part=lead, compression=block, m=q)
-        outcome = model.minimum(tol_abs=1e-3 * tol.decide * scale)
-        margin = outcome.value
-    verdict = _banded_verdict(margin, outcome.lower, scale, tol)
+        outcome = model.minimum(setup.sweep_tol)
+    verdict = setup.tol.band(outcome.value, scale, bound=outcome.lower)
     details = {
-        "norm_a": norm_a,
-        "norm_b": norm_b,
-        "leading_trace": lead,
-        "q": q,
+        "field": field,
+        "norm_a": frame.norm_value,
+        "norm_b": setup.norm_b,
+        "boundary_value": float(frame.svd.s[setup.k - 1]),
+        "q": frame.part.q,
         "r": frame.part.r,
         "degenerate_zero": frame.degenerate_zero,
+        "cluster_tol": frame.part.cluster_tol,
+        "sweep_evals": outcome.evals,
         "margin_lower_bound": outcome.lower,
+        "support_theta": outcome.theta,
     }
-    decision = Decision(verdict=verdict, margin=margin, scale=scale,
-                        method="block-criterion", tolerances=tol,
-                        details=details)
+    if blocks:
+        details["leading_trace"] = complex(model.fixed_part)
+    decision = Decision(verdict=verdict, margin=outcome.value, scale=scale,
+                        method="block-criterion" if blocks else "support-sweep",
+                        tolerances=setup.tol, details=details)
     if want_certificate:
-        if verdict is Verdict.ORTHOGONAL:
-            try:
-                decision.certificate = find_witness_block(
-                    a, b, k, tol=tol, frame=frame, decision=decision)
-            except (WitnessSearchFailed, NoConvergence) as exc:
-                decision.details["certificate_error"] = str(exc)
-        elif verdict is Verdict.NOT_ORTHOGONAL:
-            decision.certificate = _violation_certificate(
-                a, b, k, frame, outcome, scale, tol)
-            if decision.certificate is None:
-                decision.details["violation_too_shallow"] = True
+        _attach_pair_certificate(decision, setup, outcome, field, blocks)
     return decision
 
 
-def _attach_pair_certificate(decision: Decision, a, b, k, frame, model,
-                             outcome, field, tol) -> None:
+def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
+                             outcome: SweepOutcome, field: str,
+                             blocks: bool) -> None:
     if decision.verdict is Verdict.ORTHOGONAL:
-        try:
-            if frame.degenerate_zero:
-                decision.certificate = find_witness_block(
-                    a, b, k, tol=tol, frame=frame, decision=decision)
-            else:
-                decision.certificate = find_witness_system(
-                    a, b, k, tol=tol, frame=frame,
-                    decision=decision, field=field)
-        except (WitnessSearchFailed, NoConvergence) as exc:
-            decision.details["witness_error"] = str(exc)
+        if not (blocks or setup.frame.degenerate_zero):
             try:
-                decision.certificate = find_witness_block(
-                    a, b, k, tol=tol, frame=frame, decision=decision)
-            except (WitnessSearchFailed, NoConvergence, DegenerateRank) as exc2:
-                decision.details["certificate_error"] = str(exc2)
+                decision.certificate = _witness_system(setup, field)
+                return
+            except (WitnessSearchFailed, NoConvergence) as exc:
+                decision.details["witness_error"] = str(exc)
+        try:
+            decision.certificate = _witness_block(setup)
+        except (WitnessSearchFailed, NoConvergence) as exc:
+            decision.details["certificate_error"] = str(exc)
     elif decision.verdict is Verdict.NOT_ORTHOGONAL:
         decision.certificate = _violation_certificate(
-            a, b, k, frame, outcome, decision.scale, tol,
-            real_field=field == REAL_FIELD)
+            setup, outcome, real_field=field == REAL_FIELD)
         if decision.certificate is None:
             decision.details["violation_too_shallow"] = True
 
 
-def _violation_certificate(a, b, k, frame, outcome, scale, tol,
+def _violation_certificate(setup: _PairSetup, outcome: SweepOutcome,
                            real_field: bool = False) -> Certificate | None:
     """Search the steepest rotated ray for a scalar that shrinks the norm."""
-    norm_a = frame.norm_value
-    norm_b = ky_fan_norm(b, k)
+    a, b, k = setup.a, setup.b, setup.k
+    norm_a = setup.frame.norm_value
+    norm_b = setup.norm_b
     if norm_b <= 0:
         return None
     # support angle theta corresponds to the ray c = t * e^{-i theta}
@@ -672,7 +636,7 @@ def _violation_certificate(a, b, k, frame, outcome, scale, tol,
     if vals[j] < value:
         value = float(vals[j])
         t_star = float(ts[j])
-    needed = norm_a - 10.0 * tol.decide * scale
+    needed = norm_a - 10.0 * setup.tol.decide * setup.scale
     if value >= needed:
         return None
     lam = t_star * phase
@@ -700,53 +664,55 @@ def find_witness_system(a, b, k: int, tol: Tolerances | None = None,
     range of the boundary compression. The point is reached by convex
     feasibility over mixed coefficients and then purified to a rank-q
     projector, whose column space supplies the boundary witness vectors.
+    Without a ``decision`` the pair is first checked to be orthogonal.
     """
-    tol = _tol_or_default(tol)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if frame is None:
-        frame = _frame_for(a, k, tol)
-    if frame.degenerate_zero:
+    setup = _pair_setup(a, b, k, tol, frame)
+    if setup.frame.degenerate_zero:
         raise DegenerateRank(
             "witness systems are only certified when s_k is positive")
-    model = _range_model(frame, b)
-    norm_b = ky_fan_norm(b, k)
-    scale = tol.margin_scale(frame.norm_value, norm_b)
     if decision is None:
-        outcome = model.minimum(tol_abs=1e-3 * tol.decide * scale)
-        if _band(outcome.value, scale, tol) is not Verdict.ORTHOGONAL:
-            raise NotOrthogonal(
-                f"margin {outcome.value:.3e} rejects a zero-sum witness")
-    q = frame.part.q
-    d = model.width
+        _require_orthogonal(setup, "a zero-sum witness")
+    return _witness_system(setup, field)
+
+
+def _boundary_coefficient(setup: _PairSetup, real_only: bool,
+                          purify: bool) -> tuple:
+    """Coefficient T of the trace-q polytope with tr(T C) equal to minus the
+    fixed part, and its residual.
+
+    T is pinned to I when the budget fills the block, else found by convex
+    feasibility and, with ``purify``, walked on to a rank-q projector.
+    """
+    model = setup.model
+    q, d = setup.frame.part.q, model.width
     target = -complex(model.fixed_part)
-    real_only = field == REAL_FIELD
-    cert_tol = tol.cert * max(scale, 1.0)
-    if d == q:
-        proj = np.eye(d, dtype=complex)
-        resid = _target_residual(model.compression, proj, target, real_only)
-        if resid > 10.0 * cert_tol:
-            raise WitnessSearchFailed(
-                "forced boundary coefficient misses the target",
-                residual=resid)
-    else:
-        maps = [model.compression]
-        rhs = [target]
-        hs, ys = _constraint_rows(maps, rhs, real_only)
+    cert_tol = setup.tol.cert * max(setup.scale, 1.0)
+    coeff = np.eye(d, dtype=complex)
+    if d != q:
+        hs, ys = _constraint_rows([model.compression], [target], real_only)
         result = _feasible_coefficient(hs, ys, q, d, tol=0.25 * cert_tol)
         if not result.converged and result.residual > 0.5 * cert_tol:
             raise WitnessSearchFailed(
                 "boundary coefficient search stalled",
                 residual=result.residual)
-        proj = _purify_coefficient(result.t, hs, q, tol=cert_tol)
-        resid = _target_residual(model.compression, proj, target, real_only)
-        if resid > 10.0 * cert_tol:
-            raise WitnessSearchFailed(
-                "purified coefficient drifted off the target", residual=resid)
+        coeff = (_purify_coefficient(result.t, hs, q, tol=cert_tol)
+                 if purify else result.t)
+    miss = complex(np.trace(coeff @ model.compression)) - target
+    resid = abs(miss.real) if real_only else abs(miss)
+    if resid > 10.0 * cert_tol:
+        raise WitnessSearchFailed("boundary coefficient misses the target",
+                                  residual=resid)
+    return coeff, resid
+
+
+def _witness_system(setup: _PairSetup, field: str) -> Certificate:
+    frame = setup.frame
+    real_only = field == REAL_FIELD
+    proj, resid = _boundary_coefficient(setup, real_only, purify=True)
     w, vec = np.linalg.eigh(herm(proj))
     cols = vec[:, np.flatnonzero(w > 0.5)]
     vectors = np.hstack([frame.v1, frame.v2 @ cols])
-    pairing = _witness_pairing(a, b, vectors, frame)
+    pairing = _witness_pairing(setup.b, vectors, frame)
     return Certificate(
         kind=CertKind.WITNESS_SYSTEM,
         vectors=vectors,
@@ -756,19 +722,12 @@ def find_witness_system(a, b, k: int, tol: Tolerances | None = None,
             "pairing_re": float(np.real(pairing)),
             "pairing_im": float(np.imag(pairing)),
             "construction_residual": resid,
-            "singular_values": [float(s) for s in frame.svd.s[:k]],
+            "singular_values": [float(s) for s in frame.svd.s[:setup.k]],
         },
     )
 
 
-def _target_residual(compression, proj, target, real_only) -> float:
-    z = complex(np.trace(proj @ compression))
-    if real_only:
-        return abs(z.real - target.real)
-    return abs(z - target)
-
-
-def _witness_pairing(a, b, vectors, frame) -> complex:
+def _witness_pairing(b, vectors, frame) -> complex:
     rotated = frame.svd.polar_u.conj().T @ b
     return complex(np.einsum("ij,jl,li->", vectors.conj().T, rotated, vectors))
 
@@ -782,49 +741,31 @@ def find_witness_block(a, b, k: int, tol: Tolerances | None = None,
     with leading trace plus tr(T C) equal to zero. Zero boundary value:
     rectangular contraction on the widened tail with singular values summing
     to at most q, built in closed form by phase-aligned waterfilling on the
-    singular values of the widened block.
+    singular values of the widened block. Without a ``decision`` the pair
+    is first checked to be orthogonal.
     """
-    tol = _tol_or_default(tol)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if frame is None:
-        frame = _frame_for(a, k, tol)
-    model = _range_model(frame, b)
-    norm_b = ky_fan_norm(b, k)
-    scale = tol.margin_scale(frame.norm_value, norm_b)
+    setup = _pair_setup(a, b, k, tol, frame)
     if decision is None:
-        outcome = model.minimum(tol_abs=1e-3 * tol.decide * scale)
-        if _band(outcome.value, scale, tol) is not Verdict.ORTHOGONAL:
-            raise NotOrthogonal(
-                f"margin {outcome.value:.3e} rejects a feasible coefficient")
+        _require_orthogonal(setup, "a feasible coefficient")
+    return _witness_block(setup)
+
+
+def _witness_block(setup: _PairSetup) -> Certificate:
+    frame, model, tol = setup.frame, setup.model, setup.tol
     q = frame.part.q
-    cert_tol = tol.cert * max(scale, 1.0)
     lead = complex(model.fixed_part)
+    g = frame.u1 @ frame.v1.conj().T
     if frame.degenerate_zero:
         wide = model.wide_compression
-        coeff = _waterfill_contraction(wide, q, -lead, 0.05 * tol.strict * scale)
-        g = frame.u1 @ frame.v1.conj().T + frame.u2_wide @ coeff @ frame.v2.conj().T
+        coeff = _waterfill_contraction(wide, q, -lead,
+                                       0.05 * tol.strict * setup.scale)
+        g = g + frame.u2_wide @ coeff @ frame.v2.conj().T
         resid = abs(lead + complex(np.trace(coeff.conj().T @ wide)))
         kind_details = {"set": "general", "rows": wide.shape[0],
                         "cols": wide.shape[1]}
     else:
-        d = model.width
-        if d == q:
-            coeff = np.eye(d, dtype=complex)
-            resid = abs(lead + complex(np.trace(model.compression)))
-            if resid > 10.0 * cert_tol:
-                raise WitnessSearchFailed(
-                    "forced boundary coefficient misses the target",
-                    residual=resid)
-        else:
-            hs, ys = _constraint_rows([model.compression], [-lead], False)
-            result = _feasible_coefficient(hs, ys, q, d, tol=0.25 * cert_tol)
-            if not result.converged and result.residual > 0.5 * cert_tol:
-                raise NoConvergence(
-                    f"coefficient search stalled at residual {result.residual:.3e}")
-            coeff = result.t
-            resid = abs(lead + complex(np.trace(coeff @ model.compression)))
-        g = frame.u1 @ frame.v1.conj().T + frame.u2 @ coeff @ frame.v2.conj().T
+        coeff, resid = _boundary_coefficient(setup, False, purify=False)
+        g = g + frame.u2 @ coeff @ frame.v2.conj().T
         kind_details = {"set": "psd", "rows": coeff.shape[0],
                         "cols": coeff.shape[1]}
     return Certificate(
@@ -968,8 +909,8 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
         combo_norm = float(np.linalg.norm(combo))
         if combo_norm > 0:
             witness_dir = combo / combo_norm
-            pair = check_pair(a, witness_dir, k, tol=tol,
-                              want_certificate=want_certificate)
+            pair = _decide_pair(_pair_setup(a, witness_dir, k, tol, frame),
+                                COMPLEX_FIELD, want_certificate, blocks=False)
             details["counterexample_coefficients"] = [complex(z) for z in zeta]
             details["counterexample_pair_margin"] = pair.margin
             if pair.verdict is Verdict.NOT_ORTHOGONAL:
@@ -1089,29 +1030,18 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
     ||B||_(k); the peak modulus is read from the support-function sweep and
     the maximizing phase supplies the equality scalar.
     """
-    tol = _tol_or_default(tol)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_square(a)
-    if b.shape != a.shape:
-        raise ShapeMismatch(f"direction shape {b.shape} != {a.shape}")
-    require_k(k, a.shape[0])
-    frame = _frame_for(a, k, tol)
+    setup = _pair_setup(a, b, k, tol)
+    frame, norm_b, scale = setup.frame, setup.norm_b, setup.scale
     if frame.degenerate_zero:
         raise DegenerateRank(
             "parallelism is only characterized when s_k is positive")
     norm_a = frame.norm_value
-    norm_b = ky_fan_norm(b, k)
-    scale = tol.margin_scale(norm_a, norm_b)
-    model = _range_model(frame, b)
-    outcome = model.maximum(tol_abs=1e-3 * tol.decide * scale)
+    outcome = setup.model.maximum(setup.sweep_tol)
     margin = outcome.value - norm_b
-    margin_ub = outcome.lower - norm_b
-    v1 = _parallel_band(margin, scale, tol)
-    v2 = _parallel_band(margin_ub, scale, tol)
-    verdict = v1 if v1 == v2 else Verdict.BOUNDARY
+    verdict = setup.tol.band(margin, scale, Verdict.PARALLEL,
+                             Verdict.NOT_PARALLEL, bound=outcome.lower - norm_b)
     lam = cmath.exp(-1j * outcome.theta)
-    achieved = ky_fan_norm(a + lam * b, k)
+    achieved = ky_fan_norm(setup.a + lam * setup.b, k)
     details = {
         "peak_modulus": outcome.value,
         "norm_a": norm_a,
@@ -1122,16 +1052,15 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
         "triangle_bound": norm_a + norm_b,
     }
     decision = Decision(verdict=verdict, margin=margin, scale=scale,
-                        method="parallel-sweep", tolerances=tol,
+                        method="parallel-sweep", tolerances=setup.tol,
                         details=details)
     if verdict is Verdict.PARALLEL and want_certificate:
-        ph = cmath.exp(-1j * outcome.theta)
-        hsym = herm(ph * model.compression)
+        hsym = herm(lam * setup.model.compression)
         _, proj = top_q_eigsum(hsym, frame.part.q)
         w, vec = np.linalg.eigh(herm(proj))
         cols = vec[:, np.flatnonzero(w > 0.5)]
         vectors = np.hstack([frame.v1, frame.v2 @ cols])
-        pairing = _witness_pairing(a, b, vectors, frame)
+        pairing = _witness_pairing(setup.b, vectors, frame)
         decision.certificate = Certificate(
             kind=CertKind.WITNESS_SYSTEM,
             vectors=vectors,
@@ -1145,14 +1074,6 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
             },
         )
     return decision
-
-
-def _parallel_band(margin: float, scale: float, tol: Tolerances) -> Verdict:
-    if margin >= -tol.decide * scale:
-        return Verdict.PARALLEL
-    if margin < -tol.strict * scale:
-        return Verdict.NOT_PARALLEL
-    return Verdict.BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -1182,8 +1103,10 @@ def verify_certificate(cert: Certificate, a, second, k: int,
         elif cert.kind is CertKind.BLOCK_COEFFICIENT:
             _verify_block(cert, a, as_matrix(second), k, tol, add)
         elif cert.kind is CertKind.SUBGRADIENT:
-            _verify_subgradient(cert.subgradient, a, as_matrix(second), k,
-                                tol, add)
+            b = as_matrix(second)
+            norm_a = ky_fan_norm(a, k)
+            _verify_subgradient(cert.subgradient, a, b, k, tol, add, norm_a,
+                                tol.margin_scale(norm_a, ky_fan_norm(b, k)))
         elif cert.kind is CertKind.VIOLATION:
             _verify_violation(cert, a, second, k, tol, add)
         elif cert.kind is CertKind.DENSITY_SYSTEM:
@@ -1200,7 +1123,8 @@ def verify_certificate(cert: Certificate, a, second, k: int,
 
 def _verify_witness(cert, a, b, k, tol, add):
     frame = _frame_for(a, k, tol)
-    scale = tol.margin_scale(frame.norm_value, ky_fan_norm(b, k))
+    norm_b = ky_fan_norm(b, k)
+    scale = tol.margin_scale(frame.norm_value, norm_b)
     vectors = as_matrix(cert.vectors)
     if vectors.shape != (a.shape[0], k):
         add("vector_shape", 1.0, 0.0)
@@ -1215,18 +1139,17 @@ def _verify_witness(cert, a, b, k, tol, add):
     for i in range(k):
         r = float(np.linalg.norm(abs_a @ vectors[:, i] - s[i] * vectors[:, i]))
         add(f"eigen_residual_{i}", r, eig_bound)
-    pairing = _witness_pairing(a, b, vectors, frame)
+    pairing = _witness_pairing(b, vectors, frame)
     purpose = cert.details.get("purpose", "orthogonal")
     if purpose == "parallel":
-        target = ky_fan_norm(b, k)
-        add("pairing_modulus", abs(abs(pairing) - target),
+        add("pairing_modulus", abs(abs(pairing) - norm_b),
             0.1 * tol.strict * scale)
         lam = complex(cert.details.get("lambda_re", 1.0),
                       cert.details.get("lambda_im", 0.0))
         add("unimodular", abs(abs(lam) - 1.0), 1e-9)
         achieved = ky_fan_norm(a + lam * b, k)
         add("triangle_equality",
-            abs(achieved - (frame.norm_value + target)),
+            abs(achieved - (frame.norm_value + norm_b)),
             0.1 * tol.strict * scale)
     elif purpose == "real":
         add("pairing_real_part", abs(pairing.real), 0.1 * tol.strict * scale)
@@ -1236,7 +1159,8 @@ def _verify_witness(cert, a, b, k, tol, add):
 
 def _verify_block(cert, a, b, k, tol, add):
     frame = _frame_for(a, k, tol)
-    scale = tol.margin_scale(frame.norm_value, ky_fan_norm(b, k))
+    norm_a = frame.norm_value
+    scale = tol.margin_scale(norm_a, ky_fan_norm(b, k))
     coeff = as_matrix(cert.block_matrix)
     desc = frame.descriptor()
     if coeff.shape != tuple(desc.dims):
@@ -1250,14 +1174,13 @@ def _verify_block(cert, a, b, k, tol, add):
         np.trace(coeff.conj().T @ block))
     add("block_equation", abs(z), 0.1 * tol.strict * scale)
     if cert.subgradient is not None:
-        _verify_subgradient(cert.subgradient, a, b, k, tol, add)
+        _verify_subgradient(cert.subgradient, a, b, k, tol, add, norm_a,
+                            scale)
 
 
-def _verify_subgradient(g, a, b, k, tol, add):
+def _verify_subgradient(g, a, b, k, tol, add, norm_a, scale):
     g = as_matrix(g)
     s = np.linalg.svd(g, compute_uv=False)
-    norm_a = ky_fan_norm(a, k)
-    scale = tol.margin_scale(norm_a, ky_fan_norm(b, k))
     add("dual_operator_norm", float(s[0]) - 1.0 if s.size else 0.0,
         10.0 * tol.cert)
     add("dual_trace_norm", float(s.sum()) - k, 10.0 * tol.cert)

@@ -74,19 +74,19 @@ def default_rank_tol(s1: float) -> float:
     return 1e-12 * float(s1)
 
 
-def _phase_normalize(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive."""
-    v = np.array(vectors, copy=True)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        i = int(np.argmax(mags > 1e-12 * top))
-        ph = col[i] / mags[i]
-        v[:, j] = col * np.conj(ph)
-    return v
+def _column_phases(m: np.ndarray) -> np.ndarray:
+    """Unit factors that make each column's first significant entry real
+    positive (1 for a zero column)."""
+    phases = np.ones(m.shape[1], dtype=complex)
+    if not m.size:
+        return phases
+    mags = np.abs(m)
+    top = mags.max(axis=0)
+    first = np.argmax(mags > 1e-12 * top, axis=0)
+    cols = np.arange(m.shape[1])
+    live = top > 0.0
+    phases[live] = np.conj(m[first, cols][live] / mags[first, cols][live])
+    return phases
 
 
 @dataclass
@@ -127,7 +127,8 @@ def hermitian_eig(h, herm_tol: float = 1e-8) -> EigenFrame:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
     w = w[::-1]
-    v = _phase_normalize(v[:, ::-1])
+    v = v[:, ::-1]
+    v = v * _column_phases(v)
     return EigenFrame(values=np.real(w), vectors=v)
 
 
@@ -170,18 +171,8 @@ def svd(a) -> SvdFrame:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise NoConvergence(f"svd failed: {exc}") from exc
-    v = vh.conj().T
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        i = int(np.argmax(mags > 1e-12 * top))
-        ph = np.conj(col[i] / mags[i])
-        u[:, j] = col * ph
-        v[:, j] = v[:, j] * ph
-    return SvdFrame(u=u, s=np.real(s), v=v)
+    phases = _column_phases(u)
+    return SvdFrame(u=u * phases, s=np.real(s), v=vh.conj().T * phases)
 
 
 def singular_values(m) -> np.ndarray:
@@ -214,24 +205,6 @@ class SpectralPartition:
         """Index range (start, stop) of the cluster containing position k."""
         return (self.k - self.q, self.k + self.r)
 
-    def cluster_of(self, index: int) -> int:
-        for ci, (_, (start, stop)) in enumerate(self.clusters):
-            if start <= index < stop:
-                return ci
-        raise IndexError(index)
-
-    @property
-    def boundary_width(self) -> float:
-        start, stop = self.boundary
-        return float(abs(self._values_span(start, stop)))
-
-    def _values_span(self, start, stop) -> float:
-        # width recorded at build time, stored on the cluster tuple
-        for value, (s, t) in self.clusters:
-            if (s, t) == (start, stop):
-                return getattr(self, "_width", 0.0)
-        return 0.0
-
 
 def cluster_spectrum(values, k: int, cluster_tol: float) -> SpectralPartition:
     """Group a descending spectrum by single linkage at width ``cluster_tol``.
@@ -255,16 +228,10 @@ def cluster_spectrum(values, k: int, cluster_tol: float) -> SpectralPartition:
     starts = np.concatenate([[0], cut])
     stops = np.concatenate([cut, [n]])
     clusters = [(float(v[s:t].mean()), (int(s), int(t))) for s, t in zip(starts, stops)]
-    part = None
-    for _, (s, t) in clusters:
-        if s <= k - 1 < t:
-            part = SpectralPartition(
-                k=k, clusters=clusters, q=k - s, r=t - k, cluster_tol=float(cluster_tol)
-            )
-            part._width = float(v[s] - v[t - 1])
-            break
-    assert part is not None
-    return part
+    # the cluster holding index k - 1 is the first one stopping beyond it
+    c = int(np.searchsorted(stops, k - 1, side="right"))
+    return SpectralPartition(k=k, clusters=clusters, q=k - int(starts[c]),
+                             r=int(stops[c]) - k, cluster_tol=float(cluster_tol))
 
 
 def top_q_eigsum(h, q: int):

@@ -63,6 +63,30 @@ class Tolerances:
     def margin_scale(self, norm_a: float, norm_b: float) -> float:
         return max(norm_a + norm_b, 1e-300)
 
+    def band(self, margin: float, scale: float,
+             hold: Verdict = Verdict.ORTHOGONAL,
+             fail: Verdict = Verdict.NOT_ORTHOGONAL,
+             bound: float | None = None,
+             middle: Verdict = Verdict.BOUNDARY) -> Verdict:
+        """Read a verdict off a margin.
+
+        At or above -decide*scale reads ``hold``, below -strict*scale
+        ``fail``, anything between ``middle``. ``bound`` is the other end of
+        a certified bracket around the margin; when given, both ends must
+        land on the same side or the verdict is ``middle``.
+        """
+        def side(value):
+            if value >= -self.decide * scale:
+                return hold
+            if value < -self.strict * scale:
+                return fail
+            return middle
+
+        verdict = side(margin)
+        if bound is not None and side(bound) is not verdict:
+            return middle
+        return verdict
+
     def as_dict(self) -> dict:
         return {
             "decide": self.decide,

@@ -214,12 +214,7 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     norm_b = ky_fan_norm(b, k)
     scale = tol.margin_scale(norm_a, norm_b)
     margin, theta = chord_margin(a, b, k, field=field)
-    if margin >= -tol.decide * scale:
-        verdict = Verdict.ORTHOGONAL
-    elif margin < -tol.strict * scale:
-        verdict = Verdict.NOT_ORTHOGONAL
-    else:
-        verdict = Verdict.BOUNDARY
+    verdict = tol.band(margin, scale)
     details = {
         "field": field,
         "norm_a": norm_a,
@@ -274,10 +269,10 @@ def oracle_check_subspace(a, basis, k: int, tol: Tolerances | None = None,
             continue
         margin, _ = chord_margin(a, combo / fro, k)
         worst = min(worst, margin)
-    if worst < -tol.strict * scale:
-        verdict = Verdict.NOT_ORTHOGONAL
-    else:
-        verdict = Verdict.NO_COUNTEREXAMPLE
+    # one-sided: sampling never certifies the span, so the band between
+    # the thresholds reads as no counterexample
+    verdict = tol.band(worst, scale, Verdict.NO_COUNTEREXAMPLE,
+                       Verdict.NOT_ORTHOGONAL, middle=Verdict.NO_COUNTEREXAMPLE)
     return Decision(verdict=verdict, margin=float(worst), scale=scale,
                     method="oracle-sample", tolerances=tol,
                     details={"directions": directions, "basis_size": m})
@@ -310,12 +305,7 @@ def oracle_check_parallel(a, b, k: int, tol: Tolerances | None = None,
         peak = -float(res.fun)
         phi = float(res.x)
     margin = peak - (norm_a + norm_b)
-    if margin >= -tol.decide * scale:
-        verdict = Verdict.PARALLEL
-    elif margin < -tol.strict * scale:
-        verdict = Verdict.NOT_PARALLEL
-    else:
-        verdict = Verdict.BOUNDARY
+    verdict = tol.band(margin, scale, Verdict.PARALLEL, Verdict.NOT_PARALLEL)
     lam = cmath.exp(1j * phi)
     return Decision(verdict=verdict, margin=margin, scale=scale,
                     method="oracle-peak", tolerances=tol,

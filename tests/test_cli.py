@@ -217,6 +217,33 @@ def test_sweep_plot_singleton_sinusoid(tmp_path, capsys):
     np.testing.assert_allclose(rows[:, 1], want, atol=1e-9)
 
 
+def test_sweep_plot_uses_problem_tolerances(tmp_path, capsys):
+    # a cluster width of 1e-3 merges 2 and 2 - 1e-4 into the boundary
+    # cluster; the plotted sweep must be the one check decides from
+    from kyfanorth.decide import check_pair
+    from kyfanorth.generate import haar_unitary, random_matrix
+    from kyfanorth.model import Tolerances
+    from kyfanorth.norms import ky_fan_norm
+
+    rng = np.random.default_rng(3)
+    u, v = haar_unitary(4, rng), haar_unitary(4, rng)
+    a = (u * np.array([3.0, 2.0, 2.0 - 1e-4, 0.5])) @ v.conj().T
+    b = random_matrix(4, rng)
+    tol = Tolerances(cluster=1e-3)
+    path = write_pair(tmp_path, a, b, 2, tolerances=tol)
+    out_csv = tmp_path / "tol.csv"
+    grid = 720
+    assert run(capsys, "sweep-plot", path, "--out", str(out_csv),
+               "--grid", str(grid))[0] == 0
+    lines = out_csv.read_text(encoding="utf-8").splitlines()[1:]
+    h_min = min(float(line.split(",")[1]) for line in lines)
+    margin = check_pair(a, b, 2, tol=tol, want_certificate=False).margin
+    # h is ||B||_(k)-Lipschitz, so the grid minimum sits at most half a
+    # grid step of that slope above the swept minimum
+    resolution = ky_fan_norm(b, 2) * np.pi / grid
+    assert margin - 1e-9 <= h_min <= margin + resolution
+
+
 def test_check_real_field_flag(tmp_path, capsys):
     rng = np.random.default_rng(2)
     from kyfanorth.generate import make_orthogonal_pair

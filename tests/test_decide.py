@@ -19,7 +19,9 @@ from kyfanorth.generate import (
     make_nonparallel_pair,
     make_orthogonal_pair,
     make_parallel_pair,
+    make_singular_pair,
     make_subspace_instance,
+    random_matrix,
 )
 from kyfanorth.model import (
     REAL_FIELD,
@@ -155,6 +157,28 @@ def test_pair_and_blocks_agree(rng):
         d1 = check_pair(a, b, 2, want_certificate=False)
         d2 = check_pair_blocks(a, b, 2, want_certificate=False)
         assert d1.verdict is d2.verdict
+
+
+def test_blocks_refutation_certified_whenever_pair_is():
+    # rank-degenerate refutations: both modes read one range-set model, so
+    # the block form searches the same steepest ray and certifies alike
+    rng = np.random.default_rng(2026)
+    certified = 0
+    for _ in range(200):
+        n = int(rng.integers(4, 8))
+        k = int(rng.integers(2, n + 1))
+        a, b, _ = make_singular_pair(n, k, rng)
+        b = b + 0.3 * random_matrix(n, rng)
+        pair = check_pair(a, b, k)
+        blocks = check_pair_blocks(a, b, k)
+        assert blocks.verdict is pair.verdict
+        if pair.verdict is not Verdict.NOT_ORTHOGONAL or pair.certificate is None:
+            continue
+        certified += 1
+        cert = blocks.certificate
+        assert cert is not None and cert.kind is CertKind.VIOLATION
+        assert verify_certificate(cert, a, b, k)["ok"]
+    assert certified >= 20
 
 
 def test_witness_system_quality(rng):

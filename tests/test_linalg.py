@@ -3,6 +3,7 @@ import pytest
 
 from kyfanorth.errors import QOutOfRange, ShapeMismatch
 from kyfanorth.linalg import (
+    _column_phases,
     cluster_spectrum,
     fan_eigsum_batch,
     haar_unitary,
@@ -50,6 +51,31 @@ def test_svd_polar_factors(rng):
     assert np.abs(recomposed - a).max() <= 1e-10 * frame.s[0]
     w = np.linalg.eigvalsh(herm(frame.abs_a))
     assert w.min() >= -1e-10 * frame.s[0]
+
+
+def _column_phases_loop(m):
+    # per-column reference for the vectorised phase normalisation
+    phases = np.ones(m.shape[1], dtype=complex)
+    for j in range(m.shape[1]):
+        mags = np.abs(m[:, j])
+        top = mags.max()
+        if top == 0.0:
+            continue
+        i = int(np.argmax(mags > 1e-12 * top))
+        phases[j] = np.conj(m[i, j] / mags[i])
+    return phases
+
+
+def test_column_phases_match_loop(rng):
+    m = complex_gauss(rng, 6, 5)
+    m[0, 1] = 1e-14  # below the significance cut, so row 1 sets the phase
+    m[:, 3] = 0.0  # a zero column keeps phase 1
+    phases = _column_phases(m)
+    np.testing.assert_array_equal(phases, _column_phases_loop(m))
+    lead = (m * phases)[[0, 1, 0, 0, 0], [0, 1, 2, 3, 4]]
+    assert np.all(lead.real >= 0.0)
+    np.testing.assert_allclose(lead.imag, 0.0, atol=1e-15)
+    assert _column_phases(np.zeros((0, 0))).shape == (0,)
 
 
 def test_singular_values_match_numpy(rng):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,3 +154,21 @@ def test_sample_range_points_degenerate_disk(rng):
     pts = np.asarray(sample_range_points(a, b, 2, count=300, rng=rng))
     assert pts.shape == (300,)
     assert np.all(np.isfinite(pts))
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    # the referee's agreement is evidence only while it shares no code with
+    # the frame engine
+    import kyfanorth.oracle
+
+    tree = ast.parse(Path(kyfanorth.oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").split(".")
+            imported.update(base)
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert imported.isdisjoint({"decide", "subdiff"}), imported
