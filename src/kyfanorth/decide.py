@@ -46,7 +46,7 @@ from .model import (
     Tolerances,
     Verdict,
 )
-from .norms import ky_fan_norm, ky_fan_norm_batch, require_k
+from .norms import ky_fan_norm, require_k
 from .subdiff import SubdifferentialFrame, build_frame
 
 __all__ = [
@@ -602,50 +602,97 @@ def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
         except (WitnessSearchFailed, NoConvergence) as exc:
             decision.details["certificate_error"] = str(exc)
     elif decision.verdict is Verdict.NOT_ORTHOGONAL:
-        decision.certificate = _violation_certificate(
+        cert, evals, reason = _violation_certificate(
             setup, outcome, real_field=field == REAL_FIELD)
-        if decision.certificate is None:
+        decision.certificate = cert
+        decision.details["violation_evals"] = evals
+        if cert is None:
             decision.details["violation_too_shallow"] = True
+            decision.details["violation_reason"] = reason
+
+
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+_VIOLATION_MAX_EVALS = 200
 
 
 def _violation_certificate(setup: _PairSetup, outcome: SweepOutcome,
-                           real_field: bool = False) -> Certificate | None:
-    """Search the steepest rotated ray for a scalar that shrinks the norm."""
+                           real_field: bool = False
+                           ) -> tuple[Certificate | None, int, str | None]:
+    """First scalar on the steepest rotated ray that shrinks the norm by the
+    certificate's dip, with the number of norm evaluations spent and, when
+    there is none, the reason.
+
+    f(t) = ||A + t e^{-i theta} B||_(k) is convex with f(0) = ||A||_(k) and
+    f'(0+) = margin < 0, so f(t) >= ||A|| + t*margin rules out t below
+    t_min = dip / |margin|, and f(t) >= t||B|| - ||A|| rules out t above
+    t_hi = 2||A|| / ||B||. Every trial of ``_ray_trials`` inside that
+    bracket costs one norm evaluation; the first that clears the bar is the
+    certificate.
+    """
     a, b, k = setup.a, setup.b, setup.k
     norm_a = setup.frame.norm_value
-    norm_b = setup.norm_b
-    if norm_b <= 0:
-        return None
+    dip = 10.0 * setup.tol.decide * setup.scale
     # support angle theta corresponds to the ray c = t * e^{-i theta}
     phase = cmath.exp(-1j * outcome.theta)
     if real_field:
         phase = -1.0 if abs(cmath.phase(phase)) > np.pi / 2 else 1.0
-    t_hi = 2.0 * norm_a / norm_b + 1e-12
+    # the factor 1/2 guards the lower end against rounding in the margin
+    t_min = 0.5 * dip / -outcome.value
+    t_hi = 2.0 * norm_a / setup.norm_b
+    if t_min >= t_hi:
+        return None, 0, "no scalar can dip 10*decide*scale (t_min >= t_hi)"
+    vals = []
+    for t in _ray_trials(t_min, t_hi, vals):
+        vals.append(ky_fan_norm(a + (t * phase) * b, k))
+        if vals[-1] < norm_a - dip:
+            cert = Certificate(
+                kind=CertKind.VIOLATION,
+                coefficient=complex(t * phase),
+                norm_value=vals[-1],
+                details={"norm_a": norm_a, "dip": norm_a - vals[-1],
+                         "evals": len(vals)},
+            )
+            return cert, len(vals), None
+        if len(vals) == _VIOLATION_MAX_EVALS:
+            break
+    return None, len(vals), "search exhausted"
 
-    def f(t):
-        return ky_fan_norm(a + (t * phase) * b, k)
 
-    res = scipy.optimize.minimize_scalar(
-        f, bounds=(0.0, t_hi), method="bounded",
-        options={"xatol": 1e-12 * t_hi, "maxiter": 200})
-    t_star = float(res.x)
-    value = float(res.fun)
-    ts = np.geomspace(1e-6, 1.0, 25) * t_hi
-    vals = ky_fan_norm_batch(a[None, :, :] + ts[:, None, None] * (phase * b), k)
-    j = int(np.argmin(vals))
-    if vals[j] < value:
-        value = float(vals[j])
-        t_star = float(ts[j])
-    needed = norm_a - 10.0 * setup.tol.decide * setup.scale
-    if value >= needed:
-        return None
-    lam = t_star * phase
-    return Certificate(
-        kind=CertKind.VIOLATION,
-        coefficient=complex(lam),
-        norm_value=value,
-        details={"norm_a": norm_a, "dip": norm_a - value},
-    )
+def _ray_trials(t_min: float, t_hi: float, vals: list):
+    """Trial points of a convex line search on [t_min, t_hi]; the caller
+    appends f at each trial to ``vals`` before asking for the next.
+
+    Steps down from t_hi/2 by quarters until f rises or t leaves the
+    bracket, then golden-sections the interval between the best sample's
+    neighbours, which holds the minimum of a convex f, down to 1e-12*t_hi.
+    """
+    ts = []
+    t = 0.5 * t_hi
+    while t >= t_min:
+        ts.append(t)
+        yield t
+        if len(vals) > 1 and vals[-1] >= vals[-2]:
+            break
+        t *= 0.25
+    j = int(np.argmin(vals)) if vals else 0
+    lo = ts[j + 1] if j + 1 < len(ts) else t_min
+    hi = ts[j - 1] if j > 0 else t_hi
+    x1 = lo + _GOLDEN * (hi - lo)
+    x2 = hi - _GOLDEN * (hi - lo)
+    yield x1
+    yield x2
+    f1, f2 = vals[-2], vals[-1]
+    while hi - lo > 1e-12 * t_hi:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = lo + _GOLDEN * (hi - lo)
+            yield x1
+            f1 = vals[-1]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = hi - _GOLDEN * (hi - lo)
+            yield x2
+            f2 = vals[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +804,9 @@ def _witness_block(setup: _PairSetup) -> Certificate:
     g = frame.u1 @ frame.v1.conj().T
     if frame.degenerate_zero:
         wide = model.wide_compression
+        # the overflow is the block_equation residual: share its bound
         coeff = _waterfill_contraction(wide, q, -lead,
-                                       0.05 * tol.strict * setup.scale)
+                                       0.1 * tol.strict * setup.scale)
         g = g + frame.u2_wide @ coeff @ frame.v2.conj().T
         resid = abs(lead + complex(np.trace(coeff.conj().T @ wide)))
         kind_details = {"set": "general", "rows": wide.shape[0],
@@ -915,6 +963,8 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
             details["counterexample_pair_margin"] = pair.margin
             if pair.verdict is Verdict.NOT_ORTHOGONAL:
                 decision.verdict = Verdict.NOT_ORTHOGONAL
+                details.update({key: value for key, value in pair.details.items()
+                                if key.startswith("violation_")})
                 if want_certificate and pair.certificate is not None:
                     cert = pair.certificate
                     cert.details["combination"] = _raw_combination(

@@ -29,7 +29,7 @@ from kyfanorth.model import (
     Tolerances,
     Verdict,
 )
-from kyfanorth.norms import ky_fan_norm
+from kyfanorth.norms import ky_fan_norm, ky_fan_norm_batch
 from kyfanorth.subdiff import build_frame, subgradient_membership
 
 
@@ -181,6 +181,96 @@ def test_blocks_refutation_certified_whenever_pair_is():
     assert certified >= 20
 
 
+def _violation_checked(decision, a, b, k):
+    cert = decision.certificate
+    assert cert is not None and cert.kind is CertKind.VIOLATION
+    assert cert.details["dip"] >= 10.0 * decision.tolerances.decide * decision.scale
+    assert cert.details["evals"] == decision.details["violation_evals"]
+    assert verify_certificate(cert, a, b, k)["ok"]
+    return cert
+
+
+def _coverage_pairs(rng):
+    for _ in range(300):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(1, n + 1))
+        yield random_matrix(n, rng), random_matrix(n, rng), k
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(2, n + 1))
+        a, b, _ = make_singular_pair(n, k, rng)
+        yield a, b + 0.3 * random_matrix(n, rng), k
+
+
+def _ray_scan_clears(decision, a, b, k):
+    """Whether a dense scan of the refuting ray finds a scalar whose norm
+    dips 10*decide*scale below ||A||_(k)."""
+    norm_a = ky_fan_norm(a, k)
+    theta = decision.details["support_theta"]
+    phase = np.exp(-1j * theta)
+    if decision.details["field"] == REAL_FIELD:
+        phase = np.sign(phase.real)
+    ts = np.geomspace(1e-9, 2.0, 400) * norm_a / ky_fan_norm(b, k)
+    vals = ky_fan_norm_batch(a[None] + (ts * phase)[:, None, None] * b, k)
+    return vals.min() < norm_a - 10.0 * decision.tolerances.decide * decision.scale
+
+
+def test_every_refutation_carries_a_violation():
+    # the violation search stops at the first scalar that clears the dip;
+    # guard that it loses no certificate in any mode. A refutation whose
+    # ray never dips that far keeps none, says why, and a dense scan of
+    # the ray must agree that no scalar clears the bar
+    refuted = shallow = 0
+    for a, b, k in _coverage_pairs(np.random.default_rng(4242)):
+        for d in (check_pair(a, b, k), check_pair(a, b, k, field=REAL_FIELD),
+                  check_pair_blocks(a, b, k)):
+            if d.verdict is not Verdict.NOT_ORTHOGONAL:
+                continue
+            refuted += 1
+            if d.certificate is None:
+                shallow += 1
+                assert d.details["violation_reason"] == "search exhausted"
+                assert d.details["violation_evals"] > 0
+                assert not _ray_scan_clears(d, a, b, k)
+            else:
+                _violation_checked(d, a, b, k)
+    assert refuted >= 500
+    assert shallow <= 0.01 * refuted
+
+
+def test_deep_refutation_costs_two_norm_evaluations():
+    rng = np.random.default_rng(64)
+    n, k = 64, 6
+    a = random_matrix(n, rng)
+    b = 0.05 * random_matrix(n, rng) + a / ky_fan_norm(a, k)
+    d = check_pair(a, b, k)
+    assert d.verdict is Verdict.NOT_ORTHOGONAL
+    assert _violation_checked(d, a, b, k).details["evals"] <= 2
+
+    a, basis, _ = make_subspace_instance(n, k, 2, rng, orthogonal=False)
+    d = check_subspace(a, basis, k)
+    assert d.verdict is Verdict.NOT_ORTHOGONAL
+    cert = _violation_checked(d, a, basis, k)
+    assert cert.details["evals"] <= 2
+    assert len(cert.details["combination"]) == 2
+
+
+def test_refutation_too_shallow_for_any_scalar():
+    # margin -2e-5 at scale 11 is decisive, but the dip 10*decide*scale
+    # needs t >= 0.55 along a ray where only t < 2||A||/||B|| = 0.2 can help
+    a = np.diag([1.0, 0.0]).astype(complex)
+    b = np.diag([2e-5, 10.0]).astype(complex)
+    d = check_pair(a, b, 1)
+    assert d.verdict is Verdict.NOT_ORTHOGONAL
+    assert d.margin == pytest.approx(-2e-5)
+    assert d.scale == pytest.approx(11.0)
+    assert d.certificate is None
+    assert d.details["violation_too_shallow"]
+    assert d.details["violation_evals"] == 0
+    assert d.details["violation_reason"] == (
+        "no scalar can dip 10*decide*scale (t_min >= t_hi)")
+
+
 def test_witness_system_quality(rng):
     a, b, _ = make_orthogonal_pair(5, 2, rng, q=2)
     cert = find_witness_system(a, b, 2)
@@ -230,6 +320,20 @@ def test_witness_block_degenerate(rng):
     g = cert.subgradient
     assert subgradient_membership(a, 3, g, tol=1e-7)
     assert abs(np.trace(g.conj().T @ b)) <= 1e-6
+
+
+@pytest.mark.parametrize("eps", [2.8e-7, 4.9e-7])
+def test_witness_block_degenerate_across_orthogonal_band(eps):
+    # margin -eps lies in the ORTHOGONAL band (decide*scale = 5e-7) while
+    # the waterfilling overflow, equal to eps, must pass the block equation
+    a = np.diag([2.0, 1.0, 0.0]).astype(complex)
+    b = np.diag([1.0 + eps, 0.0, 1.0]).astype(complex)
+    d = check_pair(a, b, 3)
+    assert d.verdict is Verdict.ORTHOGONAL
+    assert d.certificate is not None
+    assert d.certificate.kind is CertKind.BLOCK_COEFFICIENT
+    report = verify_certificate(d.certificate, a, b, 3)
+    assert report["ok"], report
 
 
 def test_subspace_positive_and_certificate(rng):
