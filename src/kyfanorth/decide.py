@@ -6,7 +6,9 @@ K = {tr(G* B) : G a subgradient of the norm at A}, a compact convex subset
 of the plane. The engine models K exactly through the spectral frame of A
 (a fixed complex offset plus a q-trace numerical range of the boundary
 compression), reads the decision off the minimum of its support function
-via a Lipschitz-certified sweep, and backs each verdict with a checkable
+via a sweep certified by the hull of exposed points of K (the inner and
+outer polygons of C. R. Johnson, SIAM J. Numer. Anal. 15, 1978, for the
+field of values), and backs each verdict with a checkable
 certificate: an orthonormal witness system, a feasible boundary-block
 coefficient with its assembled subgradient, a density system for subspaces,
 or an explicit norm-decreasing scalar.
@@ -31,7 +33,6 @@ from .errors import (
 )
 from .linalg import (
     as_matrix,
-    fan_eigsum_batch,
     herm,
     require_square,
     top_q_eigsum,
@@ -53,6 +54,7 @@ __all__ = [
     "RangeSetModel",
     "SweepOutcome",
     "swept_minimum",
+    "swept_maximum",
     "check_pair",
     "check_pair_blocks",
     "check_subspace",
@@ -67,64 +69,135 @@ _TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
-# certified support-function sweep
+# certified support-function sweep over exposed points
 
 
 @dataclass(frozen=True)
 class SweepOutcome:
-    """Result of a certified circular minimization."""
+    """Extremum over all angles of the support function of a convex set.
+
+    ``value`` is the best sampled support value, attained at ``theta``.
+    ``bound`` is the certified other end of the bracket: at or below the
+    true minimum, or at or above the true maximum. ``capped`` records that
+    the sweep stopped before the bracket closed to its tolerance: on the
+    evaluation cap, or on an angle already sampled.
+    """
 
     theta: float
     value: float
-    lower: float
+    bound: float
     evals: int
+    capped: bool = False
 
 
-def swept_minimum(fun, lipschitz: float, n0: int = 256, tol_abs: float = 1e-12,
-                  max_evals: int = 400000) -> SweepOutcome:
-    """Global minimum of a vectorized periodic function on [0, 2pi).
+_START_ANGLES = 8
 
-    ``lipschitz`` must be a true Lipschitz constant; segment midpoint bounds
-    then make the returned ``lower`` rigorous and the loop refines only
-    segments that could still beat the incumbent by more than ``tol_abs``.
+
+def swept_minimum(expose, tol_abs: float, slack: float = 0.0,
+                  max_evals: int = 256) -> SweepOutcome:
+    """Minimum over theta of the support function h of a compact convex
+    set K in the plane, h(theta) = max Re(e^{-i theta} z) over z in K.
+
+    ``expose(thetas)`` returns h at each angle and a point of K attaining
+    it, each to within ``slack``. The convex hull of the exposed points lies
+    in K, so the minimum of its support function (the signed distance of 0
+    to the hull: negative outside, the nearest edge line inside) bounds
+    min h from below. The next angle is the one attaining that bound, and
+    the sweep stops once the smallest sample is within ``tol_abs`` of it.
     """
-    n0 = max(8, int(n0))
-    lipschitz = max(float(lipschitz), 0.0)
-    theta = np.linspace(0.0, _TWO_PI, n0, endpoint=False)
-    vals = np.asarray(fun(theta), dtype=float)
-    evals = n0
-    seg_l = theta
-    seg_w = np.full(n0, _TWO_PI / n0)
-    val_l = vals
-    val_r = np.roll(vals, -1)
-    i = int(np.argmin(vals))
-    best = float(vals[i])
-    best_theta = float(theta[i])
-    lower_global = best
+    return _sweep(expose, tol_abs, max_evals, -1.0,
+                  lambda th, h, z: _inner_bound(th, z, slack))
+
+
+def swept_maximum(expose, tol_abs: float, slack: float = 0.0,
+                  max_evals: int = 256) -> SweepOutcome:
+    """Maximum over theta of the support function h of a compact convex
+    set K, that is max |z| over K; ``expose`` as for ``swept_minimum``.
+
+    The supporting lines at the sampled angles cut out a polygon holding
+    K, so the largest modulus among its vertices bounds max h from above.
+    The next angle is that vertex's angle.
+    """
+    return _sweep(expose, tol_abs, max_evals, 1.0,
+                  lambda th, h, z: _outer_bound(th, h, slack))
+
+
+def _sweep(expose, tol_abs, max_evals, sign, certify) -> SweepOutcome:
+    """Sample the angle ``certify`` names until its bound is within
+    ``tol_abs`` of the best sample; sign -1 minimizes, +1 maximizes."""
+    theta = np.linspace(0.0, _TWO_PI, _START_ANGLES, endpoint=False)
+    h, z = expose(theta)
     while True:
-        lower = 0.5 * (val_l + val_r) - 0.5 * lipschitz * seg_w
-        lower_global = float(lower.min())
-        if best - lower_global <= tol_abs or evals >= max_evals:
+        i = int(np.argmax(sign * h))
+        bound, nxt = certify(theta, h, z)
+        gap = sign * (bound - h[i])
+        if gap <= tol_abs or theta.size >= max_evals:
             break
-        act = np.flatnonzero(lower < best - tol_abs)
-        if act.size == 0:
+        nxt %= _TWO_PI
+        if np.any(theta == nxt):  # a repeated sample cannot move the bracket
             break
-        mids = seg_l[act] + 0.5 * seg_w[act]
-        mv = np.asarray(fun(mids), dtype=float)
-        evals += act.size
-        j = int(np.argmin(mv))
-        if float(mv[j]) < best:
-            best = float(mv[j])
-            best_theta = float(mids[j])
-        keep = np.ones(seg_l.size, dtype=bool)
-        keep[act] = False
-        half = 0.5 * seg_w[act]
-        seg_l = np.concatenate([seg_l[keep], seg_l[act], mids])
-        seg_w = np.concatenate([seg_w[keep], half, half])
-        val_l = np.concatenate([val_l[keep], val_l[act], mv])
-        val_r = np.concatenate([val_r[keep], mv, val_r[act]])
-    return SweepOutcome(theta=best_theta, value=best,
-                        lower=min(lower_global, best), evals=evals)
+        hn, zn = expose(np.array([nxt]))
+        theta = np.append(theta, nxt)
+        h = np.append(h, hn)
+        z = np.append(z, zn)
+    bound = max(bound, h[i]) if sign > 0 else min(bound, h[i])
+    return SweepOutcome(theta=float(theta[i]), value=float(h[i]),
+                        bound=float(bound), evals=int(theta.size),
+                        capped=bool(gap > tol_abs))
+
+
+def _inner_bound(theta, z, slack: float) -> tuple:
+    """Smallest support value of the hull of the exposed points, less
+    rounding slack, and the angle attaining it.
+
+    Exposed points follow the boundary in the order of their angles, so
+    on the arc from theta_j to theta_{j+1} the hull's support value is
+    max(Re(e^{-i phi} z_j), Re(e^{-i phi} z_{j+1})). That maximum of two
+    sinusoids is smallest at an end of the arc, where the two cross (a
+    normal of the edge from z_j to z_{j+1}), or at the trough of one of
+    them. Reading each arc off its two points alone keeps the bound below
+    the support function of the set even where rounding bends the polygon.
+    """
+    order = np.argsort(theta)
+    th, near = theta[order], z[order]
+    far = np.roll(near, -1)
+    delta = np.diff(th, append=th[0] + _TWO_PI)
+    normal = np.angle(far - near) - 0.5 * np.pi
+    spots = np.stack([normal, normal + np.pi, np.angle(-near),
+                      np.angle(-far)], axis=1)
+    offset = np.column_stack([np.zeros_like(delta), delta,
+                              (spots - th[:, None]) % _TWO_PI])
+    phase = np.exp(-1j * (th[:, None] + offset))
+    value = np.maximum(np.real(phase * near[:, None]),
+                       np.real(phase * far[:, None]))
+    value[offset > delta[:, None]] = np.inf
+    j, s = np.unravel_index(np.argmin(value), value.shape)
+    return float(value[j, s]) - slack, float(th[j] + offset[j, s])
+
+
+def _outer_bound(theta, h, slack: float) -> tuple:
+    """Largest support value of the polygon cut out by the supporting lines
+    at the sampled angles, plus rounding slack, and the angle attaining it.
+
+    Over the arc from theta_j to theta_j + delta the two half-planes of its
+    ends have support value a h_j + b h_{j+1}, with e^{i phi} =
+    a e^{i theta_j} + b e^{i theta_{j+1}}. That peaks at the modulus of the
+    vertex where their lines meet when the vertex points into the arc, and
+    at an end otherwise. An error of at most ``slack`` in each h moves the
+    peak by at most (a + b) slack <= slack / cos(delta / 2).
+    """
+    order = np.argsort(theta)
+    th, ends = theta[order], h[order]
+    far = np.roll(ends, -1)
+    delta = np.diff(th, append=th[0] + _TWO_PI)
+    vertex = np.exp(1j * th) * (
+        ends + 1j * (far - ends * np.cos(delta)) / np.sin(delta))
+    turn = np.angle(vertex * np.exp(-1j * th))
+    inside = (turn >= 0.0) & (turn <= delta)
+    peak = np.where(inside, np.abs(vertex), np.maximum(ends, far))
+    j = int(np.argmax(peak))
+    bound = float(peak[j]) + slack / np.cos(0.5 * delta[j])
+    return bound, float(th[j] + (turn[j] if inside[j] else 0.0))
 
 
 @dataclass
@@ -169,27 +242,37 @@ class RangeSetModel:
         """max over the set of Re(e^{-i theta} z), vectorized over thetas."""
         th = np.atleast_1d(np.asarray(thetas, dtype=float))
         ph = np.exp(-1j * th)
-        base = np.real(ph * complex(self.fixed_part))
         if self.degenerate:
-            out = base + self._tail_const
+            out = np.real(ph * complex(self.fixed_part)) + self._tail_const
         elif self._is_singleton():
             out = np.real(ph * self._singleton_value())
         else:
-            c = self.compression
-            hs = 0.5 * (ph[:, None, None] * c
-                        + np.conj(ph)[:, None, None] * c.conj().T)
-            out = base + fan_eigsum_batch(hs, self.m)
+            out = self._expose(th)[0]
         if np.ndim(thetas) == 0:
             return float(out[0])
         return out
 
-    def lipschitz(self) -> float:
-        bound = abs(complex(self.fixed_part))
-        if not self.degenerate and not self._is_singleton():
-            bound += top_q_singsum(self.compression, min(self.m, self.width))
-        elif self._is_singleton():
-            bound = abs(self._singleton_value())
-        return bound * (1.0 + 1e-12) + 1e-300
+    def _expose(self, thetas: np.ndarray) -> tuple:
+        """Support values at the angles and a point of the set attaining
+        each: fixed_part + tr(W* C W) for the top-m eigenvectors W of
+        H(theta) = (e^{-i theta} C + e^{i theta} C*) / 2."""
+        ph = np.exp(-1j * thetas)
+        c = self.compression
+        hs = 0.5 * (ph[:, None, None] * c
+                    + np.conj(ph)[:, None, None] * c.conj().T)
+        w, v = np.linalg.eigh(hs)
+        top = v[:, :, -self.m:]
+        fixed = complex(self.fixed_part)
+        values = np.real(ph * fixed) + w[:, -self.m:].sum(axis=1)
+        points = fixed + np.sum(top.conj() * (c @ top), axis=(1, 2))
+        return values, points
+
+    def _rounding_slack(self) -> float:
+        # eigenvalue sums and the traces tr(W* C W) carry rounding of order
+        # d * eps * ||C||; the certified bounds give that much away
+        return (16.0 * self.width * np.finfo(float).eps
+                * (float(np.linalg.norm(self.compression))
+                   + abs(complex(self.fixed_part))))
 
     def _closed_extreme(self, sign: float) -> SweepOutcome:
         # a point, or a disk of radius _tail_const about fixed_part when
@@ -201,23 +284,22 @@ class RangeSetModel:
         turn = np.pi if sign < 0 else 0.0
         theta = 0.0 if z == 0 else (cmath.phase(z) + turn) % _TWO_PI
         v = radius + sign * abs(z)
-        return SweepOutcome(theta=theta, value=v, lower=v, evals=0)
+        return SweepOutcome(theta=theta, value=v, bound=v, evals=0)
 
     def minimum(self, tol_abs: float) -> SweepOutcome:
         """min over theta of the support function, with closed forms when
         the set is a point or a disk-invariant offset."""
         if self.degenerate or self._is_singleton():
             return self._closed_extreme(-1.0)
-        return swept_minimum(self.support, self.lipschitz(), tol_abs=tol_abs)
+        return swept_minimum(self._expose, tol_abs,
+                             slack=self._rounding_slack())
 
     def maximum(self, tol_abs: float) -> SweepOutcome:
         """max over theta of the support function = max |z| over the set."""
         if self.degenerate or self._is_singleton():
             return self._closed_extreme(1.0)
-        neg = swept_minimum(lambda th: -self.support(th), self.lipschitz(),
-                            tol_abs=tol_abs)
-        return SweepOutcome(theta=neg.theta, value=-neg.value,
-                            lower=-neg.lower, evals=neg.evals)
+        return swept_maximum(self._expose, tol_abs,
+                             slack=self._rounding_slack())
 
 
 def _range_model(frame: SubdifferentialFrame, b: np.ndarray) -> RangeSetModel:
@@ -527,9 +609,10 @@ def check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     """Decide whether ||A + c*B||_(k) >= ||A||_(k) for all scalars c.
 
     field "complex" sweeps the support function of the pairing set over all
-    phases with a certified Lipschitz bound; field "real" only inspects the
-    two real directions. The margin is the smallest one-sided derivative of
-    the norm along rotated copies of B (nonnegative iff orthogonal).
+    phases, bounded below by the hull of its exposed points; field "real"
+    only inspects the two real directions. The margin is the smallest
+    one-sided derivative of the norm along rotated copies of B (nonnegative
+    iff orthogonal).
     """
     if field not in (COMPLEX_FIELD, REAL_FIELD):
         raise ValueError(f"unknown scalar field {field!r}")
@@ -560,10 +643,10 @@ def _decide_pair(setup: _PairSetup, field: str, want_certificate: bool,
         two = model.support(np.array([0.0, np.pi]))
         i = int(np.argmin(two))
         outcome = SweepOutcome(theta=float([0.0, np.pi][i]), value=float(two[i]),
-                               lower=float(two[i]), evals=2)
+                               bound=float(two[i]), evals=2)
     else:
         outcome = model.minimum(setup.sweep_tol)
-    verdict = setup.tol.band(outcome.value, scale, bound=outcome.lower)
+    verdict = setup.tol.band(outcome.value, scale, bound=outcome.bound)
     details = {
         "field": field,
         "norm_a": frame.norm_value,
@@ -574,7 +657,8 @@ def _decide_pair(setup: _PairSetup, field: str, want_certificate: bool,
         "degenerate_zero": frame.degenerate_zero,
         "cluster_tol": frame.part.cluster_tol,
         "sweep_evals": outcome.evals,
-        "margin_lower_bound": outcome.lower,
+        "sweep_capped": outcome.capped,
+        "margin_lower_bound": outcome.bound,
         "support_theta": outcome.theta,
     }
     if blocks:
@@ -602,13 +686,9 @@ def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
         except (WitnessSearchFailed, NoConvergence) as exc:
             decision.details["certificate_error"] = str(exc)
     elif decision.verdict is Verdict.NOT_ORTHOGONAL:
-        cert, evals, reason = _violation_certificate(
+        decision.certificate, info = _violation_certificate(
             setup, outcome, real_field=field == REAL_FIELD)
-        decision.certificate = cert
-        decision.details["violation_evals"] = evals
-        if cert is None:
-            decision.details["violation_too_shallow"] = True
-            decision.details["violation_reason"] = reason
+        decision.details.update(info)
 
 
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
@@ -617,17 +697,19 @@ _VIOLATION_MAX_EVALS = 200
 
 def _violation_certificate(setup: _PairSetup, outcome: SweepOutcome,
                            real_field: bool = False
-                           ) -> tuple[Certificate | None, int, str | None]:
+                           ) -> tuple[Certificate | None, dict]:
     """First scalar on the steepest rotated ray that shrinks the norm by the
-    certificate's dip, with the number of norm evaluations spent and, when
-    there is none, the reason.
+    certificate's dip, with the ``violation_*`` details of the search: the
+    norm evaluations spent and, when there is no certificate, the reason and
+    a lower bound on the norm along the ray.
 
     f(t) = ||A + t e^{-i theta} B||_(k) is convex with f(0) = ||A||_(k) and
     f'(0+) = margin < 0, so f(t) >= ||A|| + t*margin rules out t below
     t_min = dip / |margin|, and f(t) >= t||B|| - ||A|| rules out t above
     t_hi = 2||A|| / ||B||. Every trial of ``_ray_trials`` inside that
     bracket costs one norm evaluation; the first that clears the bar is the
-    certificate.
+    certificate. The search gives up as soon as ``_ray_lower_bound`` shows
+    that no t in [0, t_hi] can clear it.
     """
     a, b, k = setup.a, setup.b, setup.k
     norm_a = setup.frame.norm_value
@@ -639,10 +721,20 @@ def _violation_certificate(setup: _PairSetup, outcome: SweepOutcome,
     # the factor 1/2 guards the lower end against rounding in the margin
     t_min = 0.5 * dip / -outcome.value
     t_hi = 2.0 * norm_a / setup.norm_b
+    ts, vals = [], []
+
+    def exhausted(reason: str) -> tuple:
+        lower = _ray_lower_bound(norm_a, outcome.value, setup.norm_b, t_hi,
+                                 ts, vals, a.shape[0])
+        return None, {"violation_evals": len(vals),
+                      "violation_too_shallow": True,
+                      "violation_reason": reason,
+                      "violation_lower_bound": lower}
+
     if t_min >= t_hi:
-        return None, 0, "no scalar can dip 10*decide*scale (t_min >= t_hi)"
-    vals = []
+        return exhausted("no scalar can dip 10*decide*scale (t_min >= t_hi)")
     for t in _ray_trials(t_min, t_hi, vals):
+        ts.append(t)
         vals.append(ky_fan_norm(a + (t * phase) * b, k))
         if vals[-1] < norm_a - dip:
             cert = Certificate(
@@ -652,10 +744,49 @@ def _violation_certificate(setup: _PairSetup, outcome: SweepOutcome,
                 details={"norm_a": norm_a, "dip": norm_a - vals[-1],
                          "evals": len(vals)},
             )
-            return cert, len(vals), None
-        if len(vals) == _VIOLATION_MAX_EVALS:
+            return cert, {"violation_evals": len(vals)}
+        if (len(vals) == _VIOLATION_MAX_EVALS
+                or _ray_lower_bound(norm_a, outcome.value, setup.norm_b,
+                                    t_hi, ts, vals, a.shape[0])
+                >= norm_a - dip):
             break
-    return None, len(vals), "search exhausted"
+    return exhausted("search exhausted")
+
+
+def _ray_lower_bound(norm_a: float, slope: float, norm_b: float, t_hi: float,
+                     ts: list, vals: list, n: int) -> float:
+    """Lower bound on the convex f(t) = ||A + t e^{-i theta} B||_(k) over
+    [0, t_hi] from its samples ``vals`` at ``ts``.
+
+    Outside each interval between consecutive samples (f(0) = ||A|| counts
+    as one) f lies above the secant through the interval's ends. So on an
+    interval it lies above the secant of the interval to its left, extended
+    (the tangent ||A|| + slope*t on the first), and above the secant of the
+    interval to its right, extended (t||B|| - ||A|| on the last). Every
+    norm carries a rounding error of at most ``err``; a secant is drawn
+    through its near end lowered and its far end raised by ``err``, which
+    keeps it below f where it is extended.
+    """
+    err = 64.0 * n * np.finfo(float).eps * (norm_a + t_hi * norm_b)
+    knots, first = np.unique(np.concatenate([[0.0], ts]), return_index=True)
+    fs = np.concatenate([[norm_a], vals])[first]
+    ends = np.append(knots, t_hi) if knots[-1] < t_hi else knots
+
+    def secant(i, j):
+        # through (t_i, f_i - err) and (t_j, f_j + err), extended past t_i
+        s = (fs[j] - fs[i] + 2.0 * err) / (knots[j] - knots[i])
+        return s, fs[i] - err - s * knots[i]
+
+    lowest = np.inf
+    for i in range(ends.size - 1):
+        s1, c1 = secant(i, i - 1) if i else (slope, norm_a - err)
+        s2, c2 = (secant(i + 1, i + 2) if i + 2 < knots.size
+                  else (norm_b, -norm_a - err))
+        spots = [ends[i], ends[i + 1]]
+        if s1 != s2 and ends[i] < (c2 - c1) / (s1 - s2) < ends[i + 1]:
+            spots.append((c2 - c1) / (s1 - s2))
+        lowest = min(lowest, *(max(s1 * t + c1, s2 * t + c2) for t in spots))
+    return float(lowest)
 
 
 def _ray_trials(t_min: float, t_hi: float, vals: list):
@@ -1089,11 +1220,15 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
     outcome = setup.model.maximum(setup.sweep_tol)
     margin = outcome.value - norm_b
     verdict = setup.tol.band(margin, scale, Verdict.PARALLEL,
-                             Verdict.NOT_PARALLEL, bound=outcome.lower - norm_b)
+                             Verdict.NOT_PARALLEL,
+                             bound=outcome.bound - norm_b)
     lam = cmath.exp(-1j * outcome.theta)
     achieved = ky_fan_norm(setup.a + lam * setup.b, k)
     details = {
         "peak_modulus": outcome.value,
+        "peak_upper_bound": outcome.bound,
+        "sweep_evals": outcome.evals,
+        "sweep_capped": outcome.capped,
         "norm_a": norm_a,
         "norm_b": norm_b,
         "lambda_re": lam.real,

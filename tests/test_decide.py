@@ -38,21 +38,36 @@ def complex_gauss(rng, rows, cols):
 
 
 def test_swept_minimum_cosine():
-    out = swept_minimum(lambda th: 2.0 + np.cos(th), lipschitz=1.0,
-                        tol_abs=1e-9)
-    assert out.value == pytest.approx(1.0, abs=1e-7)
-    assert out.lower <= out.value
-    assert out.value - out.lower <= 1e-8
+    # 2 + cos(theta) is the support function of the disk of radius 2
+    # centred at 1; its exposed point at theta is 1 + 2 e^{i theta}
+    def disk(th):
+        return 2.0 + np.cos(th), 1.0 + 2.0 * np.exp(1j * th)
+
+    out = swept_minimum(disk, tol_abs=1e-9)
+    assert out.value == pytest.approx(1.0, abs=1e-9)
+    assert out.bound <= 1.0 <= out.value
+    assert out.value - out.bound <= 1e-9
     assert abs((out.theta % (2 * np.pi)) - np.pi) <= 1e-3
+    assert not out.capped
 
 
 def test_swept_minimum_asymmetric():
-    fun = lambda th: 1.5 + np.cos(th) + 0.5 * np.sin(3 * th)
-    out = swept_minimum(fun, lipschitz=2.5, tol_abs=1e-10)
-    grid = np.linspace(0, 2 * np.pi, 200001)
-    dense = (1.5 + np.cos(grid) + 0.5 * np.sin(3 * grid)).min()
-    assert out.value == pytest.approx(dense, abs=1e-8)
-    assert out.lower <= dense + 1e-12
+    # a quadrilateral with 0 outside, nearest to the inside of its left
+    # edge: min h sits at the kink where two vertices tie
+    verts = np.array([1 + 1j, 3 + 0.5j, 2.5 - 1.5j, 0.8 - 1j])
+
+    def polygon(th):
+        dots = np.real(np.exp(-1j * np.asarray(th))[:, None] * verts)
+        return dots.max(axis=1), verts[dots.argmax(axis=1)]
+
+    edge = verts[0] - verts[3]
+    along = -np.real(np.conj(edge) * verts[3]) / abs(edge) ** 2
+    exact = -abs(verts[3] + along * edge)
+    out = swept_minimum(polygon, tol_abs=1e-10)
+    assert 0.0 < along < 1.0
+    assert out.value == pytest.approx(exact, abs=1e-10)
+    assert out.bound <= exact + 1e-15
+    assert out.evals <= 16
 
 
 def test_range_model_support_dominates_samples(rng):
@@ -202,9 +217,13 @@ def _coverage_pairs(rng):
         yield a, b + 0.3 * random_matrix(n, rng), k
 
 
-def _ray_scan_clears(decision, a, b, k):
-    """Whether a dense scan of the refuting ray finds a scalar whose norm
-    dips 10*decide*scale below ||A||_(k)."""
+def _bar(decision, a, k):
+    dip = 10.0 * decision.tolerances.decide * decision.scale
+    return ky_fan_norm(a, k) - dip
+
+
+def _ray_scan_min(decision, a, b, k):
+    """Smallest norm a dense scan of the refuting ray finds."""
     norm_a = ky_fan_norm(a, k)
     theta = decision.details["support_theta"]
     phase = np.exp(-1j * theta)
@@ -212,14 +231,16 @@ def _ray_scan_clears(decision, a, b, k):
         phase = np.sign(phase.real)
     ts = np.geomspace(1e-9, 2.0, 400) * norm_a / ky_fan_norm(b, k)
     vals = ky_fan_norm_batch(a[None] + (ts * phase)[:, None, None] * b, k)
-    return vals.min() < norm_a - 10.0 * decision.tolerances.decide * decision.scale
+    return vals.min()
 
 
 def test_every_refutation_carries_a_violation():
     # the violation search stops at the first scalar that clears the dip;
     # guard that it loses no certificate in any mode. A refutation whose
     # ray never dips that far keeps none, says why, and a dense scan of
-    # the ray must agree that no scalar clears the bar
+    # the ray must agree that no scalar clears the bar. Its convexity bound
+    # rules the whole ray out after a few evaluations, and no scanned
+    # scalar may fall below that bound
     refuted = shallow = 0
     for a, b, k in _coverage_pairs(np.random.default_rng(4242)):
         for d in (check_pair(a, b, k), check_pair(a, b, k, field=REAL_FIELD),
@@ -230,8 +251,10 @@ def test_every_refutation_carries_a_violation():
             if d.certificate is None:
                 shallow += 1
                 assert d.details["violation_reason"] == "search exhausted"
-                assert d.details["violation_evals"] > 0
-                assert not _ray_scan_clears(d, a, b, k)
+                assert 0 < d.details["violation_evals"] <= 12
+                lower = d.details["violation_lower_bound"]
+                assert lower >= _bar(d, a, k)
+                assert _ray_scan_min(d, a, b, k) >= lower
             else:
                 _violation_checked(d, a, b, k)
     assert refuted >= 500
@@ -269,6 +292,7 @@ def test_refutation_too_shallow_for_any_scalar():
     assert d.details["violation_evals"] == 0
     assert d.details["violation_reason"] == (
         "no scalar can dip 10*decide*scale (t_min >= t_hi)")
+    assert d.details["violation_lower_bound"] >= _bar(d, a, 1)
 
 
 def test_witness_system_quality(rng):
