@@ -42,7 +42,6 @@ from .linalg import singular_values
 from .model import COMPLEX_FIELD, REAL_FIELD, Tolerances, Verdict
 from .norms import ky_fan_norm
 from .oracle import (
-    GridSpec,
     oracle_check_pair,
     oracle_check_parallel,
     oracle_check_subspace,
@@ -89,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="use the norm-evaluation referee instead of "
                               "the frame engine")
     p_check.add_argument("--seed", type=int, default=None,
-                         help="seed recorded in the report and used by the "
-                              "oracle grid")
+                         help="seed recorded in the report")
     p_check.add_argument("--tol-decide", type=float, default=None)
     p_check.add_argument("--tol-strict", type=float, default=None)
     p_check.add_argument("--cluster-tol", type=float, default=None)
@@ -192,9 +190,8 @@ def cmd_check(args) -> int:
                 decision = check_parallel(a, b, problem.k, tol=tol,
                                           want_certificate=not args.no_cert)
         elif args.oracle:
-            grid = GridSpec(seed=args.seed or 0)
             decision = oracle_check_pair(a, b, problem.k, field=field,
-                                         tol=tol, grid=grid)
+                                         tol=tol)
         elif mode == "blocks":
             decision = check_pair_blocks(a, b, problem.k, tol=tol,
                                          want_certificate=not args.no_cert)

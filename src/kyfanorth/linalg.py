@@ -37,7 +37,6 @@ __all__ = [
     "cluster_spectrum",
     "top_q_eigsum",
     "top_q_singsum",
-    "fan_eigsum_batch",
     "default_cluster_tol",
     "default_rank_tol",
     "haar_unitary",
@@ -266,14 +265,6 @@ def top_q_singsum(m, q: int) -> float:
     if q == 0 or m.size == 0:
         return 0.0
     return float(singular_values(m)[:q].sum())
-
-
-def fan_eigsum_batch(hs: np.ndarray, q: int) -> np.ndarray:
-    """Top-q eigenvalue sums for a stack of Hermitian matrices (m, d, d)."""
-    if q == 0:
-        return np.zeros(hs.shape[0])
-    w = np.linalg.eigvalsh(hs)
-    return w[:, -q:].sum(axis=1)
 
 
 def haar_unitary(n: int, rng=None) -> np.ndarray:

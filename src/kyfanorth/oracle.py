@@ -12,7 +12,7 @@ undershoot the true margin only by floating-point noise.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
 
 import numpy as np
 import scipy.optimize
@@ -37,8 +37,6 @@ from .model import (
 from .norms import ky_fan_norm, ky_fan_norm_batch, require_k
 
 __all__ = [
-    "GridSpec",
-    "grid_min_norm",
     "fd_directional",
     "chord_margin",
     "oracle_check_pair",
@@ -50,27 +48,12 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Search grid for scalar minimization of ||A + c B||.
-
-    radius None means 2 ||A||_(k) / ||B||_(k). coarse_points sets the angular
-    resolution of the initial polar grid (at least 64); refine_rounds local
-    shrinking passes follow, then a simplex polish.
-    """
-
-    radius: float | None = None
-    coarse_points: int = 96
-    refine_rounds: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.coarse_points < 64:
-            raise ValueError("coarse_points must be at least 64")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be nonnegative")
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be positive")
+# the certified dip bound starts from rings of ratio at most 4 with 32
+# phases each, and gives up after this many norm evaluations
+_RING_RATIO = 4.0
+_RING_PHASES = 32
+_DIP_CAP = 4096
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _norms_at(a: np.ndarray, b: np.ndarray, k: int, cs: np.ndarray) -> np.ndarray:
@@ -79,60 +62,195 @@ def _norms_at(a: np.ndarray, b: np.ndarray, k: int, cs: np.ndarray) -> np.ndarra
     return ky_fan_norm_batch(mats, k)
 
 
-def grid_min_norm(a, b, k: int, grid: GridSpec | None = None):
-    """Approximate min over scalars c of ||A + c B||_(k).
+class _Scalars:
+    """Batched evaluations of c -> ||A + c B||_(k) that count themselves and
+    keep the lowest value seen with its scalar."""
 
-    Polar coarse scan (with a seeded angular jitter so axis-aligned minima
-    are not systematically favored), local refinement around the incumbent,
-    and a Nelder-Mead polish. Returns (value, c).
-    """
-    grid = GridSpec() if grid is None else grid
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_square(a)
-    require_k(k, a.shape[0])
-    norm_a = ky_fan_norm(a, k)
-    norm_b = ky_fan_norm(b, k)
-    if norm_b <= 0:
-        return norm_a, 0.0 + 0.0j
-    radius = grid.radius
-    if radius is None:
-        radius = 2.0 * norm_a / norm_b if norm_a > 0 else 1.0 / norm_b
-    rng = np.random.default_rng(grid.seed)
-    n_th = int(grid.coarse_points)
-    n_r = max(n_th // 2, 8)
-    thetas = np.linspace(0.0, _TWO_PI, n_th, endpoint=False)
-    thetas = thetas + rng.uniform(0.0, _TWO_PI / n_th)
-    radii = np.linspace(0.0, radius, n_r + 1)[1:]
-    cs = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    cs = np.concatenate([[0.0 + 0.0j], cs])
-    vals = _norms_at(a, b, k, cs)
-    i = int(np.argmin(vals))
-    best_c = complex(cs[i])
-    best_v = float(vals[i])
-    window = radius / n_r
-    for _ in range(grid.refine_rounds):
-        re = np.linspace(best_c.real - window, best_c.real + window, 9)
-        im = np.linspace(best_c.imag - window, best_c.imag + window, 9)
-        local = (re[:, None] + 1j * im[None, :]).ravel()
-        vals = _norms_at(a, b, k, local)
+    def __init__(self, a: np.ndarray, b: np.ndarray, k: int):
+        self.a, self.b, self.k = a, b, k
+        self.evals = 0
+        self.value = np.inf
+        self.point = 0.0 + 0.0j
+
+    def __call__(self, cs: np.ndarray) -> np.ndarray:
+        cs = np.asarray(cs, dtype=complex).ravel()
+        vals = _norms_at(self.a, self.b, self.k, cs)
+        self.evals += vals.size
         i = int(np.argmin(vals))
-        if float(vals[i]) < best_v:
-            best_v = float(vals[i])
-            best_c = complex(local[i])
-        window /= 4.0
+        if vals[i] < self.value:
+            self.value = float(vals[i])
+            self.point = complex(cs[i])
+        return vals
 
-    def f(xy):
-        return ky_fan_norm(a + complex(xy[0], xy[1]) * b, k)
 
-    res = scipy.optimize.minimize(
-        f, x0=[best_c.real, best_c.imag], method="Nelder-Mead",
-        options={"xatol": 1e-12 * max(radius, 1.0), "fatol": 1e-15 * (norm_a + 1.0),
-                 "maxiter": 400})
-    if float(res.fun) < best_v:
-        best_v = float(res.fun)
-        best_c = complex(res.x[0], res.x[1])
-    return best_v, best_c
+def _ray_minima(norms: _Scalars, phases: np.ndarray, reach: float,
+                t_tol: float, level: float):
+    """Golden-section minima of the convex rays t -> f(t e^{i phase}) over
+    [0, reach], one batched evaluation per step across all phases, to a
+    bracket of t_tol or until some value falls below level. Returns the
+    smaller end value of each ray and its radius."""
+    units = np.exp(1j * phases)
+    lo = np.zeros(phases.size)
+    hi = np.full(phases.size, reach)
+    x1 = hi - _GOLDEN * hi
+    x2 = _GOLDEN * hi
+    f1 = norms(x1 * units)
+    f2 = norms(x2 * units)
+    while hi[0] - lo[0] > t_tol and norms.value >= level:
+        # a convex function with f(x1) <= f(x2) has a minimiser left of x2
+        left = f1 <= f2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fx = norms(x * units)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+    return np.minimum(f1, f2), np.where(f1 <= f2, x1, x2)
+
+
+def _phase_search(norms: _Scalars, center: float, reach: float, depth: float,
+                  level: float, norm_b: float) -> None:
+    """Look for a scalar whose norm is below level; what it finds is left in
+    ``norms``.
+
+    m(phi), the minimum of f on the ray at phase phi, is quasiconvex where
+    it is below f(0): each sublevel set of f below f(0) is convex and misses
+    0, so the phases of the rays that meet it form an arc. The lowest of a
+    set of sampled phases therefore has the minimising phase between its
+    neighbours, and each round samples four more phases in that bracket. It
+    stops once the phase step, times the radius of the best ray minimum and
+    ||B||_(k), is a fiftieth of depth: with the rays' own golden-section
+    tolerance this finds any dip of 1.05 depth.
+    """
+    t_tol = 0.01 * depth / norm_b
+    step = _TWO_PI / 8
+    phases = center + step * np.arange(8)
+    values, radii = _ray_minima(norms, phases, reach, t_tol, level)
+    i = int(np.argmin(values))
+    best, best_value, radius = phases[i], values[i], radii[i]
+    # at or above f(0) = level + depth the arc argument says nothing
+    while norms.value >= level and best_value < level + depth \
+            and step * max(radius, t_tol) * norm_b > 0.02 * depth:
+        step /= 3.0
+        phases = best + step * np.array([-2.0, -1.0, 1.0, 2.0])
+        values, radii = _ray_minima(norms, phases, reach, t_tol, level)
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best, best_value, radius = phases[i], values[i], radii[i]
+
+
+def _dip_check(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
+               norm_b: float, depth: float, phase: float = 0.0) -> dict:
+    """Prove that no scalar c has ||A + c B||_(k) < ||A||_(k) - depth, or
+    find one. Returns the ``dip_*`` details of the referee.
+
+    f(c) = ||A + c B||_(k) is convex with f(0) = a, and |f(c) - f(c')| <=
+    |c - c'| b by the triangle inequality (a, b the norms of A and B). So a
+    dip lies in the annulus depth/b < |c| < 2a/b. Rings of ratio at most 4
+    and 32 phases from ``phase`` cut it into cells [t_lo, t_hi] x [th_lo,
+    th_hi], and the two samples at (t_lo, th_lo) and (t_lo, th_hi) bound f
+    on the cell from below:
+
+    - around the arc, f(t_lo e^{i th}) is at least their mean less
+      t_lo (th_hi - th_lo) b / 2;
+    - along each ray, chord slopes from 0 increase, so f - a is at least
+      min(0, t_hi / t_lo (f(t_lo e^{i th}) - a)).
+
+    A cell is cleared when that bound, less a rounding allowance of
+    64 n eps (a + t_hi b), is at least -depth. Each round splits every cell
+    still open, across the arc or along the ray, whichever tightens its
+    bound more, and evaluates the new corners in one batch. A phase search
+    over convex line searches (``_phase_search``) looks for a witness once
+    a sample dips a quarter of depth, or before the cap would be passed.
+    Status ``cleared``, ``dip`` (with ``dip_value`` and ``dip_point``, the
+    lowest point on the witness's ray) or ``capped`` (with ``dip_reason``);
+    ``dip_evals`` counts the norms.
+    """
+    norms = _Scalars(a, b, k)
+    level = norm_a - depth
+    if norm_b <= 0.0 or depth >= 2.0 * norm_a:
+        # the annulus is empty: no scalar moves f by depth below a
+        return {"dip_status": "cleared", "dip_evals": 0}
+    t0, reach = depth / norm_b, 2.0 * norm_a / norm_b
+    rings = max(1, math.ceil(math.log(reach / t0) / math.log(_RING_RATIO)))
+    radii = t0 * (reach / t0) ** (np.arange(rings + 1) / rings)
+    angles = phase + (_TWO_PI / _RING_PHASES) * np.arange(_RING_PHASES + 1)
+    grid = norms(radii[:-1, None] * np.exp(1j * angles[None, :-1]))
+    grid = grid.reshape(rings, _RING_PHASES)
+    rounding = 64.0 * a.shape[0] * np.finfo(float).eps
+    allowance = rounding * (norm_a + reach * norm_b)
+    # through 0: a <= (|x| f(y) + |y| f(x)) / (|x| + |y|) for y on the ray
+    # opposite x, and f on the chord between two samples at radius s is at
+    # most their larger value, so f(x) - a >= -|x| * opposite[j] with
+    # opposite[j] taken over the rings for the cells of base phase j
+    rise = np.maximum(np.maximum(grid, np.roll(grid, -1, axis=1))
+                      - norm_a + 2.0 * allowance, 0.0)
+    chord = math.cos(math.pi / _RING_PHASES)
+    opposite = np.roll((rise / (chord * radii[:-1, None])).min(axis=0),
+                       -_RING_PHASES // 2)
+    t_lo = np.repeat(radii[:-1], _RING_PHASES)
+    t_hi = np.repeat(radii[1:], _RING_PHASES)
+    th_lo = np.tile(angles[:-1], rings)
+    th_hi = np.tile(angles[1:], rings)
+    f_lo = grid.ravel()
+    f_hi = np.roll(grid, -1, axis=1).ravel()
+    base = np.tile(np.arange(_RING_PHASES), rings)
+    searched = False
+    while norms.value >= level:
+        ratio = t_hi / t_lo
+        spread = 0.5 * t_lo * (th_hi - th_lo) * norm_b
+        gap = 0.5 * (f_lo + f_hi) - norm_a - rounding * (norm_a + t_hi * norm_b)
+        live = ((ratio * np.minimum(gap - spread, 0.0) < -depth)
+                & (t_hi * opposite[base] + allowance > depth))
+        if not live.any():
+            return {"dip_status": "cleared", "dip_evals": norms.evals}
+        t_lo, t_hi, th_lo, th_hi, f_lo, f_hi, base, ratio, spread, gap = (
+            x[live] for x in (t_lo, t_hi, th_lo, th_hi, f_lo, f_hi, base,
+                              ratio, spread, gap))
+        # halving the arc gains ratio*spread/2; the inner half of a split
+        # along the ray gains (ratio - sqrt(ratio)) * (spread - gap)
+        across = ratio * spread / 2.0 >= (ratio - np.sqrt(ratio)) * (spread - gap)
+        along = ~across
+        t_mid = np.sqrt(t_lo * t_hi)
+        th_mid = 0.5 * (th_lo + th_hi)
+        points, slot = np.unique(np.concatenate([
+            t_lo[across] * np.exp(1j * th_mid[across]),
+            t_mid[along] * np.exp(1j * th_lo[along]),
+            t_mid[along] * np.exp(1j * th_hi[along])]), return_inverse=True)
+        low = np.minimum(f_lo, f_hi)
+        j = int(np.argmin(low))
+        over = norms.evals + points.size > _DIP_CAP
+        if not searched and (over or low[j] < norm_a - 0.25 * depth):
+            searched = True
+            center = th_lo[j] if f_lo[j] <= f_hi[j] else th_hi[j]
+            _phase_search(norms, center, reach, depth, level, norm_b)
+            continue
+        if over:
+            return {"dip_status": "capped", "dip_evals": norms.evals,
+                    "dip_reason": f"{live.sum()} cells still open after "
+                                  f"{norms.evals} norm evaluations; lowest "
+                                  f"value seen {norms.value:.17g}"}
+        vals = norms(points)[slot]
+        n_across = int(across.sum())
+        n_along = int(along.sum())
+        f_mid = vals[:n_across]
+        g_lo = vals[n_across:n_across + n_along]
+        g_hi = vals[n_across + n_along:]
+        t_lo = np.concatenate([t_lo[across], t_lo[across], t_lo[along], t_mid[along]])
+        t_hi = np.concatenate([t_hi[across], t_hi[across], t_mid[along], t_hi[along]])
+        th_lo, th_hi = (
+            np.concatenate([th_lo[across], th_mid[across], th_lo[along], th_lo[along]]),
+            np.concatenate([th_mid[across], th_hi[across], th_hi[along], th_hi[along]]))
+        f_lo, f_hi = (
+            np.concatenate([f_lo[across], f_mid, f_lo[along], g_lo]),
+            np.concatenate([f_mid, f_hi[across], f_hi[along], g_hi]))
+        base = np.concatenate([base[across], base[across], base[along],
+                               base[along]])
+    # report the lowest point on the witness's ray, not the first below level
+    _ray_minima(norms, np.array([cmath.phase(norms.point)]), reach,
+                0.01 * depth / norm_b, -np.inf)
+    return {"dip_status": "dip", "dip_evals": norms.evals,
+            "dip_value": norms.value, "dip_point": norms.point}
 
 
 def fd_directional(a, x, k: int, t: float) -> float:
@@ -158,6 +276,12 @@ def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
     approaches the margin from above as the smallest magnitudes dominate.
     Returns (margin_estimate, phase).
     """
+    return _chord_scan(a, b, k, field, n_theta, refine_rounds, t_count)[:2]
+
+
+def _chord_scan(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
+                refine_rounds: int = 7, t_count: int = 13):
+    """``chord_margin`` with the number of norm evaluations it made."""
     a = as_matrix(a)
     b = as_matrix(b)
     require_square(a)
@@ -165,11 +289,12 @@ def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
     norm_a = ky_fan_norm(a, k)
     norm_b = ky_fan_norm(b, k)
     if norm_b <= 0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 2
+    norms = _Scalars(a, b, k)
 
     def chords(cs):
         cs = np.asarray(cs, dtype=complex).ravel()
-        return (_norms_at(a, b, k, cs) - norm_a) / np.abs(cs)
+        return (norms(cs) - norm_a) / np.abs(cs)
 
     # magnitudes chosen so the perturbation size t*||B|| spans the norm scale
     unit = (norm_a + norm_b) / norm_b
@@ -195,17 +320,21 @@ def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
             width *= 0.2
     tail = chords(ts * cmath.exp(1j * theta))
     best = min(best, float(tail.min()))
-    return best, theta % _TWO_PI
+    return best, theta % _TWO_PI, 2 + norms.evals
 
 
 def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
-                      tol: Tolerances | None = None,
-                      grid: GridSpec | None = None) -> Decision:
+                      tol: Tolerances | None = None) -> Decision:
     """Referee verdict on pair orthogonality from norm evaluations alone.
 
-    The margin estimate comes from the chord scan; a scalar grid search
-    provides an independent floor, and a deep grid dip contradicting an
-    orthogonal chord verdict demotes the answer to BOUNDARY.
+    The margin estimate comes from the chord scan. When it reads ORTHOGONAL
+    in the complex field, the only case a dip can overturn, ``_dip_check``
+    either proves that no scalar c takes ||A + c B||_(k) below ||A||_(k) -
+    1e-3 scale, or finds one, which demotes the answer to BOUNDARY with
+    ``grid_contradiction``; a check stopped by its cap demotes it too, with
+    the reason in ``dip_reason``. ``dip_status`` says which happened:
+    ``cleared``, ``dip``, ``capped``, ``skipped`` (any other chord verdict)
+    or ``real_field``.
     """
     tol = Tolerances() if tol is None else tol
     a = as_matrix(a)
@@ -213,22 +342,26 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     norm_a = ky_fan_norm(a, k)
     norm_b = ky_fan_norm(b, k)
     scale = tol.margin_scale(norm_a, norm_b)
-    margin, theta = chord_margin(a, b, k, field=field)
+    margin, theta, chord_evals = _chord_scan(a, b, k, field)
     verdict = tol.band(margin, scale)
     details = {
         "field": field,
         "norm_a": norm_a,
         "norm_b": norm_b,
         "chord_phase": theta,
+        "chord_evals": chord_evals,
     }
-    if field == COMPLEX_FIELD:
-        # the disk grid scans complex scalars, so it can only referee
-        # complex-field verdicts
-        grid_value, grid_point = grid_min_norm(a, b, k, grid)
-        details["grid_value"] = grid_value
-        details["grid_point"] = grid_point
-        if verdict is Verdict.ORTHOGONAL and grid_value < norm_a - 1e-3 * scale:
+    if field != COMPLEX_FIELD:
+        # real scalars: the dip check scans complex ones
+        details.update(dip_status="real_field", dip_evals=0)
+    elif verdict is not Verdict.ORTHOGONAL:
+        details.update(dip_status="skipped", dip_evals=0)
+    else:
+        details.update(_dip_check(a, b, k, norm_a, norm_b, 1e-3 * scale,
+                                  theta))
+        if details["dip_status"] != "cleared":
             verdict = Verdict.BOUNDARY
+        if details["dip_status"] == "dip":
             details["grid_contradiction"] = True
     return Decision(verdict=verdict, margin=margin, scale=scale,
                     method="oracle-chord", tolerances=tol, details=details)

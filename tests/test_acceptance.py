@@ -79,6 +79,11 @@ def test_c01_engine_matches_oracle_on_random_pairs():
         for a, b in _pair_corpus(rng, 4, k, 200):
             eng = check_pair(a, b, k, want_certificate=False)
             orc = oracle_check_pair(a, b, k)
+            # the dip check runs on every ORTHOGONAL chord verdict and
+            # settles each one within its count
+            if orc.details["dip_status"] != "skipped":
+                assert orc.details["dip_status"] != "capped"
+                assert orc.details["dip_evals"] <= 1000
             if Verdict.BOUNDARY in (eng.verdict, orc.verdict):
                 boundary += 1
                 continue

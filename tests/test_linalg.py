@@ -5,7 +5,6 @@ from kyfanorth.errors import QOutOfRange, ShapeMismatch
 from kyfanorth.linalg import (
     _column_phases,
     cluster_spectrum,
-    fan_eigsum_batch,
     haar_unitary,
     herm,
     hermitian_eig,
@@ -176,13 +175,6 @@ def test_top_q_singsum_dominates_contractions(rng):
             w *= q / w.sum()
         t = (lu * w) @ rv.conj().T
         assert np.real(np.trace(t.conj().T @ m)) <= value + 1e-10
-
-
-def test_fan_eigsum_batch_matches_loop(rng):
-    hs = np.stack([herm(complex_gauss(rng, 4, 4)) for _ in range(8)])
-    batch = fan_eigsum_batch(hs, 2)
-    single = [top_q_eigsum(h, 2)[0] for h in hs]
-    np.testing.assert_allclose(batch, single, atol=1e-10)
 
 
 def test_require_square(rng):

@@ -1,21 +1,27 @@
 import ast
+import cmath
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kyfanorth.oracle
+from kyfanorth.decide import check_pair, verify_certificate
 from kyfanorth.generate import (
     make_nonorthogonal_pair,
     make_orthogonal_pair,
     make_parallel_pair,
 )
-from kyfanorth.model import Verdict
-from kyfanorth.norms import ky_fan_norm
+from kyfanorth.linalg import haar_unitary
+from kyfanorth.model import CertKind, Verdict
+from kyfanorth.norms import ky_fan_norm, ky_fan_norm_batch
 from kyfanorth.oracle import (
-    GridSpec,
+    _dip_check,
     chord_margin,
     fd_directional,
-    grid_min_norm,
     oracle_check_pair,
     oracle_check_parallel,
     oracle_check_subspace,
@@ -28,15 +34,61 @@ def complex_gauss(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
-def test_grid_min_norm_finds_cancellation(rng):
-    # b cancels a along lambda = -1 exactly
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _pair_norms(a, b, k):
+    norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
+    return norm_a, norm_b, 1e-3 * (norm_a + norm_b)
+
+
+def _tilted_pair(rng):
+    """An orthogonal 4x4 pair whose B is tilted by a random Ginibre
+    direction of relative size 10^-2.5 to 1: about one in eight dips by
+    the referee's 1e-3 scale somewhere, some of them barely."""
+    k = int(rng.integers(1, 5))
+    q = int(rng.integers(1, k + 1))
+    r = int(rng.integers(0, 2)) if k < 4 else 0
+    a, b, _ = make_orthogonal_pair(4, k, rng, q=q, r=r)
+    g = complex_gauss(rng, 4, 4)
+    eta = 10.0 ** rng.uniform(-2.5, 0.0)
+    return a, b + eta * ky_fan_norm(b, k) * g / ky_fan_norm(g, k), k
+
+
+def _reference_min(a, b, k, norm_a, norm_b) -> float:
+    """min over c of ||A + c B||_(k): a dense polar scan of the disk
+    |c| <= 2 ||A|| / ||B||, outside which no scalar dips, then Nelder-Mead
+    from the three lowest scan points."""
+    reach = 2.0 * norm_a / norm_b
+    cs = (np.linspace(0.0, reach, 31)[1:, None]
+          * np.exp(2j * np.pi * np.arange(96) / 96)[None, :]).ravel()
+    vals = ky_fan_norm_batch(a[None] + cs[:, None, None] * b[None], k)
+    best = float(vals.min())
+
+    def f(xy):
+        return ky_fan_norm(a + complex(xy[0], xy[1]) * b, k)
+
+    for i in np.argsort(vals)[:3]:
+        res = scipy.optimize.minimize(
+            f, [cs[i].real, cs[i].imag], method="Nelder-Mead",
+            options={"xatol": 1e-8 * reach, "fatol": 1e-10 * norm_a,
+                     "maxiter": 400})
+        best = min(best, float(res.fun))
+    return best
+
+
+def test_dip_check_finds_cancellation(rng):
+    # b cancels a along c = -1 exactly
     a = complex_gauss(rng, 4, 4)
-    value, point = grid_min_norm(a, a, 2)
-    assert value <= 0.35 * ky_fan_norm(a, 2)
-    assert abs(point - (-1.0)) <= 0.35
+    norm_a, _, depth = _pair_norms(a, a, 2)
+    out = _dip_check(a, a, 2, norm_a, norm_a, depth)
+    assert out["dip_status"] == "dip"
+    assert out["dip_value"] == ky_fan_norm(a + out["dip_point"] * a, 2)
+    assert out["dip_value"] <= 1e-3 * norm_a
+    assert abs(out["dip_point"] - (-1.0)) <= 1e-3
 
 
-def test_grid_min_norm_convex_in_radius(rng):
+def test_ky_fan_norm_convex_in_the_scalar(rng):
     a = complex_gauss(rng, 4, 4)
     b = complex_gauss(rng, 4, 4)
     # midpoint values never exceed endpoint averages
@@ -49,9 +101,163 @@ def test_grid_min_norm_convex_in_radius(rng):
         assert fm <= 0.5 * (f1 + f2) + 1e-9
 
 
-def test_grid_respects_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(coarse_points=16)
+def test_dip_check_clears_flat_directions():
+    # ||diag(1, 0) + c diag(0, 1)||_(1) = max(1, |c|) is flat on the unit
+    # disk, where the phase Lipschitz bound alone never closes
+    a = np.diag([1.0, 0.0]).astype(complex)
+    b = np.diag([0.0, 1.0]).astype(complex)
+    d = oracle_check_pair(a, b, 1)
+    assert d.verdict is Verdict.ORTHOGONAL
+    assert d.details["dip_status"] == "cleared"
+    assert d.details["dip_evals"] <= 200
+
+
+def test_dip_check_on_either_side_of_the_threshold():
+    # ||diag(1, 0) + c diag(-beta, 1)||_(1) = max(|1 - c beta|, |c|) has
+    # its minimum 1 - beta / (1 + beta) at c = 1 / (1 + beta)
+    a = np.diag([1.0, 0.0]).astype(complex)
+    for excess, dips in ((0.95, False), (1.05, True)):
+        share = excess * 2e-3
+        b = np.diag([-share / (1.0 - share), 1.0]).astype(complex)
+        norm_a, norm_b, depth = _pair_norms(a, b, 1)
+        assert 1.0 / (1.0 - b[0, 0]) == pytest.approx(norm_a - excess * depth)
+        out = _dip_check(a, b, 1, norm_a, norm_b, depth)
+        if dips:
+            assert out["dip_status"] == "dip"
+            assert out["dip_value"] < norm_a - depth
+        else:
+            assert out["dip_status"] in ("cleared", "capped")
+            if out["dip_status"] == "capped":
+                assert "cells still open" in out["dip_reason"]
+
+
+def test_dip_check_against_dense_reference():
+    """Tilted pairs around the threshold against a dense scan polished by
+    Nelder-Mead: cleared never where the reference dips below a - depth, a
+    witness re-evaluates below it, and every reference dip of 1.05 depth
+    is witnessed, not capped."""
+    rng = np.random.default_rng(6)
+    dips = cleared = 0
+    for i in range(80):
+        a, b, k = _tilted_pair(rng)
+        norm_a, norm_b, depth = _pair_norms(a, b, k)
+        out = _dip_check(a, b, k, norm_a, norm_b, depth,
+                         rng.uniform(0.0, 2.0 * np.pi))
+        low = _reference_min(a, b, k, norm_a, norm_b)
+        status = out["dip_status"]
+        if status == "cleared":
+            cleared += 1
+            assert low >= norm_a - depth, (i, (norm_a - low) / depth)
+        if status == "dip":
+            assert ky_fan_norm(a + out["dip_point"] * b, k) < norm_a - depth
+        if low < norm_a - 1.05 * depth:
+            dips += 1
+            assert status == "dip", (i, (norm_a - low) / depth, out)
+    assert dips >= 5 and cleared >= 50, (dips, cleared)
+
+
+def _planted_wrong_answers():
+    """Inputs labelled ORTHOGONAL by construction and then tilted, whose
+    engine verdict is NOT_ORTHOGONAL with a VIOLATION certificate that
+    verifies: orthogonal pairs, tied clusters and both jointly scaled."""
+    rng = np.random.default_rng(44)
+    planted = []
+    for i in range(48):
+        if i % 3 == 2:
+            n = 5 + i % 2
+            k, q, r = 4, 4, n - 4
+        else:
+            n, k = 4, 1 + i % 4
+            q = 1 + int(rng.integers(0, k))
+            r = int(rng.integers(0, 2)) if k < 4 else 0
+        a, b0, _ = make_orthogonal_pair(n, k, rng, q=q, r=r)
+        # A / ||A|| pairs to 1 with every subgradient at A, so this shifts
+        # the pairing set by `shift`
+        shift = 10.0 ** rng.uniform(-3.0, 0.0) * cmath.exp(
+            2j * np.pi * rng.uniform())
+        b = b0 + shift * (ky_fan_norm(a, k) + ky_fan_norm(b0, k)) \
+            * a / ky_fan_norm(a, k)
+        d = check_pair(a, b, k)
+        if d.verdict is not Verdict.NOT_ORTHOGONAL:
+            continue
+        assert d.certificate.kind is CertKind.VIOLATION
+        assert verify_certificate(d.certificate, a, b, k)["ok"]
+        for e in (0, -9, 9):
+            planted.append((10.0 ** e * a, 10.0 ** e * b, k))
+    return planted
+
+
+def test_referee_catches_planted_wrong_answers():
+    planted = _planted_wrong_answers()
+    assert len(planted) >= 60
+    for j, (a, b, k) in enumerate(planted):
+        d = oracle_check_pair(a, b, k)
+        assert d.verdict is not Verdict.ORTHOGONAL, (j, d.margin / d.scale)
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=seeds)
+def test_dip_status_invariant_under_the_symmetries(seed):
+    """The status of the dip check is unchanged under joint scaling, a
+    unitary equivalence, the adjoint and a phase on B, with the sampled
+    phases carried along; a witness rotates with the phase. Separate
+    scaling (tA, sB) is left out on purpose: depth = 1e-3 (a + b) is not
+    homogeneous in A and B separately, so it moves the threshold itself."""
+    rng = np.random.default_rng(seed)
+    a, b, k = _tilted_pair(rng)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+
+    def status(x, y, at):
+        return _dip_check(x, y, k, *_pair_norms(x, y, k), at)
+
+    base = status(a, b, phase)["dip_status"]
+    t = 10.0 ** rng.uniform(-150.0, 150.0)
+    u, v = haar_unitary(4, rng), haar_unitary(4, rng)
+    assert status(t * a, t * b, phase)["dip_status"] == base
+    assert status(u @ a @ v, u @ b @ v, phase)["dip_status"] == base
+    assert status(a.conj().T, b.conj().T, -phase)["dip_status"] == base
+    turn = cmath.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    turned = status(a, turn * b, phase - cmath.phase(turn))
+    assert turned["dip_status"] == base
+    if base == "dip":
+        norm_a, _, depth = _pair_norms(a, b, k)
+        assert ky_fan_norm(a + turned["dip_point"] * turn * b, k) \
+            < norm_a - depth
+
+
+def test_capped_dip_check_reads_boundary(monkeypatch):
+    # with no budget for a refinement round, a pair its first rings do not
+    # clear must read BOUNDARY with the reason, never ORTHOGONAL in silence
+    monkeypatch.setattr(kyfanorth.oracle, "_DIP_CAP", 0)
+    rng = np.random.default_rng(7)
+    capped = 0
+    for _ in range(12):
+        a, b, _ = make_orthogonal_pair(4, 2, rng, q=1, r=1)
+        d = oracle_check_pair(a, b, 2)
+        if d.details["dip_status"] == "cleared":
+            assert d.verdict is Verdict.ORTHOGONAL
+            continue
+        assert d.details["dip_status"] == "capped"
+        assert d.verdict is Verdict.BOUNDARY
+        assert "grid_contradiction" not in d.details
+        assert d.details["dip_reason"]
+        capped += 1
+    assert capped >= 1
+
+
+def test_oracle_check_pair_explains_itself(rng):
+    a, b, _ = make_orthogonal_pair(4, 2, rng, q=1, r=1)
+    d = oracle_check_pair(a, b, 2)
+    assert d.details["chord_evals"] == 2 + 512 + 7 * 17 + 13
+    assert d.details["dip_status"] == "cleared"
+    assert 0 < d.details["dip_evals"] <= 1000
+    a, b, _ = make_nonorthogonal_pair(4, 2, rng)
+    d = oracle_check_pair(a, b, 2)
+    assert d.details["dip_status"] == "skipped"
+    assert d.details["dip_evals"] == 0
+    d = oracle_check_pair(a, b, 2, field="real")
+    assert d.details["dip_status"] == "real_field"
+    assert d.details["chord_evals"] == 2 + 2 + 13
 
 
 def test_fd_directional_monotone_and_tight(rng):
