@@ -20,8 +20,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     BadBlockStructure,
@@ -35,7 +33,6 @@ from .linalg import (
     as_matrix,
     herm,
     require_square,
-    top_q_eigsum,
     top_q_singsum,
 )
 from .model import (
@@ -80,13 +77,16 @@ class SweepOutcome:
     ``bound`` is the certified other end of the bracket: at or below the
     true minimum, or at or above the true maximum. ``capped`` records that
     the sweep stopped before the bracket closed to its tolerance: on the
-    evaluation cap, or on an angle already sampled.
+    evaluation cap, or on an angle already sampled. ``angles`` holds every
+    angle sampled and ``points`` the exposed point of the set found at each.
     """
 
     theta: float
     value: float
     bound: float
     evals: int
+    angles: np.ndarray
+    points: np.ndarray
     capped: bool = False
 
 
@@ -143,7 +143,7 @@ def _sweep(expose, tol_abs, max_evals, sign, certify) -> SweepOutcome:
     bound = max(bound, h[i]) if sign > 0 else min(bound, h[i])
     return SweepOutcome(theta=float(theta[i]), value=float(h[i]),
                         bound=float(bound), evals=int(theta.size),
-                        capped=bool(gap > tol_abs))
+                        capped=bool(gap > tol_abs), angles=theta, points=z)
 
 
 def _inner_bound(theta, z, slack: float) -> tuple:
@@ -231,23 +231,15 @@ class RangeSetModel:
 
     def _is_singleton(self) -> bool:
         # trace budget equal to the block width pins the coefficient to I
-        return (not self.degenerate) and (self.m == self.width or self.m == 0)
+        return (not self.degenerate) and self.m == self.width
 
     def _singleton_value(self) -> complex:
-        if self.m == 0:
-            return complex(self.fixed_part)
         return complex(self.fixed_part + np.trace(self.compression))
 
     def support(self, thetas):
         """max over the set of Re(e^{-i theta} z), vectorized over thetas."""
         th = np.atleast_1d(np.asarray(thetas, dtype=float))
-        ph = np.exp(-1j * th)
-        if self.degenerate:
-            out = np.real(ph * complex(self.fixed_part)) + self._tail_const
-        elif self._is_singleton():
-            out = np.real(ph * self._singleton_value())
-        else:
-            out = self._expose(th)[0]
+        out = self._expose(th)[0]
         if np.ndim(thetas) == 0:
             return float(out[0])
         return out
@@ -255,17 +247,30 @@ class RangeSetModel:
     def _expose(self, thetas: np.ndarray) -> tuple:
         """Support values at the angles and a point of the set attaining
         each: fixed_part + tr(W* C W) for the top-m eigenvectors W of
-        H(theta) = (e^{-i theta} C + e^{i theta} C*) / 2."""
+        H(theta), in closed form for a point or a disk."""
+        ph = np.exp(-1j * thetas)
+        fixed = complex(self.fixed_part)
+        if self.degenerate:
+            return (np.real(ph * fixed) + self._tail_const,
+                    fixed + self._tail_const * np.conj(ph))
+        if self._is_singleton():
+            z = self._singleton_value()
+            return np.real(ph * z), np.full(thetas.shape, z)
+        w, top = self._top_eigen(thetas)
+        values = np.real(ph * fixed) + w.sum(axis=1)
+        points = fixed + np.sum(top.conj() * (self.compression @ top),
+                                axis=(1, 2))
+        return values, points
+
+    def _top_eigen(self, thetas: np.ndarray) -> tuple:
+        """Top-m eigenvalues and eigenvectors of H(theta) = (e^{-i theta} C
+        + e^{i theta} C*) / 2 at each angle."""
         ph = np.exp(-1j * thetas)
         c = self.compression
         hs = 0.5 * (ph[:, None, None] * c
                     + np.conj(ph)[:, None, None] * c.conj().T)
         w, v = np.linalg.eigh(hs)
-        top = v[:, :, -self.m:]
-        fixed = complex(self.fixed_part)
-        values = np.real(ph * fixed) + w[:, -self.m:].sum(axis=1)
-        points = fixed + np.sum(top.conj() * (c @ top), axis=(1, 2))
-        return values, points
+        return w[:, -self.m:], v[:, :, -self.m:]
 
     def _rounding_slack(self) -> float:
         # eigenvalue sums and the traces tr(W* C W) carry rounding of order
@@ -284,7 +289,9 @@ class RangeSetModel:
         turn = np.pi if sign < 0 else 0.0
         theta = 0.0 if z == 0 else (cmath.phase(z) + turn) % _TWO_PI
         v = radius + sign * abs(z)
-        return SweepOutcome(theta=theta, value=v, bound=v, evals=0)
+        angles = np.array([theta])
+        return SweepOutcome(theta=theta, value=v, bound=v, evals=0,
+                            angles=angles, points=self._expose(angles)[1])
 
     def minimum(self, tol_abs: float) -> SweepOutcome:
         """min over theta of the support function, with closed forms when
@@ -317,13 +324,15 @@ def _range_model(frame: SubdifferentialFrame, b: np.ndarray) -> RangeSetModel:
 
 
 # ---------------------------------------------------------------------------
-# convex feasibility over the boundary coefficient polytope
+# subspace feasibility over the boundary coefficient polytope
 # {T Hermitian : 0 <= T <= I, tr T = q}, by fully corrective Frank-Wolfe
 # with exact reweighting of the active projector atoms.
 
 
 def _simplex_weights(cols: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Least squares over the probability simplex via a penalized NNLS."""
+    import scipy.optimize  # here, so that importing the package loads no scipy
+
     p = cols.shape[1]
     if p == 1:
         return np.ones(1)
@@ -351,7 +360,6 @@ class FeasibilityResult:
     t: np.ndarray
     residual: float
     gap: float
-    converged: bool
     iterations: int
     errors: np.ndarray
 
@@ -367,12 +375,11 @@ def _feasible_coefficient(constraints: list, targets: np.ndarray, q: int,
     """
     targets = np.asarray(targets, dtype=float)
     hs = [herm(as_matrix(h)) for h in constraints]
-    if q == 0 or q == d:
-        t = np.zeros((d, d), dtype=complex) if q == 0 else np.eye(d, dtype=complex)
+    if q == d:
+        t = np.eye(d, dtype=complex)
         errs = np.array([float(np.real(np.trace(t @ h))) for h in hs]) - targets
-        r = float(np.linalg.norm(errs))
-        return FeasibilityResult(t=t, residual=r, gap=0.0, converged=r <= tol,
-                                 iterations=0, errors=errs)
+        return FeasibilityResult(t=t, residual=float(np.linalg.norm(errs)),
+                                 gap=0.0, iterations=0, errors=errs)
 
     def lmap(t):
         return np.array([float(np.real(np.trace(t @ h))) for h in hs])
@@ -389,8 +396,7 @@ def _feasible_coefficient(constraints: list, targets: np.ndarray, q: int,
         resid = float(np.linalg.norm(errs))
         if resid <= tol:
             return FeasibilityResult(t=_combine(atoms, weights), residual=resid,
-                                     gap=0.0, converged=True, iterations=it,
-                                     errors=errs)
+                                     gap=0.0, iterations=it, errors=errs)
         grad = np.zeros((d, d), dtype=complex)
         for e, h in zip(errs, hs):
             grad += 2.0 * e * h
@@ -399,8 +405,7 @@ def _feasible_coefficient(constraints: list, targets: np.ndarray, q: int,
         gap = float(np.real(np.trace((t_cur - p_new) @ grad)))
         if gap <= max(tol * tol, 1e-30):
             return FeasibilityResult(t=t_cur, residual=resid, gap=gap,
-                                     converged=False, iterations=it,
-                                     errors=errs)
+                                     iterations=it, errors=errs)
         atoms.append(p_new)
         cols.append(lmap(p_new))
         weights = _simplex_weights(np.column_stack(cols), targets)
@@ -413,8 +418,7 @@ def _feasible_coefficient(constraints: list, targets: np.ndarray, q: int,
     t_cur = _combine(atoms, weights)
     errs = lmap(t_cur) - targets
     return FeasibilityResult(t=t_cur, residual=float(np.linalg.norm(errs)),
-                             gap=gap, converged=False, iterations=it,
-                             errors=errs)
+                             gap=gap, iterations=it, errors=errs)
 
 
 def _combine(atoms: list, weights: np.ndarray) -> np.ndarray:
@@ -424,124 +428,15 @@ def _combine(atoms: list, weights: np.ndarray) -> np.ndarray:
     return herm(t)
 
 
-def _constraint_rows(maps: list, rhs: list, real_only: bool) -> tuple:
+def _constraint_rows(maps: list, rhs: list) -> tuple:
     """Complex trace equations tr(T K_j) = y_j as real Hermitian rows."""
     hs, ys = [], []
     for kmat, y in zip(maps, rhs):
         hs.append(herm(kmat))
         ys.append(float(np.real(y)))
-        if not real_only:
-            hs.append(herm(-1j * kmat))
-            ys.append(float(np.imag(y)))
+        hs.append(herm(-1j * kmat))
+        ys.append(float(np.imag(y)))
     return hs, np.asarray(ys)
-
-
-def _hermitian_basis(d: int) -> list:
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    inv = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = inv
-            e[j, i] = inv
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1j * inv
-            e[j, i] = -1j * inv
-            basis.append(e)
-    return basis
-
-
-def _pencil_crossings(diag_vals: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Positive step sizes where an eigenvalue of diag + a*direction hits 0 or 1."""
-    d = diag_vals.size
-    cands = []
-    for shift in (0.0, 1.0):
-        lhs = np.diag(diag_vals - shift)
-        vals = scipy.linalg.eigvals(lhs, -direction)
-        for v in vals:
-            if np.isfinite(v) and abs(v.imag) <= 1e-8 * (1 + abs(v.real)):
-                a = float(v.real)
-                if a > 1e-13:
-                    cands.append(a)
-    return np.asarray(sorted(cands))
-
-
-def _purify_coefficient(t: np.ndarray, hs: list, q: int,
-                        tol: float) -> np.ndarray:
-    """Walk a feasible coefficient to a rank-q projector preserving all
-    trace constraints.
-
-    The constraints are few (trace plus at most two), so whenever two or more
-    eigenvalues are strictly interior there is a constraint-neutral Hermitian
-    direction supported on that eigenspace; stepping to the first 0/1 crossing
-    strictly shrinks the interior count, and integrality of the trace rules
-    out stopping with exactly one interior eigenvalue.
-    """
-    d = t.shape[0]
-    t = herm(t)
-    full_h = [np.eye(d, dtype=complex)] + [herm(h) for h in hs]
-    for _ in range(4 * d * d + 8):
-        w, vec = np.linalg.eigh(t)
-        w = np.clip(w, 0.0, 1.0)
-        near0 = w <= 1e-11
-        near1 = w >= 1.0 - 1e-11
-        w[near0] = 0.0
-        w[near1] = 1.0
-        interior = ~(near0 | near1)
-        n_int = int(interior.sum())
-        if n_int == 0:
-            break
-        if n_int == 1:
-            # numerically impossible at an exact extreme point; round it
-            w[interior] = np.round(w[interior])
-            t = (vec * w) @ vec.conj().T
-            break
-        vi = vec[:, interior]
-        wi = w[interior]
-        basis = _hermitian_basis(n_int)
-        rows = []
-        for h in full_h:
-            hc = vi.conj().T @ h @ vi
-            rows.append([float(np.real(np.trace(b @ hc))) for b in basis])
-        mat = np.asarray(rows)
-        _, sv, vh = np.linalg.svd(mat)
-        null_dim = n_int * n_int - mat.shape[0]
-        if null_dim <= 0:
-            break
-        coeffs = vh[-1]
-        direction = np.zeros((n_int, n_int), dtype=complex)
-        for c, b in zip(coeffs, basis):
-            direction += c * b
-        direction = herm(direction)
-        nrm = float(np.linalg.norm(direction))
-        if nrm < 1e-14:
-            break
-        direction /= nrm
-        steps = _pencil_crossings(wi, direction)
-        if steps.size == 0:
-            steps = _pencil_crossings(wi, -direction)
-            if steps.size == 0:
-                break
-            direction = -direction
-        a = float(steps[0])
-        t_int = np.diag(wi) + a * direction
-        t = (vec[:, ~interior] * w[~interior]) @ vec[:, ~interior].conj().T
-        t = t + vi @ t_int @ vi.conj().T
-        t = herm(t)
-    w, vec = np.linalg.eigh(t)
-    picked = np.flatnonzero(w > 0.5)
-    if picked.size != q:
-        raise WitnessSearchFailed(
-            f"purification left {picked.size} unit eigenvalues, expected {q}",
-            residual=float(np.abs(w - np.round(w)).max()),
-        )
-    cols = vec[:, picked]
-    return cols @ cols.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +488,25 @@ def _pair_setup(a, b, k: int, tol: Tolerances | None = None,
                       model=_range_model(frame, b))
 
 
-def _require_orthogonal(setup: _PairSetup, what: str) -> None:
-    outcome = setup.model.minimum(setup.sweep_tol)
+def _pair_outcome(setup: _PairSetup, field: str) -> SweepOutcome:
+    """Minimum of the pairing set's support function over all angles, or
+    over the two real directions 0 and pi in the real field."""
+    if field != REAL_FIELD:
+        return setup.model.minimum(setup.sweep_tol)
+    angles = np.array([0.0, np.pi])
+    values, points = setup.model._expose(angles)
+    i = int(np.argmin(values))
+    return SweepOutcome(theta=float(angles[i]), value=float(values[i]),
+                        bound=float(values[i]), evals=2, angles=angles,
+                        points=points)
+
+
+def _require_orthogonal(setup: _PairSetup, what: str,
+                        field: str = COMPLEX_FIELD) -> SweepOutcome:
+    outcome = _pair_outcome(setup, field)
     if setup.tol.band(outcome.value, setup.scale) is not Verdict.ORTHOGONAL:
         raise NotOrthogonal(f"margin {outcome.value:.3e} rejects {what}")
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +549,7 @@ def check_pair_blocks(a, b, k: int, tol: Tolerances | None = None,
 def _decide_pair(setup: _PairSetup, field: str, want_certificate: bool,
                  blocks: bool) -> Decision:
     frame, model, scale = setup.frame, setup.model, setup.scale
-    if field == REAL_FIELD:
-        two = model.support(np.array([0.0, np.pi]))
-        i = int(np.argmin(two))
-        outcome = SweepOutcome(theta=float([0.0, np.pi][i]), value=float(two[i]),
-                               bound=float(two[i]), evals=2)
-    else:
-        outcome = model.minimum(setup.sweep_tol)
+    outcome = _pair_outcome(setup, field)
     verdict = setup.tol.band(outcome.value, scale, bound=outcome.bound)
     details = {
         "field": field,
@@ -677,12 +581,12 @@ def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
     if decision.verdict is Verdict.ORTHOGONAL:
         if not (blocks or setup.frame.degenerate_zero):
             try:
-                decision.certificate = _witness_system(setup, field)
+                decision.certificate = _witness_system(setup, outcome, field)
                 return
-            except (WitnessSearchFailed, NoConvergence) as exc:
+            except WitnessSearchFailed as exc:
                 decision.details["witness_error"] = str(exc)
         try:
-            decision.certificate = _witness_block(setup)
+            decision.certificate = _witness_block(setup, outcome)
         except (WitnessSearchFailed, NoConvergence) as exc:
             decision.details["certificate_error"] = str(exc)
     elif decision.verdict is Verdict.NOT_ORTHOGONAL:
@@ -835,72 +739,168 @@ def find_witness_system(a, b, k: int, tol: Tolerances | None = None,
                         decision: Decision | None = None,
                         field: str = COMPLEX_FIELD) -> Certificate:
     """Construct k orthonormal eigenvectors of |A| whose compression sum of
-    the polar-rotated direction vanishes.
+    the polar-rotated direction vanishes (its real part, in the real field).
 
     The leading clusters contribute their forced trace; the boundary cluster
     must contribute the negated remainder, a point of the q-trace numerical
-    range of the boundary compression. The point is reached by convex
-    feasibility over mixed coefficients and then purified to a rank-q
-    projector, whose column space supplies the boundary witness vectors.
-    Without a ``decision`` the pair is first checked to be orthogonal.
+    range of the boundary compression. The sweep's exposed points supply it
+    as a mixture of at most three top-q eigenprojectors, which ``_purify``
+    walks to one rank-q projector whose columns are the boundary witness
+    vectors. Without a ``decision`` the pair is first checked to be
+    orthogonal in ``field``.
     """
     setup = _pair_setup(a, b, k, tol, frame)
     if setup.frame.degenerate_zero:
         raise DegenerateRank(
             "witness systems are only certified when s_k is positive")
-    if decision is None:
-        _require_orthogonal(setup, "a zero-sum witness")
-    return _witness_system(setup, field)
+    outcome = (_pair_outcome(setup, field) if decision is not None else
+               _require_orthogonal(setup, "a zero-sum witness", field))
+    return _witness_system(setup, outcome, field)
 
 
-def _boundary_coefficient(setup: _PairSetup, real_only: bool,
-                          purify: bool) -> tuple:
-    """Coefficient T of the trace-q polytope with tr(T C) equal to minus the
-    fixed part, and its residual.
+def _hull_weights(points: np.ndarray) -> tuple:
+    """At most three of ``points`` and convex weights on them whose
+    combination is the candidate nearest 0, as (indices, weights).
 
-    T is pinned to I when the budget fills the block, else found by convex
-    feasibility and, with ``purify``, walked on to a rank-q projector.
+    Exposed points run along the boundary of a convex set in the order of
+    their angles, so the triangles fanning out from the first one tile
+    their hull: when 0 lies in the hull one of them holds it, with
+    barycentric weights nonnegative up to rounding, which is clipped. When
+    0 lies outside, or every triangle is flat, the nearest point of the
+    hull lies on an edge between neighbours; the nearest point of each
+    triangle's first edge is a candidate too.
     """
-    model = setup.model
-    q, d = setup.frame.part.q, model.width
-    target = -complex(model.fixed_part)
-    cert_tol = setup.tol.cert * max(setup.scale, 1.0)
-    coeff = np.eye(d, dtype=complex)
-    if d != q:
-        hs, ys = _constraint_rows([model.compression], [target], real_only)
-        result = _feasible_coefficient(hs, ys, q, d, tol=0.25 * cert_tol)
-        if not result.converged and result.residual > 0.5 * cert_tol:
-            raise WitnessSearchFailed(
-                "boundary coefficient search stalled",
-                residual=result.residual)
-        coeff = (_purify_coefficient(result.t, hs, q, tol=cert_tol)
-                 if purify else result.t)
-    miss = complex(np.trace(coeff @ model.compression)) - target
-    resid = abs(miss.real) if real_only else abs(miss)
-    if resid > 10.0 * cert_tol:
-        raise WitnessSearchFailed("boundary coefficient misses the target",
+    j = np.arange(points.size)
+    idx = np.concatenate([np.column_stack([0 * j[2:], j[1:-1], j[2:]]),
+                          np.column_stack([j, (j + 1) % j.size, j])])
+    a = points[idx[:, 0]]
+    e1, e2 = points[idx[:, 1]] - a, points[idx[:, 2]] - a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a flat triangle's weights come out nan, and nan never wins
+        area = np.imag(np.conj(e1) * e2)
+        s = np.imag(np.conj(-a) * e2) / area
+        t = np.imag(np.conj(e1) * -a) / area
+        tri = np.maximum(np.column_stack([1.0 - s - t, s, t]), 0.0)
+        tri /= tri.sum(axis=1, keepdims=True)
+        u = np.fmin(np.fmax(-np.real(np.conj(e1) * a) / np.abs(e1) ** 2,
+                            0.0), 1.0)
+    weights = np.concatenate([tri, np.column_stack([1.0 - u, u, 0.0 * u])])
+    idx = np.concatenate([idx, idx])
+    miss = np.abs(np.sum(weights * points[idx], axis=1))
+    best = int(np.argmin(np.where(np.isnan(miss), np.inf, miss)))
+    keep = weights[best] > 0.0
+    return idx[best][keep], weights[best][keep]
+
+
+def _hull_coefficient(setup: _PairSetup, outcome: SweepOutcome,
+                      field: str) -> tuple:
+    """Coefficient T = sum_j w_j W_j W_j* of the trace-q polytope with
+    tr(T C) equal to minus the fixed part, its miss, and the hull's angles
+    and weights.
+
+    W_j holds the top-q eigenvectors at the j-th angle ``_hull_weights``
+    picks from the outcome's exposed points (their real parts in the real
+    field). A sweep that reads ORTHOGONAL leaves 0 within decide*scale of
+    their hull.
+    """
+    points = outcome.points.real + 0j if field == REAL_FIELD else outcome.points
+    order = np.argsort(outcome.angles)
+    idx, weights = _hull_weights(points[order])
+    angles = outcome.angles[order][idx]
+    _, tops = setup.model._top_eigen(angles)
+    coeff = sum(w * (v @ v.conj().T) for w, v in zip(weights, tops))
+    resid = _checked_miss(setup, coeff, field, "hull of the exposed points")
+    return coeff, resid, {"hull_angles": [float(x) for x in angles],
+                          "hull_weights": [float(x) for x in weights]}
+
+
+def _checked_miss(setup: _PairSetup, coeff: np.ndarray, field: str,
+                  what: str) -> float:
+    """|fixed part + tr(T C)| (its real part in the real field), checked
+    against the construction bar 10 cert_tol."""
+    miss = complex(setup.model.fixed_part) + complex(
+        np.sum(coeff * setup.model.compression.T))
+    resid = abs(miss.real) if field == REAL_FIELD else abs(miss)
+    if resid > 10.0 * setup.tol.cert * max(setup.scale, 1.0):
+        raise WitnessSearchFailed(f"{what} misses 0 by {resid:.3e}",
                                   residual=resid)
-    return coeff, resid
+    return resid
 
 
-def _witness_system(setup: _PairSetup, field: str) -> Certificate:
+# eigenvalues of a coefficient this close to 0 or 1 count as there
+_SNAP = 1e-11
+
+
+def _purify(coeff: np.ndarray, c: np.ndarray, q: int) -> tuple:
+    """q orthonormal columns spanning a rank-q projector P with
+    tr(P C) = tr(T C), walked from a trace-q coefficient 0 <= T <= I, and
+    the number of steps.
+
+    Each step takes two interior eigenvalues l_i, l_j of T (strictly
+    between 0 and 1). Of the traceless Hermitian 2x2 directions D on their
+    eigenvectors V, a 3-parameter family, one keeps tr(V D V* C) = 0. The
+    block diag(l_i, l_j) + tD keeps its mean m, and its spread
+    r(t)^2 = t^2 + 2 l a t + l^2 (l = (l_i - l_j) / 2, a = D_11) reaches
+    min(m, 1 - m) at the step, which sends one eigenvalue to 0 or 1. A
+    mixture of three rank-q projectors has at most 3q interior eigenvalues,
+    so at most 3q - 1 steps: a lone one cannot remain, as the trace q is whole.
+    """
+    lam, vec = np.linalg.eigh(coeff)
+    steps = 0
+    while True:
+        lam[lam <= _SNAP] = 0.0
+        lam[lam >= 1.0 - _SNAP] = 1.0
+        inner = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+        if inner.size < 2:
+            break
+        pair = inner[:2]
+        v = vec[:, pair]
+        m = v.conj().T @ c @ v
+        row = np.array([m[0, 0] - m[1, 1], m[0, 1] + m[1, 0],
+                        1j * (m[0, 1] - m[1, 0])])
+        a, b, s = np.linalg.svd(np.vstack([row.real, row.imag]))[2][-1]
+        li, lj = lam[pair]
+        mean, half = 0.5 * (li + lj), 0.5 * (li - lj)
+        reach = min(mean, 1.0 - mean)
+        if half * a > 0.0:  # -D keeps the root free of cancellation
+            a, b, s = -a, -b, -s
+        gap = (reach - half) * (reach + half)
+        t = np.sqrt((half * a) ** 2 + gap) - half * a
+        _, u = np.linalg.eigh([[li + t * a, t * (b - 1j * s)],
+                               [t * (b + 1j * s), lj - t * a]])
+        # the block keeps its trace 2 mean; one end lands on 0 or 1
+        lam[pair] = [2 * mean - 1.0, 1.0] if mean >= 0.5 else [0.0, 2 * mean]
+        vec[:, pair] = v @ u
+        steps += 1
+    picked = np.flatnonzero(lam > 0.5)
+    if picked.size != q:
+        raise WitnessSearchFailed(
+            f"purification left {picked.size} unit eigenvalues, expected {q}",
+            residual=float(np.abs(lam - np.round(lam)).max()))
+    return vec[:, picked], steps
+
+
+def _witness_system(setup: _PairSetup, outcome: SweepOutcome,
+                    field: str) -> Certificate:
     frame = setup.frame
-    real_only = field == REAL_FIELD
-    proj, resid = _boundary_coefficient(setup, real_only, purify=True)
-    w, vec = np.linalg.eigh(herm(proj))
-    cols = vec[:, np.flatnonzero(w > 0.5)]
+    coeff, _, hull = _hull_coefficient(setup, outcome, field)
+    cols, steps = _purify(coeff, setup.model.compression, frame.part.q)
+    resid = _checked_miss(setup, cols @ cols.conj().T, field,
+                          "purified projector")
     vectors = np.hstack([frame.v1, frame.v2 @ cols])
     pairing = _witness_pairing(setup.b, vectors, frame)
     return Certificate(
         kind=CertKind.WITNESS_SYSTEM,
         vectors=vectors,
         details={
-            "purpose": "real" if real_only else "orthogonal",
+            "purpose": "real" if field == REAL_FIELD else "orthogonal",
             "field": field,
             "pairing_re": float(np.real(pairing)),
             "pairing_im": float(np.imag(pairing)),
             "construction_residual": resid,
             "singular_values": [float(s) for s in frame.svd.s[:setup.k]],
+            "purify_steps": steps,
+            **hull,
         },
     )
 
@@ -923,12 +923,12 @@ def find_witness_block(a, b, k: int, tol: Tolerances | None = None,
     is first checked to be orthogonal.
     """
     setup = _pair_setup(a, b, k, tol, frame)
-    if decision is None:
-        _require_orthogonal(setup, "a feasible coefficient")
-    return _witness_block(setup)
+    outcome = (_pair_outcome(setup, COMPLEX_FIELD) if decision is not None
+               else _require_orthogonal(setup, "a feasible coefficient"))
+    return _witness_block(setup, outcome)
 
 
-def _witness_block(setup: _PairSetup) -> Certificate:
+def _witness_block(setup: _PairSetup, outcome: SweepOutcome) -> Certificate:
     frame, model, tol = setup.frame, setup.model, setup.tol
     q = frame.part.q
     lead = complex(model.fixed_part)
@@ -943,10 +943,10 @@ def _witness_block(setup: _PairSetup) -> Certificate:
         kind_details = {"set": "general", "rows": wide.shape[0],
                         "cols": wide.shape[1]}
     else:
-        coeff, resid = _boundary_coefficient(setup, False, purify=False)
+        coeff, resid, hull = _hull_coefficient(setup, outcome, COMPLEX_FIELD)
         g = g + frame.u2 @ coeff @ frame.v2.conj().T
         kind_details = {"set": "psd", "rows": coeff.shape[0],
-                        "cols": coeff.shape[1]}
+                        "cols": coeff.shape[1], **hull}
     return Certificate(
         kind=CertKind.BLOCK_COEFFICIENT,
         block_matrix=coeff,
@@ -1052,7 +1052,7 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
         offsets.append(complex(np.trace(w.conj().T @ polar @ lead_proj)))
         maps.append(v2.conj().T @ w.conj().T @ polar @ v2)
     rhs = [-z for z in offsets]
-    hs, ys = _constraint_rows(maps, rhs, real_only=False)
+    hs, ys = _constraint_rows(maps, rhs)
     d = i2 - i1
     feas_tol = 0.5 * tol.decide * scale
     result = _feasible_coefficient(hs, ys, q, d, tol=0.25 * feas_tol,
@@ -1240,11 +1240,9 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
                         method="parallel-sweep", tolerances=setup.tol,
                         details=details)
     if verdict is Verdict.PARALLEL and want_certificate:
-        hsym = herm(lam * setup.model.compression)
-        _, proj = top_q_eigsum(hsym, frame.part.q)
-        w, vec = np.linalg.eigh(herm(proj))
-        cols = vec[:, np.flatnonzero(w > 0.5)]
-        vectors = np.hstack([frame.v1, frame.v2 @ cols])
+        # the top-q eigenvectors at the peak expose its point of the set
+        _, top = setup.model._top_eigen(np.array([outcome.theta]))
+        vectors = np.hstack([frame.v1, frame.v2 @ top[0]])
         pairing = _witness_pairing(setup.b, vectors, frame)
         decision.certificate = Certificate(
             kind=CertKind.WITNESS_SYSTEM,
@@ -1287,11 +1285,6 @@ def verify_certificate(cert: Certificate, a, second, k: int,
             _verify_witness(cert, a, as_matrix(second), k, tol, add)
         elif cert.kind is CertKind.BLOCK_COEFFICIENT:
             _verify_block(cert, a, as_matrix(second), k, tol, add)
-        elif cert.kind is CertKind.SUBGRADIENT:
-            b = as_matrix(second)
-            norm_a = ky_fan_norm(a, k)
-            _verify_subgradient(cert.subgradient, a, b, k, tol, add, norm_a,
-                                tol.margin_scale(norm_a, ky_fan_norm(b, k)))
         elif cert.kind is CertKind.VIOLATION:
             _verify_violation(cert, a, second, k, tol, add)
         elif cert.kind is CertKind.DENSITY_SYSTEM:

@@ -27,7 +27,6 @@ class Verdict(str, enum.Enum):
 class CertKind(str, enum.Enum):
     WITNESS_SYSTEM = "WITNESS_SYSTEM"
     BLOCK_COEFFICIENT = "BLOCK_COEFFICIENT"
-    SUBGRADIENT = "SUBGRADIENT"
     DENSITY_SYSTEM = "DENSITY_SYSTEM"
     VIOLATION = "VIOLATION"
 
@@ -110,8 +109,6 @@ class Certificate:
     kind BLOCK_COEFFICIENT: ``block_matrix`` solves the boundary-block trace
     equation in the basis of a spectral frame of A; ``subgradient`` is the
     assembled dual matrix built from it.
-    kind SUBGRADIENT: ``subgradient`` alone, dual-feasible with zero pairing
-    against the direction.
     kind DENSITY_SYSTEM: ``densities`` holds k PSD trace-one matrices, each
     supported in the matching eigenspace of |A|, with combined operator norm
     at most one, whose rotated sum annihilates every basis direction.

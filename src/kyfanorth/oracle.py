@@ -15,7 +15,6 @@ import cmath
 import math
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import (
     as_matrix,
@@ -276,18 +275,19 @@ def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
     approaches the margin from above as the smallest magnitudes dominate.
     Returns (margin_estimate, phase).
     """
-    return _chord_scan(a, b, k, field, n_theta, refine_rounds, t_count)[:2]
-
-
-def _chord_scan(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
-                refine_rounds: int = 7, t_count: int = 13):
-    """``chord_margin`` with the number of norm evaluations it made."""
     a = as_matrix(a)
     b = as_matrix(b)
     require_square(a)
     require_k(k, a.shape[0])
-    norm_a = ky_fan_norm(a, k)
-    norm_b = ky_fan_norm(b, k)
+    return _chord_scan(a, b, k, ky_fan_norm(a, k), ky_fan_norm(b, k), field,
+                       n_theta, refine_rounds, t_count)[:2]
+
+
+def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
+                norm_b: float, field: str = COMPLEX_FIELD, n_theta: int = 512,
+                refine_rounds: int = 7, t_count: int = 13):
+    """``chord_margin`` from the norms ||A||_(k) and ||B||_(k) in hand, with
+    the number of norm evaluations it took, those two included."""
     if norm_b <= 0:
         return 0.0, 0.0, 2
     norms = _Scalars(a, b, k)
@@ -339,10 +339,12 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     tol = Tolerances() if tol is None else tol
     a = as_matrix(a)
     b = as_matrix(b)
+    require_square(a)
+    require_k(k, a.shape[0])
     norm_a = ky_fan_norm(a, k)
     norm_b = ky_fan_norm(b, k)
     scale = tol.margin_scale(norm_a, norm_b)
-    margin, theta, chord_evals = _chord_scan(a, b, k, field)
+    margin, theta, chord_evals = _chord_scan(a, b, k, norm_a, norm_b, field)
     verdict = tol.band(margin, scale)
     details = {
         "field": field,
@@ -415,6 +417,8 @@ def oracle_check_parallel(a, b, k: int, tol: Tolerances | None = None,
                           n_grid: int = 720) -> Decision:
     """Referee for norm parallelism: scan unimodular scalars for triangle
     equality, with a bounded polish around the best grid phase."""
+    import scipy.optimize  # here, so that importing the package loads no scipy
+
     tol = Tolerances() if tol is None else tol
     a = as_matrix(a)
     b = as_matrix(b)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kyfanorth
 from kyfanorth.cli import main
 from kyfanorth.io import load_problem, save_problem
 
@@ -17,6 +22,20 @@ def write_pair(tmp_path, a, b, k, name="p.json", **kwargs):
     path = tmp_path / name
     save_problem(path, {"a": a, "b": b}, k, **kwargs)
     return str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    # only check_subspace's simplex weights and the parallel referee use
+    # scipy, and each imports it when called
+    src = str(Path(kyfanorth.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys, kyfanorth.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_norm_known_value(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kyfanorth.decide import (
+    _hull_weights,
     _range_model,
     check_pair,
     check_pair_blocks,
@@ -23,7 +26,9 @@ from kyfanorth.generate import (
     make_subspace_instance,
     random_matrix,
 )
+from kyfanorth.linalg import haar_unitary
 from kyfanorth.model import (
+    COMPLEX_FIELD,
     REAL_FIELD,
     CertKind,
     Tolerances,
@@ -358,6 +363,170 @@ def test_witness_block_degenerate_across_orthogonal_band(eps):
     assert d.certificate.kind is CertKind.BLOCK_COEFFICIENT
     report = verify_certificate(d.certificate, a, b, 3)
     assert report["ok"], report
+
+
+# ---------------------------------------------------------------------------
+# pair certificates from the sweep's exposed points
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _certified(decision, a, b, k):
+    """The decision's ORTHOGONAL certificate, checked: it verifies, mixes
+    at most three exposed points with convex weights, and a witness system
+    took at most 3q purification steps."""
+    assert decision.verdict is Verdict.ORTHOGONAL
+    assert "witness_error" not in decision.details
+    cert = decision.certificate
+    assert cert is not None
+    assert verify_certificate(cert, a, b, k)["ok"]
+    weights = np.asarray(cert.details["hull_weights"])
+    assert 1 <= weights.size <= 3
+    assert len(cert.details["hull_angles"]) == weights.size
+    assert np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+    if cert.kind is CertKind.WITNESS_SYSTEM:
+        assert cert.details["purify_steps"] <= 3 * decision.details["q"]
+    return cert
+
+
+def _instance_244():
+    """Instance 244 of the benchmark's mixed4 corpus at seed 1 (k = 2,
+    q = r = 1). Its pairing set is a thin ellipse centred on 0, so 0 lies
+    on the diagonal between antipodal exposed points, and one triangle
+    holding it has a barycentric weight of -6.6e-17."""
+    a = np.array([
+        0.3694406517645876+0.083173651838411383j,
+        -0.36945515184822086-0.23420768271090969j,
+        0.13773249315446567+0.74561967213911173j,
+        0.2307220408796763-0.0038428759858223083j,
+        -0.051690915310742436-0.087965662258071203j,
+        -0.2945037258422415+0.18870113410853578j,
+        -0.07014401127509605-0.049498286740741242j,
+        -0.5673842454782114+0.074362051071390503j,
+        -0.3848438719900396-0.30114118916723959j,
+        -0.12865058169208168-0.2812356762289871j,
+        -0.24576138616053125-0.35646706472693657j,
+        0.07198711473935504+0.092783325469998679j,
+        0.12635781601637822+0.27811810236933948j,
+        -0.22639124833591606+0.10998695775934272j,
+        -0.05851531828576692-0.69596855195976493j,
+        0.15581052322925912+0.12178567663676851j,
+    ]).reshape(4, 4)
+    b = np.array([
+        -0.5539663155415029+0.24557673619544812j,
+        -0.6564047929843091+0.35627106816166654j,
+        0.7055735486263891+0.15409083001958213j,
+        0.3076437777060256+0.61498727037514989j,
+        -0.24761015947534712-0.6381538547698804j,
+        0.1663777333444315+0.080449513623870844j,
+        0.36263127465918227-0.17660725341108913j,
+        -0.17198805353142502+0.16566080013580725j,
+        0.22847743354207065-0.73295253187034293j,
+        0.0069570020589112685-0.83619231417621898j,
+        0.2878408924501411-0.010032202363155357j,
+        -0.5035935964384428+0.30580623912997962j,
+        -0.75384873671219-0.20038379456652899j,
+        0.09270478383612138-0.30173854280992096j,
+        -0.0021857745045150423+0.58833222948189734j,
+        0.20484168498304936-0.71701379811415711j,
+    ]).reshape(4, 4)
+    return a, b
+
+
+def test_witness_on_a_centrally_symmetric_set():
+    a, b = _instance_244()
+    for d in (check_pair(a, b, 2), check_pair(a, b, 2, field=REAL_FIELD),
+              check_pair_blocks(a, b, 2)):
+        _certified(d, a, b, 2)
+
+
+def test_hull_weights_clip_rounding_on_a_diagonal():
+    # exposed points of ellipses symmetric about 0: 0 sits on every
+    # diagonal between antipodal points, and rounding leaves the third
+    # barycentric weight of the triangles on either side a few 1e-17 off
+    rng = np.random.default_rng(244)
+    for _ in range(200):
+        phi = np.sort(rng.uniform(0.0, np.pi, 5))
+        ellipse = (np.cos(phi) + 1j * rng.uniform(1e-3, 1.0) * np.sin(phi))
+        half = np.exp(1j * rng.uniform(0.0, 2 * np.pi)) * ellipse
+        points = np.concatenate([half, -half])
+        idx, weights = _hull_weights(points)
+        assert idx.size <= 3 and np.all(weights > 0.0)
+        assert abs(weights.sum() - 1.0) <= 1e-15
+        assert abs(np.sum(weights * points[idx])) <= 1e-15
+
+
+def _hermitian_frame_pair(lead, block):
+    """A = U diag(3, 1, 1, 1) U* with k = 2, so q = 1 and the boundary
+    block is 3x3, and B = U (lead + block) U*."""
+    u = haar_unitary(4, np.random.default_rng(11))
+    a = (u * np.array([3.0, 1.0, 1.0, 1.0])) @ u.conj().T
+    inner = np.zeros((4, 4), dtype=complex)
+    inner[0, 0] = lead
+    inner[1:, 1:] = block
+    return a, u @ inner @ u.conj().T
+
+
+def test_witness_when_the_set_is_a_segment():
+    # Hermitian C: the set 0.2 + [-1, 2] lies on the real axis, every fan
+    # triangle is flat, and an edge between its ends holds 0
+    w = haar_unitary(3, np.random.default_rng(12))
+    a, b = _hermitian_frame_pair(0.2, (w * np.array([-1.0, 0.5, 2.0]))
+                                 @ w.conj().T)
+    for d in (check_pair(a, b, 2), check_pair(a, b, 2, field=REAL_FIELD),
+              check_pair_blocks(a, b, 2)):
+        _certified(d, a, b, 2)
+
+
+@pytest.mark.parametrize("outside", [0.0, 0.5])
+def test_witness_at_an_exposed_vertex(outside):
+    # normal C: the set is the triangle conv{0, -2 - 1.5i, 1 - 3i}, moved
+    # down by outside * decide * scale; 0 is its vertex, or that far off it
+    # with the margin inside [-decide * scale, 0)
+    tol = Tolerances()
+    corners = np.array([1 + 2j, -1 + 0.5j, 2 - 1j])
+    a, b = _hermitian_frame_pair(-corners[0], np.diag(corners))
+    scale = ky_fan_norm(a, 2) + ky_fan_norm(b, 2)
+    shift = outside * tol.decide * scale
+    a, b = _hermitian_frame_pair(-corners[0] - 1j * shift, np.diag(corners))
+    for d in (check_pair(a, b, 2), check_pair_blocks(a, b, 2)):
+        cert = _certified(d, a, b, 2)
+        if outside:
+            assert -tol.decide * d.scale <= d.margin < 0.0
+            miss = (cert.details["construction_residual"]
+                    if cert.kind is CertKind.WITNESS_SYSTEM
+                    else cert.details["block_residual"])
+            assert miss == pytest.approx(shift, rel=1e-3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=seeds, n=st.integers(3, 8), data=st.data())
+def test_orthogonal_pairs_carry_hull_certificates(seed, n, data):
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(1, n))
+    q = data.draw(st.integers(1, k))
+    r = data.draw(st.integers(0, n - k))
+    field = data.draw(st.sampled_from([COMPLEX_FIELD, REAL_FIELD]))
+    a, b, _ = make_orthogonal_pair(n, k, rng, q=q, r=r, field=field)
+    a = a * 10.0 ** data.draw(st.floats(-3.0, 6.0))
+    b = b * 10.0 ** data.draw(st.floats(-3.0, 6.0))
+    decisions = [check_pair(a, b, k, field=field)]
+    if field == COMPLEX_FIELD:
+        decisions.append(check_pair_blocks(a, b, k))
+    for d in decisions:
+        _certified(d, a, b, k)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_tied_witness_count_guard(n):
+    # a boundary cluster of width n with q = 4: whatever the width, the
+    # witness mixes at most three exposed points and purifies in at most
+    # 3q = 12 steps
+    rng = np.random.default_rng(3)
+    a, b, _ = make_orthogonal_pair(n, 4, rng, q=4, r=n - 4)
+    cert = _certified(check_pair(a, b, 4), a, b, 4)
+    assert cert.kind is CertKind.WITNESS_SYSTEM
+    assert cert.details["purify_steps"] <= 12
 
 
 def test_subspace_positive_and_certificate(rng):
