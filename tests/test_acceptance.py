@@ -73,12 +73,16 @@ def _pair_corpus(rng, n, k, count):
 
 def test_c01_engine_matches_oracle_on_random_pairs():
     rng = np.random.default_rng(101)
+    probe_evals = []
     for k in (1, 2, 3, 4):
         disagreements = 0
         boundary = 0
         for a, b in _pair_corpus(rng, 4, k, 200):
             eng = check_pair(a, b, k, want_certificate=False)
             orc = oracle_check_pair(a, b, k)
+            s = singular_values(a)
+            if s[k - 1] > 1e-10 * s[0]:
+                probe_evals.append(orc.details["probe_evals"])
             # the dip check runs on every ORTHOGONAL chord verdict and
             # settles each one within its count
             if orc.details["dip_status"] != "skipped":
@@ -91,6 +95,9 @@ def test_c01_engine_matches_oracle_on_random_pairs():
                 disagreements += 1
         assert disagreements == 0, f"k={k}: {disagreements} disagreements"
         assert boundary <= 10, f"k={k}: {boundary} boundary exclusions"
+    # the Fan minorants rule out most of the 512 probe phases wherever A's
+    # k-th singular value is not zero (a count, so no timing noise)
+    assert np.median(probe_evals) <= 128, np.median(probe_evals)
 
 
 def test_c02_pair_and_block_criteria_cross_consistent():

@@ -15,8 +15,8 @@ from kyfanorth.generate import (
     make_orthogonal_pair,
     make_parallel_pair,
 )
-from kyfanorth.linalg import haar_unitary
-from kyfanorth.model import CertKind, Verdict
+from kyfanorth.linalg import as_matrix, haar_unitary
+from kyfanorth.model import CertKind, Tolerances, Verdict
 from kyfanorth.norms import ky_fan_norm, ky_fan_norm_batch
 from kyfanorth.oracle import (
     _dip_check,
@@ -248,7 +248,10 @@ def test_capped_dip_check_reads_boundary(monkeypatch):
 def test_oracle_check_pair_explains_itself(rng):
     a, b, _ = make_orthogonal_pair(4, 2, rng, q=1, r=1)
     d = oracle_check_pair(a, b, 2)
-    assert d.details["chord_evals"] == 2 + 512 + 7 * 17 + 13
+    # the probe, 16 new points in each of 7 refinement rounds, 13 radii
+    assert d.details["chord_evals"] == 2 + d.details["probe_evals"] + 7 * 16 + 13
+    assert d.details["probe_evals"] < 512
+    assert d.details["probe_minorants"] == 16
     assert d.details["dip_status"] == "cleared"
     assert 0 < d.details["dip_evals"] <= 1000
     a, b, _ = make_nonorthogonal_pair(4, 2, rng)
@@ -258,6 +261,150 @@ def test_oracle_check_pair_explains_itself(rng):
     d = oracle_check_pair(a, b, 2, field="real")
     assert d.details["dip_status"] == "real_field"
     assert d.details["chord_evals"] == 2 + 2 + 13
+    assert d.details["probe_minorants"] == 0
+
+
+def _full_probe_scan(a, b, k, field="complex", n_theta=512, refine_rounds=7,
+                     t_count=13):
+    """The chord scan with no pruning: all n_theta probe phases and all 17
+    points of each refinement round are evaluated. The pruned scan must
+    return exactly its (margin, phase)."""
+    a, b = as_matrix(a), as_matrix(b)
+    norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
+    if norm_b <= 0:
+        return 0.0, 0.0
+
+    def chords(cs):
+        cs = np.asarray(cs, dtype=complex).ravel()
+        mats = a[None, :, :] + cs[:, None, None] * b[None, :, :]
+        return (ky_fan_norm_batch(mats, k) - norm_a) / np.abs(cs)
+
+    unit = (norm_a + norm_b) / norm_b
+    ts = unit * np.geomspace(1e-7, 0.25, t_count)
+    t_probe = unit * 1e-4
+    if field == "real":
+        thetas = np.array([0.0, np.pi])
+    else:
+        thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    probe = chords(t_probe * np.exp(1j * thetas))
+    i = int(np.argmin(probe))
+    best = float(probe[i])
+    theta = float(thetas[i])
+    if field != "real":
+        width = 2.0 * np.pi / n_theta
+        for _ in range(refine_rounds):
+            local = theta + np.linspace(-width, width, 17)
+            vals = chords(t_probe * np.exp(1j * local))
+            j = int(np.argmin(vals))
+            if float(vals[j]) < best:
+                best = float(vals[j])
+            theta = float(local[j])
+            width *= 0.2
+    tail = chords(ts * cmath.exp(1j * theta))
+    best = min(best, float(tail.min()))
+    return best, theta % (2.0 * np.pi)
+
+
+def _assert_full_scan_result(a, b, k, field="complex"):
+    """chord_margin and oracle_check_pair return what the unpruned scan
+    gives, bit for bit: margin, phase, verdict and every dip_* detail."""
+    a, b = as_matrix(a), as_matrix(b)
+    # with no refinement the phase is the probe's own first argmin
+    assert chord_margin(a, b, k, field=field, refine_rounds=0) \
+        == _full_probe_scan(a, b, k, field, refine_rounds=0)
+    margin, theta = _full_probe_scan(a, b, k, field)
+    assert chord_margin(a, b, k, field=field) == (margin, theta)
+    norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
+    scale = Tolerances().margin_scale(norm_a, norm_b)
+    verdict = Tolerances().band(margin, scale)
+    if field != "complex":
+        dips = {"dip_status": "real_field", "dip_evals": 0}
+    elif verdict is not Verdict.ORTHOGONAL:
+        dips = {"dip_status": "skipped", "dip_evals": 0}
+    else:
+        dips = _dip_check(a, b, k, norm_a, norm_b, 1e-3 * scale, theta)
+        if dips["dip_status"] != "cleared":
+            verdict = Verdict.BOUNDARY
+    d = oracle_check_pair(a, b, k, field=field)
+    got = {key: v for key, v in d.details.items() if key.startswith("dip_")}
+    assert (d.verdict, d.margin, d.details["chord_phase"], got) \
+        == (verdict, margin, theta, dips)
+    return d
+
+
+def test_pruned_probe_matches_full_scan_on_seeded_pairs():
+    rng = np.random.default_rng(10)
+    pruned = 0
+    for field in ("complex", "real"):
+        for n in range(2, 9):
+            for k in range(1, n + 1):
+                if field == "real":
+                    a, b = rng.normal(size=(2, n, n))
+                else:
+                    a, b = complex_gauss(rng, n, n), complex_gauss(rng, n, n)
+                d = _assert_full_scan_result(a, b, k, field)
+                pruned += field == "complex" and d.details["probe_evals"] < 512
+                a, b, _ = make_orthogonal_pair(n, k, rng, q=1 + k // 2,
+                                               r=int(k < n), field=field)
+                _assert_full_scan_result(a, b, k, field)
+                if k > 1:
+                    a, b, _ = make_nonorthogonal_pair(n, k, rng)
+                    _assert_full_scan_result(a, b, k, field)
+    assert pruned >= 30
+
+
+def test_pruned_probe_matches_full_scan_on_flat_profiles():
+    rng = np.random.default_rng(11)
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 4)):
+        # degenerate A: the pairing set is a disk about a near-zero point
+        a, b, _ = make_orthogonal_pair(n, k, rng, q=1, degenerate=True)
+        d = _assert_full_scan_result(a, b, k)
+        assert d.details["probe_minorants"] == 16
+        # a tied boundary cluster filling the rest of the spectrum
+        a, b, _ = make_orthogonal_pair(n, k, rng, q=k, r=n - k)
+        _assert_full_scan_result(a, b, k)
+        for field in ("complex", "real"):
+            _assert_full_scan_result(a, np.zeros((n, n)), k, field)
+            _assert_full_scan_result(np.zeros((n, n)), b, k, field)
+    # A = I: ||I + c B||_(k) has all of its top-k vectors tied at c = 0
+    _assert_full_scan_result(np.eye(4), complex_gauss(rng, 4, 4), 2)
+    # B inside the null space of A's top two: the norm is constant near 0,
+    # so every chord is rounding noise and the minorants are exact
+    for _ in range(6):
+        u, v = haar_unitary(4, rng), haar_unitary(4, rng)
+        low = np.zeros((4, 4), dtype=complex)
+        low[2:, 2:] = complex_gauss(rng, 2, 2)
+        _assert_full_scan_result(u @ np.diag([2.0, 1.0, 0.0, 0.0]) @ v,
+                                 u @ low @ v, 2)
+
+
+@pytest.mark.parametrize("n_theta", [1, 2, 7, 100, 512, 513])
+def test_pruned_probe_matches_full_scan_for_any_phase_count(n_theta):
+    rng = np.random.default_rng(12 + n_theta)
+    cases = [(complex_gauss(rng, 4, 4), complex_gauss(rng, 4, 4), 2)]
+    for k in (1, 3):
+        a, b, _ = make_orthogonal_pair(4, k, rng, q=1, r=1)
+        cases.append((a, b, k))
+    a, b, _ = make_orthogonal_pair(4, 2, rng, q=1, degenerate=True)
+    cases.append((a, b, 2))
+    for a, b, k in cases:
+        for rounds in (0, 7):
+            assert chord_margin(a, b, k, n_theta=n_theta, refine_rounds=rounds) \
+                == _full_probe_scan(a, b, k, n_theta=n_theta,
+                                    refine_rounds=rounds)
+
+
+@settings(deadline=None, max_examples=15)
+@given(seed=seeds)
+def test_pruned_probe_matches_full_scan_under_joint_scaling(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    if rng.random() < 0.5:
+        a, b, _ = make_orthogonal_pair(4, k, rng, q=1, r=int(k < 4))
+    else:
+        a, b = complex_gauss(rng, 4, 4), complex_gauss(rng, 4, 4)
+    t = 10.0 ** rng.uniform(-150.0, 150.0)
+    _assert_full_scan_result(t * a, t * b, k)
 
 
 def test_fd_directional_monotone_and_tight(rng):
@@ -294,6 +441,13 @@ def test_chord_margin_sign(rng):
     assert min(dips) < ky_fan_norm(a, 2)
 
 
+def test_chord_margin_rejects_empty_scans(rng):
+    a = complex_gauss(rng, 3, 3)
+    for bad in ({"n_theta": 0}, {"refine_rounds": -1}, {"t_count": 0}):
+        with pytest.raises(ValueError, match="n_theta >= 1"):
+            chord_margin(a, a, 1, **bad)
+
+
 def test_chord_margin_zero_direction(rng):
     a = complex_gauss(rng, 4, 4)
     margin, theta = chord_margin(a, np.zeros((4, 4)), 2)
@@ -322,6 +476,10 @@ def test_oracle_subspace_is_asymmetric(rng):
     a, basis, _ = make_subspace_instance(4, 2, 2, rng, orthogonal=True)
     d = oracle_check_subspace(a, basis, 2, rng=rng)
     assert d.verdict is Verdict.NO_COUNTEREXAMPLE
+    # 64 scans, each with its two norms, the probe's 16 phases at least,
+    # 7 x 16 refinement points and 13 radii
+    assert 64 * (2 + 16 + 7 * 16 + 13) <= d.details["chord_evals"] \
+        < 64 * (2 + 512 + 7 * 16 + 13)
     a, basis, _ = make_subspace_instance(4, 2, 2, rng, orthogonal=False)
     d = oracle_check_subspace(a, basis, 2, rng=rng)
     assert d.verdict is Verdict.NOT_ORTHOGONAL
