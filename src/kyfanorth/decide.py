@@ -324,122 +324,6 @@ def _range_model(frame: SubdifferentialFrame, b: np.ndarray) -> RangeSetModel:
 
 
 # ---------------------------------------------------------------------------
-# subspace feasibility over the boundary coefficient polytope
-# {T Hermitian : 0 <= T <= I, tr T = q}, by fully corrective Frank-Wolfe
-# with exact reweighting of the active projector atoms.
-
-
-def _simplex_weights(cols: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Least squares over the probability simplex via a penalized NNLS."""
-    import scipy.optimize  # here, so that importing the package loads no scipy
-
-    p = cols.shape[1]
-    if p == 1:
-        return np.ones(1)
-    scale = max(float(np.abs(cols).max()), float(np.abs(target).max()), 1.0)
-    rho = 1e4 * scale
-    a = np.vstack([cols, np.full((1, p), rho)])
-    b = np.concatenate([target, [rho]])
-    w, _ = scipy.optimize.nnls(a, b)
-    s = w.sum()
-    if s <= 0:
-        w = np.full(p, 1.0 / p)
-    else:
-        w = w / s
-    return w
-
-
-def _bottom_q_projector(g: np.ndarray, q: int) -> np.ndarray:
-    w, vec = np.linalg.eigh(herm(g))
-    cols = vec[:, :q]
-    return cols @ cols.conj().T
-
-
-@dataclass
-class FeasibilityResult:
-    t: np.ndarray
-    residual: float
-    gap: float
-    iterations: int
-    errors: np.ndarray
-
-
-def _feasible_coefficient(constraints: list, targets: np.ndarray, q: int,
-                          d: int, tol: float, max_iter: int = 600) -> FeasibilityResult:
-    """Find Hermitian 0 <= T <= I with tr T = q and tr(T H_i) = y_i for all i.
-
-    Minimizes the squared constraint residual over the polytope; the linear
-    oracle is a bottom-q eigenprojector of the gradient and every step
-    re-solves the small simplex least squares over all atoms collected so
-    far, so the objective is monotone and stalls only at the true minimum.
-    """
-    targets = np.asarray(targets, dtype=float)
-    hs = [herm(as_matrix(h)) for h in constraints]
-    if q == d:
-        t = np.eye(d, dtype=complex)
-        errs = np.array([float(np.real(np.trace(t @ h))) for h in hs]) - targets
-        return FeasibilityResult(t=t, residual=float(np.linalg.norm(errs)),
-                                 gap=0.0, iterations=0, errors=errs)
-
-    def lmap(t):
-        return np.array([float(np.real(np.trace(t @ h))) for h in hs])
-
-    atoms = [np.eye(d, dtype=complex) * (q / d)]
-    cols = [lmap(atoms[0])]
-    weights = np.ones(1)
-    gap = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        col_mat = np.column_stack(cols)
-        zeta = col_mat @ weights
-        errs = zeta - targets
-        resid = float(np.linalg.norm(errs))
-        if resid <= tol:
-            return FeasibilityResult(t=_combine(atoms, weights), residual=resid,
-                                     gap=0.0, iterations=it, errors=errs)
-        grad = np.zeros((d, d), dtype=complex)
-        for e, h in zip(errs, hs):
-            grad += 2.0 * e * h
-        t_cur = _combine(atoms, weights)
-        p_new = _bottom_q_projector(grad, q)
-        gap = float(np.real(np.trace((t_cur - p_new) @ grad)))
-        if gap <= max(tol * tol, 1e-30):
-            return FeasibilityResult(t=t_cur, residual=resid, gap=gap,
-                                     iterations=it, errors=errs)
-        atoms.append(p_new)
-        cols.append(lmap(p_new))
-        weights = _simplex_weights(np.column_stack(cols), targets)
-        live = weights > 1e-14
-        if not live.all():
-            atoms = [a for a, keep in zip(atoms, live) if keep]
-            cols = [c for c, keep in zip(cols, live) if keep]
-            weights = weights[live]
-            weights = weights / weights.sum()
-    t_cur = _combine(atoms, weights)
-    errs = lmap(t_cur) - targets
-    return FeasibilityResult(t=t_cur, residual=float(np.linalg.norm(errs)),
-                             gap=gap, iterations=it, errors=errs)
-
-
-def _combine(atoms: list, weights: np.ndarray) -> np.ndarray:
-    t = np.zeros_like(atoms[0])
-    for w, a in zip(weights, atoms):
-        t = t + w * a
-    return herm(t)
-
-
-def _constraint_rows(maps: list, rhs: list) -> tuple:
-    """Complex trace equations tr(T K_j) = y_j as real Hermitian rows."""
-    hs, ys = [], []
-    for kmat, y in zip(maps, rhs):
-        hs.append(herm(kmat))
-        ys.append(float(np.real(y)))
-        hs.append(herm(-1j * kmat))
-        ys.append(float(np.imag(y)))
-    return hs, np.asarray(ys)
-
-
-# ---------------------------------------------------------------------------
 # pair setup shared by every pair-shaped entry point
 
 
@@ -992,6 +876,15 @@ def _waterfill_contraction(wide: np.ndarray, q: int, target: complex,
 
 # ---------------------------------------------------------------------------
 # subspace orthogonality
+#
+# With W_1..W_m an orthonormal basis of the span, A is orthogonal to the
+# span iff one subgradient G annihilates every W_j, that is iff 0 lies in
+# the joint pairing set Z = {(tr(G* W_j))_j} in C^m. Its j-th coordinate is
+# the pair range set of W_j, fixed_j + tr(T C_j), over one shared trace-q
+# coefficient T.
+
+# atoms a subspace decision may add before it stops with its bracket open
+_SUBSPACE_CAP = 800
 
 
 def _orthonormalize_basis(mats: list, shape: tuple) -> list:
@@ -1000,14 +893,94 @@ def _orthonormalize_basis(mats: list, shape: tuple) -> list:
         w = as_matrix(raw)
         if w.shape != shape:
             raise ShapeMismatch(f"basis shape {w.shape} != {shape}")
-        w = w.copy()
+        size = float(np.linalg.norm(w))
         for _ in range(2):
             for o in out:
-                w = w - np.trace(o.conj().T @ w) * o
+                w = w - np.vdot(o, w) * o
         nrm = float(np.linalg.norm(w))
-        if nrm > 1e-12:
+        # relative, so that the rank of a basis does not depend on its scale
+        if nrm > 1e-12 * size:
             out.append(w / nrm)
     return out
+
+
+def _nearest_point(models: list, tol: float, gate: float) -> tuple:
+    """Point z of the joint pairing set Z nearest 0, as (T, z, lower,
+    atoms, capped): its coefficient T, a lower bound on the distance of 0
+    from Z, the atoms added after the start and whether the cap stopped the
+    search.
+
+    Wolfe's minimum-norm-point algorithm (P. Wolfe, Math. Programming 11,
+    1976) in its support-oracle form (E. G. Gilbert, SIAM J. Control 4,
+    1966), on Z as a subset of R^{2m}. The start is the centre (q/d) I of
+    the coefficient polytope; the atoms are rank-q projectors V V*, where V
+    holds the bottom-q eigenvectors of herm(sum_j conj(x_j) C_j) at the
+    current point x. Such an atom p minimizes <x, z> over Z, so Z lies
+    beyond the supporting line <x, z> = <x, p> and <x, p> / |x| bounds the
+    distance of 0 from Z below. The search stops once |x| <= tol, the bound
+    exceeds ``gate``, or |x| is within tol of the bound: the bracket then
+    decides.
+    """
+    comps = np.stack([model.compression for model in models])
+    fixed = np.array([complex(model.fixed_part) for model in models])
+    d, q = comps.shape[1], models[0].m
+    coeffs = [np.eye(d, dtype=complex) * (q / d)]
+    points = (fixed + (q / d) * np.trace(comps, axis1=1, axis2=2))[None, :]
+    weights = np.ones(1)
+    x = points[0]
+    lower, atoms, capped = 0.0, 0, False
+    while True:
+        miss = float(np.linalg.norm(x))
+        if miss <= tol:
+            break
+        _, vec = np.linalg.eigh(herm(np.tensordot(x.conj(), comps, 1)))
+        v = vec[:, :q]
+        p = fixed + np.einsum("ai,jab,bi->j", v.conj(), comps, v)
+        lower = max(lower, float(np.real(np.vdot(x, p))) / miss)
+        if lower > gate or miss - lower <= tol:
+            break
+        if atoms == _SUBSPACE_CAP:
+            capped = True
+            break
+        atoms += 1
+        coeffs.append(v @ v.conj().T)
+        points = np.vstack([points, p])
+        weights, keep = _wolfe_step(points, np.append(weights, 0.0))
+        coeffs = [c for c, kept in zip(coeffs, keep) if kept]
+        points = points[keep]
+        x = weights @ points
+    coeff = sum(w * c for w, c in zip(weights, coeffs))
+    # the distance is at most |x|; only rounding could put the bound above
+    return coeff, x, min(lower, float(np.linalg.norm(x))), atoms, capped
+
+
+def _wolfe_step(points: np.ndarray, weights: np.ndarray) -> tuple:
+    """Minor cycle of Wolfe's algorithm: convex weights on the points that
+    make the nearest point to 0 of the affine hull of those kept, and the
+    mask of the points kept.
+
+    The affine nearest point is solved from the differences to the first
+    point by least squares, which stays exact when the points are nearly
+    affinely dependent. While some of its weights are not positive the
+    current combination moves toward it until a weight reaches 0, and that
+    point is dropped, so rounding cannot keep it in the cycle.
+    """
+    real = np.hstack([points.real, points.imag])
+    keep = np.ones(weights.size, dtype=bool)
+    while True:
+        idx = np.flatnonzero(keep)
+        base = real[idx[0]]
+        nu = np.linalg.lstsq((real[idx[1:]] - base).T, -base, rcond=None)[0]
+        mu = np.concatenate([[1.0 - nu.sum()], nu])
+        lam = weights[idx]
+        if mu.min() > 0.0:
+            return mu, keep
+        neg = np.flatnonzero(mu <= 0.0)
+        ratio = lam[neg] / np.maximum(lam[neg] - mu[neg], np.finfo(float).tiny)
+        j = int(np.argmin(ratio))
+        weights[idx] = lam + ratio[j] * (mu - lam)
+        weights[idx[neg[j]]] = 0.0
+        keep &= weights > 0.0
 
 
 def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
@@ -1015,11 +988,14 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     """Decide orthogonality of A to the span of the basis matrices.
 
     Orthogonality to the whole span is equivalent to one dual matrix
-    annihilating every basis direction at once; the search runs over the
-    boundary coefficient polytope. Infeasibility yields a residual vector
-    whose basis combination is a concrete counterexample direction, confirmed
-    by a pair check before a negative verdict is issued. With a zero boundary
-    value only the sufficient direction is certified.
+    annihilating every basis direction at once, that is to 0 lying in the
+    joint pairing set of an orthonormal basis, scaled to the largest basis
+    matrix so that a one-matrix basis is the pair (A, B) itself. The
+    nearest point z of that set is searched by ``_nearest_point`` until its
+    bracket decides. A far point yields the counterexample direction
+    sum_j conj(z_j) W_j, confirmed by a pair check before a negative
+    verdict is issued. With a zero boundary value only the sufficient
+    direction is certified.
     """
     tol = _tol_or_default(tol)
     a = as_matrix(a)
@@ -1033,75 +1009,67 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
         decision = Decision(
             verdict=Verdict.ORTHOGONAL, margin=0.0,
             scale=tol.margin_scale(norm_a, 0.0), method="subspace-feasibility",
-            tolerances=tol, details={"basis_rank": 0, "trivial": True})
+            tolerances=tol, details={"basis_rank": 0, "trivial": True,
+                                     "subspace_capped": False})
         if want_certificate:
             decision.certificate = _density_certificate(
                 frame, [], np.eye(frame.part.q + frame.part.r, dtype=complex)
                 * (frame.part.q / max(frame.part.q + frame.part.r, 1)), tol)
         return decision
-    norms_w = [ky_fan_norm(w, k) for w in ortho]
-    scale = tol.margin_scale(norm_a, max(norms_w))
-    q = frame.part.q
-    i1, i2 = frame.part.boundary
-    polar = frame.svd.polar_u
-    lead_proj = frame.v1 @ frame.v1.conj().T
-    v2 = frame.svd.v[:, i1:i2]
-    offsets = []
-    maps = []
-    for w in ortho:
-        offsets.append(complex(np.trace(w.conj().T @ polar @ lead_proj)))
-        maps.append(v2.conj().T @ w.conj().T @ polar @ v2)
-    rhs = [-z for z in offsets]
-    hs, ys = _constraint_rows(maps, rhs)
-    d = i2 - i1
-    feas_tol = 0.5 * tol.decide * scale
-    result = _feasible_coefficient(hs, ys, q, d, tol=0.25 * feas_tol,
-                                   max_iter=800)
-    resid = result.residual
-    lower = float(np.sqrt(max(resid * resid - max(result.gap, 0.0), 0.0)))
-    margin = -resid
+    size = max(float(np.linalg.norm(w)) for w in basis)
+    ortho = [size * w for w in ortho]
+    scale = tol.margin_scale(norm_a, max(ky_fan_norm(w, k) for w in ortho))
+    feas_tol = 0.125 * tol.decide * scale
+    coeff, zeta, lower, atoms, capped = _nearest_point(
+        [_range_model(frame, w) for w in ortho], feas_tol,
+        4.0 * tol.strict * scale)
+    resid = float(np.linalg.norm(zeta))
     details = {
         "basis_rank": len(ortho),
         "feasibility_residual": resid,
         "residual_lower_bound": lower,
-        "iterations": result.iterations,
+        "iterations": atoms,
+        "subspace_capped": capped,
         "degenerate_zero": frame.degenerate_zero,
-        "q": q,
+        "q": frame.part.q,
         "r": frame.part.r,
     }
-    decision = Decision(verdict=Verdict.BOUNDARY, margin=margin, scale=scale,
+    if capped:
+        details["subspace_reason"] = (
+            f"{_SUBSPACE_CAP} atoms left the residual bracket "
+            f"[{lower:.3e}, {resid:.3e}] open")
+    decision = Decision(verdict=Verdict.BOUNDARY, margin=-resid, scale=scale,
                         method="subspace-feasibility", tolerances=tol,
                         details=details)
     if resid <= tol.decide * scale:
         decision.verdict = Verdict.ORTHOGONAL
         if want_certificate:
-            decision.certificate = _density_certificate(frame, ortho,
-                                                        result.t, tol)
+            decision.certificate = _density_certificate(frame, ortho, coeff,
+                                                        tol)
         return decision
     if frame.degenerate_zero:
         # only the sufficient direction is available at zero boundary value
-        decision.details["converse_unavailable"] = True
+        details["converse_unavailable"] = True
         return decision
     if lower > 4.0 * tol.strict * scale:
-        zeta = _complex_errors(result.errors)
-        combo = sum(z * w for z, w in zip(zeta, ortho))
-        combo_norm = float(np.linalg.norm(combo))
-        if combo_norm > 0:
-            witness_dir = combo / combo_norm
-            pair = _decide_pair(_pair_setup(a, witness_dir, k, tol, frame),
-                                COMPLEX_FIELD, want_certificate, blocks=False)
-            details["counterexample_coefficients"] = [complex(z) for z in zeta]
-            details["counterexample_pair_margin"] = pair.margin
-            if pair.verdict is Verdict.NOT_ORTHOGONAL:
-                decision.verdict = Verdict.NOT_ORTHOGONAL
-                details.update({key: value for key, value in pair.details.items()
-                                if key.startswith("violation_")})
-                if want_certificate and pair.certificate is not None:
-                    cert = pair.certificate
-                    cert.details["combination"] = _raw_combination(
-                        basis, witness_dir)
-                    decision.certificate = cert
-                return decision
+        # the direction of the span along conj(z), as large as the largest
+        # basis matrix: its pairing set lies beyond a line missing 0
+        coefficients = zeta.conj() / resid
+        witness_dir = sum(c * w for c, w in zip(coefficients, ortho))
+        pair = _decide_pair(_pair_setup(a, witness_dir, k, tol, frame),
+                            COMPLEX_FIELD, want_certificate, blocks=False)
+        details["counterexample_coefficients"] = [complex(c)
+                                                  for c in coefficients]
+        details["counterexample_pair_margin"] = pair.margin
+        if pair.verdict is Verdict.NOT_ORTHOGONAL:
+            decision.verdict = Verdict.NOT_ORTHOGONAL
+            details.update({key: value for key, value in pair.details.items()
+                            if key.startswith("violation_")})
+            if want_certificate and pair.certificate is not None:
+                cert = pair.certificate
+                cert.details["combination"] = _raw_combination(basis,
+                                                               witness_dir)
+                decision.certificate = cert
     return decision
 
 
@@ -1111,11 +1079,6 @@ def _raw_combination(basis, direction: np.ndarray) -> list:
     stack = np.stack([w.ravel() for w in raw], axis=1)
     coeffs, *_ = np.linalg.lstsq(stack, direction.ravel(), rcond=None)
     return [[float(c.real), float(c.imag)] for c in coeffs]
-
-
-def _complex_errors(errors: np.ndarray) -> np.ndarray:
-    pairs = errors.reshape(-1, 2)
-    return pairs[:, 0] + 1j * pairs[:, 1]
 
 
 def _density_certificate(frame: SubdifferentialFrame, ortho: list,

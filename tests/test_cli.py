@@ -24,17 +24,36 @@ def write_pair(tmp_path, a, b, k, name="p.json", **kwargs):
     return str(path)
 
 
+_SUBSPACE_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+import kyfanorth.cli
+from kyfanorth import Verdict, check_subspace
+
+# k = 2 on a boundary cluster of width 3 (q = 1, r = 2); the zero of the
+# first pairing sits off the centre of the coefficient polytope
+a = np.diag([3.0, 1.0, 1.0, 1.0, 0.5])
+w2 = np.zeros((5, 5))
+w2[1, 2] = 1.0
+tied = check_subspace(a, [np.diag([-0.5, 1.0, 0.0, 0.0, 0.0]), w2], 2)
+assert tied.verdict is Verdict.ORTHOGONAL, tied.summary()
+assert tied.details["iterations"] >= 1, tied.details
+refuted = check_subspace(a, [np.diag([-1.2, 1.0, 0.0, 0.0, 0.0]), w2], 2)
+assert refuted.verdict is Verdict.NOT_ORTHOGONAL, refuted.summary()
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
 def test_cli_import_loads_no_scipy():
-    # only check_subspace's simplex weights and the parallel referee use
-    # scipy, and each imports it when called
+    # only the parallel referee's bounded polish uses scipy, and it imports
+    # it when called: neither the CLI nor a subspace decision loads it
     src = str(Path(kyfanorth.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
-    code = ("import sys, kyfanorth.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", _SUBSPACE_WITHOUT_SCIPY],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
     assert out.strip() == "[]"
 
 

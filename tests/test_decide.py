@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kyfanorth.decide
 from kyfanorth.decide import (
     _hull_weights,
     _range_model,
@@ -578,6 +579,112 @@ def test_subspace_single_matrix_matches_pair(rng):
         d_pair = check_pair(a, b, 2, want_certificate=False)
         d_sub = check_subspace(a, [b], 2, want_certificate=False)
         assert d_pair.verdict is d_sub.verdict, trial
+
+
+def _off_centre(a, basis, k, rng):
+    """The basis projected Frobenius-orthogonal to a subgradient whose
+    boundary coefficient mixes three random rank-q projectors: 0 stays in
+    the joint pairing set, but away from the image of the polytope's centre,
+    so the nearest-point search has to iterate."""
+    frame = build_frame(a, k)
+    d, q = frame.u2.shape[1], frame.part.q
+    coeff = np.zeros((d, d), dtype=complex)
+    for weight in rng.dirichlet(np.ones(3)):
+        v = haar_unitary(d, rng)[:, :q]
+        coeff += weight * (v @ v.conj().T)
+    g = frame.u1 @ frame.v1.conj().T + frame.u2 @ coeff @ frame.v2.conj().T
+    return [w - (np.vdot(g, w) / np.vdot(g, g)) * g for w in basis]
+
+
+def _tied_layout(rng, low=4, high=9):
+    """(n, k, q, r) with a boundary cluster of width q + r >= 2."""
+    while True:
+        n = int(rng.integers(low, high))
+        k = int(rng.integers(1, n))
+        q = 1 + int(rng.integers(0, k))
+        r = int(rng.integers(0, n - k + 1))
+        if q + r >= 2:
+            return n, k, q, r
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=seeds, data=st.data())
+def test_tied_subspace_decisions_are_invariant(seed, data):
+    # the bracket is honest, never capped, and the verdict survives a joint
+    # scaling and (UAV, UWV); a one-matrix basis decides as the pair does
+    rng = np.random.default_rng(seed)
+    n, k, q, r = _tied_layout(rng, 3, 8)
+    m = data.draw(st.integers(1, 3))
+    orthogonal = data.draw(st.booleans())
+    a, basis, label = make_subspace_instance(n, k, m, rng,
+                                             orthogonal=orthogonal, q=q, r=r)
+    if orthogonal and data.draw(st.booleans()):
+        basis = _off_centre(a, basis, k, rng)
+    t = 10.0 ** data.draw(st.floats(-3.0, 9.0))
+    u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+    moved = (t * u @ a @ v, [t * u @ w @ v for w in basis])
+    verdicts = []
+    for aa, ws in ((a, basis), moved):
+        d = check_subspace(aa, ws, k)
+        assert (d.details["residual_lower_bound"]
+                <= d.details["feasibility_residual"])
+        assert not d.details["subspace_capped"]
+        if d.certificate is not None:
+            assert verify_certificate(d.certificate, aa, ws, k)["ok"]
+        if m == 1 and d.verdict is not Verdict.BOUNDARY:
+            pair = check_pair(aa, ws[0], k, want_certificate=False)
+            assert pair.verdict in (d.verdict, Verdict.BOUNDARY)
+        verdicts.append(d.verdict)
+    assert verdicts == [Verdict(label["expected"])] * 2
+
+
+def test_tied_subspace_count_guard():
+    # tied refutations that a sublinearly converging search runs to its
+    # 800-atom cap; a bracket that stops when it decides needs a handful
+    rng = np.random.default_rng(21)
+    for i in range(120):
+        n, k, q, r = _tied_layout(rng)
+        m = int(rng.integers(1, 5))
+        a, basis, label = make_subspace_instance(n, k, m, rng,
+                                                 orthogonal=i % 2 == 0,
+                                                 q=q, r=r)
+        d = check_subspace(a, basis, k, want_certificate=False)
+        assert d.verdict.value == label["expected"], i
+        assert d.details["iterations"] <= 16, i
+        assert not d.details["subspace_capped"], i
+
+
+def test_capped_subspace_search_reads_boundary(monkeypatch):
+    # with one atom to spend, a search whose bracket is still open must say
+    # so, and may only read ORTHOGONAL from a point that certifies it
+    monkeypatch.setattr(kyfanorth.decide, "_SUBSPACE_CAP", 1)
+    rng = np.random.default_rng(7)
+    capped = 0
+    for _ in range(12):
+        a, basis, _ = make_subspace_instance(6, 3, 3, rng, q=2, r=2)
+        basis = _off_centre(a, basis, 3, rng)
+        d = check_subspace(a, basis, 3)
+        assert d.details["iterations"] <= 1
+        if not d.details["subspace_capped"]:
+            assert "subspace_reason" not in d.details
+            continue
+        assert d.details["subspace_reason"]
+        assert d.verdict is not Verdict.NOT_ORTHOGONAL
+        if d.verdict is Verdict.ORTHOGONAL:
+            assert verify_certificate(d.certificate, a, basis, 3)["ok"]
+        else:
+            capped += 1
+    assert capped >= 1
+
+
+@pytest.mark.parametrize("exponent", range(-15, 16, 5))
+def test_subspace_basis_rank_is_scale_free(exponent):
+    rng = np.random.default_rng(13)
+    a, basis, _ = make_subspace_instance(5, 2, 3, rng)
+    t = 10.0 ** exponent
+    d = check_subspace(t * a, [t * w for w in basis], 2)
+    assert d.details["basis_rank"] == 3
+    assert not d.details.get("trivial")
 
 
 def test_extract_density_round_trip(rng):
