@@ -26,13 +26,11 @@ from .errors import (
     DegenerateRank,
     NoConvergence,
     NotOrthogonal,
-    ShapeMismatch,
     WitnessSearchFailed,
 )
 from .linalg import (
     as_matrix,
     herm,
-    require_square,
     top_q_singsum,
 )
 from .model import (
@@ -44,7 +42,7 @@ from .model import (
     Tolerances,
     Verdict,
 )
-from .norms import ky_fan_norm, require_k
+from .norms import ky_fan_norm, require_operands
 from .subdiff import SubdifferentialFrame, build_frame
 
 __all__ = [
@@ -358,12 +356,7 @@ class _PairSetup:
 def _pair_setup(a, b, k: int, tol: Tolerances | None = None,
                 frame: SubdifferentialFrame | None = None) -> _PairSetup:
     tol = _tol_or_default(tol)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_square(a)
-    if b.shape != a.shape:
-        raise ShapeMismatch(f"direction shape {b.shape} != {a.shape}")
-    require_k(k, a.shape[0])
+    a, (b,) = require_operands(a, [b], k)
     if frame is None:
         frame = _frame_for(a, k, tol)
     norm_b = ky_fan_norm(b, k)
@@ -619,8 +612,6 @@ def _ray_trials(t_min: float, t_hi: float, vals: list):
 
 
 def find_witness_system(a, b, k: int, tol: Tolerances | None = None,
-                        frame: SubdifferentialFrame | None = None,
-                        decision: Decision | None = None,
                         field: str = COMPLEX_FIELD) -> Certificate:
     """Construct k orthonormal eigenvectors of |A| whose compression sum of
     the polar-rotated direction vanishes (its real part, in the real field).
@@ -630,15 +621,13 @@ def find_witness_system(a, b, k: int, tol: Tolerances | None = None,
     range of the boundary compression. The sweep's exposed points supply it
     as a mixture of at most three top-q eigenprojectors, which ``_purify``
     walks to one rank-q projector whose columns are the boundary witness
-    vectors. Without a ``decision`` the pair is first checked to be
-    orthogonal in ``field``.
+    vectors. The pair is first checked to be orthogonal in ``field``.
     """
-    setup = _pair_setup(a, b, k, tol, frame)
+    setup = _pair_setup(a, b, k, tol)
     if setup.frame.degenerate_zero:
         raise DegenerateRank(
             "witness systems are only certified when s_k is positive")
-    outcome = (_pair_outcome(setup, field) if decision is not None else
-               _require_orthogonal(setup, "a zero-sum witness", field))
+    outcome = _require_orthogonal(setup, "a zero-sum witness", field)
     return _witness_system(setup, outcome, field)
 
 
@@ -794,22 +783,20 @@ def _witness_pairing(b, vectors, frame) -> complex:
     return complex(np.einsum("ij,jl,li->", vectors.conj().T, rotated, vectors))
 
 
-def find_witness_block(a, b, k: int, tol: Tolerances | None = None,
-                       frame: SubdifferentialFrame | None = None,
-                       decision: Decision | None = None) -> Certificate:
+def find_witness_block(a, b, k: int,
+                       tol: Tolerances | None = None) -> Certificate:
     """Solve the boundary-block trace equation and assemble the dual matrix.
 
     Positive boundary value: Hermitian coefficient in the trace-q polytope
     with leading trace plus tr(T C) equal to zero. Zero boundary value:
     rectangular contraction on the widened tail with singular values summing
     to at most q, built in closed form by phase-aligned waterfilling on the
-    singular values of the widened block. Without a ``decision`` the pair
-    is first checked to be orthogonal.
+    singular values of the widened block. The pair is first checked to be
+    orthogonal.
     """
-    setup = _pair_setup(a, b, k, tol, frame)
-    outcome = (_pair_outcome(setup, COMPLEX_FIELD) if decision is not None
-               else _require_orthogonal(setup, "a feasible coefficient"))
-    return _witness_block(setup, outcome)
+    setup = _pair_setup(a, b, k, tol)
+    return _witness_block(setup, _require_orthogonal(
+        setup, "a feasible coefficient"))
 
 
 def _witness_block(setup: _PairSetup, outcome: SweepOutcome) -> Certificate:
@@ -887,12 +874,9 @@ def _waterfill_contraction(wide: np.ndarray, q: int, target: complex,
 _SUBSPACE_CAP = 800
 
 
-def _orthonormalize_basis(mats: list, shape: tuple) -> list:
+def _orthonormalize_basis(mats: list) -> list:
     out = []
-    for raw in mats:
-        w = as_matrix(raw)
-        if w.shape != shape:
-            raise ShapeMismatch(f"basis shape {w.shape} != {shape}")
+    for w in mats:
         size = float(np.linalg.norm(w))
         for _ in range(2):
             for o in out:
@@ -994,17 +978,14 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     nearest point z of that set is searched by ``_nearest_point`` until its
     bracket decides. A far point yields the counterexample direction
     sum_j conj(z_j) W_j, confirmed by a pair check before a negative
-    verdict is issued. With a zero boundary value only the sufficient
-    direction is certified.
+    verdict is issued with that pair's margin. With a zero boundary value
+    only the sufficient direction is certified.
     """
     tol = _tol_or_default(tol)
-    a = as_matrix(a)
-    require_square(a)
-    require_k(k, a.shape[0])
-    basis = [as_matrix(w) for w in basis]
+    a, basis = require_operands(a, basis, k)
     frame = _frame_for(a, k, tol)
     norm_a = frame.norm_value
-    ortho = _orthonormalize_basis(basis, a.shape)
+    ortho = _orthonormalize_basis(basis)
     if not ortho:
         decision = Decision(
             verdict=Verdict.ORTHOGONAL, margin=0.0,
@@ -1012,9 +993,9 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
             tolerances=tol, details={"basis_rank": 0, "trivial": True,
                                      "subspace_capped": False})
         if want_certificate:
+            d = frame.part.q + frame.part.r
             decision.certificate = _density_certificate(
-                frame, [], np.eye(frame.part.q + frame.part.r, dtype=complex)
-                * (frame.part.q / max(frame.part.q + frame.part.r, 1)), tol)
+                frame, [], np.eye(d) * (frame.part.q / d), tol)
         return decision
     size = max(float(np.linalg.norm(w)) for w in basis)
     ortho = [size * w for w in ortho]
@@ -1062,7 +1043,9 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
                                                   for c in coefficients]
         details["counterexample_pair_margin"] = pair.margin
         if pair.verdict is Verdict.NOT_ORTHOGONAL:
+            # the pair's sampled margin lies in [-|z|, -lower]
             decision.verdict = Verdict.NOT_ORTHOGONAL
+            decision.margin = pair.margin
             details.update({key: value for key, value in pair.details.items()
                             if key.startswith("violation_")})
             if want_certificate and pair.certificate is not None:
@@ -1075,90 +1058,100 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
 
 def _raw_combination(basis, direction: np.ndarray) -> list:
     """Coefficients over the caller's basis reproducing an in-span matrix."""
-    raw = [as_matrix(w) for w in basis]
-    stack = np.stack([w.ravel() for w in raw], axis=1)
+    stack = np.stack([w.ravel() for w in basis], axis=1)
     coeffs, *_ = np.linalg.lstsq(stack, direction.ravel(), rcond=None)
     return [[float(c.real), float(c.imag)] for c in coeffs]
 
 
+def _cluster_factors(frame: SubdifferentialFrame, blocks: list,
+                     tol: float) -> tuple:
+    """Factors X_c and multiplicities m_c of the clusters of A that meet
+    the indices 1..k, from their ``blocks`` B_c (top cluster first) in the
+    bases V_c of their right singular vectors. The m_c indices of a cluster
+    share the density V_c B_c V_c* / m_c = X_c X_c*, so X_c = V_c Y
+    sqrt(L / m_c) for B_c = Y L Y* on its positive eigenvalues. A block
+    more than tol off Hermitian or below -tol in an eigenvalue is rejected."""
+    factors, mults = [], []
+    for (_, (start, stop)), block in zip(frame.part.clusters, blocks):
+        lam, vec = np.linalg.eigh(herm(block))
+        if lam[0] < -tol or np.abs(block - block.conj().T).max() > tol:
+            raise BadBlockStructure(
+                f"cluster block at index {start} is not PSD (lowest "
+                f"eigenvalue {lam[0]:.3e})")
+        keep = lam > 0.0
+        mults.append(min(stop, frame.part.k) - start)
+        factors.append(frame.svd.v[:, start:stop]
+                       @ (vec[:, keep] * np.sqrt(lam[keep] / mults[-1])))
+    return factors, mults
+
+
+def _density_sums(frame: SubdifferentialFrame, factors: list, mults,
+                  mats: list) -> tuple:
+    """||sum_i P_i|| and the pairings tr(W_j* U_polar sum_i P_i), read off
+    the stacked factor S = [sqrt(m_c) X_c], for which sum_i P_i = S S*."""
+    stack = np.hstack([np.sqrt(m) * x for x, m in zip(factors, mults)])
+    rotated = frame.svd.u @ (frame.svd.v.conj().T @ stack)
+    return (float(np.linalg.svd(stack, compute_uv=False)[0]) ** 2,
+            [complex(np.vdot(w @ stack, rotated)) for w in mats])
+
+
 def _density_certificate(frame: SubdifferentialFrame, ortho: list,
                          coefficient: np.ndarray, tol: Tolerances) -> Certificate:
-    k = frame.part.k
-    i1, i2 = frame.part.boundary
-    v = frame.svd.v
-    boundary_q = frame.part.q
-    densities = []
-    for value, (start, stop) in frame.part.clusters:
-        if start >= i2:
-            break
-        cols = v[:, start:stop]
-        if stop <= i1:
-            share = (cols @ cols.conj().T) / (stop - start)
-            copies = stop - start
-        else:
-            share = (cols @ coefficient @ cols.conj().T) / boundary_q
-            copies = boundary_q
-        densities.extend(share.copy() for _ in range(copies))
-    total = sum(densities) if densities else np.zeros_like(frame.svd.u)
-    rotated = frame.svd.polar_u @ total
-    pairings = [complex(np.trace(w.conj().T @ rotated)) for w in ortho]
+    # fully included clusters carry their whole projector, the boundary
+    # cluster (starting at index k - q) the trace-q coefficient
+    i1 = frame.part.boundary[0]
+    factors, mults = _cluster_factors(frame, [
+        coefficient if start == i1 else np.eye(stop - start)
+        for _, (start, stop) in frame.part.clusters if start < frame.part.k],
+        tol.cert)
+    combined, pairings = _density_sums(frame, factors, mults, ortho)
     return Certificate(
         kind=CertKind.DENSITY_SYSTEM,
-        densities=densities,
+        factors=factors,
+        multiplicities=mults,
         details={
             "pairings": [[z.real, z.imag] for z in pairings],
-            "combined_norm": float(top_q_singsum(total, 1)),
-            "singular_values": [float(s) for s in frame.svd.s[:k]],
+            "combined_norm": combined,
+            "singular_values": [float(s) for s in frame.svd.s[:frame.part.k]],
         },
     )
 
 
 def extract_density(q_matrix, frame: SubdifferentialFrame,
                     tol: float = 1e-8) -> Certificate:
-    """Split a feasible dual source into per-index density matrices.
+    """Split a feasible dual source into one density factor per cluster.
 
     The input must be PSD, block diagonal across the singular clusters of A,
     with each fully included cluster carrying its full projector and the
     boundary cluster carrying trace q. Each index then receives its cluster
-    block divided by the cluster's index count among 1..k.
+    block divided by the cluster's index count among 1..k, stored once per
+    cluster as a factor with that count as its multiplicity.
     """
     q_full = as_matrix(q_matrix)
     k = frame.part.k
-    i1, i2 = frame.part.boundary
-    v = frame.svd.v
-    blocks = []
-    counts = []
-    for value, (start, stop) in frame.part.clusters:
-        if start >= i2:
-            break
-        cols = v[:, start:stop]
-        comp = cols.conj().T @ q_full @ cols
-        recon = cols @ comp @ cols.conj().T
-        blocks.append((start, stop, comp, cols))
-        counts.append(stop - start if stop <= i1 else frame.part.q)
-    recon_total = sum(c @ b @ c.conj().T for (_, _, b, c) in blocks)
-    leak = float(np.abs(q_full - recon_total).max())
+    spans = [(start, stop) for _, (start, stop) in frame.part.clusters
+             if start < k]
+    cols = [frame.svd.v[:, start:stop] for start, stop in spans]
+    blocks = [c.conj().T @ q_full @ c for c in cols]
+    leak = float(np.abs(q_full - sum(c @ b @ c.conj().T
+                                     for c, b in zip(cols, blocks))).max())
     if leak > tol:
         raise BadBlockStructure(
             f"source leaks {leak:.3e} outside the cluster blocks")
-    densities = []
-    for (start, stop, comp, cols), count in zip(blocks, counts):
-        share = cols @ comp @ cols.conj().T / count
-        trace_err = abs(float(np.real(np.trace(comp))) - count)
-        if trace_err > tol * max(count, 1):
+    factors, mults = _cluster_factors(frame, blocks, tol)
+    for (start, stop), block, count in zip(spans, blocks, mults):
+        trace_err = abs(float(np.real(np.trace(block))) - count)
+        if trace_err > tol * count:
             raise BadBlockStructure(
                 f"cluster at index {start} carries trace off by {trace_err:.3e}")
-        if stop <= i1:
-            dev = float(np.abs(comp - np.eye(stop - start)).max())
+        if stop <= frame.part.boundary[0]:
+            dev = float(np.abs(block - np.eye(stop - start)).max())
             if dev > tol:
                 raise BadBlockStructure(
                     f"included cluster at index {start} is not a full "
                     f"projector (deviation {dev:.3e})")
-        upto = min(stop, k)
-        for _ in range(start, upto):
-            densities.append(share.copy())
-    return Certificate(kind=CertKind.DENSITY_SYSTEM, densities=densities,
-                       details={"leak": leak})
+    return Certificate(kind=CertKind.DENSITY_SYSTEM, factors=factors,
+                       multiplicities=mults, details={"leak": leak})
 
 
 # ---------------------------------------------------------------------------
@@ -1358,27 +1351,24 @@ def _verify_density(cert, a, basis, k, tol, add):
     mats = [as_matrix(w) for w in basis]
     scale = tol.margin_scale(
         frame.norm_value, max([ky_fan_norm(w, k) for w in mats], default=0.0))
-    densities = [as_matrix(p) for p in (cert.densities or [])]
-    if len(densities) != k:
-        add("density_count", 1.0, 0.0)
+    factors = [as_matrix(x) for x in (cert.factors or [])]
+    mults = np.asarray(cert.multiplicities or [], dtype=float)
+    if (mults.size != len(factors) or mults.sum() != k or np.any(mults < 1)
+            or np.any(mults % 1) or any(x.shape[0] != a.shape[0]
+                                        for x in factors)):
+        add("factor_layout", 1.0, 0.0)
         return
-    abs_a = frame.svd.abs_a
-    s = frame.svd.s
-    s1 = float(s[0]) if s.size else 0.0
-    bound = tol.strict * (1.0 + s1)
-    total = np.zeros_like(a)
-    for i, p in enumerate(densities):
-        w = np.linalg.eigvalsh(herm(p))
-        add(f"psd_{i}", max(0.0, -float(w[0])), 10.0 * tol.cert)
-        add(f"trace_one_{i}", abs(float(np.real(np.trace(p))) - 1.0),
+    s, v = frame.svd.s, frame.svd.v
+    # ||(|A| - s_i) X|| bounds every entry of (|A| - s_i) X X* as ||X|| <= 1
+    bound = tol.strict * (1.0 + float(s[0]))
+    abs_x = [v @ (s[:, None] * (v.conj().T @ x)) for x in factors]
+    for c, x in enumerate(factors):
+        add(f"trace_one_{c}", abs(float(np.linalg.norm(x)) ** 2 - 1.0),
             10.0 * tol.cert)
+    for i, c in enumerate(np.repeat(np.arange(len(factors)), mults.astype(int))):
         add(f"eigen_support_{i}",
-            float(np.abs(abs_a @ p - s[i] * p).max()), bound)
-        total = total + p
-    add("combined_operator_norm",
-        float(np.linalg.svd(total, compute_uv=False)[0]) - 1.0,
-        10.0 * tol.cert)
-    rotated = frame.svd.polar_u @ total
-    for j, w in enumerate(mats):
-        add(f"basis_pairing_{j}",
-            abs(complex(np.trace(w.conj().T @ rotated))), tol.strict * scale)
+            float(np.linalg.norm(abs_x[c] - s[i] * factors[c])), bound)
+    combined, pairings = _density_sums(frame, factors, mults, mats)
+    add("combined_operator_norm", combined - 1.0, 10.0 * tol.cert)
+    for j, z in enumerate(pairings):
+        add(f"basis_pairing_{j}", abs(z), tol.strict * scale)

@@ -238,8 +238,9 @@ def encode_certificate(cert: Certificate) -> dict:
         obj["coefficient"] = [c.real, c.imag]
     if cert.norm_value is not None:
         obj["norm_value"] = float(cert.norm_value)
-    if cert.densities is not None:
-        obj["densities"] = [encode_matrix(p) for p in cert.densities]
+    if cert.factors is not None:
+        obj["factors"] = [encode_matrix(x) for x in cert.factors]
+        obj["multiplicities"] = [int(m) for m in cert.multiplicities]
     if cert.details:
         obj["details"] = _plain(cert.details)
     return obj
@@ -275,19 +276,25 @@ def decode_certificate(obj) -> Certificate:
             norm_value = float(obj["norm_value"])
         except (TypeError, ValueError) as exc:
             raise ParseError("certificate: norm_value must be a number") from exc
-    densities = None
     if "densities" in obj:
-        if not isinstance(obj["densities"], list):
-            raise ParseError("certificate: densities must be a list")
-        densities = [decode_matrix(p, name=f"certificate.densities[{i}]")
-                     for i, p in enumerate(obj["densities"])]
+        raise ParseError("certificate: the dense DENSITY_SYSTEM format (n x n "
+                         "'densities') is no longer read; re-run check")
+    factors, mults = obj.get("factors"), obj.get("multiplicities")
+    if factors is not None or mults is not None:
+        if not (isinstance(factors, list) and isinstance(mults, list)
+                and len(mults) == len(factors)
+                and all(type(m) is int for m in mults)):
+            raise ParseError("certificate: factors and multiplicities must be "
+                             "lists of matrices and integers of one length")
+        factors = [decode_matrix(x, name=f"certificate.factors[{i}]")
+                   for i, x in enumerate(factors)]
     details = obj.get("details") or {}
     if not isinstance(details, dict):
         raise ParseError("certificate: details must be an object")
     return Certificate(kind=kind, vectors=vectors, block_matrix=block,
                        subgradient=subgrad, coefficient=coefficient,
-                       norm_value=norm_value, densities=densities,
-                       details=details)
+                       norm_value=norm_value, factors=factors,
+                       multiplicities=mults, details=details)
 
 
 def encode_report(decision: Decision, timings: dict | None = None,

@@ -109,9 +109,12 @@ class Certificate:
     kind BLOCK_COEFFICIENT: ``block_matrix`` solves the boundary-block trace
     equation in the basis of a spectral frame of A; ``subgradient`` is the
     assembled dual matrix built from it.
-    kind DENSITY_SYSTEM: ``densities`` holds k PSD trace-one matrices, each
-    supported in the matching eigenspace of |A|, with combined operator norm
-    at most one, whose rotated sum annihilates every basis direction.
+    kind DENSITY_SYSTEM: k PSD trace-one matrices P_i, each supported in the
+    matching eigenspace of |A|, with combined operator norm at most one,
+    whose rotated sum annihilates every basis direction. The indices of one
+    singular cluster of A share their P_i, so it is stored once per cluster
+    as an n-row factor X_c in ``factors``, P_i = X_c X_c*, and its index
+    count m_c in ``multiplicities`` (sum m_c = k, in index order).
     kind VIOLATION: ``coefficient`` is a scalar with
     ||A + coefficient*B||_(k) = ``norm_value`` strictly below ||A||_(k).
     """
@@ -122,7 +125,8 @@ class Certificate:
     subgradient: np.ndarray | None = None
     coefficient: complex | None = None
     norm_value: float | None = None
-    densities: list | None = None
+    factors: list | None = None
+    multiplicities: list | None = None
     details: dict = field(default_factory=dict)
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import KOutOfRange
-from .linalg import as_matrix, singular_values
+from .errors import KOutOfRange, ShapeMismatch
+from .linalg import as_matrix, require_square, singular_values
 
 __all__ = [
     "ky_fan_norm",
@@ -18,6 +18,20 @@ __all__ = [
 def require_k(k: int, n: int):
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")
+
+
+def require_operands(a, others, k: int) -> tuple:
+    """The argument check every decision and referee entry shares: A and
+    each of ``others`` as finite complex matrices, A square, the others of
+    A's shape, and k in 1..n. Returns (A, list of the others)."""
+    a = as_matrix(a)
+    require_square(a)
+    mats = [as_matrix(w) for w in others]
+    for w in mats:
+        if w.shape != a.shape:
+            raise ShapeMismatch(f"operand shape {w.shape} != {a.shape}")
+    require_k(k, a.shape[0])
+    return a, mats
 
 
 def ky_fan_norm(a, k: int) -> float:

@@ -25,7 +25,6 @@ from .linalg import (
     default_cluster_tol,
     default_rank_tol,
     haar_unitary,
-    require_square,
     svd,
     top_q_singsum,
 )
@@ -36,7 +35,7 @@ from .model import (
     Tolerances,
     Verdict,
 )
-from .norms import ky_fan_norm, ky_fan_norm_batch, require_k
+from .norms import ky_fan_norm, ky_fan_norm_batch, require_operands
 
 __all__ = [
     "fd_directional",
@@ -287,10 +286,7 @@ def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
         raise ValueError("chord_margin needs n_theta >= 1, refine_rounds >= 0 "
                          f"and t_count >= 1, got {n_theta}, {refine_rounds} "
                          f"and {t_count}")
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_square(a)
-    require_k(k, a.shape[0])
+    a, (b,) = require_operands(a, [b], k)
     return _chord_scan(a, b, k, ky_fan_norm(a, k), ky_fan_norm(b, k), field,
                        n_theta, refine_rounds, t_count)[:2]
 
@@ -410,10 +406,7 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     or ``real_field``.
     """
     tol = Tolerances() if tol is None else tol
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_square(a)
-    require_k(k, a.shape[0])
+    a, (b,) = require_operands(a, [b], k)
     norm_a = ky_fan_norm(a, k)
     norm_b = ky_fan_norm(b, k)
     scale = tol.margin_scale(norm_a, norm_b)
@@ -453,9 +446,7 @@ def oracle_check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     """
     tol = Tolerances() if tol is None else tol
     rng = np.random.default_rng(0) if rng is None else rng
-    a = as_matrix(a)
-    require_square(a)
-    mats = [as_matrix(w) for w in basis]
+    a, mats = require_operands(a, basis, k)
     norm_a = ky_fan_norm(a, k)
     if not mats:
         return Decision(verdict=Verdict.NO_COUNTEREXAMPLE, margin=0.0,
@@ -499,8 +490,7 @@ def oracle_check_parallel(a, b, k: int, tol: Tolerances | None = None,
     import scipy.optimize  # here, so that importing the package loads no scipy
 
     tol = Tolerances() if tol is None else tol
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a, (b,) = require_operands(a, [b], k)
     norm_a = ky_fan_norm(a, k)
     norm_b = ky_fan_norm(b, k)
     scale = tol.margin_scale(norm_a, norm_b)
@@ -539,10 +529,7 @@ def sample_range_points(a, b, k: int, count: int = 100, rng=None) -> np.ndarray:
     support-function cross-checks.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    a = as_matrix(a)
-    b = as_matrix(b)
-    require_square(a)
-    require_k(k, a.shape[0])
+    a, (b,) = require_operands(a, [b], k)
     fr = svd(a)
     s1 = float(fr.s[0]) if fr.s.size else 0.0
     part = cluster_spectrum(fr.s, k, default_cluster_tol(s1))

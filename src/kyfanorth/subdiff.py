@@ -31,13 +31,12 @@ from .linalg import (
     default_rank_tol,
     haar_unitary,
     herm,
-    require_square,
     singular_values,
     svd,
     top_q_eigsum,
     top_q_singsum,
 )
-from .norms import ky_fan_norm, require_k
+from .norms import ky_fan_norm, require_k, require_operands
 
 __all__ = [
     "SubdifferentialFrame",
@@ -100,9 +99,7 @@ class SubdifferentialFrame:
 def build_frame(a, k: int, cluster_tol: float | None = None,
                 rank_tol: float | None = None) -> SubdifferentialFrame:
     """Compute the SVD of ``a`` and split it around the cluster of s_k."""
-    a = as_matrix(a)
-    require_square(a)
-    require_k(k, a.shape[0])
+    a, _ = require_operands(a, [], k)
     fr = svd(a)
     s1 = float(fr.s[0]) if fr.s.size else 0.0
     ct = default_cluster_tol(s1) if cluster_tol is None else float(cluster_tol)

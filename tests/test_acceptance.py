@@ -262,8 +262,11 @@ def test_c08_subspace_round_trip_and_singleton_consistency():
         abs_a = frame.svd.abs_a
         s = frame.svd.s
         total = np.zeros((n, n), dtype=complex)
-        assert len(cert.densities) == k
-        for idx, p in enumerate(cert.densities):
+        densities = [x @ x.conj().T for x, count
+                     in zip(cert.factors, cert.multiplicities)
+                     for _ in range(count)]
+        assert len(densities) == k
+        for idx, p in enumerate(densities):
             assert np.abs(abs_a @ p - s[idx] * p).max() <= 1e-6 * (1 + s[0])
             assert abs(np.trace(p).real - 1.0) <= 1e-6
             w = np.linalg.eigvalsh(herm(p))
@@ -397,8 +400,8 @@ def test_c10_certificate_loop_pass_and_tamper_fail(tmp_path):
         matrices[f"w{j}"] = w
         names.append(f"w{j}")
     cases.append((_emit(tmp_path, "density", matrices, 2, d, subspace=names),
-                  lambda c: c["densities"][0]["re"].__setitem__(0,
-                      c["densities"][0]["re"][0] + 1e-2)))
+                  lambda c: c["factors"][0]["re"].__setitem__(0,
+                      c["factors"][0]["re"][0] + 1e-2)))
 
     a, basis, _ = make_subspace_instance(5, 2, 3, rng, orthogonal=False)
     d = check_subspace(a, basis, 2)

@@ -28,16 +28,22 @@ _SUBSPACE_WITHOUT_SCIPY = """
 import sys
 import numpy as np
 import kyfanorth.cli
-from kyfanorth import Verdict, check_subspace
+from kyfanorth import Verdict, check_subspace, verify_certificate
+from kyfanorth.io import decode_report, encode_report
 
 # k = 2 on a boundary cluster of width 3 (q = 1, r = 2); the zero of the
 # first pairing sits off the centre of the coefficient polytope
 a = np.diag([3.0, 1.0, 1.0, 1.0, 0.5])
 w2 = np.zeros((5, 5))
 w2[1, 2] = 1.0
-tied = check_subspace(a, [np.diag([-0.5, 1.0, 0.0, 0.0, 0.0]), w2], 2)
+basis = [np.diag([-0.5, 1.0, 0.0, 0.0, 0.0]), w2]
+tied = check_subspace(a, basis, 2)
 assert tied.verdict is Verdict.ORTHOGONAL, tied.summary()
 assert tied.details["iterations"] >= 1, tied.details
+# the density factors and their verification run on numpy alone
+assert verify_certificate(tied.certificate, a, basis, 2)["ok"]
+back = decode_report(encode_report(tied)).certificate
+assert verify_certificate(back, a, basis, 2)["ok"]
 refuted = check_subspace(a, [np.diag([-1.2, 1.0, 0.0, 0.0, 0.0]), w2], 2)
 assert refuted.verdict is Verdict.NOT_ORTHOGONAL, refuted.summary()
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
@@ -46,7 +52,8 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 
 def test_cli_import_loads_no_scipy():
     # only the parallel referee's bounded polish uses scipy, and it imports
-    # it when called: neither the CLI nor a subspace decision loads it
+    # it when called: neither the CLI nor a subspace decision, its density
+    # certificate's verification or its report round trip loads it
     src = str(Path(kyfanorth.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -174,6 +181,44 @@ def test_verify_pass_and_tamper(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", path, bad_path)
     assert code == 1
     assert out.startswith("FAIL")
+
+
+def test_verify_refuses_dense_density_report(tmp_path, capsys):
+    from kyfanorth.decide import check_subspace
+    from kyfanorth.io import decode_matrix, encode_matrix, encode_report
+
+    a = np.diag([3.0, 1.0, 1.0])
+    basis = [np.diag([0.0, 1.0, -1.0])]
+    path = str(tmp_path / "s.json")
+    save_problem(path, {"a": a, "w0": basis[0]}, 2, subspace=["w0"])
+    report = encode_report(check_subspace(a, basis, 2))
+    cert = report["certificate"]
+    factors = [decode_matrix(x) for x in cert.pop("factors")]
+    cert["densities"] = [encode_matrix(x @ x.conj().T) for x, m
+                         in zip(factors, cert.pop("multiplicities"))
+                         for _ in range(m)]
+    report_path = tmp_path / "old.json"
+    report_path.write_text(json.dumps(report), encoding="utf-8")
+    code, _, err = run(capsys, "verify", path, str(report_path))
+    assert code == 2
+    assert "dense DENSITY_SYSTEM" in err
+
+
+@pytest.mark.parametrize("mode", ["pair", "parallel", "subspace"])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_check_rejects_mismatched_shapes(tmp_path, capsys, mode, oracle):
+    # a 3 x 3 A against a 4 x 4 direction or basis matrix is a usage error
+    # (exit 2), never a verdict
+    a, b = np.diag([3.0, 2.0, 1.0]), np.eye(4)
+    path = str(tmp_path / "p.json")
+    if mode == "subspace":
+        save_problem(path, {"a": a, "w0": b}, 2, subspace=["w0"])
+    else:
+        save_problem(path, {"a": a, "b": b}, 2)
+    argv = ["check", path, "--mode", mode] + (["--oracle"] if oracle else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "shape" in err
 
 
 def test_verify_without_certificate(tmp_path, capsys):

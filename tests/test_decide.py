@@ -39,6 +39,12 @@ from kyfanorth.norms import ky_fan_norm, ky_fan_norm_batch
 from kyfanorth.subdiff import build_frame, subgradient_membership
 
 
+def _densities(cert):
+    """The per-index density matrices P_i = X_c X_c* of a DENSITY_SYSTEM."""
+    return [x @ x.conj().T for x, m in zip(cert.factors, cert.multiplicities)
+            for _ in range(m)]
+
+
 def complex_gauss(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
@@ -564,8 +570,9 @@ def test_subspace_hand_example():
     w2[0, 1] = 1.0
     d = check_subspace(a, [w1, w2], 1)
     assert d.verdict is Verdict.ORTHOGONAL
-    assert len(d.certificate.densities) == 1
-    p1 = d.certificate.densities[0]
+    densities = _densities(d.certificate)
+    assert len(densities) == 1
+    p1 = densities[0]
     assert np.abs(p1 - np.diag([1.0, 0.0])).max() <= 1e-9
 
 
@@ -690,11 +697,11 @@ def test_subspace_basis_rank_is_scale_free(exponent):
 def test_extract_density_round_trip(rng):
     a, basis, _ = make_subspace_instance(5, 2, 2, rng, orthogonal=True)
     d = check_subspace(a, basis, 2)
-    q_matrix = np.sum(d.certificate.densities, axis=0)
+    q_matrix = np.sum(_densities(d.certificate), axis=0)
     frame = build_frame(a, 2)
     cert = extract_density(q_matrix, frame)
-    assert len(cert.densities) == 2
-    rebuilt = np.sum(cert.densities, axis=0)
+    assert len(_densities(cert)) == 2
+    rebuilt = np.sum(_densities(cert), axis=0)
     assert np.abs(rebuilt - q_matrix).max() <= 1e-8
 
 
@@ -716,6 +723,95 @@ def test_extract_density_rejects_bad_full_cluster():
     bad = np.diag([2.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(BadBlockStructure):
         extract_density(bad, frame)
+
+
+def test_extract_density_rejects_a_cluster_block_that_is_not_psd():
+    # the boundary block diag(1.5, -0.5) has the right trace and no leak
+    frame = build_frame(np.diag([3.0, 1.0, 1.0]), 2)
+    with pytest.raises(BadBlockStructure, match="not PSD"):
+        extract_density(np.diag([1.0, 1.5, -0.5]), frame)
+    # a skew part inside the boundary block leaks nowhere and keeps the trace
+    skew = np.diag([1.0, 0.5, 0.5])
+    skew[1, 2], skew[2, 1] = 0.3, -0.3
+    with pytest.raises(BadBlockStructure, match="not PSD"):
+        extract_density(skew, frame)
+
+
+def test_density_system_is_one_factor_per_cluster():
+    # ginibre-like spectra: k distinct singular values, one column each
+    rng = np.random.default_rng(5)
+    a, basis, _ = make_subspace_instance(12, 4, 2, rng)
+    cert = check_subspace(a, basis, 4).certificate
+    assert cert.multiplicities == [1, 1, 1, 1]
+    assert [x.shape for x in cert.factors] == [(12, 1)] * 4
+    # a tied boundary cluster (q = 2, r = 1) is one factor of multiplicity q
+    a, basis, _ = make_subspace_instance(6, 3, 2, rng, q=2, r=1)
+    cert = check_subspace(a, basis, 3).certificate
+    assert cert.multiplicities == [1, 2]
+    assert cert.factors[1].shape[0] == 6 and cert.factors[1].shape[1] <= 3
+    assert verify_certificate(cert, a, basis, 3)["ok"]
+
+
+def _planted(defect):
+    """A density certificate with one planted defect, its problem, and the
+    clause that must fail."""
+    e = np.eye(3, dtype=complex)
+    if defect == "combined_norm":
+        # one tied cluster {1, 2}: a single unit column of multiplicity 2
+        # has trace one and lies in the eigenspace, but S S* = 2 x x*
+        a, basis, k = np.diag([2.0, 2.0, 1.0]), [np.diag([0.0, 0.0, 1.0])], 2
+    else:
+        # boundary cluster {2, 3} with q = 1, carrying I/2
+        a, basis, k = np.diag([3.0, 1.0, 1.0]), [np.diag([0.0, 1.0, -1.0])], 2
+    d = check_subspace(a, basis, k)
+    cert = d.certificate
+    assert verify_certificate(cert, a, basis, k)["ok"]
+    if defect == "trace":
+        cert.factors[0] = 0.99 * cert.factors[0]
+        return cert, a, basis, k, "trace_one_0"
+    if defect == "off_eigenspace":
+        x = cert.factors[0] + 0.01 * e[:, [1]]
+        cert.factors[0] = x / np.linalg.norm(x)
+        return cert, a, basis, k, "eigen_support_0"
+    if defect == "combined_norm":
+        cert.factors[0] = e[:, [0]]
+        return cert, a, basis, k, "combined_operator_norm"
+    if defect == "pairing":
+        # a unit eigenvector of the boundary cluster pairs W to 1
+        cert.factors[1] = e[:, [1]]
+        return cert, a, basis, k, "basis_pairing_0"
+    cert.multiplicities[0] += 1
+    return cert, a, basis, k, "factor_layout"
+
+
+@pytest.mark.parametrize("defect", ["trace", "off_eigenspace",
+                                    "combined_norm", "pairing",
+                                    "multiplicities"])
+def test_density_verify_rejects_planted_defects(defect):
+    cert, a, basis, k, clause = _planted(defect)
+    report = verify_certificate(cert, a, basis, k)
+    assert not report["ok"]
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert clause in failed, report
+    if defect in ("trace", "combined_norm", "pairing", "multiplicities"):
+        assert failed == {clause}, report
+
+
+def test_subspace_refutation_reports_the_pair_margin():
+    # the search stops at its first exposure, where |z| = 0.867 is the
+    # distance of the polytope centre's image; the set itself, and the
+    # counterexample pair, sit at distance 0.2
+    a = np.diag([3.0, 1.0, 1.0, 1.0, 0.5])
+    w2 = np.zeros((5, 5))
+    w2[0, 1] = 1.0
+    d = check_subspace(a, [np.diag([-1.2, 1.0, 0.0, 0.0, 0.0]), w2], 2)
+    assert d.verdict is Verdict.NOT_ORTHOGONAL
+    resid = d.details["feasibility_residual"]
+    lower = d.details["residual_lower_bound"]
+    assert resid == pytest.approx(0.8666666666666667)
+    assert d.margin == d.details["counterexample_pair_margin"]
+    assert d.margin == pytest.approx(-0.2)
+    assert -resid * (1 + 1e-12) <= d.margin <= -lower * (1 - 1e-12)
 
 
 def test_parallel_positive(rng):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kyfanorth.decide import check_pair
+from kyfanorth.decide import check_pair, check_subspace, verify_certificate
 from kyfanorth.errors import ParseError
-from kyfanorth.generate import make_orthogonal_pair
+from kyfanorth.generate import make_orthogonal_pair, make_subspace_instance
 from kyfanorth.io import (
     decode_matrix,
     decode_problem,
@@ -20,7 +20,7 @@ from kyfanorth.io import (
     save_problem,
     save_report,
 )
-from kyfanorth.model import REAL_FIELD, Tolerances
+from kyfanorth.model import REAL_FIELD, CertKind, Tolerances
 
 
 def complex_gauss(rng, rows, cols):
@@ -134,6 +134,50 @@ def test_report_decode_validation(rng):
     no_margin = {k: v for k, v in good.items() if k != "margin"}
     with pytest.raises(ParseError):
         decode_report(no_margin)
+
+
+def _dense_density_report(decision) -> dict:
+    """A report in the retired format: one dense n x n matrix per index."""
+    obj = encode_report(decision)
+    cert = obj["certificate"]
+    factors = [decode_matrix(x) for x in cert.pop("factors")]
+    cert["densities"] = [encode_matrix(x @ x.conj().T)
+                         for x, m in zip(factors, cert.pop("multiplicities"))
+                         for _ in range(m)]
+    return obj
+
+
+def test_density_report_round_trip_and_old_format(rng):
+    a, basis, _ = make_subspace_instance(6, 3, 2, rng, q=2, r=1)
+    decision = check_subspace(a, basis, 3)
+    back = decode_report(json.loads(json.dumps(encode_report(decision))))
+    cert = back.certificate
+    assert cert.multiplicities == decision.certificate.multiplicities
+    for x, y in zip(cert.factors, decision.certificate.factors):
+        assert np.array_equal(x, y)
+    assert verify_certificate(cert, a, basis, 3)["ok"]
+    with pytest.raises(ParseError, match="dense DENSITY_SYSTEM"):
+        decode_report(_dense_density_report(decision))
+    obj = encode_report(decision)
+    obj["certificate"]["multiplicities"] = [1.5] * len(cert.factors)
+    with pytest.raises(ParseError, match="multiplicities"):
+        decode_report(obj)
+    del obj["certificate"]["factors"]
+    with pytest.raises(ParseError, match="multiplicities"):
+        decode_report(obj)
+
+
+def test_density_report_size_guard():
+    # one n-row factor per cluster: the dense form of this report, 20 dense
+    # 200 x 200 matrices, took 37 MB
+    rng = np.random.default_rng(1)
+    a, basis, _ = make_subspace_instance(200, 20, 2, rng)
+    decision = check_subspace(a, basis, 20)
+    assert decision.certificate.kind is CertKind.DENSITY_SYSTEM
+    text = json.dumps(encode_report(decision), indent=2)
+    assert len(text) < 1_000_000
+    back = decode_report(json.loads(text))
+    assert verify_certificate(back.certificate, a, basis, 20)["ok"]
 
 
 def test_load_problem_missing_file(tmp_path):
