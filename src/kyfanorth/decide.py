@@ -694,7 +694,7 @@ def _checked_miss(setup: _PairSetup, coeff: np.ndarray, field: str,
     miss = complex(setup.model.fixed_part) + complex(
         np.sum(coeff * setup.model.compression.T))
     resid = abs(miss.real) if field == REAL_FIELD else abs(miss)
-    if resid > 10.0 * setup.tol.cert * max(setup.scale, 1.0):
+    if resid > 10.0 * setup.tol.cert * setup.scale:
         raise WitnessSearchFailed(f"{what} misses 0 by {resid:.3e}",
                                   residual=resid)
     return resid
@@ -1255,6 +1255,12 @@ def verify_certificate(cert: Certificate, a, second, k: int,
             "ok": all(c["pass"] for c in checks)}
 
 
+def _eigen_support_bound(frame, tol) -> float:
+    """Bound on ||(|A| - s_i) x|| for a unit x put in the eigenspace of s_i:
+    ten cluster widths plus the factorization budget, in units of s1."""
+    return 10.0 * frame.part.cluster_tol + 100.0 * tol.resid * frame.svd.s[0]
+
+
 def _verify_witness(cert, a, b, k, tol, add):
     frame = _frame_for(a, k, tol)
     norm_b = ky_fan_norm(b, k)
@@ -1268,11 +1274,9 @@ def _verify_witness(cert, a, b, k, tol, add):
         10.0 * tol.cert)
     abs_a = frame.svd.abs_a
     s = frame.svd.s
-    s1 = float(s[0]) if s.size else 0.0
-    eig_bound = (10.0 * frame.part.cluster_tol + 100.0 * tol.resid) * (1.0 + s1)
     for i in range(k):
         r = float(np.linalg.norm(abs_a @ vectors[:, i] - s[i] * vectors[:, i]))
-        add(f"eigen_residual_{i}", r, eig_bound)
+        add(f"eigen_residual_{i}", r, _eigen_support_bound(frame, tol))
     pairing = _witness_pairing(b, vectors, frame)
     purpose = cert.details.get("purpose", "orthogonal")
     if purpose == "parallel":
@@ -1319,7 +1323,7 @@ def _verify_subgradient(g, a, b, k, tol, add, norm_a, scale):
         10.0 * tol.cert)
     add("dual_trace_norm", float(s.sum()) - k, 10.0 * tol.cert)
     pair_a = float(np.real(np.trace(g.conj().T @ a)))
-    add("norming", norm_a - pair_a, 0.1 * tol.strict * max(norm_a, 1.0))
+    add("norming", norm_a - pair_a, 0.1 * tol.strict * norm_a)
     add("direction_pairing", abs(complex(np.trace(g.conj().T @ b))),
         0.1 * tol.strict * scale)
 
@@ -1360,14 +1364,14 @@ def _verify_density(cert, a, basis, k, tol, add):
         return
     s, v = frame.svd.s, frame.svd.v
     # ||(|A| - s_i) X|| bounds every entry of (|A| - s_i) X X* as ||X|| <= 1
-    bound = tol.strict * (1.0 + float(s[0]))
     abs_x = [v @ (s[:, None] * (v.conj().T @ x)) for x in factors]
     for c, x in enumerate(factors):
         add(f"trace_one_{c}", abs(float(np.linalg.norm(x)) ** 2 - 1.0),
             10.0 * tol.cert)
     for i, c in enumerate(np.repeat(np.arange(len(factors)), mults.astype(int))):
         add(f"eigen_support_{i}",
-            float(np.linalg.norm(abs_x[c] - s[i] * factors[c])), bound)
+            float(np.linalg.norm(abs_x[c] - s[i] * factors[c])),
+            _eigen_support_bound(frame, tol))
     combined, pairings = _density_sums(frame, factors, mults, mats)
     add("combined_operator_norm", combined - 1.0, 10.0 * tol.cert)
     for j, z in enumerate(pairings):

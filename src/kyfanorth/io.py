@@ -44,7 +44,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_TOL_KEYS = ("decide", "strict", "cert", "resid", "herm", "cluster", "rank")
+_TOL_KEYS = ("decide", "strict", "cert", "resid", "cluster", "rank")
 
 
 def encode_matrix(m) -> dict:
@@ -169,12 +169,13 @@ def encode_problem(matrices: dict, k: int, field_name: str = COMPLEX_FIELD,
 def _decode_tolerances(obj) -> Tolerances:
     if not isinstance(obj, dict):
         raise ParseError("tolerances: expected an object")
-    unknown = set(obj) - set(_TOL_KEYS)
+    # older files carry "herm", a tolerance nothing read: it is dropped
+    unknown = set(obj) - set(_TOL_KEYS) - {"herm"}
     if unknown:
         raise ParseError(f"tolerances: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in obj.items():
-        if value is None:
+        if value is None or key == "herm":
             continue
         try:
             kwargs[key] = float(value)

@@ -65,7 +65,7 @@ def herm(m: np.ndarray) -> np.ndarray:
 
 def default_cluster_tol(s1: float) -> float:
     """Spectrum clustering width: well above eigensolver noise, user-overridable."""
-    return 1e-8 * max(float(s1), 1.0)
+    return 1e-8 * float(s1)
 
 
 def default_rank_tol(s1: float) -> float:
@@ -117,9 +117,8 @@ def hermitian_eig(h, herm_tol: float = 1e-8) -> EigenFrame:
     """
     h = as_matrix(h)
     require_square(h)
-    scale = max(float(np.abs(h).max()), 1.0)
     asym = float(np.abs(h - h.conj().T).max())
-    if asym > herm_tol * scale:
+    if asym > herm_tol * float(np.abs(h).max()):
         raise ShapeMismatch(f"matrix is not Hermitian: asymmetry {asym:.3e}")
     try:
         w, v = np.linalg.eigh(herm(h))
@@ -216,7 +215,7 @@ def cluster_spectrum(values, k: int, cluster_tol: float) -> SpectralPartition:
     n = v.size
     if n == 0:
         raise ShapeMismatch("empty spectrum")
-    if np.any(v[:-1] < v[1:] - 1e-12 * max(1.0, float(np.abs(v).max()))):
+    if np.any(v[:-1] < v[1:] - 1e-12 * float(np.abs(v).max())):
         raise ValueError("spectrum must be sorted descending")
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside 1..{n}")

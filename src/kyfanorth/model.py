@@ -33,29 +33,28 @@ class CertKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Decision bands and residual budgets.
+    """Decision bands and residual budgets, each a pure number times the
+    problem's own scale, so that (tA, tB) decides and verifies as (A, B).
 
-    The margin scale for a pair (A, B) is ||A||_(k) + ||B||_(k); decide and
-    strict are relative to it. Margins at or above -decide*scale read as
-    orthogonal, margins below -strict*scale as not orthogonal, anything
-    between is BOUNDARY. cert bounds certificate construction residuals,
-    resid bounds factorization residuals, herm the tolerated asymmetry of
-    Hermitian inputs. cluster/rank override the spectrum splitting defaults
-    when set.
+    Norm values (margins, pairings, construction misses) are read in units
+    of the margin scale ||A||_(k) + ||B||_(k): at or above -decide*scale is
+    orthogonal, below -strict*scale not, anything between BOUNDARY. Spectral
+    widths are in units of s1 = ||A||: resid and the clustering and rank
+    widths (1e-8 s1, 1e-12 s1; the absolute cluster/rank when set). Bare,
+    cert bounds dimensionless defects: orthonormality, trace, operator norm.
     """
 
     decide: float = 1e-7
     strict: float = 1e-6
     cert: float = 1e-8
     resid: float = 1e-10
-    herm: float = 1e-8
     cluster: float | None = None
     rank: float | None = None
 
     def __post_init__(self):
         if not (0 < self.decide <= self.strict):
             raise ValueError("need 0 < decide <= strict")
-        for name in ("cert", "resid", "herm"):
+        for name in ("cert", "resid"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -92,7 +91,6 @@ class Tolerances:
             "strict": self.strict,
             "cert": self.cert,
             "resid": self.resid,
-            "herm": self.herm,
             "cluster": self.cluster,
             "rank": self.rank,
         }

@@ -149,7 +149,9 @@ def subgradient_membership(a, k: int, g, tol: float = 1e-8) -> bool:
     """Test the three subgradient conditions for the Ky Fan k-norm.
 
     G is a subgradient at A iff s_1(G) <= 1, the singular values of G sum to
-    at most k, and Re tr(G* A) reaches the norm. Tolerances are absolute.
+    at most k, and Re tr(G* A) reaches the norm. The two dual-norm clauses
+    are dimensionless and take ``tol`` as it is; the norming clause takes
+    it relative to ||A||_(k).
     """
     a = as_matrix(a)
     g = as_matrix(g)
@@ -157,14 +159,10 @@ def subgradient_membership(a, k: int, g, tol: float = 1e-8) -> bool:
         raise ShapeMismatch(f"subgradient shape {g.shape} != {a.shape}")
     require_k(k, min(a.shape))
     sg = singular_values(g)
-    if sg.size == 0:
-        return ky_fan_norm(a, k) <= tol
-    if sg[0] > 1.0 + tol:
+    if sg[0] > 1.0 + tol or sg.sum() > k + tol:
         return False
-    if sg.sum() > k + tol:
-        return False
-    pairing = float(np.real(np.trace(g.conj().T @ a)))
-    return pairing >= ky_fan_norm(a, k) - tol
+    norm = ky_fan_norm(a, k)
+    return float(np.real(np.trace(g.conj().T @ a))) >= norm - tol * norm
 
 
 def sample_subgradient(a, k: int, rng=None,

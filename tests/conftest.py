@@ -10,3 +10,6 @@ def rng():
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "acceptance: package-level acceptance checks")
+    config.addinivalue_line(
+        "markers", "invariance: verdicts, margins and certificates under "
+        "the symmetries of the problem")

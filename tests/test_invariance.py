@@ -1,0 +1,346 @@
+"""Decisions and certificates under the symmetries of the problem.
+
+Birkhoff-James orthogonality and parallelism in a unitarily invariant norm
+are unchanged by a joint scaling (tA, tB), by unitary equivalence
+(UAV, UBV), by a phase on B and by the adjoint or the transpose
+(R. Bhatia and P. Semrl, Linear Algebra Appl. 287, 1999). Every tolerance
+is relative to the problem's own scale, so each check must read the same
+verdict on both sides, with the margin carried along, and each certificate
+must verify against the inputs it was built for. Run alone with
+``pytest -m invariance``.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kyfanorth.decide import (
+    check_pair,
+    check_pair_blocks,
+    check_parallel,
+    check_subspace,
+    verify_certificate,
+)
+from kyfanorth.errors import DegenerateRank
+from kyfanorth.generate import (
+    make_nonorthogonal_pair,
+    make_orthogonal_pair,
+    make_parallel_pair,
+    make_singular_pair,
+    make_subspace_instance,
+    random_matrix,
+)
+from kyfanorth.linalg import haar_unitary
+from kyfanorth.model import (
+    COMPLEX_FIELD,
+    REAL_FIELD,
+    CertKind,
+    Tolerances,
+    Verdict,
+)
+from kyfanorth.oracle import oracle_check_pair
+
+pytestmark = pytest.mark.invariance
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+SYMMETRIES = ("scale", "unitary", "phase", "adjoint", "transpose")
+
+# margins agree to this fraction of the margin scale: the sweep stops
+# within 1e-3 decide of the minimum, far inside it
+MARGIN_REL = 1e-8
+
+
+def _symmetry(name, n, rng, data):
+    """(map of A, map of each direction, margin factor) for one symmetry."""
+    if name == "scale":
+        t = 10.0 ** data.draw(st.floats(-150.0, 150.0), label="log10 t")
+        return (lambda m: t * m), (lambda m: t * m), t
+    if name == "unitary":
+        u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+        return (lambda m: u @ m @ v), (lambda m: u @ m @ v), 1.0
+    if name == "phase":
+        phase = np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi)))
+        return (lambda m: m), (lambda m: phase * m), 1.0
+    if name == "adjoint":
+        return (lambda m: m.conj().T), (lambda m: m.conj().T), 1.0
+    return (lambda m: m.T), (lambda m: m.T), 1.0
+
+
+def _pair(kind, rng):
+    n = int(rng.integers(3, 6))
+    k = int(rng.integers(1, n))
+    q = 1 + int(rng.integers(0, k))
+    r = int(rng.integers(0, n - k + 1))
+    if kind == "orthogonal":
+        return make_orthogonal_pair(n, k, rng, q=q, r=r)[:2] + (k,)
+    if kind == "real":
+        return make_orthogonal_pair(n, k, rng, q=q, r=r,
+                                    field=REAL_FIELD)[:2] + (k,)
+    if kind == "degenerate":
+        return make_orthogonal_pair(n, k, rng, q=q,
+                                    degenerate=True)[:2] + (k,)
+    if kind == "parallel":
+        return make_parallel_pair(n, k, rng)[:2] + (k,)
+    if kind == "nonorthogonal":
+        return make_nonorthogonal_pair(n, k, rng)[:2] + (k,)
+    if kind == "singular":
+        k = max(k, 2)
+        return make_singular_pair(n, k, rng)[:2] + (k,)
+    return random_matrix(n, rng), random_matrix(n, rng), k
+
+
+def _decide(check, a, second, k):
+    """The decision, or the type of the error a check raises."""
+    try:
+        return check(a, second, k)
+    except DegenerateRank as exc:
+        return type(exc)
+
+
+def _assert_same(before, after, factor, a, second, k):
+    if isinstance(before, type) or isinstance(after, type):
+        assert before is after
+        return
+    assert after.verdict is before.verdict, (before.summary(), after.summary())
+    assert after.scale == pytest.approx(factor * before.scale, rel=1e-12)
+    assert abs(after.margin - factor * before.margin) <= MARGIN_REL * after.scale
+    assert (after.certificate is None) is (before.certificate is None)
+    if after.certificate is not None:
+        assert after.certificate.kind is before.certificate.kind
+        report = verify_certificate(after.certificate, a, second, k)
+        assert report["ok"], [c for c in report["checks"] if not c["pass"]]
+
+
+PAIR_CHECKS = {
+    "complex": lambda a, b, k: check_pair(a, b, k, COMPLEX_FIELD),
+    "real": lambda a, b, k: check_pair(a, b, k, REAL_FIELD),
+    "blocks": check_pair_blocks,
+    "parallel": check_parallel,
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=seeds, data=st.data(),
+       kind=st.sampled_from(["orthogonal", "real", "degenerate", "parallel",
+                             "nonorthogonal", "singular", "random"]))
+def test_pair_checks_are_invariant(seed, data, kind):
+    rng = np.random.default_rng(seed)
+    a, b, k = _pair(kind, rng)
+    before = {name: _decide(check, a, b, k)
+              for name, check in PAIR_CHECKS.items()}
+    for d in before.values():
+        if not isinstance(d, type) and d.certificate is not None:
+            assert verify_certificate(d.certificate, a, b, k)["ok"]
+    for symmetry in SYMMETRIES:
+        on_a, on_b, factor = _symmetry(symmetry, a.shape[0], rng, data)
+        moved = (on_a(a), on_b(b))
+        for name, check in PAIR_CHECKS.items():
+            if name == "real" and symmetry == "phase":
+                continue  # a phase on B leaves the real field
+            _assert_same(before[name], _decide(check, *moved, k), factor,
+                         *moved, k)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=seeds, data=st.data(), orthogonal=st.booleans())
+def test_subspace_checks_are_invariant(seed, data, orthogonal):
+    # a phase moves each basis matrix by its own phase, which keeps the span
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    k = int(rng.integers(1, n))
+    q = 1 + int(rng.integers(0, k))
+    r = int(rng.integers(0, n - k + 1))
+    m = data.draw(st.integers(1, 3), label="m")
+    a, basis, label = make_subspace_instance(n, k, m, rng,
+                                             orthogonal=orthogonal, q=q, r=r)
+    before = check_subspace(a, basis, k)
+    assert before.verdict is Verdict(label["expected"])
+    if before.certificate is not None:
+        assert verify_certificate(before.certificate, a, basis, k)["ok"]
+    for symmetry in SYMMETRIES:
+        on_a, on_w, factor = _symmetry(symmetry, n, rng, data)
+        if symmetry == "phase":
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
+            moved = [p * w for p, w in zip(phases, basis)]
+        else:
+            moved = [on_w(w) for w in basis]
+        _assert_same(before, check_subspace(on_a(a), moved, k), factor,
+                     on_a(a), moved, k)
+
+
+# ---------------------------------------------------------------------------
+# pinned regressions
+
+
+def _first_random_pair():
+    rng = np.random.default_rng(0)
+    return random_matrix(4, rng), random_matrix(4, rng)
+
+
+def test_tiny_pair_keeps_its_verdict_and_rejects_the_collapsed_witness():
+    # an absolute clustering width of 1e-8 takes the whole spectrum of
+    # A/1e9 for one cluster, and on that collapsed frame the pair reads
+    # ORTHOGONAL; its witness must fail verification, as the referee refutes
+    a, b = _first_random_pair()
+    t = 1e-9
+    assert check_pair(a, b, 2).verdict is Verdict.NOT_ORTHOGONAL
+    d = check_pair(t * a, t * b, 2)
+    assert d.verdict is Verdict.NOT_ORTHOGONAL
+    assert verify_certificate(d.certificate, t * a, t * b, 2)["ok"]
+    assert oracle_check_pair(t * a, t * b, 2).verdict is Verdict.NOT_ORTHOGONAL
+    collapsed = check_pair(t * a, t * b, 2, tol=Tolerances(cluster=1e-8))
+    assert collapsed.verdict is Verdict.ORTHOGONAL
+    assert collapsed.certificate.kind is CertKind.WITNESS_SYSTEM
+    report = verify_certificate(collapsed.certificate, t * a, t * b, 2)
+    assert not report["ok"]
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed and all(n.startswith("eigen_residual_") for n in failed)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e8, 1e12])
+def test_forged_witness_is_rejected_at_every_scale(t):
+    # a rank-k witness purified to zero pairing on a frame that takes the
+    # whole spectrum for one cluster: orthonormal, zero pairing, but its
+    # vectors are no eigenvectors of |A|; an eigen-support bound that grows
+    # with the square of the scale lets it pass from about 2e7 on
+    a, b = _first_random_pair()
+    a, b = t * a, t * b
+    assert check_pair(a, b, 2).verdict is Verdict.NOT_ORTHOGONAL
+    forged = check_pair(a, b, 2, tol=Tolerances(cluster=1e3 * t)).certificate
+    assert forged.kind is CertKind.WITNESS_SYSTEM
+    report = verify_certificate(forged, a, b, 2)
+    assert not report["ok"]
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed and all(n.startswith("eigen_residual_") for n in failed)
+
+
+def _near_tie_subspace(rng):
+    """A with singular values 3, 2, 2 - 1e-4, 1, 0.5 and two directions
+    annihilated by a subgradient that mixes the near tie, k = 2."""
+    s = np.array([3.0, 2.0, 2.0 - 1e-4, 1.0, 0.5])
+    u, v = haar_unitary(5, rng), haar_unitary(5, rng)
+    a = (u * s) @ v.conj().T
+    g = u[:, :1] @ v[:, :1].conj().T + 0.5 * u[:, 1:3] @ v[:, 1:3].conj().T
+    basis = []
+    for _ in range(2):
+        w = random_matrix(5, rng)
+        basis.append(w - (np.vdot(g, w) / np.vdot(g, g)) * g)
+    return a, basis
+
+
+def test_density_certificate_under_a_wide_cluster_verifies():
+    # --cluster-tol 1e-3 merges the near tie; the verifier's eigen-support
+    # bound widens with that width, as the witness bound does
+    rng = np.random.default_rng(4)
+    wide = Tolerances(cluster=1e-3)
+    for _ in range(8):
+        a, basis = _near_tie_subspace(rng)
+        d = check_subspace(a, basis, 2, tol=wide)
+        assert d.verdict is Verdict.ORTHOGONAL
+        assert d.certificate.kind is CertKind.DENSITY_SYSTEM
+        assert verify_certificate(d.certificate, a, basis, 2, wide)["ok"]
+        # at the default width the tie is split and the mixture is no
+        # longer supported on one eigenspace
+        report = verify_certificate(d.certificate, a, basis, 2)
+        failed = {c["name"] for c in report["checks"] if not c["pass"]}
+        assert failed and all(n.startswith("eigen_support_") for n in failed)
+
+
+ZERO_CASES = {
+    # (check_pair, check_pair_blocks, check_parallel, check_subspace):
+    # verdict and certificate kind, each certificate verifying
+    "a_zero": ("ORTHOGONAL BLOCK_COEFFICIENT", "ORTHOGONAL BLOCK_COEFFICIENT",
+               "DegenerateRank", "BOUNDARY None"),
+    "b_zero": ("ORTHOGONAL WITNESS_SYSTEM", "ORTHOGONAL BLOCK_COEFFICIENT",
+               "PARALLEL WITNESS_SYSTEM", "ORTHOGONAL DENSITY_SYSTEM"),
+    "both_zero": ("ORTHOGONAL BLOCK_COEFFICIENT",
+                  "ORTHOGONAL BLOCK_COEFFICIENT", "DegenerateRank",
+                  "ORTHOGONAL DENSITY_SYSTEM"),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_CASES)
+def test_zero_operands_are_pinned(case):
+    # the zero cases hold without any floor: A = 0 has s1 = 0, so its
+    # clustering width and every spectral bound are 0 as well
+    rng = np.random.default_rng(5)
+    a, b = random_matrix(3, rng), random_matrix(3, rng)
+    zero = np.zeros((3, 3), complex)
+    a = zero if case != "b_zero" else a
+    b = zero if case != "a_zero" else b
+    got = []
+    for check, second in ((check_pair, b), (check_pair_blocks, b),
+                          (check_parallel, b), (check_subspace, [b])):
+        d = _decide(check, a, second, 2)
+        if isinstance(d, type):
+            got.append(d.__name__)
+            continue
+        kind = d.certificate.kind.value if d.certificate else None
+        got.append(f"{d.verdict.value} {kind}")
+        assert d.margin >= 0.0 or d.verdict is Verdict.BOUNDARY
+        if d.certificate is not None:
+            assert verify_certificate(d.certificate, a, second, 2)["ok"]
+    assert tuple(got) == ZERO_CASES[case]
+
+
+# ---------------------------------------------------------------------------
+# floor guard
+
+
+# clauses whose bound is a norm-valued quantity; every other bound is a
+# pure number
+_NORM_UNITS = ("eigen_residual_", "eigen_support_", "pairing",
+               "triangle_equality", "block_equation", "norming",
+               "direction_pairing", "basis_pairing_", "claimed_norm_matches",
+               "norm_decrease")
+
+
+def _guarded_certificates():
+    rng = np.random.default_rng(17)
+    a, b, _ = make_orthogonal_pair(5, 2, rng, q=1, r=1)
+    yield "witness", check_pair(a, b, 2).certificate, a, b
+    yield "block", check_pair_blocks(a, b, 2).certificate, a, b
+    a, b, _ = make_parallel_pair(4, 2, rng)
+    yield "parallel", check_parallel(a, b, 2).certificate, a, b
+    a, b, _ = make_nonorthogonal_pair(4, 2, rng)
+    yield "violation", check_pair(a, b, 2).certificate, a, b
+    a, basis, _ = make_subspace_instance(6, 3, 2, rng, q=2, r=1)
+    yield "density", check_subspace(a, basis, 3).certificate, a, basis
+
+
+def _scaled(cert, second, t):
+    """The certificate in the units of (tA, tB), and the scaled second
+    operand: only a VIOLATION records a norm value."""
+    if cert.norm_value is not None:
+        cert = dataclasses.replace(cert, norm_value=t * cert.norm_value)
+    if isinstance(second, list):
+        return cert, [t * w for w in second]
+    return cert, t * second
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-6, 1e6, 1e12])
+def test_clause_bounds_scale_with_the_problem(t):
+    # verifying one certificate against (A, B) and (tA, tB): a bound in norm
+    # units moves by t, a dimensionless one not at all, so an order-one
+    # floor anywhere in a verifier shows here
+    kinds = set()
+    for name, cert, a, second in _guarded_certificates():
+        k = 3 if name == "density" else 2
+        base = verify_certificate(cert, a, second, k)
+        cert_t, second_t = _scaled(cert, second, t)
+        moved = verify_certificate(cert_t, t * a, second_t, k)
+        assert base["ok"] and moved["ok"], name
+        assert [c["name"] for c in moved["checks"]] == [
+            c["name"] for c in base["checks"]]
+        for before, after in zip(base["checks"], moved["checks"]):
+            if before["name"].startswith(_NORM_UNITS):
+                assert after["bound"] == pytest.approx(
+                    t * before["bound"], rel=1e-12, abs=0.0), before["name"]
+            else:
+                assert after["bound"] == before["bound"], before["name"]
+        kinds.add(cert.kind)
+    assert kinds == set(CertKind)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kyfanorth.cli import main
 from kyfanorth.decide import check_pair, check_subspace, verify_certificate
 from kyfanorth.errors import ParseError
 from kyfanorth.generate import make_orthogonal_pair, make_subspace_instance
@@ -178,6 +179,54 @@ def test_density_report_size_guard():
     assert len(text) < 1_000_000
     back = decode_report(json.loads(text))
     assert verify_certificate(back.certificate, a, basis, 20)["ok"]
+
+
+# a problem and its report as written before the unread "herm" tolerance
+# was retired: every saved tolerances block carries it
+_HERM_PROBLEM = (
+    '{"schema_version": 1, "matrices": {"a": {"rows": 2, "cols": 2, '
+    '"re": [2.0, 0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0, 0.0]}, "b": {"rows": '
+    '2, "cols": 2, "re": [0.0, 1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.5, 0.0]}}, '
+    '"k": 1, "field": "complex", "tolerances": {"decide": 1e-07, "strict": '
+    '1e-06, "cert": 1e-08, "resid": 1e-10, "herm": 1e-08, "cluster": null, '
+    '"rank": null}}')
+_HERM_REPORT = (
+    '{"schema_version": 1, "verdict": "ORTHOGONAL", "margin": 0.0, "scale": '
+    '3.0, "method": "support-sweep", "tolerances": {"decide": 1e-07, '
+    '"strict": 1e-06, "cert": 1e-08, "resid": 1e-10, "herm": 1e-08, '
+    '"cluster": null, "rank": null}, "certificate": {"kind": '
+    '"WITNESS_SYSTEM", "vectors": {"rows": 2, "cols": 1, "re": [1.0, 0.0], '
+    '"im": [0.0, 0.0]}, "details": {"purpose": "orthogonal", "field": '
+    '"complex", "pairing_re": 0.0, "pairing_im": 0.0, '
+    '"construction_residual": 0.0, "singular_values": [2.0], '
+    '"purify_steps": 0, "hull_angles": [0.0], "hull_weights": [1.0]}}, '
+    '"details": {"field": "complex", "norm_a": 2.0, "norm_b": 1.0, '
+    '"boundary_value": 2.0, "q": 1, "r": 0, "degenerate_zero": false, '
+    '"cluster_tol": 2e-08, "sweep_evals": 0, "sweep_capped": false, '
+    '"margin_lower_bound": 0.0, "support_theta": 0.0}, "timings": {}, '
+    '"seed": null}')
+
+
+def test_files_with_a_herm_tolerance_still_load_and_verify(tmp_path):
+    problem = decode_problem(json.loads(_HERM_PROBLEM))
+    report = decode_report(json.loads(_HERM_REPORT))
+    assert problem.tolerances == Tolerances()
+    assert report.tolerances == Tolerances()
+    a, b = problem.matrices["a"], problem.matrices["b"]
+    assert verify_certificate(report.certificate, a, b, 1)["ok"]
+    p, r = tmp_path / "p.json", tmp_path / "r.json"
+    p.write_text(_HERM_PROBLEM, encoding="utf-8")
+    r.write_text(_HERM_REPORT, encoding="utf-8")
+    assert main(["verify", str(p), str(r)]) == 0
+    # what is written now carries no herm key
+    decision = check_pair(a, b, 1)
+    for obj in (encode_problem({"a": a, "b": b}, 1, tolerances=Tolerances()),
+                encode_report(decision)):
+        assert set(obj["tolerances"]) == {"decide", "strict", "cert", "resid",
+                                          "cluster", "rank"}
+    with pytest.raises(ParseError, match="unknown keys"):
+        decode_problem({**json.loads(_HERM_PROBLEM),
+                        "tolerances": {"herm": 1e-8, "hermit": 1.0}})
 
 
 def test_load_problem_missing_file(tmp_path):

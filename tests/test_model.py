@@ -51,3 +51,8 @@ def test_band_bracket_must_land_on_one_side():
     assert TOL.band(-1.0, SCALE, bound=one_ulp_below(STRICT_EDGE)) \
         is Verdict.NOT_ORTHOGONAL
     assert TOL.band(-1.0, SCALE, bound=STRICT_EDGE) is Verdict.BOUNDARY
+
+
+def test_tolerances_carry_no_unread_field():
+    assert list(Tolerances().as_dict()) == ["decide", "strict", "cert",
+                                            "resid", "cluster", "rank"]

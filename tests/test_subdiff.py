@@ -98,6 +98,17 @@ def test_membership_requires_norming(rng):
     assert not subgradient_membership(a, 2, g, tol=1e-6)
 
 
+def test_membership_norming_is_relative(rng):
+    # the zero matrix norms only A = 0, however small A is
+    a = complex_gauss(rng, 4, 4)
+    assert not subgradient_membership(1e-9 * a, 2, np.zeros((4, 4)))
+    assert subgradient_membership(np.zeros((4, 4)), 2, np.zeros((4, 4)))
+    for t in (1e-9, 1.0, 1e9):
+        g = sample_subgradient(t * a, 2, rng=rng)
+        assert subgradient_membership(t * a, 2, g)
+        assert not subgradient_membership(t * a, 2, 0.999 * g)
+
+
 def test_convex_combinations_stay_members(rng):
     a = complex_gauss(rng, 5, 5)
     k = 3
