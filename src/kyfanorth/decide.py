@@ -28,11 +28,7 @@ from .errors import (
     NotOrthogonal,
     WitnessSearchFailed,
 )
-from .linalg import (
-    as_matrix,
-    herm,
-    top_q_singsum,
-)
+from .linalg import as_matrix, herm
 from .model import (
     COMPLEX_FIELD,
     REAL_FIELD,
@@ -43,13 +39,14 @@ from .model import (
     Verdict,
 )
 from .norms import ky_fan_norm, require_operands
-from .subdiff import SubdifferentialFrame, build_frame
+from .subdiff import (
+    RangeSetModel,
+    SubdifferentialFrame,
+    SweepOutcome,
+    build_frame,
+)
 
 __all__ = [
-    "RangeSetModel",
-    "SweepOutcome",
-    "swept_minimum",
-    "swept_maximum",
     "check_pair",
     "check_pair_blocks",
     "check_subspace",
@@ -59,266 +56,6 @@ __all__ = [
     "extract_density",
     "verify_certificate",
 ]
-
-_TWO_PI = 2.0 * np.pi
-
-
-# ---------------------------------------------------------------------------
-# certified support-function sweep over exposed points
-
-
-@dataclass(frozen=True)
-class SweepOutcome:
-    """Extremum over all angles of the support function of a convex set.
-
-    ``value`` is the best sampled support value, attained at ``theta``.
-    ``bound`` is the certified other end of the bracket: at or below the
-    true minimum, or at or above the true maximum. ``capped`` records that
-    the sweep stopped before the bracket closed to its tolerance: on the
-    evaluation cap, or on an angle already sampled. ``angles`` holds every
-    angle sampled and ``points`` the exposed point of the set found at each.
-    """
-
-    theta: float
-    value: float
-    bound: float
-    evals: int
-    angles: np.ndarray
-    points: np.ndarray
-    capped: bool = False
-
-
-_START_ANGLES = 8
-
-
-def swept_minimum(expose, tol_abs: float, slack: float = 0.0,
-                  max_evals: int = 256) -> SweepOutcome:
-    """Minimum over theta of the support function h of a compact convex
-    set K in the plane, h(theta) = max Re(e^{-i theta} z) over z in K.
-
-    ``expose(thetas)`` returns h at each angle and a point of K attaining
-    it, each to within ``slack``. The convex hull of the exposed points lies
-    in K, so the minimum of its support function (the signed distance of 0
-    to the hull: negative outside, the nearest edge line inside) bounds
-    min h from below. The next angle is the one attaining that bound, and
-    the sweep stops once the smallest sample is within ``tol_abs`` of it.
-    """
-    return _sweep(expose, tol_abs, max_evals, -1.0,
-                  lambda th, h, z: _inner_bound(th, z, slack))
-
-
-def swept_maximum(expose, tol_abs: float, slack: float = 0.0,
-                  max_evals: int = 256) -> SweepOutcome:
-    """Maximum over theta of the support function h of a compact convex
-    set K, that is max |z| over K; ``expose`` as for ``swept_minimum``.
-
-    The supporting lines at the sampled angles cut out a polygon holding
-    K, so the largest modulus among its vertices bounds max h from above.
-    The next angle is that vertex's angle.
-    """
-    return _sweep(expose, tol_abs, max_evals, 1.0,
-                  lambda th, h, z: _outer_bound(th, h, slack))
-
-
-def _sweep(expose, tol_abs, max_evals, sign, certify) -> SweepOutcome:
-    """Sample the angle ``certify`` names until its bound is within
-    ``tol_abs`` of the best sample; sign -1 minimizes, +1 maximizes."""
-    theta = np.linspace(0.0, _TWO_PI, _START_ANGLES, endpoint=False)
-    h, z = expose(theta)
-    while True:
-        i = int(np.argmax(sign * h))
-        bound, nxt = certify(theta, h, z)
-        gap = sign * (bound - h[i])
-        if gap <= tol_abs or theta.size >= max_evals:
-            break
-        nxt %= _TWO_PI
-        if np.any(theta == nxt):  # a repeated sample cannot move the bracket
-            break
-        hn, zn = expose(np.array([nxt]))
-        theta = np.append(theta, nxt)
-        h = np.append(h, hn)
-        z = np.append(z, zn)
-    bound = max(bound, h[i]) if sign > 0 else min(bound, h[i])
-    return SweepOutcome(theta=float(theta[i]), value=float(h[i]),
-                        bound=float(bound), evals=int(theta.size),
-                        capped=bool(gap > tol_abs), angles=theta, points=z)
-
-
-def _inner_bound(theta, z, slack: float) -> tuple:
-    """Smallest support value of the hull of the exposed points, less
-    rounding slack, and the angle attaining it.
-
-    Exposed points follow the boundary in the order of their angles, so
-    on the arc from theta_j to theta_{j+1} the hull's support value is
-    max(Re(e^{-i phi} z_j), Re(e^{-i phi} z_{j+1})). That maximum of two
-    sinusoids is smallest at an end of the arc, where the two cross (a
-    normal of the edge from z_j to z_{j+1}), or at the trough of one of
-    them. Reading each arc off its two points alone keeps the bound below
-    the support function of the set even where rounding bends the polygon.
-    """
-    order = np.argsort(theta)
-    th, near = theta[order], z[order]
-    far = np.roll(near, -1)
-    delta = np.diff(th, append=th[0] + _TWO_PI)
-    normal = np.angle(far - near) - 0.5 * np.pi
-    spots = np.stack([normal, normal + np.pi, np.angle(-near),
-                      np.angle(-far)], axis=1)
-    offset = np.column_stack([np.zeros_like(delta), delta,
-                              (spots - th[:, None]) % _TWO_PI])
-    phase = np.exp(-1j * (th[:, None] + offset))
-    value = np.maximum(np.real(phase * near[:, None]),
-                       np.real(phase * far[:, None]))
-    value[offset > delta[:, None]] = np.inf
-    j, s = np.unravel_index(np.argmin(value), value.shape)
-    return float(value[j, s]) - slack, float(th[j] + offset[j, s])
-
-
-def _outer_bound(theta, h, slack: float) -> tuple:
-    """Largest support value of the polygon cut out by the supporting lines
-    at the sampled angles, plus rounding slack, and the angle attaining it.
-
-    Over the arc from theta_j to theta_j + delta the two half-planes of its
-    ends have support value a h_j + b h_{j+1}, with e^{i phi} =
-    a e^{i theta_j} + b e^{i theta_{j+1}}. That peaks at the modulus of the
-    vertex where their lines meet when the vertex points into the arc, and
-    at an end otherwise. An error of at most ``slack`` in each h moves the
-    peak by at most (a + b) slack <= slack / cos(delta / 2).
-    """
-    order = np.argsort(theta)
-    th, ends = theta[order], h[order]
-    far = np.roll(ends, -1)
-    delta = np.diff(th, append=th[0] + _TWO_PI)
-    vertex = np.exp(1j * th) * (
-        ends + 1j * (far - ends * np.cos(delta)) / np.sin(delta))
-    turn = np.angle(vertex * np.exp(-1j * th))
-    inside = (turn >= 0.0) & (turn <= delta)
-    peak = np.where(inside, np.abs(vertex), np.maximum(ends, far))
-    j = int(np.argmax(peak))
-    bound = float(peak[j]) + slack / np.cos(0.5 * delta[j])
-    return bound, float(th[j] + (turn[j] if inside[j] else 0.0))
-
-
-@dataclass
-class RangeSetModel:
-    """The attainable pairing set {tr(G* B)} of a direction B at a frame of A.
-
-    The set equals fixed_part + {tr(T C) : T in the boundary coefficient set},
-    where fixed_part collects the forced traces over singular clusters fully
-    inside the top k and C = compression is the boundary compression of the
-    rotated direction. m is the trace budget of the boundary coefficient.
-    When the frame is degenerate (s_k = 0) the coefficient ranges over
-    contractions on the widened tail and the support function loses its
-    angular part except through fixed_part.
-    """
-
-    fixed_part: complex
-    compression: np.ndarray
-    m: int
-    degenerate: bool = False
-    wide_compression: np.ndarray | None = None
-
-    def __post_init__(self):
-        self._tail_const = (
-            top_q_singsum(self.wide_compression, self.m)
-            if self.degenerate else 0.0
-        )
-
-    @property
-    def width(self) -> int:
-        return int(self.compression.shape[1]) if self.compression.size else 0
-
-    def _is_singleton(self) -> bool:
-        # trace budget equal to the block width pins the coefficient to I
-        return (not self.degenerate) and self.m == self.width
-
-    def _singleton_value(self) -> complex:
-        return complex(self.fixed_part + np.trace(self.compression))
-
-    def support(self, thetas):
-        """max over the set of Re(e^{-i theta} z), vectorized over thetas."""
-        th = np.atleast_1d(np.asarray(thetas, dtype=float))
-        out = self._expose(th)[0]
-        if np.ndim(thetas) == 0:
-            return float(out[0])
-        return out
-
-    def _expose(self, thetas: np.ndarray) -> tuple:
-        """Support values at the angles and a point of the set attaining
-        each: fixed_part + tr(W* C W) for the top-m eigenvectors W of
-        H(theta), in closed form for a point or a disk."""
-        ph = np.exp(-1j * thetas)
-        fixed = complex(self.fixed_part)
-        if self.degenerate:
-            return (np.real(ph * fixed) + self._tail_const,
-                    fixed + self._tail_const * np.conj(ph))
-        if self._is_singleton():
-            z = self._singleton_value()
-            return np.real(ph * z), np.full(thetas.shape, z)
-        w, top = self._top_eigen(thetas)
-        values = np.real(ph * fixed) + w.sum(axis=1)
-        points = fixed + np.sum(top.conj() * (self.compression @ top),
-                                axis=(1, 2))
-        return values, points
-
-    def _top_eigen(self, thetas: np.ndarray) -> tuple:
-        """Top-m eigenvalues and eigenvectors of H(theta) = (e^{-i theta} C
-        + e^{i theta} C*) / 2 at each angle."""
-        ph = np.exp(-1j * thetas)
-        c = self.compression
-        hs = 0.5 * (ph[:, None, None] * c
-                    + np.conj(ph)[:, None, None] * c.conj().T)
-        w, v = np.linalg.eigh(hs)
-        return w[:, -self.m:], v[:, :, -self.m:]
-
-    def _rounding_slack(self) -> float:
-        # eigenvalue sums and the traces tr(W* C W) carry rounding of order
-        # d * eps * ||C||; the certified bounds give that much away
-        return (16.0 * self.width * np.finfo(float).eps
-                * (float(np.linalg.norm(self.compression))
-                   + abs(complex(self.fixed_part))))
-
-    def _closed_extreme(self, sign: float) -> SweepOutcome:
-        # a point, or a disk of radius _tail_const about fixed_part when
-        # degenerate: the extreme support value and its angle are explicit
-        if self.degenerate:
-            z, radius = complex(self.fixed_part), self._tail_const
-        else:
-            z, radius = self._singleton_value(), 0.0
-        turn = np.pi if sign < 0 else 0.0
-        theta = 0.0 if z == 0 else (cmath.phase(z) + turn) % _TWO_PI
-        v = radius + sign * abs(z)
-        angles = np.array([theta])
-        return SweepOutcome(theta=theta, value=v, bound=v, evals=0,
-                            angles=angles, points=self._expose(angles)[1])
-
-    def minimum(self, tol_abs: float) -> SweepOutcome:
-        """min over theta of the support function, with closed forms when
-        the set is a point or a disk-invariant offset."""
-        if self.degenerate or self._is_singleton():
-            return self._closed_extreme(-1.0)
-        return swept_minimum(self._expose, tol_abs,
-                             slack=self._rounding_slack())
-
-    def maximum(self, tol_abs: float) -> SweepOutcome:
-        """max over theta of the support function = max |z| over the set."""
-        if self.degenerate or self._is_singleton():
-            return self._closed_extreme(1.0)
-        return swept_maximum(self._expose, tol_abs,
-                             slack=self._rounding_slack())
-
-
-def _range_model(frame: SubdifferentialFrame, b: np.ndarray) -> RangeSetModel:
-    q = frame.part.q
-    if frame.u1.shape[1]:
-        fixed = complex(np.trace(frame.u1.conj().T @ b @ frame.v1))
-    else:
-        fixed = 0.0 + 0.0j
-    comp = frame.u2.conj().T @ b @ frame.v2
-    if frame.degenerate_zero:
-        wide = frame.u2_wide.conj().T @ b @ frame.v2
-        return RangeSetModel(fixed_part=fixed, compression=comp, m=q,
-                             degenerate=True, wide_compression=wide)
-    return RangeSetModel(fixed_part=fixed, compression=comp, m=q)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +99,7 @@ def _pair_setup(a, b, k: int, tol: Tolerances | None = None,
     norm_b = ky_fan_norm(b, k)
     return _PairSetup(a=a, b=b, k=k, tol=tol, frame=frame, norm_b=norm_b,
                       scale=tol.margin_scale(frame.norm_value, norm_b),
-                      model=_range_model(frame, b))
+                      model=frame.range_model(b))
 
 
 def _pair_outcome(setup: _PairSetup, field: str) -> SweepOutcome:
@@ -689,10 +426,9 @@ def _hull_coefficient(setup: _PairSetup, outcome: SweepOutcome,
 
 def _checked_miss(setup: _PairSetup, coeff: np.ndarray, field: str,
                   what: str) -> float:
-    """|fixed part + tr(T C)| (its real part in the real field), checked
+    """|fixed part + tr(T* C)| (its real part in the real field), checked
     against the construction bar 10 cert_tol."""
-    miss = complex(setup.model.fixed_part) + complex(
-        np.sum(coeff * setup.model.compression.T))
+    miss = setup.model.pairing(coeff)
     resid = abs(miss.real) if field == REAL_FIELD else abs(miss)
     if resid > 10.0 * setup.tol.cert * setup.scale:
         raise WitnessSearchFailed(f"{what} misses 0 by {resid:.3e}",
@@ -760,7 +496,7 @@ def _witness_system(setup: _PairSetup, outcome: SweepOutcome,
     cols, steps = _purify(coeff, setup.model.compression, frame.part.q)
     resid = _checked_miss(setup, cols @ cols.conj().T, field,
                           "purified projector")
-    vectors = np.hstack([frame.v1, frame.v2 @ cols])
+    vectors = frame.witness_vectors(cols)
     pairing = _witness_pairing(setup.b, vectors, frame)
     return Certificate(
         kind=CertKind.WITNESS_SYSTEM,
@@ -800,32 +536,26 @@ def find_witness_block(a, b, k: int,
 
 
 def _witness_block(setup: _PairSetup, outcome: SweepOutcome) -> Certificate:
-    frame, model, tol = setup.frame, setup.model, setup.tol
-    q = frame.part.q
-    lead = complex(model.fixed_part)
-    g = frame.u1 @ frame.v1.conj().T
-    if frame.degenerate_zero:
-        wide = model.wide_compression
+    model = setup.model
+    if model.degenerate:
         # the overflow is the block_equation residual: share its bound
-        coeff = _waterfill_contraction(wide, q, -lead,
-                                       0.1 * tol.strict * setup.scale)
-        g = g + frame.u2_wide @ coeff @ frame.v2.conj().T
-        resid = abs(lead + complex(np.trace(coeff.conj().T @ wide)))
-        kind_details = {"set": "general", "rows": wide.shape[0],
-                        "cols": wide.shape[1]}
+        coeff = _waterfill_contraction(model.block, model.m,
+                                       -complex(model.fixed_part),
+                                       0.1 * setup.tol.strict * setup.scale)
+        resid, hull = abs(model.pairing(coeff)), {}
     else:
         coeff, resid, hull = _hull_coefficient(setup, outcome, COMPLEX_FIELD)
-        g = g + frame.u2 @ coeff @ frame.v2.conj().T
-        kind_details = {"set": "psd", "rows": coeff.shape[0],
-                        "cols": coeff.shape[1], **hull}
     return Certificate(
         kind=CertKind.BLOCK_COEFFICIENT,
         block_matrix=coeff,
-        subgradient=g,
+        subgradient=setup.frame.subgradient(coeff),
         details={
             "block_residual": resid,
-            "trace_budget": q,
-            **kind_details,
+            "trace_budget": model.m,
+            "set": "general" if model.degenerate else "psd",
+            "rows": coeff.shape[0],
+            "cols": coeff.shape[1],
+            **hull,
         },
     )
 
@@ -1002,7 +732,7 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     scale = tol.margin_scale(norm_a, max(ky_fan_norm(w, k) for w in ortho))
     feas_tol = 0.125 * tol.decide * scale
     coeff, zeta, lower, atoms, capped = _nearest_point(
-        [_range_model(frame, w) for w in ortho], feas_tol,
+        [frame.range_model(w) for w in ortho], feas_tol,
         4.0 * tol.strict * scale)
     resid = float(np.linalg.norm(zeta))
     details = {
@@ -1072,7 +802,7 @@ def _cluster_factors(frame: SubdifferentialFrame, blocks: list,
     sqrt(L / m_c) for B_c = Y L Y* on its positive eigenvalues. A block
     more than tol off Hermitian or below -tol in an eigenvalue is rejected."""
     factors, mults = [], []
-    for (_, (start, stop)), block in zip(frame.part.clusters, blocks):
+    for (start, stop), block in zip(frame.part.clusters, blocks):
         lam, vec = np.linalg.eigh(herm(block))
         if lam[0] < -tol or np.abs(block - block.conj().T).max() > tol:
             raise BadBlockStructure(
@@ -1102,7 +832,7 @@ def _density_certificate(frame: SubdifferentialFrame, ortho: list,
     i1 = frame.part.boundary[0]
     factors, mults = _cluster_factors(frame, [
         coefficient if start == i1 else np.eye(stop - start)
-        for _, (start, stop) in frame.part.clusters if start < frame.part.k],
+        for start, stop in frame.part.clusters if start < frame.part.k],
         tol.cert)
     combined, pairings = _density_sums(frame, factors, mults, ortho)
     return Certificate(
@@ -1129,8 +859,7 @@ def extract_density(q_matrix, frame: SubdifferentialFrame,
     """
     q_full = as_matrix(q_matrix)
     k = frame.part.k
-    spans = [(start, stop) for _, (start, stop) in frame.part.clusters
-             if start < k]
+    spans = [span for span in frame.part.clusters if span[0] < k]
     cols = [frame.svd.v[:, start:stop] for start, stop in spans]
     blocks = [c.conj().T @ q_full @ c for c in cols]
     leak = float(np.abs(q_full - sum(c @ b @ c.conj().T
@@ -1165,7 +894,9 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
 
     Equality at some phase is equivalent to the pairing set reaching modulus
     ||B||_(k); the peak modulus is read from the support-function sweep and
-    the maximizing phase supplies the equality scalar.
+    the maximizing phase supplies the equality scalar. The norm at that
+    scalar is not evaluated: it lies between ||A||_(k) + peak_modulus and
+    triangle_bound.
     """
     setup = _pair_setup(a, b, k, tol)
     frame, norm_b, scale = setup.frame, setup.norm_b, setup.scale
@@ -1179,7 +910,6 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
                              Verdict.NOT_PARALLEL,
                              bound=outcome.bound - norm_b)
     lam = cmath.exp(-1j * outcome.theta)
-    achieved = ky_fan_norm(setup.a + lam * setup.b, k)
     details = {
         "peak_modulus": outcome.value,
         "peak_upper_bound": outcome.bound,
@@ -1189,7 +919,6 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
         "norm_b": norm_b,
         "lambda_re": lam.real,
         "lambda_im": lam.imag,
-        "achieved_norm": achieved,
         "triangle_bound": norm_a + norm_b,
     }
     decision = Decision(verdict=verdict, margin=margin, scale=scale,
@@ -1198,7 +927,7 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
     if verdict is Verdict.PARALLEL and want_certificate:
         # the top-q eigenvectors at the peak expose its point of the set
         _, top = setup.model._top_eigen(np.array([outcome.theta]))
-        vectors = np.hstack([frame.v1, frame.v2 @ top[0]])
+        vectors = frame.witness_vectors(top[0])
         pairing = _witness_pairing(setup.b, vectors, frame)
         decision.certificate = Certificate(
             kind=CertKind.WITNESS_SYSTEM,
@@ -1300,17 +1029,13 @@ def _verify_block(cert, a, b, k, tol, add):
     norm_a = frame.norm_value
     scale = tol.margin_scale(norm_a, ky_fan_norm(b, k))
     coeff = as_matrix(cert.block_matrix)
-    desc = frame.descriptor()
-    if coeff.shape != tuple(desc.dims):
+    model = frame.range_model(b)
+    if coeff.shape != model.block.shape:
         add("coefficient_shape", 1.0, 0.0)
         return
-    add("coefficient_feasible", 0.0 if desc.contains(coeff, tol=10 * tol.cert)
+    add("coefficient_feasible", 0.0 if frame.contains(coeff, tol=10 * tol.cert)
         else 1.0, 0.5)
-    model = _range_model(frame, b)
-    block = model.wide_compression if frame.degenerate_zero else model.compression
-    z = complex(model.fixed_part) + complex(
-        np.trace(coeff.conj().T @ block))
-    add("block_equation", abs(z), 0.1 * tol.strict * scale)
+    add("block_equation", abs(model.pairing(coeff)), 0.1 * tol.strict * scale)
     if cert.subgradient is not None:
         _verify_subgradient(cert.subgradient, a, b, k, tol, add, norm_a,
                             scale)

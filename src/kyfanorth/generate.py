@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decide import check_pair, check_parallel
-from .linalg import as_matrix, haar_unitary
+from .linalg import haar_unitary
 from .model import COMPLEX_FIELD, REAL_FIELD, Tolerances, Verdict
 from .norms import ky_fan_norm
 from .subdiff import build_frame
@@ -76,27 +76,26 @@ def _compose(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _shift_to_contain_zero(b: np.ndarray, frame, interior: bool,
                            field: str) -> np.ndarray:
-    """Subtract a frame-aligned rank-one term so the pairing set of the
-    result contains zero, at an interior point when ``interior``."""
-    q = frame.part.q
-    d = frame.u2.shape[1]
-    lead_cols = frame.u1.shape[1]
-    fixed = complex(np.trace(frame.u1.conj().T @ b @ frame.v1)) if lead_cols else 0.0
-    comp = frame.u2.conj().T @ b @ frame.v2
+    """Subtract a multiple of the first singular pair's rank-one term so the
+    pairing set of the result contains zero, at an interior point when
+    ``interior``."""
+    model = frame.range_model(b)
+    q, d = model.m, model.width
+    fixed = model.fixed_part
     if frame.degenerate_zero:
         # pairing set is fixed + a disk; zeroing fixed centers it on zero
         target = fixed
     elif interior and d > q:
-        target = fixed + (q / d) * complex(np.trace(comp))
+        target = fixed + (q / d) * complex(np.trace(model.compression))
     else:
-        target = fixed + complex(np.trace(comp))
+        target = fixed + complex(np.trace(model.compression))
     if field == REAL_FIELD:
         target = complex(target.real, 0.0)
-    if lead_cols:
-        return b - target * np.outer(frame.u1[:, 0], frame.v1[:, 0].conj())
-    # no leading block: absorb the shift into the boundary compression
-    scaled = target * (d / q) if (interior and d > q) else target
-    return b - scaled * np.outer(frame.u2[:, 0], frame.v2[:, 0].conj())
+    # with no leading block the term lands in the boundary compression,
+    # whose pairing takes q/d of it when interior
+    if frame.part.boundary[0] == 0 and interior and d > q:
+        target = target * (d / q)
+    return b - target * np.outer(frame.svd.u[:, 0], frame.svd.v[:, 0].conj())
 
 
 def make_orthogonal_pair(n: int, k: int, rng=None, q: int = 1, r: int = 0,
@@ -236,9 +235,8 @@ def make_subspace_instance(n: int, k: int, m: int, rng=None,
     s = tied_spectrum(n, k, rng, q=q, r=r)
     a = _compose(haar_unitary(n, rng), s, haar_unitary(n, rng))
     frame = build_frame(a, k)
-    d = frame.u2.shape[1]
-    coeff = np.eye(d, dtype=complex) * (frame.part.q / d)
-    g = frame.u1 @ frame.v1.conj().T + frame.u2 @ coeff @ frame.v2.conj().T
+    d = frame.part.q + frame.part.r
+    g = frame.subgradient(np.eye(d, dtype=complex) * (frame.part.q / d))
     g_norm2 = float(np.real(np.trace(g.conj().T @ g)))
     basis = []
     for _ in range(m):

@@ -186,10 +186,10 @@ def singular_values(m) -> np.ndarray:
 class SpectralPartition:
     """Single-linkage clustering of a descending spectrum around index k.
 
-    ``clusters`` lists (mean value, (start, stop)) with half-open 0-based
-    index ranges. ``q`` counts boundary-cluster members with index <= k and
-    ``r`` those with index > k, so the cluster containing position k has
-    exactly q + r members.
+    ``clusters`` lists the (start, stop) spans of the clusters, half-open
+    0-based index ranges, largest values first. ``q`` counts
+    boundary-cluster members with index <= k and ``r`` those with index
+    > k, so the cluster containing position k has exactly q + r members.
     """
 
     k: int
@@ -225,7 +225,7 @@ def cluster_spectrum(values, k: int, cluster_tol: float) -> SpectralPartition:
     cut = np.flatnonzero(gaps > cluster_tol) + 1
     starts = np.concatenate([[0], cut])
     stops = np.concatenate([cut, [n]])
-    clusters = [(float(v[s:t].mean()), (int(s), int(t))) for s, t in zip(starts, stops)]
+    clusters = [(int(s), int(t)) for s, t in zip(starts, stops)]
     # the cluster holding index k - 1 is the first one stopping beyond it
     c = int(np.searchsorted(stops, k - 1, side="right"))
     return SpectralPartition(k=k, clusters=clusters, q=k - int(starts[c]),

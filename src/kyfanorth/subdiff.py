@@ -10,18 +10,25 @@ clustering of the spectrum around position k. With boundary cluster split
 where columns are grouped (1..k-q | boundary cluster | rest) and T ranges
 over the PSD contractions with trace q when s_k > 0, or over general
 contractions with singular value sum at most q (and the U2 block widened to
-the whole tail) when s_k = 0. The one-sided directional derivative is the
-support function of that set and has the closed form implemented in
-``directional_derivative``.
+the whole tail) when s_k = 0.
+
+``SubdifferentialFrame`` is the one place that knows this shape: it builds
+the range model {tr(G* B)} of a direction B (a fixed complex offset plus
+the pairings tr(T* C) of the coefficient with a compression C of B), the
+subgradient and the witness vectors of a coefficient, and tests whether a
+coefficient is feasible. The one-sided directional derivative along X is
+the range model's support function at angle 0; the certified sweeps of
+that support function over all angles close the module.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KOutOfRange, QOutOfRange, ShapeMismatch
+from .errors import ShapeMismatch
 from .linalg import (
     SpectralPartition,
     SvdFrame,
@@ -33,24 +40,23 @@ from .linalg import (
     herm,
     singular_values,
     svd,
-    top_q_eigsum,
     top_q_singsum,
 )
 from .norms import ky_fan_norm, require_k, require_operands
 
 __all__ = [
     "SubdifferentialFrame",
-    "SpectralSetDescriptor",
-    "PSD_CASE",
-    "GENERAL_CASE",
+    "RangeSetModel",
+    "SweepOutcome",
     "build_frame",
     "directional_derivative",
     "subgradient_membership",
     "sample_subgradient",
+    "swept_minimum",
+    "swept_maximum",
 ]
 
-PSD_CASE = "psd"
-GENERAL_CASE = "general"
+_TWO_PI = 2.0 * np.pi
 
 
 @dataclass
@@ -58,42 +64,71 @@ class SubdifferentialFrame:
     """SVD of A split around the cluster of s_k.
 
     u1/v1 carry the k-q leading singular pairs, u2/v2 the boundary cluster
-    (q + r columns), u3/v3 the remainder. When ``degenerate_zero`` (s_k at or
-    below ``rank_tol``) the role of u2 widens to ``u2_wide`` = [u2 u3].
+    (q + r columns). When ``degenerate_zero`` (s_k at or below the rank
+    tolerance) the role of u2 widens to ``u2_wide``, the whole tail of U.
     """
 
     svd: SvdFrame
     part: SpectralPartition
-    rank_tol: float
     degenerate_zero: bool
     u1: np.ndarray
     v1: np.ndarray
     u2: np.ndarray
     v2: np.ndarray
-    u3: np.ndarray
-    v3: np.ndarray
 
     @property
     def u2_wide(self) -> np.ndarray:
         if self.degenerate_zero:
-            return np.hstack([self.u2, self.u3])
+            return self.svd.u[:, self.part.boundary[0]:]
         return self.u2
-
-    @property
-    def k(self) -> int:
-        return self.part.k
 
     @property
     def norm_value(self) -> float:
         return float(self.svd.s[: self.part.k].sum())
 
-    def descriptor(self) -> "SpectralSetDescriptor":
-        q, r = self.part.q, self.part.r
+    def range_model(self, b: np.ndarray) -> "RangeSetModel":
+        """The pairing set {tr(G* B)} of the direction B over the
+        subgradients G at this frame."""
+        if self.u1.shape[1]:
+            fixed = complex(np.trace(self.u1.conj().T @ b @ self.v1))
+        else:
+            fixed = 0.0 + 0.0j
+        comp = self.u2.conj().T @ b @ self.v2
         if self.degenerate_zero:
-            return SpectralSetDescriptor(
-                kind=GENERAL_CASE, dims=(self.u2_wide.shape[1], q + r), q=q
-            )
-        return SpectralSetDescriptor(kind=PSD_CASE, dims=(q + r, q + r), q=q)
+            wide = self.u2_wide.conj().T @ b @ self.v2
+            return RangeSetModel(fixed_part=fixed, compression=comp,
+                                 m=self.part.q, degenerate=True,
+                                 wide_compression=wide)
+        return RangeSetModel(fixed_part=fixed, compression=comp, m=self.part.q)
+
+    def subgradient(self, coeff: np.ndarray) -> np.ndarray:
+        """G = U1 V1* + U2 T V2* for the boundary coefficient T, with U2
+        widened when s_k = 0."""
+        return (self.u1 @ self.v1.conj().T
+                + self.u2_wide @ coeff @ self.v2.conj().T)
+
+    def witness_vectors(self, cols: np.ndarray) -> np.ndarray:
+        """[V1, V2 X]: the leading right singular vectors and the boundary
+        vectors with coordinates X in the boundary cluster."""
+        return np.hstack([self.v1, self.v2 @ cols])
+
+    def contains(self, coeff, tol: float = 1e-8) -> bool:
+        """Whether T is a boundary coefficient: Hermitian with 0 <= T <= I
+        and tr T = q when s_k > 0, a contraction with singular values
+        summing to at most q when s_k = 0."""
+        t = as_matrix(coeff)
+        shape = (self.u2_wide.shape[1], self.v2.shape[1])
+        if t.shape != shape:
+            raise ShapeMismatch(f"T shape {t.shape} != {shape}")
+        q = self.part.q
+        if self.degenerate_zero:
+            s = singular_values(t)
+            return s[0] <= 1.0 + tol and s.sum() <= q + tol
+        if float(np.abs(t - t.conj().T).max()) > tol:
+            return False
+        w = np.linalg.eigvalsh(herm(t))
+        return (w[0] >= -tol and w[-1] <= 1.0 + tol
+                and abs(float(np.real(np.trace(t))) - q) <= tol * max(1, q))
 
 
 def build_frame(a, k: int, cluster_tol: float | None = None,
@@ -109,40 +144,28 @@ def build_frame(a, k: int, cluster_tol: float | None = None,
     return SubdifferentialFrame(
         svd=fr,
         part=part,
-        rank_tol=rt,
         degenerate_zero=bool(fr.s[k - 1] <= rt),
         u1=fr.u[:, :i1],
         v1=fr.v[:, :i1],
         u2=fr.u[:, i1:i2],
         v2=fr.v[:, i1:i2],
-        u3=fr.u[:, i2:],
-        v3=fr.v[:, i2:],
     )
-
-
-def _dd_from_frame(frame: SubdifferentialFrame, x: np.ndarray) -> float:
-    q = frame.part.q
-    lead = float(np.real(np.trace(frame.u1.conj().T @ x @ frame.v1)))
-    if frame.degenerate_zero:
-        m = frame.u2_wide.conj().T @ x @ frame.v2
-        return lead + top_q_singsum(m, q)
-    m = frame.u2.conj().T @ x @ frame.v2
-    return lead + top_q_eigsum(herm(m), q)[0]
 
 
 def directional_derivative(a, k: int, x, frame: SubdifferentialFrame | None = None) -> float:
     """One-sided derivative of the Ky Fan k-norm at ``a`` along ``x``.
 
-    Computed in closed form from the frame: the leading-block trace plus a
-    top-q eigenvalue sum of the Hermitian boundary compression (top-q
-    singular value sum of the widened compression when s_k = 0).
+    It is the support function at angle 0 of the range model of ``x``: the
+    real leading-block trace plus a top-q eigenvalue sum of the Hermitian
+    boundary compression (top-q singular value sum of the widened
+    compression when s_k = 0).
     """
     if frame is None:
         frame = build_frame(a, k)
     x = as_matrix(x)
     if x.shape != frame.svd.u.shape:
         raise ShapeMismatch(f"direction shape {x.shape} != {frame.svd.u.shape}")
-    return _dd_from_frame(frame, x)
+    return frame.range_model(x).support(0.0)
 
 
 def subgradient_membership(a, k: int, g, tol: float = 1e-8) -> bool:
@@ -178,77 +201,263 @@ def sample_subgradient(a, k: int, rng=None,
     if frame is None:
         frame = build_frame(a, k)
     q = frame.part.q
-    g = frame.u1 @ frame.v1.conj().T
     if frame.degenerate_zero:
-        uw = frame.u2_wide
-        wu = haar_unitary(uw.shape[1], rng)
+        wu = haar_unitary(frame.u2_wide.shape[1], rng)
         wv = haar_unitary(frame.v2.shape[1], rng)
-        ucols = uw @ wu[:, :q]
-        vcols = frame.v2 @ wv[:, :q]
-    else:
-        w = haar_unitary(frame.u2.shape[1], rng)
-        ucols = frame.u2 @ w[:, :q]
-        vcols = frame.v2 @ w[:, :q]
-    return g + ucols @ vcols.conj().T
+        return frame.subgradient(wu[:, :q] @ wv[:, :q].conj().T)
+    w = haar_unitary(frame.v2.shape[1], rng)[:, :q]
+    return frame.subgradient(w @ w.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# certified support-function sweep over exposed points
 
 
 @dataclass(frozen=True)
-class SpectralSetDescriptor:
-    """Feasible set for the boundary coefficient T of a subgradient.
+class SweepOutcome:
+    """Extremum over all angles of the support function of a convex set.
 
-    kind PSD_CASE: Hermitian T with 0 <= T <= I and tr T = q.
-    kind GENERAL_CASE: dims[0] x dims[1] contractions with singular values
-    summing to at most q.
+    ``value`` is the best sampled support value, attained at ``theta``.
+    ``bound`` is the certified other end of the bracket: at or below the
+    true minimum, or at or above the true maximum. ``capped`` records that
+    the sweep stopped before the bracket closed to its tolerance: on the
+    evaluation cap, or on an angle already sampled. ``angles`` holds every
+    angle sampled and ``points`` the exposed point of the set found at each.
     """
 
-    kind: str
-    dims: tuple
-    q: int
-
-    def contains(self, t, tol: float = 1e-8) -> bool:
-        t = as_matrix(t)
-        if t.shape != tuple(self.dims):
-            raise ShapeMismatch(f"T shape {t.shape} != {tuple(self.dims)}")
-        if self.kind == PSD_CASE:
-            if float(np.abs(t - t.conj().T).max()) > tol:
-                return False
-            w = np.linalg.eigvalsh(herm(t))
-            return (
-                w[0] >= -tol
-                and w[-1] <= 1.0 + tol
-                and abs(float(np.real(np.trace(t))) - self.q) <= tol * max(1, self.q)
-            )
-        s = singular_values(t)
-        return s[0] <= 1.0 + tol and s.sum() <= self.q + tol
-
-    def sample(self, rng) -> np.ndarray:
-        """Random feasible point, used by sampling validations in tests."""
-        rows, cols = self.dims
-        if self.kind == PSD_CASE:
-            lam = _capped_simplex(rng, cols, self.q)
-            w = haar_unitary(cols, rng)
-            return (w * lam) @ w.conj().T
-        d = min(rows, cols)
-        lam = _capped_simplex(rng, d, min(self.q, d)) * rng.uniform(0.0, 1.0)
-        wu = haar_unitary(rows, rng)[:, :d]
-        wv = haar_unitary(cols, rng)[:, :d]
-        return (wu * lam) @ wv.conj().T
+    theta: float
+    value: float
+    bound: float
+    evals: int
+    angles: np.ndarray
+    points: np.ndarray
+    capped: bool = False
 
 
-def _capped_simplex(rng, d: int, total) -> np.ndarray:
-    """Random point with entries in [0, 1] summing to ``total`` (total <= d)."""
-    if total > d:
-        raise QOutOfRange(f"total {total} exceeds dimension {d}")
-    x = rng.dirichlet(np.ones(d)) * total
-    for _ in range(d):
-        over = x > 1.0
-        if not over.any():
+_START_ANGLES = 8
+
+
+def swept_minimum(expose, tol_abs: float, slack: float = 0.0,
+                  max_evals: int = 256) -> SweepOutcome:
+    """Minimum over theta of the support function h of a compact convex
+    set K in the plane, h(theta) = max Re(e^{-i theta} z) over z in K.
+
+    ``expose(thetas)`` returns h at each angle and a point of K attaining
+    it, each to within ``slack``. The convex hull of the exposed points lies
+    in K, so the minimum of its support function (the signed distance of 0
+    to the hull: negative outside, the nearest edge line inside) bounds
+    min h from below. The next angle is the one attaining that bound, and
+    the sweep stops once the smallest sample is within ``tol_abs`` of it.
+    """
+    return _sweep(expose, tol_abs, max_evals, -1.0,
+                  lambda th, h, z: _inner_bound(th, z, slack))
+
+
+def swept_maximum(expose, tol_abs: float, slack: float = 0.0,
+                  max_evals: int = 256) -> SweepOutcome:
+    """Maximum over theta of the support function h of a compact convex
+    set K, that is max |z| over K; ``expose`` as for ``swept_minimum``.
+
+    The supporting lines at the sampled angles cut out a polygon holding
+    K, so the largest modulus among its vertices bounds max h from above.
+    The next angle is that vertex's angle.
+    """
+    return _sweep(expose, tol_abs, max_evals, 1.0,
+                  lambda th, h, z: _outer_bound(th, h, slack))
+
+
+def _sweep(expose, tol_abs, max_evals, sign, certify) -> SweepOutcome:
+    """Sample the angle ``certify`` names until its bound is within
+    ``tol_abs`` of the best sample; sign -1 minimizes, +1 maximizes."""
+    theta = np.linspace(0.0, _TWO_PI, _START_ANGLES, endpoint=False)
+    h, z = expose(theta)
+    while True:
+        i = int(np.argmax(sign * h))
+        bound, nxt = certify(theta, h, z)
+        gap = sign * (bound - h[i])
+        if gap <= tol_abs or theta.size >= max_evals:
             break
-        excess = (x[over] - 1.0).sum()
-        x[over] = 1.0
-        free = ~over
-        room = 1.0 - x[free]
-        if room.sum() <= 0:
+        nxt %= _TWO_PI
+        if np.any(theta == nxt):  # a repeated sample cannot move the bracket
             break
-        x[free] += excess * room / room.sum()
-    return np.clip(x, 0.0, 1.0)
+        hn, zn = expose(np.array([nxt]))
+        theta = np.append(theta, nxt)
+        h = np.append(h, hn)
+        z = np.append(z, zn)
+    bound = max(bound, h[i]) if sign > 0 else min(bound, h[i])
+    return SweepOutcome(theta=float(theta[i]), value=float(h[i]),
+                        bound=float(bound), evals=int(theta.size),
+                        capped=bool(gap > tol_abs), angles=theta, points=z)
+
+
+def _inner_bound(theta, z, slack: float) -> tuple:
+    """Smallest support value of the hull of the exposed points, less
+    rounding slack, and the angle attaining it.
+
+    Exposed points follow the boundary in the order of their angles, so
+    on the arc from theta_j to theta_{j+1} the hull's support value is
+    max(Re(e^{-i phi} z_j), Re(e^{-i phi} z_{j+1})). That maximum of two
+    sinusoids is smallest at an end of the arc, where the two cross (a
+    normal of the edge from z_j to z_{j+1}), or at the trough of one of
+    them. Reading each arc off its two points alone keeps the bound below
+    the support function of the set even where rounding bends the polygon.
+    """
+    order = np.argsort(theta)
+    th, near = theta[order], z[order]
+    far = np.roll(near, -1)
+    delta = np.diff(th, append=th[0] + _TWO_PI)
+    normal = np.angle(far - near) - 0.5 * np.pi
+    spots = np.stack([normal, normal + np.pi, np.angle(-near),
+                      np.angle(-far)], axis=1)
+    offset = np.column_stack([np.zeros_like(delta), delta,
+                              (spots - th[:, None]) % _TWO_PI])
+    phase = np.exp(-1j * (th[:, None] + offset))
+    value = np.maximum(np.real(phase * near[:, None]),
+                       np.real(phase * far[:, None]))
+    value[offset > delta[:, None]] = np.inf
+    j, s = np.unravel_index(np.argmin(value), value.shape)
+    return float(value[j, s]) - slack, float(th[j] + offset[j, s])
+
+
+def _outer_bound(theta, h, slack: float) -> tuple:
+    """Largest support value of the polygon cut out by the supporting lines
+    at the sampled angles, plus rounding slack, and the angle attaining it.
+
+    Over the arc from theta_j to theta_j + delta the two half-planes of its
+    ends have support value a h_j + b h_{j+1}, with e^{i phi} =
+    a e^{i theta_j} + b e^{i theta_{j+1}}. That peaks at the modulus of the
+    vertex where their lines meet when the vertex points into the arc, and
+    at an end otherwise. An error of at most ``slack`` in each h moves the
+    peak by at most (a + b) slack <= slack / cos(delta / 2).
+    """
+    order = np.argsort(theta)
+    th, ends = theta[order], h[order]
+    far = np.roll(ends, -1)
+    delta = np.diff(th, append=th[0] + _TWO_PI)
+    vertex = np.exp(1j * th) * (
+        ends + 1j * (far - ends * np.cos(delta)) / np.sin(delta))
+    turn = np.angle(vertex * np.exp(-1j * th))
+    inside = (turn >= 0.0) & (turn <= delta)
+    peak = np.where(inside, np.abs(vertex), np.maximum(ends, far))
+    j = int(np.argmax(peak))
+    bound = float(peak[j]) + slack / np.cos(0.5 * delta[j])
+    return bound, float(th[j] + (turn[j] if inside[j] else 0.0))
+
+
+@dataclass
+class RangeSetModel:
+    """The attainable pairing set {tr(G* B)} of a direction B at a frame of A.
+
+    The set equals fixed_part + {tr(T* C) : T in the boundary coefficient
+    set}, where fixed_part collects the forced traces over singular clusters
+    fully inside the top k and C = ``block`` is the boundary compression of
+    the direction. m is the trace budget of the boundary coefficient. When
+    the frame is degenerate (s_k = 0) the coefficient ranges over
+    contractions on the widened tail, C is ``wide_compression``, and the
+    support function loses its angular part except through fixed_part.
+    """
+
+    fixed_part: complex
+    compression: np.ndarray
+    m: int
+    degenerate: bool = False
+    wide_compression: np.ndarray | None = None
+
+    def __post_init__(self):
+        self._tail_const = (
+            top_q_singsum(self.wide_compression, self.m)
+            if self.degenerate else 0.0
+        )
+
+    @property
+    def width(self) -> int:
+        return int(self.compression.shape[1]) if self.compression.size else 0
+
+    @property
+    def block(self) -> np.ndarray:
+        """The compression a boundary coefficient pairs with."""
+        return self.wide_compression if self.degenerate else self.compression
+
+    def pairing(self, coeff: np.ndarray) -> complex:
+        """fixed_part + tr(T* C): the pairing tr(G* B) of the subgradient G
+        with coefficient T."""
+        return complex(self.fixed_part) + complex(np.vdot(coeff, self.block))
+
+    def _is_singleton(self) -> bool:
+        # trace budget equal to the block width pins the coefficient to I
+        return (not self.degenerate) and self.m == self.width
+
+    def _singleton_value(self) -> complex:
+        return complex(self.fixed_part + np.trace(self.compression))
+
+    def support(self, thetas):
+        """max over the set of Re(e^{-i theta} z), vectorized over thetas."""
+        th = np.atleast_1d(np.asarray(thetas, dtype=float))
+        out = self._expose(th)[0]
+        if np.ndim(thetas) == 0:
+            return float(out[0])
+        return out
+
+    def _expose(self, thetas: np.ndarray) -> tuple:
+        """Support values at the angles and a point of the set attaining
+        each: fixed_part + tr(W* C W) for the top-m eigenvectors W of
+        H(theta), in closed form for a point or a disk."""
+        ph = np.exp(-1j * thetas)
+        fixed = complex(self.fixed_part)
+        if self.degenerate:
+            return (np.real(ph * fixed) + self._tail_const,
+                    fixed + self._tail_const * np.conj(ph))
+        if self._is_singleton():
+            z = self._singleton_value()
+            return np.real(ph * z), np.full(thetas.shape, z)
+        w, top = self._top_eigen(thetas)
+        values = np.real(ph * fixed) + w.sum(axis=1)
+        points = fixed + np.sum(top.conj() * (self.compression @ top),
+                                axis=(1, 2))
+        return values, points
+
+    def _top_eigen(self, thetas: np.ndarray) -> tuple:
+        """Top-m eigenvalues and eigenvectors of H(theta) = (e^{-i theta} C
+        + e^{i theta} C*) / 2 at each angle."""
+        ph = np.exp(-1j * thetas)
+        c = self.compression
+        hs = 0.5 * (ph[:, None, None] * c
+                    + np.conj(ph)[:, None, None] * c.conj().T)
+        w, v = np.linalg.eigh(hs)
+        return w[:, -self.m:], v[:, :, -self.m:]
+
+    def _rounding_slack(self) -> float:
+        # eigenvalue sums and the traces tr(W* C W) carry rounding of order
+        # d * eps * ||C||; the certified bounds give that much away
+        return (16.0 * self.width * np.finfo(float).eps
+                * (float(np.linalg.norm(self.compression))
+                   + abs(complex(self.fixed_part))))
+
+    def _closed_extreme(self, sign: float) -> SweepOutcome:
+        # a point, or a disk of radius _tail_const about fixed_part when
+        # degenerate: the extreme support value and its angle are explicit
+        if self.degenerate:
+            z, radius = complex(self.fixed_part), self._tail_const
+        else:
+            z, radius = self._singleton_value(), 0.0
+        turn = np.pi if sign < 0 else 0.0
+        theta = 0.0 if z == 0 else (cmath.phase(z) + turn) % _TWO_PI
+        v = radius + sign * abs(z)
+        angles = np.array([theta])
+        return SweepOutcome(theta=theta, value=v, bound=v, evals=0,
+                            angles=angles, points=self._expose(angles)[1])
+
+    def minimum(self, tol_abs: float) -> SweepOutcome:
+        """min over theta of the support function, with closed forms when
+        the set is a point or a disk-invariant offset."""
+        if self.degenerate or self._is_singleton():
+            return self._closed_extreme(-1.0)
+        return swept_minimum(self._expose, tol_abs,
+                             slack=self._rounding_slack())
+
+    def maximum(self, tol_abs: float) -> SweepOutcome:
+        """max over theta of the support function = max |z| over the set."""
+        if self.degenerate or self._is_singleton():
+            return self._closed_extreme(1.0)
+        return swept_maximum(self._expose, tol_abs,
+                             slack=self._rounding_slack())

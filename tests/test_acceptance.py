@@ -12,7 +12,6 @@ import pytest
 
 from kyfanorth.cli import main as cli_main
 from kyfanorth.decide import (
-    _range_model,
     check_pair,
     check_pair_blocks,
     check_parallel,
@@ -233,7 +232,7 @@ def test_c07_pairing_set_midpoints_stay_inside_support():
         else:
             a = complex_gauss(rng, n, n)
             b = complex_gauss(rng, n, n)
-        model = _range_model(build_frame(a, k), b)
+        model = build_frame(a, k).range_model(b)
         h = model.support(thetas)
         pts = np.asarray(sample_range_points(a, b, k, count=200, rng=rng))
         first = pts[rng.integers(0, len(pts), size=100)]

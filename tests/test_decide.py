@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import kyfanorth.decide
 from kyfanorth.decide import (
+    _checked_miss,
     _hull_weights,
-    _range_model,
+    _pair_setup,
     check_pair,
     check_pair_blocks,
     check_parallel,
@@ -14,10 +15,14 @@ from kyfanorth.decide import (
     extract_density,
     find_witness_block,
     find_witness_system,
-    swept_minimum,
     verify_certificate,
 )
-from kyfanorth.errors import BadBlockStructure, DegenerateRank, NotOrthogonal
+from kyfanorth.errors import (
+    BadBlockStructure,
+    DegenerateRank,
+    NotOrthogonal,
+    WitnessSearchFailed,
+)
 from kyfanorth.generate import (
     make_nonorthogonal_pair,
     make_nonparallel_pair,
@@ -31,12 +36,17 @@ from kyfanorth.linalg import haar_unitary
 from kyfanorth.model import (
     COMPLEX_FIELD,
     REAL_FIELD,
+    Certificate,
     CertKind,
     Tolerances,
     Verdict,
 )
 from kyfanorth.norms import ky_fan_norm, ky_fan_norm_batch
-from kyfanorth.subdiff import build_frame, subgradient_membership
+from kyfanorth.subdiff import (
+    build_frame,
+    subgradient_membership,
+    swept_minimum,
+)
 
 
 def _densities(cert):
@@ -89,7 +99,7 @@ def test_range_model_support_dominates_samples(rng):
     b = complex_gauss(rng, 5, 5)
     k = 2
     frame = build_frame(a, k)
-    model = _range_model(frame, b)
+    model = frame.range_model(b)
     pts = np.asarray(sample_range_points(a, b, k, count=200, rng=rng))
     thetas = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     h = model.support(thetas)
@@ -148,7 +158,7 @@ def test_real_field_margin_is_two_point(rng):
     a, b, _ = make_orthogonal_pair(4, 2, rng, field=REAL_FIELD)
     d = check_pair(a, b, 2, field=REAL_FIELD)
     frame = build_frame(a, 2)
-    model = _range_model(frame, b)
+    model = frame.range_model(b)
     two_point = float(model.support(np.array([0.0, np.pi])).min())
     assert d.margin == pytest.approx(two_point, abs=1e-12)
 
@@ -370,6 +380,79 @@ def test_witness_block_degenerate_across_orthogonal_band(eps):
     assert d.certificate.kind is CertKind.BLOCK_COEFFICIENT
     report = verify_certificate(d.certificate, a, b, 3)
     assert report["ok"], report
+
+
+def _coefficient_feasible(coeff, a, b, k):
+    cert = Certificate(kind=CertKind.BLOCK_COEFFICIENT, block_matrix=coeff)
+    report = verify_certificate(cert, a, b, k)
+    return next(c["pass"] for c in report["checks"]
+                if c["name"] == "coefficient_feasible")
+
+
+def test_block_verifier_rejects_infeasible_coefficients(rng):
+    # s_k > 0: a boundary cluster of width 4 with q = 2, where T must be
+    # Hermitian with 0 <= T <= I and trace 2
+    a, b, _ = make_orthogonal_pair(6, 3, rng, q=2, r=2)
+    coeff = check_pair_blocks(a, b, 3).certificate.block_matrix
+    assert _coefficient_feasible(coeff, a, b, 3)
+    w = haar_unitary(4, rng)
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = 1e-3, -1e-3
+    for bad in (coeff + skew,
+                (w * [1.2, 0.8, 0.0, 0.0]) @ w.conj().T,
+                (w * [1.0, 0.8, 0.4, -0.2]) @ w.conj().T,
+                (w * [0.5, 0.5, 0.5, 0.4]) @ w.conj().T):
+        assert not _coefficient_feasible(bad, a, b, 3)
+    # s_k = 0 with q = 2 over a 4-column widened tail: a contraction whose
+    # singular values sum to at most 2
+    a, b, _ = make_singular_pair(5, 3, rng, rank=1)
+    u, v = haar_unitary(4, rng), haar_unitary(4, rng)
+    assert _coefficient_feasible((u * [1.0, 1.0, 0.0, 0.0]) @ v.conj().T,
+                                 a, b, 3)
+    for values in ([1.5, 0.0, 0.0, 0.0], [0.8, 0.8, 0.8, 0.0]):
+        assert not _coefficient_feasible((u * values) @ v.conj().T, a, b, 3)
+
+
+def test_checked_miss_bar_is_relative_at_small_scale(rng):
+    # the construction bar is 10 cert scale with no order-one floor: a
+    # coefficient that misses 0 by 100 cert scale is refused at any scale
+    a, b, _ = make_orthogonal_pair(5, 2, rng, q=1, r=2)
+    for t in (1e-9, 1.0):
+        setup = _pair_setup(t * a, t * b, 2)
+        model, bar = setup.model, setup.tol.cert * setup.scale
+        unit = model.block / np.vdot(model.block, model.block)
+        for miss in (bar, 100.0 * bar):
+            # fixed + tr(T* C) = miss
+            coeff = np.conj(miss - model.fixed_part) * unit
+            assert model.pairing(coeff) == pytest.approx(miss, rel=1e-9)
+            if miss > bar:
+                with pytest.raises(WitnessSearchFailed):
+                    _checked_miss(setup, coeff, COMPLEX_FIELD, "planted")
+            else:
+                _checked_miss(setup, coeff, COMPLEX_FIELD, "planted")
+
+
+def test_parallel_and_tied_pair_take_two_svds(rng, monkeypatch):
+    # one SVD for the frame of A and one for ||B||_(k): the parallel
+    # decision does not evaluate the norm at its equality scalar, and a tied
+    # orthogonal pair certifies from the sweep's own eigenvectors
+    n = 12
+    cases = [(check_parallel, *make_parallel_pair(n, 3, rng)[:2], 3),
+             (check_pair, *make_orthogonal_pair(n, 4, rng, q=2, r=3)[:2], 4)]
+    svd = np.linalg.svd
+    sizes = []
+
+    def counted(m, *args, **kwargs):
+        sizes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for check, a, b, k in cases:
+        sizes.clear()
+        d = check(a, b, k)
+        assert d.verdict in (Verdict.PARALLEL, Verdict.ORTHOGONAL)
+        assert d.certificate.kind is CertKind.WITNESS_SYSTEM
+        assert sizes.count((n, n)) == 2, check.__name__
 
 
 # ---------------------------------------------------------------------------

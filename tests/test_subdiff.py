@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kyfanorth
 from kyfanorth.norms import ky_fan_norm
 from kyfanorth.subdiff import (
     build_frame,
@@ -132,15 +136,6 @@ def test_subgradient_norming_identity(rng):
         assert s.sum() <= k + 1e-8
 
 
-def test_descriptor_contains_its_samples(rng):
-    a = complex_gauss(rng, 5, 5)
-    frame = build_frame(a, 2)
-    desc = frame.descriptor()
-    for _ in range(25):
-        t = desc.sample(rng)
-        assert desc.contains(t, tol=1e-8)
-
-
 def test_dual_pairing_bound_for_members(rng):
     # every subgradient pairs below the norm in every direction
     a = complex_gauss(rng, 4, 4)
@@ -151,3 +146,19 @@ def test_dual_pairing_bound_for_members(rng):
         x = complex_gauss(rng, 4, 4)
         lhs = float(np.real(np.trace(g.conj().T @ x)))
         assert lhs <= directional_derivative(a, k, x, frame=frame) + 1e-8
+
+
+def test_only_subdiff_reads_the_frame_blocks():
+    # the shape of the subdifferential has one owner: every other module
+    # reaches the blocks through range_model, subgradient, witness_vectors
+    # and contains
+    blocks = {"u1", "v1", "u2", "v2", "u2_wide"}
+    readers = []
+    for path in sorted(Path(kyfanorth.__file__).resolve().parent.glob("*.py")):
+        if path.name == "subdiff.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += [f"{path.name}:{node.lineno} .{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in blocks]
+    assert readers == []

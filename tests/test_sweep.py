@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import kyfanorth
-from kyfanorth.decide import RangeSetModel, swept_maximum, swept_minimum
 from kyfanorth.generate import make_orthogonal_pair
 from kyfanorth.linalg import haar_unitary
+from kyfanorth.subdiff import RangeSetModel, swept_maximum, swept_minimum
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
