@@ -11,9 +11,6 @@ from .decide import (
     check_pair_blocks,
     check_parallel,
     check_subspace,
-    extract_density,
-    find_witness_block,
-    find_witness_system,
     verify_certificate,
 )
 from .errors import (
@@ -23,7 +20,6 @@ from .errors import (
     KyFanError,
     NoConvergence,
     NonFinite,
-    NotOrthogonal,
     ParseError,
     QOutOfRange,
     ShapeMismatch,
@@ -54,10 +50,8 @@ from .io import (
 from .linalg import (
     cluster_spectrum,
     haar_unitary,
-    hermitian_eig,
     singular_values,
     svd,
-    top_q_eigsum,
     top_q_singsum,
 )
 from .model import (
@@ -69,7 +63,7 @@ from .model import (
     Tolerances,
     Verdict,
 )
-from .norms import ky_fan_dual_norm, ky_fan_norm, ky_fan_norm_batch, variational_norm
+from .norms import ky_fan_norm, ky_fan_norm_batch
 from .oracle import (
     chord_margin,
     fd_directional,
@@ -101,7 +95,6 @@ __all__ = [
     "KyFanError",
     "NoConvergence",
     "NonFinite",
-    "NotOrthogonal",
     "ParseError",
     "Problem",
     "QOutOfRange",
@@ -123,13 +116,8 @@ __all__ = [
     "directional_derivative",
     "encode_problem",
     "encode_report",
-    "extract_density",
     "fd_directional",
-    "find_witness_block",
-    "find_witness_system",
     "haar_unitary",
-    "hermitian_eig",
-    "ky_fan_dual_norm",
     "ky_fan_norm",
     "ky_fan_norm_batch",
     "load_problem",
@@ -153,9 +141,7 @@ __all__ = [
     "svd",
     "swept_minimum",
     "tied_spectrum",
-    "top_q_eigsum",
     "top_q_singsum",
-    "variational_norm",
     "verify_certificate",
     "__version__",
 ]

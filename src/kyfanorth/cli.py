@@ -2,7 +2,8 @@
 
 Subcommands: norm (print a Ky Fan norm and the singular values), check
 (decide orthogonality or parallelism and optionally write a report), verify
-(re-check a report's certificate against its problem), gen (write labeled
+(re-check a report's certificate against its problem, under the problem's
+tolerances, and that it proves the report's verdict), gen (write labeled
 random instances), and sweep-plot (dump the support-function sweep as CSV).
 
 Exit codes for check: 0 orthogonal/parallel, 1 refuted, 3 boundary,
@@ -37,9 +38,9 @@ from .generate import (
     make_singular_pair,
     make_subspace_instance,
 )
-from .io import encode_report, load_problem, load_report, save_problem, save_report
+from .io import _save_json, encode_report, load_problem, load_report, save_problem
 from .linalg import singular_values
-from .model import COMPLEX_FIELD, REAL_FIELD, Tolerances, Verdict
+from .model import COMPLEX_FIELD, REAL_FIELD, CertKind, Tolerances, Verdict
 from .norms import ky_fan_norm
 from .oracle import (
     oracle_check_pair,
@@ -199,9 +200,10 @@ def cmd_check(args) -> int:
             decision = check_pair(a, b, problem.k, field=field, tol=tol,
                                   want_certificate=not args.no_cert)
     timings = {"total_s": time.perf_counter() - t0}
-    report = encode_report(decision, timings=timings, seed=args.seed)
+    if args.json or args.report:
+        report = encode_report(decision, timings=timings, seed=args.seed)
     if args.report:
-        save_report(args.report, decision, timings=timings, seed=args.seed)
+        _save_json(args.report, report)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -221,7 +223,8 @@ def cmd_verify(args) -> int:
     if report.certificate is None:
         print("FAIL certificate=absent")
         return 1
-    tol = problem.tolerances or report.tolerances or Tolerances()
+    # never the report's tolerances: a report must not set its own bounds
+    tol = problem.tolerances or Tolerances()
     a = problem.matrix("a")
     if problem.subspace is not None:
         second = problem.basis()
@@ -229,6 +232,13 @@ def cmd_verify(args) -> int:
         second = problem.matrix("b")
     outcome = verify_certificate(report.certificate, a, second, problem.k,
                                  tol=tol)
+    proves = _proves_verdict(report.verdict, report.certificate,
+                             problem.subspace is None
+                             and problem.field == REAL_FIELD)
+    outcome["checks"].append({"name": "proves_verdict",
+                              "value": 0.0 if proves else 1.0, "bound": 0.5,
+                              "pass": proves})
+    outcome["ok"] = outcome["ok"] and proves
     if args.json:
         print(json.dumps(outcome, indent=2))
     else:
@@ -239,6 +249,23 @@ def cmd_verify(args) -> int:
             print(f"  [{status}] {check['name']}: value={check['value']:.3e} "
                   f"bound={check['bound']:.3e}")
     return 0 if outcome["ok"] else 1
+
+
+def _proves_verdict(verdict: Verdict, cert, real_pair: bool) -> bool:
+    """Whether a certificate of this kind and purpose, once it verifies,
+    proves ``verdict``; ``real_pair`` marks a pair problem over the reals."""
+    purpose = cert.details.get("purpose", "orthogonal")
+    if verdict is Verdict.ORTHOGONAL:
+        if cert.kind is CertKind.WITNESS_SYSTEM:
+            return purpose == "orthogonal" or (purpose == "real" and real_pair)
+        return cert.kind in (CertKind.BLOCK_COEFFICIENT,
+                             CertKind.DENSITY_SYSTEM)
+    if verdict is Verdict.NOT_ORTHOGONAL:
+        real = cert.coefficient is not None and cert.coefficient.imag == 0.0
+        return cert.kind is CertKind.VIOLATION and (real or not real_pair)
+    if verdict is Verdict.PARALLEL:
+        return cert.kind is CertKind.WITNESS_SYSTEM and purpose == "parallel"
+    return False
 
 
 def cmd_gen(args) -> int:

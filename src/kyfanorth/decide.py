@@ -25,7 +25,6 @@ from .errors import (
     BadBlockStructure,
     DegenerateRank,
     NoConvergence,
-    NotOrthogonal,
     WitnessSearchFailed,
 )
 from .linalg import as_matrix, herm
@@ -51,9 +50,6 @@ __all__ = [
     "check_pair_blocks",
     "check_subspace",
     "check_parallel",
-    "find_witness_system",
-    "find_witness_block",
-    "extract_density",
     "verify_certificate",
 ]
 
@@ -113,14 +109,6 @@ def _pair_outcome(setup: _PairSetup, field: str) -> SweepOutcome:
     return SweepOutcome(theta=float(angles[i]), value=float(values[i]),
                         bound=float(values[i]), evals=2, angles=angles,
                         points=points)
-
-
-def _require_orthogonal(setup: _PairSetup, what: str,
-                        field: str = COMPLEX_FIELD) -> SweepOutcome:
-    outcome = _pair_outcome(setup, field)
-    if setup.tol.band(outcome.value, setup.scale) is not Verdict.ORTHOGONAL:
-        raise NotOrthogonal(f"margin {outcome.value:.3e} rejects {what}")
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +336,6 @@ def _ray_trials(t_min: float, t_hi: float, vals: list):
 # witness construction
 
 
-def find_witness_system(a, b, k: int, tol: Tolerances | None = None,
-                        field: str = COMPLEX_FIELD) -> Certificate:
-    """Construct k orthonormal eigenvectors of |A| whose compression sum of
-    the polar-rotated direction vanishes (its real part, in the real field).
-
-    The leading clusters contribute their forced trace; the boundary cluster
-    must contribute the negated remainder, a point of the q-trace numerical
-    range of the boundary compression. The sweep's exposed points supply it
-    as a mixture of at most three top-q eigenprojectors, which ``_purify``
-    walks to one rank-q projector whose columns are the boundary witness
-    vectors. The pair is first checked to be orthogonal in ``field``.
-    """
-    setup = _pair_setup(a, b, k, tol)
-    if setup.frame.degenerate_zero:
-        raise DegenerateRank(
-            "witness systems are only certified when s_k is positive")
-    outcome = _require_orthogonal(setup, "a zero-sum witness", field)
-    return _witness_system(setup, outcome, field)
-
-
 def _hull_weights(points: np.ndarray) -> tuple:
     """At most three of ``points`` and convex weights on them whose
     combination is the candidate nearest 0, as (indices, weights).
@@ -431,8 +399,7 @@ def _checked_miss(setup: _PairSetup, coeff: np.ndarray, field: str,
     miss = setup.model.pairing(coeff)
     resid = abs(miss.real) if field == REAL_FIELD else abs(miss)
     if resid > 10.0 * setup.tol.cert * setup.scale:
-        raise WitnessSearchFailed(f"{what} misses 0 by {resid:.3e}",
-                                  residual=resid)
+        raise WitnessSearchFailed(f"{what} misses 0 by {resid:.3e}")
     return resid
 
 
@@ -484,13 +451,17 @@ def _purify(coeff: np.ndarray, c: np.ndarray, q: int) -> tuple:
     picked = np.flatnonzero(lam > 0.5)
     if picked.size != q:
         raise WitnessSearchFailed(
-            f"purification left {picked.size} unit eigenvalues, expected {q}",
-            residual=float(np.abs(lam - np.round(lam)).max()))
+            f"purification left {picked.size} unit eigenvalues, expected {q}")
     return vec[:, picked], steps
 
 
 def _witness_system(setup: _PairSetup, outcome: SweepOutcome,
                     field: str) -> Certificate:
+    """k orthonormal eigenvectors of |A| whose compression sum of the
+    polar-rotated direction vanishes (its real part, in the real field): the
+    hull of the sweep's exposed points, a mixture of at most three top-q
+    eigenprojectors, purified to one rank-q projector on the boundary
+    cluster whose columns are the boundary witness vectors."""
     frame = setup.frame
     coeff, _, hull = _hull_coefficient(setup, outcome, field)
     cols, steps = _purify(coeff, setup.model.compression, frame.part.q)
@@ -519,23 +490,11 @@ def _witness_pairing(b, vectors, frame) -> complex:
     return complex(np.einsum("ij,jl,li->", vectors.conj().T, rotated, vectors))
 
 
-def find_witness_block(a, b, k: int,
-                       tol: Tolerances | None = None) -> Certificate:
-    """Solve the boundary-block trace equation and assemble the dual matrix.
-
-    Positive boundary value: Hermitian coefficient in the trace-q polytope
-    with leading trace plus tr(T C) equal to zero. Zero boundary value:
-    rectangular contraction on the widened tail with singular values summing
-    to at most q, built in closed form by phase-aligned waterfilling on the
-    singular values of the widened block. The pair is first checked to be
-    orthogonal.
-    """
-    setup = _pair_setup(a, b, k, tol)
-    return _witness_block(setup, _require_orthogonal(
-        setup, "a feasible coefficient"))
-
-
 def _witness_block(setup: _PairSetup, outcome: SweepOutcome) -> Certificate:
+    """Boundary-block coefficient solving the trace equation, with the dual
+    matrix assembled from it: a trace-q coefficient from the hull of the
+    exposed points when s_k > 0, and at s_k = 0 a contraction on the widened
+    tail, built by phase-aligned waterfilling."""
     model = setup.model
     if model.degenerate:
         # the overflow is the block_equation residual: share its bound
@@ -845,42 +804,6 @@ def _density_certificate(frame: SubdifferentialFrame, ortho: list,
             "singular_values": [float(s) for s in frame.svd.s[:frame.part.k]],
         },
     )
-
-
-def extract_density(q_matrix, frame: SubdifferentialFrame,
-                    tol: float = 1e-8) -> Certificate:
-    """Split a feasible dual source into one density factor per cluster.
-
-    The input must be PSD, block diagonal across the singular clusters of A,
-    with each fully included cluster carrying its full projector and the
-    boundary cluster carrying trace q. Each index then receives its cluster
-    block divided by the cluster's index count among 1..k, stored once per
-    cluster as a factor with that count as its multiplicity.
-    """
-    q_full = as_matrix(q_matrix)
-    k = frame.part.k
-    spans = [span for span in frame.part.clusters if span[0] < k]
-    cols = [frame.svd.v[:, start:stop] for start, stop in spans]
-    blocks = [c.conj().T @ q_full @ c for c in cols]
-    leak = float(np.abs(q_full - sum(c @ b @ c.conj().T
-                                     for c, b in zip(cols, blocks))).max())
-    if leak > tol:
-        raise BadBlockStructure(
-            f"source leaks {leak:.3e} outside the cluster blocks")
-    factors, mults = _cluster_factors(frame, blocks, tol)
-    for (start, stop), block, count in zip(spans, blocks, mults):
-        trace_err = abs(float(np.real(np.trace(block))) - count)
-        if trace_err > tol * count:
-            raise BadBlockStructure(
-                f"cluster at index {start} carries trace off by {trace_err:.3e}")
-        if stop <= frame.part.boundary[0]:
-            dev = float(np.abs(block - np.eye(stop - start)).max())
-            if dev > tol:
-                raise BadBlockStructure(
-                    f"included cluster at index {start} is not a full "
-                    f"projector (deviation {dev:.3e})")
-    return Certificate(kind=CertKind.DENSITY_SYSTEM, factors=factors,
-                       multiplicities=mults, details={"leak": leak})
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,12 @@ class QOutOfRange(KyFanError):
     """A partial-sum count q is outside the admissible range."""
 
 
-class NotOrthogonal(KyFanError):
-    """A witness was requested for a pair that is not orthogonal."""
-
-
 class DegenerateRank(KyFanError):
     """s_k(A) is numerically zero and the requested criterion needs s_k > 0."""
 
 
 class WitnessSearchFailed(KyFanError):
     """The witness search did not reach the requested residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class BadBlockStructure(KyFanError):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .decide import check_pair, check_parallel
 from .linalg import haar_unitary
-from .model import COMPLEX_FIELD, REAL_FIELD, Tolerances, Verdict
+from .model import COMPLEX_FIELD, REAL_FIELD, Verdict
 from .norms import ky_fan_norm
 from .subdiff import build_frame
 
@@ -30,11 +30,11 @@ __all__ = [
 ]
 
 
-def random_matrix(n: int, rng=None, scale: float = 1.0) -> np.ndarray:
-    """Complex Ginibre matrix with entries of standard deviation scale/sqrt(n)."""
+def random_matrix(n: int, rng=None) -> np.ndarray:
+    """Complex Ginibre matrix with entries of standard deviation 1/sqrt(n)."""
     rng = np.random.default_rng(0) if rng is None else rng
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (scale / np.sqrt(2.0 * n)) * z
+    return (1.0 / np.sqrt(2.0 * n)) * z
 
 
 def tied_spectrum(n: int, k: int, rng=None, q: int = 1, r: int = 0,
@@ -128,20 +128,18 @@ def make_orthogonal_pair(n: int, k: int, rng=None, q: int = 1, r: int = 0,
     return a, b, label
 
 
-def make_nonorthogonal_pair(n: int, k: int, rng=None,
-                            tol: Tolerances | None = None):
+def make_nonorthogonal_pair(n: int, k: int, rng=None):
     """Pair (A, B) whose margin is far below the strict band.
 
     Rejection sampling; a random direction almost always qualifies on the
     first draw. Returns (a, b, label) with the observed margin recorded.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    tol = Tolerances() if tol is None else tol
     for _ in range(64):
         a = random_matrix(n, rng)
         b = random_matrix(n, rng)
-        d = check_pair(a, b, k, tol=tol, want_certificate=False)
-        if d.margin < -10.0 * tol.strict * d.scale:
+        d = check_pair(a, b, k, want_certificate=False)
+        if d.margin < -10.0 * d.tolerances.strict * d.scale:
             label = {
                 "kind": "nonorthogonal",
                 "expected": Verdict.NOT_ORTHOGONAL.value,
@@ -180,16 +178,14 @@ def make_parallel_pair(n: int, k: int, rng=None):
     return a, b, label
 
 
-def make_nonparallel_pair(n: int, k: int, rng=None,
-                          tol: Tolerances | None = None):
+def make_nonparallel_pair(n: int, k: int, rng=None):
     """Pair whose peak pairing modulus stays clearly below ||B||_(k)."""
     rng = np.random.default_rng(0) if rng is None else rng
-    tol = Tolerances() if tol is None else tol
     for _ in range(64):
         a = random_matrix(n, rng)
         b = random_matrix(n, rng)
-        d = check_parallel(a, b, k, tol=tol, want_certificate=False)
-        if d.margin < -10.0 * tol.strict * d.scale:
+        d = check_parallel(a, b, k, want_certificate=False)
+        if d.margin < -10.0 * d.tolerances.strict * d.scale:
             label = {
                 "kind": "nonparallel",
                 "expected": Verdict.NOT_PARALLEL.value,

@@ -1,14 +1,14 @@
 """Dense complex linear-algebra primitives.
 
-Everything downstream is built on four ingredients: Hermitian
-eigendecompositions, singular value decompositions with their polar data,
-single-linkage clustering of a descending spectrum, and the two Ky Fan style
-partial sums (largest-eigenvalue total with its maximizing projector, and
-largest-singular-value total).
+Everything downstream is built on three ingredients: singular value
+decompositions with their polar data, single-linkage clustering of a
+descending spectrum, and the Ky Fan style partial sum of the largest singular
+values. The Hermitian eigenproblems of the range model call numpy directly.
 
-Eigen and singular vectors are deterministic for identical input: columns are
-phase-normalized so that the first significant component is real positive,
-and degenerate clusters keep the backend's (deterministic) ordering.
+Singular vectors are deterministic for identical input: columns are
+phase-normalized so that the first significant component of the left vector
+is real positive, and degenerate clusters keep the backend's (deterministic)
+ordering.
 """
 
 from __future__ import annotations
@@ -26,16 +26,13 @@ from .errors import (
 )
 
 __all__ = [
-    "EigenFrame",
     "SvdFrame",
     "SpectralPartition",
     "as_matrix",
     "herm",
-    "hermitian_eig",
     "svd",
     "singular_values",
     "cluster_spectrum",
-    "top_q_eigsum",
     "top_q_singsum",
     "default_cluster_tol",
     "default_rank_tol",
@@ -89,48 +86,6 @@ def _column_phases(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class EigenFrame:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    ``vectors[:, i]`` is the unit eigenvector for ``values[i]``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-    def residual(self, h: np.ndarray) -> float:
-        return float(np.abs(self.reconstruct() - h).max())
-
-    def unitarity_defect(self) -> float:
-        n = self.vectors.shape[0]
-        return float(np.abs(self.vectors.conj().T @ self.vectors - np.eye(n)).max())
-
-
-def hermitian_eig(h, herm_tol: float = 1e-8) -> EigenFrame:
-    """Eigendecomposition of a Hermitian matrix with descending eigenvalues.
-
-    The input is symmetrized as (H + H*)/2 before solving; asymmetry beyond
-    ``herm_tol`` relative to the largest entry is rejected.
-    """
-    h = as_matrix(h)
-    require_square(h)
-    asym = float(np.abs(h - h.conj().T).max())
-    if asym > herm_tol * float(np.abs(h).max()):
-        raise ShapeMismatch(f"matrix is not Hermitian: asymmetry {asym:.3e}")
-    try:
-        w, v = np.linalg.eigh(herm(h))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
-        raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
-    w = w[::-1]
-    v = v[:, ::-1]
-    v = v * _column_phases(v)
-    return EigenFrame(values=np.real(w), vectors=v)
-
-
-@dataclass
 class SvdFrame:
     """Singular value decomposition A = U diag(S) V* of a square matrix.
 
@@ -149,12 +104,6 @@ class SvdFrame:
     @property
     def abs_a(self) -> np.ndarray:
         return (self.v * self.s) @ self.v.conj().T
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.conj().T
-
-    def residual(self, a: np.ndarray) -> float:
-        return float(np.abs(self.reconstruct() - a).max())
 
 
 def svd(a) -> SvdFrame:
@@ -230,25 +179,6 @@ def cluster_spectrum(values, k: int, cluster_tol: float) -> SpectralPartition:
     c = int(np.searchsorted(stops, k - 1, side="right"))
     return SpectralPartition(k=k, clusters=clusters, q=k - int(starts[c]),
                              r=int(stops[c]) - k, cluster_tol=float(cluster_tol))
-
-
-def top_q_eigsum(h, q: int):
-    """Sum of the q largest eigenvalues of a Hermitian matrix.
-
-    Returns ``(value, projector)`` where the rank-q orthogonal projector onto
-    the top eigenvectors attains the maximum of tr(T H) over 0 <= T <= I with
-    tr T = q (Fan's maximum principle). q = 0 yields (0, 0).
-    """
-    h = as_matrix(h)
-    require_square(h)
-    n = h.shape[0]
-    if not 0 <= q <= n:
-        raise QOutOfRange(f"q={q} outside 0..{n}")
-    if q == 0:
-        return 0.0, np.zeros_like(h)
-    fr = hermitian_eig(h)
-    w = fr.vectors[:, :q]
-    return float(fr.values[:q].sum()), w @ w.conj().T
 
 
 def top_q_singsum(m, q: int) -> float:

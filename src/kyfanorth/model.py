@@ -140,10 +140,6 @@ class Decision:
     certificate: Certificate | None = None
     details: dict = field(default_factory=dict)
 
-    @property
-    def is_orthogonal(self) -> bool:
-        return self.verdict is Verdict.ORTHOGONAL
-
     def summary(self) -> str:
         parts = [
             f"verdict={self.verdict.value}",

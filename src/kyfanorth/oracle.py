@@ -61,6 +61,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PROBE_STRIDE = 32
 _AROUND = np.r_[0:8, 9:17]
 
+# span directions the subspace referee samples, the basis matrices first,
+# and unimodular phases the parallel referee scans
+_SUBSPACE_DIRECTIONS = 64
+_PARALLEL_GRID = 720
+
 
 def _norms_at(a: np.ndarray, b: np.ndarray, k: int, cs: np.ndarray) -> np.ndarray:
     cs = np.asarray(cs, dtype=complex).ravel()
@@ -436,7 +441,7 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
 
 
 def oracle_check_subspace(a, basis, k: int, tol: Tolerances | None = None,
-                          directions: int = 64, rng=None) -> Decision:
+                          rng=None) -> Decision:
     """Referee for subspace orthogonality by sampling span directions.
 
     Checks each basis matrix and random unit combinations; one refuted
@@ -458,7 +463,7 @@ def oracle_check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     worst = np.inf
     chord_evals = 0
     m = len(mats)
-    for j in range(directions):
+    for j in range(_SUBSPACE_DIRECTIONS):
         if j < m:
             combo = mats[j]
         else:
@@ -479,12 +484,12 @@ def oracle_check_subspace(a, basis, k: int, tol: Tolerances | None = None,
                        Verdict.NOT_ORTHOGONAL, middle=Verdict.NO_COUNTEREXAMPLE)
     return Decision(verdict=verdict, margin=float(worst), scale=scale,
                     method="oracle-sample", tolerances=tol,
-                    details={"directions": directions, "basis_size": m,
-                             "chord_evals": chord_evals})
+                    details={"directions": _SUBSPACE_DIRECTIONS,
+                             "basis_size": m, "chord_evals": chord_evals})
 
 
-def oracle_check_parallel(a, b, k: int, tol: Tolerances | None = None,
-                          n_grid: int = 720) -> Decision:
+def oracle_check_parallel(a, b, k: int,
+                          tol: Tolerances | None = None) -> Decision:
     """Referee for norm parallelism: scan unimodular scalars for triangle
     equality, with a bounded polish around the best grid phase."""
     import scipy.optimize  # here, so that importing the package loads no scipy
@@ -494,12 +499,12 @@ def oracle_check_parallel(a, b, k: int, tol: Tolerances | None = None,
     norm_a = ky_fan_norm(a, k)
     norm_b = ky_fan_norm(b, k)
     scale = tol.margin_scale(norm_a, norm_b)
-    phis = np.linspace(0.0, _TWO_PI, n_grid, endpoint=False)
+    phis = np.linspace(0.0, _TWO_PI, _PARALLEL_GRID, endpoint=False)
     vals = _norms_at(a, b, k, np.exp(1j * phis))
     i = int(np.argmax(vals))
     peak = float(vals[i])
     phi = float(phis[i])
-    delta = _TWO_PI / n_grid
+    delta = _TWO_PI / _PARALLEL_GRID
 
     def neg(p):
         return -ky_fan_norm(a + cmath.exp(1j * p) * b, k)

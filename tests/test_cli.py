@@ -231,6 +231,126 @@ def test_verify_without_certificate(tmp_path, capsys):
     assert "absent" in out
 
 
+def _edit_report(path, **fields):
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload.update(fields)
+    edited = path + ".edited.json"
+    with open(edited, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return edited
+
+
+def test_verify_ignores_the_tolerances_a_report_carries(tmp_path, capsys):
+    # a pair the engine refutes (margin -0.595 at scale 5.71), and a report
+    # claiming it orthogonal with two Haar-random columns and bounds so wide
+    # that any columns would pass them
+    from kyfanorth.generate import make_nonorthogonal_pair
+    from kyfanorth.io import save_report
+    from kyfanorth.linalg import haar_unitary
+    from kyfanorth.model import (
+        Certificate,
+        CertKind,
+        Decision,
+        Tolerances,
+        Verdict,
+    )
+
+    a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))
+    loose = Tolerances(decide=1e5, strict=1e6, cert=1e5, resid=1e5,
+                       cluster=1e9)
+    cert = Certificate(kind=CertKind.WITNESS_SYSTEM,
+                       vectors=haar_unitary(4, np.random.default_rng(0))[:, :2],
+                       details={"purpose": "orthogonal"})
+    report_path = str(tmp_path / "forged.json")
+    save_report(report_path, Decision(verdict=Verdict.ORTHOGONAL, margin=0.0,
+                                      scale=1.0, tolerances=loose,
+                                      certificate=cert))
+    for name, tolerances in (("bare.json", None), ("own.json", Tolerances())):
+        path = write_pair(tmp_path, a, b, 2, name=name, tolerances=tolerances)
+        code, out, _ = run(capsys, "verify", path, report_path)
+        assert code == 1, out
+        assert "[FAIL] pairing" in out
+    # only a problem that grants those bounds itself lets the columns pass
+    path = write_pair(tmp_path, a, b, 2, name="loose.json", tolerances=loose)
+    assert run(capsys, "verify", path, report_path)[0] == 0
+
+
+def test_verify_fails_a_certificate_of_another_verdict(tmp_path, capsys):
+    from kyfanorth.generate import make_nonorthogonal_pair, make_parallel_pair
+
+    a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))
+    refuted = write_pair(tmp_path, a, b, 2, name="refuted.json")
+    a, b, _ = make_parallel_pair(4, 2)
+    parallel = write_pair(tmp_path, a, b, 2, name="parallel.json")
+    for path, mode, code in ((refuted, "pair", 1), (parallel, "parallel", 0)):
+        report_path = path + ".report.json"
+        assert run(capsys, "check", path, "--mode", mode,
+                   "--report", report_path)[0] == code
+        assert run(capsys, "verify", path, report_path)[0] == 0
+        # a VIOLATION, or a parallel WITNESS_SYSTEM, proves no orthogonality
+        edited = _edit_report(report_path, verdict="ORTHOGONAL")
+        code, out, _ = run(capsys, "verify", path, edited)
+        assert code == 1, out
+        assert "[FAIL] proves_verdict" in out
+    # the parallel pair is not orthogonal at all
+    assert run(capsys, "check", parallel)[0] == 1
+
+
+def test_verify_reads_a_real_field_pair_through_real_certificates(tmp_path,
+                                                                  capsys):
+    from kyfanorth.generate import make_nonorthogonal_pair, make_orthogonal_pair
+    from kyfanorth.model import REAL_FIELD
+
+    rng = np.random.default_rng(2)
+    a, b, _ = make_orthogonal_pair(4, 2, rng, field=REAL_FIELD)
+    real = write_pair(tmp_path, a, b, 2, name="real.json",
+                      field_name=REAL_FIELD)
+    report_path = str(tmp_path / "real_report.json")
+    assert run(capsys, "check", real, "--report", report_path)[0] == 0
+    assert run(capsys, "verify", real, report_path)[0] == 0
+    # the same real-field witnesses prove nothing about complex scalars
+    complex_path = write_pair(tmp_path, a, b, 2, name="complex.json")
+    assert run(capsys, "verify", complex_path, report_path)[0] == 1
+    # a complex scalar that shrinks the norm (-0.212 - 0.184i here) does not
+    # refute over the reals; the real field's own scalar does
+    a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))
+    path = write_pair(tmp_path, a, b, 2, name="refuted.json")
+    real = write_pair(tmp_path, a, b, 2, name="refuted_real.json",
+                      field_name=REAL_FIELD)
+    for field, code in (("complex", 1), ("real", 0)):
+        report_path = str(tmp_path / f"report_{field}.json")
+        assert run(capsys, "check", path, "--field", field,
+                   "--report", report_path)[0] == 1
+        assert run(capsys, "verify", path, report_path)[0] == 0
+        assert run(capsys, "verify", real, report_path)[0] == code
+
+
+def test_check_encodes_the_report_once(tmp_path, capsys, monkeypatch):
+    import kyfanorth.cli
+    import kyfanorth.io
+
+    calls = []
+    encode = kyfanorth.io.encode_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(kyfanorth.cli, "encode_report", counted)
+    monkeypatch.setattr(kyfanorth.io, "encode_report", counted)
+    path = write_pair(tmp_path, np.diag([2.0, 1.0]), np.diag([0.0, 1.0]), 1)
+    report_path = tmp_path / "r.json"
+    code, out, _ = run(capsys, "check", path, "--json",
+                       "--report", str(report_path))
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out) == json.loads(report_path.read_text("utf-8"))
+    calls.clear()
+    assert run(capsys, "check", path)[0] == 0
+    assert calls == []
+
+
 def test_gen_kinds_round_trip(tmp_path, capsys):
     for kind, expected_code in (("orthogonal", 0), ("nonorthogonal", 1),
                                 ("subspace", 0)):

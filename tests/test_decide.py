@@ -6,21 +6,18 @@ from hypothesis import strategies as st
 import kyfanorth.decide
 from kyfanorth.decide import (
     _checked_miss,
+    _cluster_factors,
     _hull_weights,
     _pair_setup,
     check_pair,
     check_pair_blocks,
     check_parallel,
     check_subspace,
-    extract_density,
-    find_witness_block,
-    find_witness_system,
     verify_certificate,
 )
 from kyfanorth.errors import (
     BadBlockStructure,
     DegenerateRank,
-    NotOrthogonal,
     WitnessSearchFailed,
 )
 from kyfanorth.generate import (
@@ -319,7 +316,8 @@ def test_refutation_too_shallow_for_any_scalar():
 
 def test_witness_system_quality(rng):
     a, b, _ = make_orthogonal_pair(5, 2, rng, q=2)
-    cert = find_witness_system(a, b, 2)
+    cert = check_pair(a, b, 2).certificate
+    assert cert.kind is CertKind.WITNESS_SYSTEM
     vectors = cert.vectors
     gram = vectors.conj().T @ vectors
     assert np.abs(gram - np.eye(2)).max() <= 1e-7
@@ -327,16 +325,11 @@ def test_witness_system_quality(rng):
     assert report["ok"], report
 
 
-def test_witness_requires_orthogonality(rng):
-    a, b, _ = make_nonorthogonal_pair(4, 2, rng)
-    with pytest.raises(NotOrthogonal):
-        find_witness_system(a, b, 2)
-
-
 def test_witness_block_hand_example():
     a = np.eye(2, dtype=complex)
     b = np.diag([1.0, -1.0]).astype(complex)
-    cert = find_witness_block(a, b, 1)
+    cert = check_pair_blocks(a, b, 1).certificate
+    assert cert.kind is CertKind.BLOCK_COEFFICIENT
     t = cert.block_matrix
     assert np.trace(t).real == pytest.approx(1.0, abs=1e-9)
     w = np.linalg.eigvalsh(t)
@@ -350,7 +343,8 @@ def test_witness_block_hand_example():
 def test_witness_block_random_instances(rng):
     for _ in range(10):
         a, b, _ = make_orthogonal_pair(5, 3, rng, q=2)
-        cert = find_witness_block(a, b, 3)
+        cert = check_pair_blocks(a, b, 3).certificate
+        assert cert.kind is CertKind.BLOCK_COEFFICIENT
         g = cert.subgradient
         assert subgradient_membership(a, 3, g, tol=1e-7)
         assert abs(np.trace(g.conj().T @ b)) <= 1e-6
@@ -360,7 +354,8 @@ def test_witness_block_random_instances(rng):
 
 def test_witness_block_degenerate(rng):
     a, b, _ = make_orthogonal_pair(5, 3, rng, q=2, degenerate=True)
-    cert = find_witness_block(a, b, 3)
+    cert = check_pair_blocks(a, b, 3).certificate
+    assert cert.kind is CertKind.BLOCK_COEFFICIENT
     report = verify_certificate(cert, a, b, 3)
     assert report["ok"], report
     g = cert.subgradient
@@ -777,47 +772,17 @@ def test_subspace_basis_rank_is_scale_free(exponent):
     assert not d.details.get("trivial")
 
 
-def test_extract_density_round_trip(rng):
-    a, basis, _ = make_subspace_instance(5, 2, 2, rng, orthogonal=True)
-    d = check_subspace(a, basis, 2)
-    q_matrix = np.sum(_densities(d.certificate), axis=0)
-    frame = build_frame(a, 2)
-    cert = extract_density(q_matrix, frame)
-    assert len(_densities(cert)) == 2
-    rebuilt = np.sum(_densities(cert), axis=0)
-    assert np.abs(rebuilt - q_matrix).max() <= 1e-8
-
-
-def test_extract_density_rejects_leakage(rng):
-    a = np.diag([3.0, 2.0, 1.0]).astype(complex)
-    frame = build_frame(a, 2)
-    bad = np.zeros((3, 3), complex)
-    bad[0, 0] = 1.0
-    bad[0, 2] = 0.5
-    bad[2, 0] = 0.5
-    bad[1, 1] = 1.0
-    with pytest.raises(BadBlockStructure):
-        extract_density(bad, frame)
-
-
-def test_extract_density_rejects_bad_full_cluster():
-    a = np.diag([3.0, 2.0, 1.0]).astype(complex)
-    frame = build_frame(a, 2)
-    bad = np.diag([2.0, 0.0, 0.0]).astype(complex)
-    with pytest.raises(BadBlockStructure):
-        extract_density(bad, frame)
-
-
 def test_extract_density_rejects_a_cluster_block_that_is_not_psd():
-    # the boundary block diag(1.5, -0.5) has the right trace and no leak
+    # the cluster factors of a density system refuse a boundary block
+    # diag(1.5, -0.5) of the right trace
     frame = build_frame(np.diag([3.0, 1.0, 1.0]), 2)
     with pytest.raises(BadBlockStructure, match="not PSD"):
-        extract_density(np.diag([1.0, 1.5, -0.5]), frame)
-    # a skew part inside the boundary block leaks nowhere and keeps the trace
-    skew = np.diag([1.0, 0.5, 0.5])
-    skew[1, 2], skew[2, 1] = 0.3, -0.3
+        _cluster_factors(frame, [np.eye(1), np.diag([1.5, -0.5])], 1e-8)
+    # and a boundary block with a skew part, which keeps the trace
+    skew = np.diag([0.5, 0.5])
+    skew[0, 1], skew[1, 0] = 0.3, -0.3
     with pytest.raises(BadBlockStructure, match="not PSD"):
-        extract_density(skew, frame)
+        _cluster_factors(frame, [np.eye(1), skew], 1e-8)
 
 
 def test_density_system_is_one_factor_per_cluster():
