@@ -468,7 +468,7 @@ def _witness_system(setup: _PairSetup, outcome: SweepOutcome,
     resid = _checked_miss(setup, cols @ cols.conj().T, field,
                           "purified projector")
     vectors = frame.witness_vectors(cols)
-    pairing = _witness_pairing(setup.b, vectors, frame)
+    pairing = _pairings(frame, vectors, [setup.b])[0].conjugate()
     return Certificate(
         kind=CertKind.WITNESS_SYSTEM,
         vectors=vectors,
@@ -483,11 +483,6 @@ def _witness_system(setup: _PairSetup, outcome: SweepOutcome,
             **hull,
         },
     )
-
-
-def _witness_pairing(b, vectors, frame) -> complex:
-    rotated = frame.svd.polar_u.conj().T @ b
-    return complex(np.einsum("ij,jl,li->", vectors.conj().T, rotated, vectors))
 
 
 def _witness_block(setup: _PairSetup, outcome: SweepOutcome) -> Certificate:
@@ -774,14 +769,22 @@ def _cluster_factors(frame: SubdifferentialFrame, blocks: list,
     return factors, mults
 
 
+def _pairings(frame: SubdifferentialFrame, stack: np.ndarray,
+              mats: list) -> list:
+    """The pairings tr(W_j* U V* S S*) of a stacked factor S, in O(n^2 k).
+    A witness system is its own stack, and its pairing tr(X* V U* B X)
+    with B is the conjugate of the one with W = B."""
+    rotated = frame.svd.u @ (frame.svd.v.conj().T @ stack)
+    return [complex(np.vdot(w @ stack, rotated)) for w in mats]
+
+
 def _density_sums(frame: SubdifferentialFrame, factors: list, mults,
                   mats: list) -> tuple:
     """||sum_i P_i|| and the pairings tr(W_j* U_polar sum_i P_i), read off
     the stacked factor S = [sqrt(m_c) X_c], for which sum_i P_i = S S*."""
     stack = np.hstack([np.sqrt(m) * x for x, m in zip(factors, mults)])
-    rotated = frame.svd.u @ (frame.svd.v.conj().T @ stack)
     return (float(np.linalg.svd(stack, compute_uv=False)[0]) ** 2,
-            [complex(np.vdot(w @ stack, rotated)) for w in mats])
+            _pairings(frame, stack, mats))
 
 
 def _density_certificate(frame: SubdifferentialFrame, ortho: list,
@@ -851,7 +854,7 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
         # the top-q eigenvectors at the peak expose its point of the set
         _, top = setup.model._top_eigen(np.array([outcome.theta]))
         vectors = frame.witness_vectors(top[0])
-        pairing = _witness_pairing(setup.b, vectors, frame)
+        pairing = _pairings(frame, vectors, [setup.b])[0].conjugate()
         decision.certificate = Certificate(
             kind=CertKind.WITNESS_SYSTEM,
             vectors=vectors,
@@ -889,14 +892,12 @@ def verify_certificate(cert: Certificate, a, second, k: int,
                        "bound": float(bound), "pass": bool(value <= bound)})
 
     try:
-        if cert.kind is CertKind.WITNESS_SYSTEM:
-            _verify_witness(cert, a, as_matrix(second), k, tol, add)
+        if cert.kind in (CertKind.WITNESS_SYSTEM, CertKind.DENSITY_SYSTEM):
+            _verify_density(cert, a, second, k, tol, add)
         elif cert.kind is CertKind.BLOCK_COEFFICIENT:
             _verify_block(cert, a, as_matrix(second), k, tol, add)
         elif cert.kind is CertKind.VIOLATION:
             _verify_violation(cert, a, second, k, tol, add)
-        elif cert.kind is CertKind.DENSITY_SYSTEM:
-            _verify_density(cert, a, second, k, tol, add)
         else:
             checks.append({"name": "known_kind", "value": 1.0, "bound": 0.0,
                            "pass": False})
@@ -905,46 +906,6 @@ def verify_certificate(cert: Certificate, a, second, k: int,
                        "pass": False, "error": f"{type(exc).__name__}: {exc}"})
     return {"kind": cert.kind.value, "checks": checks,
             "ok": all(c["pass"] for c in checks)}
-
-
-def _eigen_support_bound(frame, tol) -> float:
-    """Bound on ||(|A| - s_i) x|| for a unit x put in the eigenspace of s_i:
-    ten cluster widths plus the factorization budget, in units of s1."""
-    return 10.0 * frame.part.cluster_tol + 100.0 * tol.resid * frame.svd.s[0]
-
-
-def _verify_witness(cert, a, b, k, tol, add):
-    frame = _frame_for(a, k, tol)
-    norm_b = ky_fan_norm(b, k)
-    scale = tol.margin_scale(frame.norm_value, norm_b)
-    vectors = as_matrix(cert.vectors)
-    if vectors.shape != (a.shape[0], k):
-        add("vector_shape", 1.0, 0.0)
-        return
-    gram = vectors.conj().T @ vectors
-    add("orthonormality", float(np.abs(gram - np.eye(k)).max()),
-        10.0 * tol.cert)
-    abs_a = frame.svd.abs_a
-    s = frame.svd.s
-    for i in range(k):
-        r = float(np.linalg.norm(abs_a @ vectors[:, i] - s[i] * vectors[:, i]))
-        add(f"eigen_residual_{i}", r, _eigen_support_bound(frame, tol))
-    pairing = _witness_pairing(b, vectors, frame)
-    purpose = cert.details.get("purpose", "orthogonal")
-    if purpose == "parallel":
-        add("pairing_modulus", abs(abs(pairing) - norm_b),
-            0.1 * tol.strict * scale)
-        lam = complex(cert.details.get("lambda_re", 1.0),
-                      cert.details.get("lambda_im", 0.0))
-        add("unimodular", abs(abs(lam) - 1.0), 1e-9)
-        achieved = ky_fan_norm(a + lam * b, k)
-        add("triangle_equality",
-            abs(achieved - (frame.norm_value + norm_b)),
-            0.1 * tol.strict * scale)
-    elif purpose == "real":
-        add("pairing_real_part", abs(pairing.real), 0.1 * tol.strict * scale)
-    else:
-        add("pairing", abs(pairing), 0.1 * tol.strict * scale)
 
 
 def _verify_block(cert, a, b, k, tol, add):
@@ -998,29 +959,72 @@ def _verify_violation(cert, a, second, k, tol, add):
     add("norm_decrease", value - (norm_a - 5.0 * tol.decide * scale), 0.0)
 
 
-def _verify_density(cert, a, basis, k, tol, add):
+def _factor_clusters(frame: SubdifferentialFrame, factors: list,
+                     mults) -> list | None:
+    """The frame's cluster (start, stop) that holds each factor's run of
+    indices, or None for a layout that is off: multiplicities that are not
+    positive integers summing to k, one per factor, a factor whose rows are
+    not n, or a run that straddles two clusters."""
+    m = np.asarray(mults, dtype=float)
+    if (m.size != len(factors) or m.sum() != frame.part.k or np.any(m < 1)
+            or np.any(m % 1)
+            or any(x.shape[0] != frame.svd.v.shape[0] for x in factors)):
+        return None
+    ends = np.cumsum(m).astype(int)
+    stops = [stop for _, stop in frame.part.clusters]
+    held = np.searchsorted(stops, ends - m.astype(int), side="right")
+    if np.any(ends > np.take(stops, held)):
+        return None
+    return [frame.part.clusters[c] for c in held]
+
+
+def _verify_density(cert, a, second, k, tol, add):
+    """A DENSITY_SYSTEM against its basis, or a WITNESS_SYSTEM against [B]
+    as the density system P_i = x_i x_i* it defines, regrouped by the
+    verifier's clusters into X_c = [x_i]_{i in c} / sqrt(m_c). Unit traces
+    and ||S S*|| <= 1 + 10 cert make a witness orthonormal to O(k cert)."""
     frame = _frame_for(a, k, tol)
-    mats = [as_matrix(w) for w in basis]
-    scale = tol.margin_scale(
-        frame.norm_value, max([ky_fan_norm(w, k) for w in mats], default=0.0))
-    factors = [as_matrix(x) for x in (cert.factors or [])]
-    mults = np.asarray(cert.multiplicities or [], dtype=float)
-    if (mults.size != len(factors) or mults.sum() != k or np.any(mults < 1)
-            or np.any(mults % 1) or any(x.shape[0] != a.shape[0]
-                                        for x in factors)):
+    witness = cert.kind is CertKind.WITNESS_SYSTEM
+    mats = [as_matrix(second)] if witness else [as_matrix(w) for w in second]
+    norms = [ky_fan_norm(w, k) for w in mats]
+    scale = tol.margin_scale(frame.norm_value, max(norms, default=0.0))
+    if witness:
+        vectors = as_matrix(cert.vectors)
+        runs = [(i, min(j, k)) for i, j in frame.part.clusters if i < k]
+        factors = [vectors[:, i:j] / np.sqrt(j - i) for i, j in runs]
+        # other than k columns leaves no multiplicities, failing the layout
+        mults = [j - i for i, j in runs] if vectors.shape[1] == k else []
+    else:
+        factors = [as_matrix(x) for x in (cert.factors or [])]
+        mults = cert.multiplicities or []
+    spans = _factor_clusters(frame, factors, mults)
+    if spans is None:
         add("factor_layout", 1.0, 0.0)
         return
-    s, v = frame.svd.s, frame.svd.v
-    # ||(|A| - s_i) X|| bounds every entry of (|A| - s_i) X X* as ||X|| <= 1
-    abs_x = [v @ (s[:, None] * (v.conj().T @ x)) for x in factors]
     for c, x in enumerate(factors):
         add(f"trace_one_{c}", abs(float(np.linalg.norm(x)) ** 2 - 1.0),
             10.0 * tol.cert)
-    for i, c in enumerate(np.repeat(np.arange(len(factors)), mults.astype(int))):
-        add(f"eigen_support_{i}",
-            float(np.linalg.norm(abs_x[c] - s[i] * factors[c])),
-            _eigen_support_bound(frame, tol))
+    for c, (x, (start, stop)) in enumerate(zip(factors, spans)):
+        v = frame.svd.v[:, start:stop]
+        add(f"cluster_span_{c}",
+            float(np.linalg.norm(x - v @ (v.conj().T @ x))), 10.0 * tol.cert)
     combined, pairings = _density_sums(frame, factors, mults, mats)
     add("combined_operator_norm", combined - 1.0, 10.0 * tol.cert)
-    for j, z in enumerate(pairings):
-        add(f"basis_pairing_{j}", abs(z), tol.strict * scale)
+    if not witness:
+        for j, z in enumerate(pairings):
+            add(f"basis_pairing_{j}", abs(z), tol.strict * scale)
+        return
+    pairing, bound = pairings[0], 0.1 * tol.strict * scale
+    purpose = cert.details.get("purpose", "orthogonal")
+    if purpose == "parallel":
+        add("pairing_modulus", abs(abs(pairing) - norms[0]), bound)
+        lam = complex(cert.details.get("lambda_re", 1.0),
+                      cert.details.get("lambda_im", 0.0))
+        add("unimodular", abs(abs(lam) - 1.0), 1e-9)
+        achieved = ky_fan_norm(a + lam * mats[0], k)
+        add("triangle_equality",
+            abs(achieved - (frame.norm_value + norms[0])), bound)
+    elif purpose == "real":
+        add("pairing_real_part", abs(pairing.real), bound)
+    else:
+        add("pairing", abs(pairing), bound)

@@ -388,6 +388,5 @@ def load_report(path) -> Report:
     return decode_report(_load_json(path))
 
 
-def save_report(path, decision: Decision, timings: dict | None = None,
-                seed: int | None = None):
-    _save_json(path, encode_report(decision, timings=timings, seed=seed))
+def save_report(path, decision: Decision):
+    _save_json(path, encode_report(decision))

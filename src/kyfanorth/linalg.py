@@ -1,9 +1,9 @@
 """Dense complex linear-algebra primitives.
 
 Everything downstream is built on three ingredients: singular value
-decompositions with their polar data, single-linkage clustering of a
-descending spectrum, and the Ky Fan style partial sum of the largest singular
-values. The Hermitian eigenproblems of the range model call numpy directly.
+decompositions, single-linkage clustering of a descending spectrum, and the
+Ky Fan style partial sum of the largest singular values. The Hermitian
+eigenproblems of the range model call numpy directly.
 
 Singular vectors are deterministic for identical input: columns are
 phase-normalized so that the first significant component of the left vector
@@ -87,23 +87,11 @@ def _column_phases(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SvdFrame:
-    """Singular value decomposition A = U diag(S) V* of a square matrix.
-
-    ``polar_u`` is the unitary polar factor U V* and ``abs_a`` the positive
-    factor V diag(S) V*, so A = polar_u @ abs_a even when A is singular.
-    """
+    """Singular value decomposition A = U diag(S) V* of a square matrix."""
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-
-    @property
-    def polar_u(self) -> np.ndarray:
-        return self.u @ self.v.conj().T
-
-    @property
-    def abs_a(self) -> np.ndarray:
-        return (self.v * self.s) @ self.v.conj().T
 
 
 def svd(a) -> SvdFrame:

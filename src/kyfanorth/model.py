@@ -39,9 +39,9 @@ class Tolerances:
     Norm values (margins, pairings, construction misses) are read in units
     of the margin scale ||A||_(k) + ||B||_(k): at or above -decide*scale is
     orthogonal, below -strict*scale not, anything between BOUNDARY. Spectral
-    widths are in units of s1 = ||A||: resid and the clustering and rank
-    widths (1e-8 s1, 1e-12 s1; the absolute cluster/rank when set). Bare,
-    cert bounds dimensionless defects: orthonormality, trace, operator norm.
+    widths are in units of s1 = ||A||: the clustering and rank widths
+    (1e-8 s1, 1e-12 s1; the absolute cluster/rank when set). Bare, cert
+    bounds trace, cluster span and operator norm; no clause reads resid.
     """
 
     decide: float = 1e-7
@@ -100,8 +100,8 @@ class Tolerances:
 class Certificate:
     """Checkable evidence attached to a decision.
 
-    kind WITNESS_SYSTEM: ``vectors`` holds k orthonormal columns, each an
-    eigenvector of |A| for the matching descending singular value, whose
+    kind WITNESS_SYSTEM: ``vectors`` holds k orthonormal columns, each in
+    the span of its cluster's right singular vectors of A, whose
     compression sum of the polar-rotated direction hits the recorded target
     (0 for orthogonality, modulus ||B||_(k) for parallelism).
     kind BLOCK_COEFFICIENT: ``block_matrix`` solves the boundary-block trace

@@ -440,8 +440,8 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
                     method="oracle-chord", tolerances=tol, details=details)
 
 
-def oracle_check_subspace(a, basis, k: int, tol: Tolerances | None = None,
-                          rng=None) -> Decision:
+def oracle_check_subspace(a, basis, k: int,
+                          tol: Tolerances | None = None) -> Decision:
     """Referee for subspace orthogonality by sampling span directions.
 
     Checks each basis matrix and random unit combinations; one refuted
@@ -450,7 +450,7 @@ def oracle_check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     directions cannot certify the whole span.
     """
     tol = Tolerances() if tol is None else tol
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     a, mats = require_operands(a, basis, k)
     norm_a = ky_fan_norm(a, k)
     if not mats:

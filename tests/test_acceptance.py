@@ -258,8 +258,8 @@ def test_c08_subspace_round_trip_and_singleton_consistency():
         cert = d.certificate
         assert cert is not None and cert.kind is CertKind.DENSITY_SYSTEM
         frame = build_frame(a, k)
-        abs_a = frame.svd.abs_a
-        s = frame.svd.s
+        s, v = frame.svd.s, frame.svd.v
+        abs_a = (v * s) @ v.conj().T
         total = np.zeros((n, n), dtype=complex)
         densities = [x @ x.conj().T for x, count
                      in zip(cert.factors, cert.multiplicities)
@@ -272,7 +272,7 @@ def test_c08_subspace_round_trip_and_singleton_consistency():
             assert w.min() >= -1e-8
             total += p
         assert np.linalg.norm(total, 2) <= 1.0 + 1e-6
-        g = frame.svd.polar_u @ total
+        g = frame.svd.u @ v.conj().T @ total
         for w_j in basis:
             assert abs(np.trace(w_j.conj().T @ g)) <= 1e-6 * (
                 1 + ky_fan_norm(a, k))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,29 @@ def test_witness_system_quality(rng):
     assert np.abs(gram - np.eye(2)).max() <= 1e-7
     report = verify_certificate(cert, a, b, 2)
     assert report["ok"], report
+
+
+@pytest.mark.parametrize("defect", ["repeated", "scaled"])
+def test_witness_orthonormality_is_implied(rng, defect):
+    # the verifier has no orthonormality clause: on the tied cluster
+    # {1, 2} a repeated vector keeps unit traces and the cluster span but
+    # doubles the combined norm, and a column scaled by 1 + 1e-6 moves
+    # the cluster's trace by 1e-6
+    a, b, _ = make_orthogonal_pair(5, 2, rng, q=2)
+    cert = check_pair(a, b, 2).certificate
+    assert cert.kind is CertKind.WITNESS_SYSTEM
+    assert verify_certificate(cert, a, b, 2)["ok"]
+    vectors = cert.vectors.copy()
+    if defect == "repeated":
+        vectors[:, 1] = vectors[:, 0]
+        clause = "combined_operator_norm"
+    else:
+        vectors[:, 1] *= 1.0 + 1e-6
+        clause = "trace_one_0"
+    report = verify_certificate(dataclasses.replace(cert, vectors=vectors),
+                                a, b, 2)
+    assert not report["ok"]
+    assert clause in {c["name"] for c in report["checks"] if not c["pass"]}
 
 
 def test_witness_block_hand_example():
@@ -820,7 +845,7 @@ def _planted(defect):
     if defect == "off_eigenspace":
         x = cert.factors[0] + 0.01 * e[:, [1]]
         cert.factors[0] = x / np.linalg.norm(x)
-        return cert, a, basis, k, "eigen_support_0"
+        return cert, a, basis, k, "cluster_span_0"
     if defect == "combined_norm":
         cert.factors[0] = e[:, [0]]
         return cert, a, basis, k, "combined_operator_norm"
@@ -828,20 +853,25 @@ def _planted(defect):
         # a unit eigenvector of the boundary cluster pairs W to 1
         cert.factors[1] = e[:, [1]]
         return cert, a, basis, k, "basis_pairing_0"
+    if defect == "straddle":
+        # one factor for indices 1 and 2, which lie in two clusters
+        cert.factors = [np.hstack(cert.factors) / np.sqrt(2.0)]
+        cert.multiplicities = [2]
+        return cert, a, basis, k, "factor_layout"
     cert.multiplicities[0] += 1
     return cert, a, basis, k, "factor_layout"
 
 
 @pytest.mark.parametrize("defect", ["trace", "off_eigenspace",
                                     "combined_norm", "pairing",
-                                    "multiplicities"])
+                                    "multiplicities", "straddle"])
 def test_density_verify_rejects_planted_defects(defect):
     cert, a, basis, k, clause = _planted(defect)
     report = verify_certificate(cert, a, basis, k)
     assert not report["ok"]
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
     assert clause in failed, report
-    if defect in ("trace", "combined_norm", "pairing", "multiplicities"):
+    if defect != "off_eigenspace":
         assert failed == {clause}, report
 
 

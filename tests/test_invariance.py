@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kyfanorth.cli import main
 from kyfanorth.decide import (
     check_pair,
     check_pair_blocks,
@@ -33,11 +34,14 @@ from kyfanorth.generate import (
     make_subspace_instance,
     random_matrix,
 )
+from kyfanorth.io import save_problem, save_report
 from kyfanorth.linalg import haar_unitary
 from kyfanorth.model import (
     COMPLEX_FIELD,
     REAL_FIELD,
+    Certificate,
     CertKind,
+    Decision,
     Tolerances,
     Verdict,
 )
@@ -198,15 +202,14 @@ def test_tiny_pair_keeps_its_verdict_and_rejects_the_collapsed_witness():
     report = verify_certificate(collapsed.certificate, t * a, t * b, 2)
     assert not report["ok"]
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
-    assert failed and all(n.startswith("eigen_residual_") for n in failed)
+    assert failed and all(n.startswith("cluster_span_") for n in failed)
 
 
 @pytest.mark.parametrize("t", [1.0, 1e8, 1e12])
 def test_forged_witness_is_rejected_at_every_scale(t):
     # a rank-k witness purified to zero pairing on a frame that takes the
     # whole spectrum for one cluster: orthonormal, zero pairing, but its
-    # vectors are no eigenvectors of |A|; an eigen-support bound that grows
-    # with the square of the scale lets it pass from about 2e7 on
+    # vectors leave the spans of their clusters in the verifier's frame
     a, b = _first_random_pair()
     a, b = t * a, t * b
     assert check_pair(a, b, 2).verdict is Verdict.NOT_ORTHOGONAL
@@ -215,7 +218,52 @@ def test_forged_witness_is_rejected_at_every_scale(t):
     report = verify_certificate(forged, a, b, 2)
     assert not report["ok"]
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
-    assert failed and all(n.startswith("eigen_residual_") for n in failed)
+    assert failed and all(n.startswith("cluster_span_") for n in failed)
+
+
+def _neighbour_forgery(kind, gap):
+    """A = diag(1, 1 - gap) with k = 1, a direction B the engine refutes,
+    and a forged certificate of orthogonality built from the neighbouring
+    singular value: e2 as a witness or as a density factor against
+    B = -E11, or the mixture w = sqrt(0.6) e1 + sqrt(0.4) e2 as a witness
+    against B = diag(-0.4, 0.6). Each pairs B to 0."""
+    a = np.diag([1.0, 1.0 - gap]).astype(complex)
+    e2 = np.eye(2, dtype=complex)[:, [1]]
+    if kind == "density":
+        return a, np.diag([-1.0, 0.0]).astype(complex), Certificate(
+            kind=CertKind.DENSITY_SYSTEM, factors=[e2], multiplicities=[1])
+    if kind == "mixed":
+        b = np.diag([-0.4, 0.6]).astype(complex)
+        vectors = np.sqrt([[0.6], [0.4]]).astype(complex)
+    else:
+        b, vectors = np.diag([-1.0, 0.0]).astype(complex), e2
+    return a, b, Certificate(kind=CertKind.WITNESS_SYSTEM, vectors=vectors,
+                             details={"purpose": "orthogonal"})
+
+
+@pytest.mark.parametrize("kind, gap", [
+    (kind, gap) for gap in (2e-8, 5e-8, 1e-7, 2e-7)
+    for kind in ("witness", "density")] + [("mixed", 5e-8)])
+def test_neighbouring_cluster_forgery_is_rejected(kind, gap, tmp_path,
+                                                  capsys):
+    # every gap is above the clustering width 1e-8, so the engine splits
+    # the two values and refutes; the forged vector pairs B to 0 but leaves
+    # the span of the top cluster, by the whole of e2 or by sqrt(0.4)
+    a, b, cert = _neighbour_forgery(kind, gap)
+    density = kind == "density"
+    second = [b] if density else b
+    decision = (check_subspace if density else check_pair)(a, second, 1)
+    assert decision.verdict is Verdict.NOT_ORTHOGONAL
+    report = verify_certificate(cert, a, second, 1)
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed == {"cluster_span_0"}, report
+    problem, forged = tmp_path / "p.json", tmp_path / "r.json"
+    save_problem(problem, {"a": a, "b": b}, 1,
+                 subspace=["b"] if density else None)
+    save_report(forged, Decision(verdict=Verdict.ORTHOGONAL, margin=0.0,
+                                 scale=decision.scale, certificate=cert))
+    assert main(["verify", str(problem), str(forged)]) == 1
+    assert "[FAIL] cluster_span_0" in capsys.readouterr().out
 
 
 def _near_tie_subspace(rng):
@@ -233,8 +281,8 @@ def _near_tie_subspace(rng):
 
 
 def test_density_certificate_under_a_wide_cluster_verifies():
-    # --cluster-tol 1e-3 merges the near tie; the verifier's eigen-support
-    # bound widens with that width, as the witness bound does
+    # --cluster-tol 1e-3 merges the near tie, and a verifier clustering at
+    # that width reads the merged span
     rng = np.random.default_rng(4)
     wide = Tolerances(cluster=1e-3)
     for _ in range(8):
@@ -247,7 +295,7 @@ def test_density_certificate_under_a_wide_cluster_verifies():
         # longer supported on one eigenspace
         report = verify_certificate(d.certificate, a, basis, 2)
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
-        assert failed and all(n.startswith("eigen_support_") for n in failed)
+        assert failed and all(n.startswith("cluster_span_") for n in failed)
 
 
 ZERO_CASES = {
@@ -293,8 +341,7 @@ def test_zero_operands_are_pinned(case):
 
 # clauses whose bound is a norm-valued quantity; every other bound is a
 # pure number
-_NORM_UNITS = ("eigen_residual_", "eigen_support_", "pairing",
-               "triangle_equality", "block_equation", "norming",
+_NORM_UNITS = ("pairing", "triangle_equality", "block_equation", "norming",
                "direction_pairing", "basis_pairing_", "claimed_norm_matches",
                "norm_decrease")
 

@@ -474,16 +474,16 @@ def test_oracle_subspace_is_asymmetric(rng):
     from kyfanorth.generate import make_subspace_instance
 
     a, basis, _ = make_subspace_instance(4, 2, 2, rng, orthogonal=True)
-    d = oracle_check_subspace(a, basis, 2, rng=rng)
+    d = oracle_check_subspace(a, basis, 2)
     assert d.verdict is Verdict.NO_COUNTEREXAMPLE
     # 64 scans, each with its two norms, the probe's 16 phases at least,
     # 7 x 16 refinement points and 13 radii
     assert 64 * (2 + 16 + 7 * 16 + 13) <= d.details["chord_evals"] \
         < 64 * (2 + 512 + 7 * 16 + 13)
     a, basis, _ = make_subspace_instance(4, 2, 2, rng, orthogonal=False)
-    d = oracle_check_subspace(a, basis, 2, rng=rng)
+    d = oracle_check_subspace(a, basis, 2)
     assert d.verdict is Verdict.NOT_ORTHOGONAL
-    d = oracle_check_subspace(a, [], 2, rng=rng)
+    d = oracle_check_subspace(a, [], 2)
     assert d.verdict is Verdict.NO_COUNTEREXAMPLE
 
 
