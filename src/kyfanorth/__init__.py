@@ -8,7 +8,6 @@ cross-validation. See the README for the decision model and CLI usage.
 
 from .decide import (
     check_pair,
-    check_pair_blocks,
     check_parallel,
     check_subspace,
     verify_certificate,
@@ -106,7 +105,6 @@ __all__ = [
     "WitnessSearchFailed",
     "build_frame",
     "check_pair",
-    "check_pair_blocks",
     "check_parallel",
     "check_subspace",
     "chord_margin",

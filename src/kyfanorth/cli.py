@@ -2,14 +2,20 @@
 
 Subcommands: norm (print a Ky Fan norm and the singular values), check
 (decide orthogonality or parallelism and optionally write a report), verify
-(re-check a report's certificate against its problem, under the problem's
-tolerances, and that it proves the report's verdict), gen (write labeled
-random instances), and sweep-plot (dump the support-function sweep as CSV).
+(re-check a report's certificate against its problem and that it proves the
+report's verdict), gen (write labeled random instances), and sweep-plot
+(dump the support-function sweep as CSV).
+
+The problem file is the whole question: check, verify and sweep-plot read
+the matrices, k, the scalar field and the tolerances from it alone, so a
+report that check writes is re-checked by verify against the problem it
+decided. Only pair problems have a real-field criterion; check refuses a
+real-field problem in subspace or parallel mode.
 
 Exit codes for check: 0 orthogonal/parallel, 1 refuted, 3 boundary,
 2 parse or usage error, 4 rank-degenerate input for a criterion that needs
-s_k > 0. verify: 0 PASS, 1 FAIL, 2 parse. Everything else: 0 success,
-2 parse/usage.
+s_k > 0. verify: 0 PASS, 1 FAIL, 2 parse or usage. Everything else:
+0 success, 2 parse/usage.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import numpy as np
 from .decide import (
     _pair_setup,
     check_pair,
-    check_pair_blocks,
     check_parallel,
     check_subspace,
     verify_certificate,
@@ -53,6 +58,8 @@ __all__ = ["main", "entry", "build_parser"]
 
 _PASS_VERDICTS = (Verdict.ORTHOGONAL, Verdict.PARALLEL, Verdict.NO_COUNTEREXAMPLE)
 _FAIL_VERDICTS = (Verdict.NOT_ORTHOGONAL, Verdict.NOT_PARALLEL)
+# pair orthogonality is the one question check decides over the reals
+_REAL_KINDS = ("orthogonal", "nonorthogonal", "singular")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,12 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide orthogonality/parallelism")
     p_check.add_argument("problem", help="problem JSON file")
     p_check.add_argument("--mode", default=None,
-                         choices=["pair", "blocks", "subspace", "parallel"],
+                         choices=["pair", "subspace", "parallel"],
                          help="criterion (default: subspace if the problem "
                               "lists one, else pair)")
-    p_check.add_argument("--field", default=None,
-                         choices=[COMPLEX_FIELD, REAL_FIELD],
-                         help="scalar field override")
     p_check.add_argument("--json", action="store_true",
                          help="print the full report as JSON")
     p_check.add_argument("--report", default=None, metavar="PATH",
@@ -88,11 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--oracle", action="store_true",
                          help="use the norm-evaluation referee instead of "
                               "the frame engine")
-    p_check.add_argument("--seed", type=int, default=None,
-                         help="seed recorded in the report")
-    p_check.add_argument("--tol-decide", type=float, default=None)
-    p_check.add_argument("--tol-strict", type=float, default=None)
-    p_check.add_argument("--cluster-tol", type=float, default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_verify = sub.add_parser("verify", help="re-check a report certificate")
@@ -138,19 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tol_from(problem, args) -> Tolerances:
-    base = problem.tolerances if problem.tolerances is not None else Tolerances()
-    kwargs = base.as_dict()
-    if getattr(args, "tol_decide", None) is not None:
-        kwargs["decide"] = args.tol_decide
-    if getattr(args, "tol_strict", None) is not None:
-        kwargs["strict"] = args.tol_strict
-    if getattr(args, "cluster_tol", None) is not None:
-        kwargs["cluster"] = args.cluster_tol
-    try:
-        return Tolerances(**kwargs)
-    except ValueError as exc:
-        raise ParseError(f"bad tolerances: {exc}") from exc
+def _tolerances(problem) -> Tolerances:
+    """The problem's own tolerances, or the defaults when it sets none."""
+    return problem.tolerances or Tolerances()
+
+
+def _require_field(problem, mode: str) -> None:
+    """Refuse a real-field problem in a mode that decides over complex
+    scalars only."""
+    if mode != "pair" and problem.field == REAL_FIELD:
+        raise ParseError(f"{mode} mode decides over complex scalars only; "
+                         "the problem is stored in the real field")
 
 
 def cmd_norm(args) -> int:
@@ -166,13 +163,13 @@ def cmd_norm(args) -> int:
 
 def cmd_check(args) -> int:
     problem = load_problem(args.problem)
-    tol = _tol_from(problem, args)
-    field = args.field if args.field is not None else problem.field
+    tol = _tolerances(problem)
     mode = args.mode
     if mode is None:
         mode = "subspace" if problem.subspace is not None else "pair"
     if mode == "subspace" and problem.subspace is None:
         raise ParseError("subspace mode needs a subspace list in the problem")
+    _require_field(problem, mode)
     t0 = time.perf_counter()
     if mode == "subspace":
         a = problem.matrix("a")
@@ -191,17 +188,14 @@ def cmd_check(args) -> int:
                 decision = check_parallel(a, b, problem.k, tol=tol,
                                           want_certificate=not args.no_cert)
         elif args.oracle:
-            decision = oracle_check_pair(a, b, problem.k, field=field,
+            decision = oracle_check_pair(a, b, problem.k, field=problem.field,
                                          tol=tol)
-        elif mode == "blocks":
-            decision = check_pair_blocks(a, b, problem.k, tol=tol,
-                                         want_certificate=not args.no_cert)
         else:
-            decision = check_pair(a, b, problem.k, field=field, tol=tol,
-                                  want_certificate=not args.no_cert)
+            decision = check_pair(a, b, problem.k, field=problem.field,
+                                  tol=tol, want_certificate=not args.no_cert)
     timings = {"total_s": time.perf_counter() - t0}
     if args.json or args.report:
-        report = encode_report(decision, timings=timings, seed=args.seed)
+        report = encode_report(decision, timings=timings)
     if args.report:
         _save_json(args.report, report)
     if args.json:
@@ -220,21 +214,21 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     problem = load_problem(args.problem)
     report = load_report(args.report)
+    a = problem.matrix("a")
+    if problem.subspace is not None:
+        mode, second = "subspace", problem.basis()
+    else:
+        parallel = report.verdict in (Verdict.PARALLEL, Verdict.NOT_PARALLEL)
+        mode, second = "parallel" if parallel else "pair", problem.matrix("b")
+    _require_field(problem, mode)
     if report.certificate is None:
         print("FAIL certificate=absent")
         return 1
     # never the report's tolerances: a report must not set its own bounds
-    tol = problem.tolerances or Tolerances()
-    a = problem.matrix("a")
-    if problem.subspace is not None:
-        second = problem.basis()
-    else:
-        second = problem.matrix("b")
     outcome = verify_certificate(report.certificate, a, second, problem.k,
-                                 tol=tol)
+                                 tol=_tolerances(problem))
     proves = _proves_verdict(report.verdict, report.certificate,
-                             problem.subspace is None
-                             and problem.field == REAL_FIELD)
+                             problem.field == REAL_FIELD)
     outcome["checks"].append({"name": "proves_verdict",
                               "value": 0.0 if proves else 1.0, "bound": 0.5,
                               "pass": proves})
@@ -253,7 +247,8 @@ def cmd_verify(args) -> int:
 
 def _proves_verdict(verdict: Verdict, cert, real_pair: bool) -> bool:
     """Whether a certificate of this kind and purpose, once it verifies,
-    proves ``verdict``; ``real_pair`` marks a pair problem over the reals."""
+    proves ``verdict``; ``real_pair`` marks a pair problem over the reals,
+    the one real-field problem verify reads."""
     purpose = cert.details.get("purpose", "orthogonal")
     if verdict is Verdict.ORTHOGONAL:
         if cert.kind is CertKind.WITNESS_SYSTEM:
@@ -269,6 +264,9 @@ def _proves_verdict(verdict: Verdict, cert, real_pair: bool) -> bool:
 
 
 def cmd_gen(args) -> int:
+    if args.field == REAL_FIELD and args.kind not in _REAL_KINDS:
+        raise ParseError(f"--kind {args.kind} builds complex instances only; "
+                         f"--field real takes --kind {', '.join(_REAL_KINDS)}")
     rng = np.random.default_rng(args.seed)
     n, k = args.n, args.k
     if args.kind == "orthogonal":
@@ -311,7 +309,7 @@ def cmd_sweep_plot(args) -> int:
     a, b = problem.pair()
     if args.grid < 8:
         raise ParseError("--grid must be at least 8")
-    model = _pair_setup(a, b, problem.k, _tol_from(problem, args)).model
+    model = _pair_setup(a, b, problem.k, _tolerances(problem)).model
     thetas = np.linspace(0.0, 2.0 * np.pi, args.grid, endpoint=False)
     h = model.support(thetas)
     fixed = complex(model.fixed_part)

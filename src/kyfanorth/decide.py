@@ -47,7 +47,6 @@ from .subdiff import (
 
 __all__ = [
     "check_pair",
-    "check_pair_blocks",
     "check_subspace",
     "check_parallel",
     "verify_certificate",
@@ -128,28 +127,11 @@ def check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     """
     if field not in (COMPLEX_FIELD, REAL_FIELD):
         raise ValueError(f"unknown scalar field {field!r}")
-    return _decide_pair(_pair_setup(a, b, k, tol), field, want_certificate,
-                        blocks=False)
+    return _decide_pair(_pair_setup(a, b, k, tol), field, want_certificate)
 
 
-def check_pair_blocks(a, b, k: int, tol: Tolerances | None = None,
-                      want_certificate: bool = True) -> Decision:
-    """Decide pair orthogonality through the boundary-block criterion.
-
-    Partitions the rotated direction around the cluster of s_k: with the
-    leading trace z1 and boundary block C, orthogonality holds iff -z1 lies
-    in {tr(T C)} over the trace-q coefficient polytope (positive boundary
-    value), or iff |z1| is at most the top-q singular sum of the widened
-    block (boundary value zero). This is the range-set model check_pair
-    reads, so the two agree by construction; the block form reports the
-    leading trace and always certifies with a BLOCK_COEFFICIENT.
-    """
-    return _decide_pair(_pair_setup(a, b, k, tol), COMPLEX_FIELD,
-                        want_certificate, blocks=True)
-
-
-def _decide_pair(setup: _PairSetup, field: str, want_certificate: bool,
-                 blocks: bool) -> Decision:
+def _decide_pair(setup: _PairSetup, field: str,
+                 want_certificate: bool) -> Decision:
     frame, model, scale = setup.frame, setup.model, setup.scale
     outcome = _pair_outcome(setup, field)
     verdict = setup.tol.band(outcome.value, scale, bound=outcome.bound)
@@ -166,22 +148,20 @@ def _decide_pair(setup: _PairSetup, field: str, want_certificate: bool,
         "sweep_capped": outcome.capped,
         "margin_lower_bound": outcome.bound,
         "support_theta": outcome.theta,
+        "leading_trace": complex(model.fixed_part),
     }
-    if blocks:
-        details["leading_trace"] = complex(model.fixed_part)
     decision = Decision(verdict=verdict, margin=outcome.value, scale=scale,
-                        method="block-criterion" if blocks else "support-sweep",
-                        tolerances=setup.tol, details=details)
+                        method="support-sweep", tolerances=setup.tol,
+                        details=details)
     if want_certificate:
-        _attach_pair_certificate(decision, setup, outcome, field, blocks)
+        _attach_pair_certificate(decision, setup, outcome, field)
     return decision
 
 
 def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
-                             outcome: SweepOutcome, field: str,
-                             blocks: bool) -> None:
+                             outcome: SweepOutcome, field: str) -> None:
     if decision.verdict is Verdict.ORTHOGONAL:
-        if not (blocks or setup.frame.degenerate_zero):
+        if not setup.frame.degenerate_zero:
             try:
                 decision.certificate = _witness_system(setup, outcome, field)
                 return
@@ -722,7 +702,7 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
         coefficients = zeta.conj() / resid
         witness_dir = sum(c * w for c, w in zip(coefficients, ortho))
         pair = _decide_pair(_pair_setup(a, witness_dir, k, tol, frame),
-                            COMPLEX_FIELD, want_certificate, blocks=False)
+                            COMPLEX_FIELD, want_certificate)
         details["counterexample_coefficients"] = [complex(c)
                                                   for c in coefficients]
         details["counterexample_pair_margin"] = pair.margin

@@ -44,7 +44,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_TOL_KEYS = ("decide", "strict", "cert", "resid", "cluster", "rank")
+_TOL_KEYS = ("decide", "strict", "cert", "cluster", "rank")
+# tolerances older files carry that nothing reads: they are dropped
+_RETIRED_TOL_KEYS = ("herm", "resid")
 
 
 def encode_matrix(m) -> dict:
@@ -144,7 +146,6 @@ class Report:
     certificate: Certificate | None
     details: dict
     timings: dict
-    seed: int | None
 
 
 def encode_problem(matrices: dict, k: int, field_name: str = COMPLEX_FIELD,
@@ -169,13 +170,12 @@ def encode_problem(matrices: dict, k: int, field_name: str = COMPLEX_FIELD,
 def _decode_tolerances(obj) -> Tolerances:
     if not isinstance(obj, dict):
         raise ParseError("tolerances: expected an object")
-    # older files carry "herm", a tolerance nothing read: it is dropped
-    unknown = set(obj) - set(_TOL_KEYS) - {"herm"}
+    unknown = set(obj) - set(_TOL_KEYS) - set(_RETIRED_TOL_KEYS)
     if unknown:
         raise ParseError(f"tolerances: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in obj.items():
-        if value is None or key == "herm":
+        if value is None or key in _RETIRED_TOL_KEYS:
             continue
         try:
             kwargs[key] = float(value)
@@ -298,8 +298,7 @@ def decode_certificate(obj) -> Certificate:
                        multiplicities=mults, details=details)
 
 
-def encode_report(decision: Decision, timings: dict | None = None,
-                  seed: int | None = None) -> dict:
+def encode_report(decision: Decision, timings: dict | None = None) -> dict:
     obj = {
         "schema_version": SCHEMA_VERSION,
         "verdict": decision.verdict.value,
@@ -312,7 +311,6 @@ def encode_report(decision: Decision, timings: dict | None = None,
                         if decision.certificate is not None else None),
         "details": _plain(decision.details),
         "timings": _plain(timings or {}),
-        "seed": seed,
     }
     return obj
 
@@ -341,18 +339,12 @@ def decode_report(obj) -> Report:
     certificate = None
     if obj.get("certificate") is not None:
         certificate = decode_certificate(obj["certificate"])
+    # older reports carry a "seed" that nothing reads: it is ignored
     details = obj.get("details") or {}
     timings = obj.get("timings") or {}
-    seed = obj.get("seed")
-    if seed is not None:
-        try:
-            seed = int(seed)
-        except (TypeError, ValueError) as exc:
-            raise ParseError("report: seed must be an integer") from exc
     return Report(verdict=verdict, margin=margin, scale=scale,
                   method=str(obj.get("method", "")), tolerances=tolerances,
-                  certificate=certificate, details=details, timings=timings,
-                  seed=seed)
+                  certificate=certificate, details=details, timings=timings)
 
 
 def _load_json(path):

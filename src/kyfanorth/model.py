@@ -33,7 +33,7 @@ class CertKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Decision bands and residual budgets, each a pure number times the
+    """Decision bands and certificate budgets, each a pure number times the
     problem's own scale, so that (tA, tB) decides and verifies as (A, B).
 
     Norm values (margins, pairings, construction misses) are read in units
@@ -41,22 +41,23 @@ class Tolerances:
     orthogonal, below -strict*scale not, anything between BOUNDARY. Spectral
     widths are in units of s1 = ||A||: the clustering and rank widths
     (1e-8 s1, 1e-12 s1; the absolute cluster/rank when set). Bare, cert
-    bounds trace, cluster span and operator norm; no clause reads resid.
+    bounds trace, cluster span and operator norm.
+
+    A problem file carries its tolerances, and ``check`` and ``verify`` both
+    read them from there; the Python entry points take them as ``tol``.
     """
 
     decide: float = 1e-7
     strict: float = 1e-6
     cert: float = 1e-8
-    resid: float = 1e-10
     cluster: float | None = None
     rank: float | None = None
 
     def __post_init__(self):
         if not (0 < self.decide <= self.strict):
             raise ValueError("need 0 < decide <= strict")
-        for name in ("cert", "resid"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.cert <= 0:
+            raise ValueError("cert must be positive")
 
     def margin_scale(self, norm_a: float, norm_b: float) -> float:
         return max(norm_a + norm_b, 1e-300)
@@ -90,7 +91,6 @@ class Tolerances:
             "decide": self.decide,
             "strict": self.strict,
             "cert": self.cert,
-            "resid": self.resid,
             "cluster": self.cluster,
             "rank": self.rank,
         }

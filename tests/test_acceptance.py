@@ -12,10 +12,13 @@ import pytest
 
 from kyfanorth.cli import main as cli_main
 from kyfanorth.decide import (
+    _pair_outcome,
+    _pair_setup,
+    _witness_block,
     check_pair,
-    check_pair_blocks,
     check_parallel,
     check_subspace,
+    verify_certificate,
 )
 from kyfanorth.generate import (
     make_nonorthogonal_pair,
@@ -26,7 +29,7 @@ from kyfanorth.generate import (
 )
 from kyfanorth.io import save_problem, save_report
 from kyfanorth.linalg import herm, singular_values
-from kyfanorth.model import REAL_FIELD, CertKind, Verdict
+from kyfanorth.model import COMPLEX_FIELD, REAL_FIELD, CertKind, Verdict
 from kyfanorth.norms import ky_fan_norm
 from kyfanorth.oracle import (
     fd_directional,
@@ -100,6 +103,8 @@ def test_c01_engine_matches_oracle_on_random_pairs():
 
 
 def test_c02_pair_and_block_criteria_cross_consistent():
+    # at a positive boundary value every ORTHOGONAL pair's fallback
+    # certificate, a boundary-block coefficient, verifies
     rng = np.random.default_rng(202)
     checked_positive_rank = 0
     for i in range(200):
@@ -114,11 +119,15 @@ def test_c02_pair_and_block_criteria_cross_consistent():
         s = singular_values(a)
         if s[k - 1] <= 1e-10 * s[0]:
             continue
-        d1 = check_pair(a, b, k, want_certificate=False)
-        d2 = check_pair_blocks(a, b, k, want_certificate=False)
-        assert d1.verdict is d2.verdict, (i, n, k)
+        d = check_pair(a, b, k, want_certificate=False)
+        if d.verdict is not Verdict.ORTHOGONAL:
+            continue
+        setup = _pair_setup(a, b, k)
+        cert = _witness_block(setup, _pair_outcome(setup, COMPLEX_FIELD))
+        assert cert.kind is CertKind.BLOCK_COEFFICIENT
+        assert verify_certificate(cert, a, b, k)["ok"], (i, n, k)
         checked_positive_rank += 1
-    assert checked_positive_rank >= 150
+    assert checked_positive_rank >= 90
 
     # at a zero boundary value the block criterion referees against the
     # norm-evaluation oracle
@@ -132,7 +141,7 @@ def test_c02_pair_and_block_criteria_cross_consistent():
         else:
             a, _, _ = make_singular_pair(4, k, rng)
             b = complex_gauss(rng, 4, 4)
-        eng = check_pair_blocks(a, b, k, want_certificate=False)
+        eng = check_pair(a, b, k, want_certificate=False)
         orc = oracle_check_pair(a, b, k)
         if Verdict.BOUNDARY in (eng.verdict, orc.verdict):
             continue

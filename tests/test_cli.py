@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import kyfanorth
-from kyfanorth.cli import main
-from kyfanorth.io import load_problem, save_problem
+from kyfanorth.cli import build_parser, main
+from kyfanorth.io import load_problem, load_report, save_problem
+from kyfanorth.model import REAL_FIELD, Tolerances
 
 
 def run(capsys, *argv):
@@ -99,14 +101,43 @@ def test_check_exit_codes(tmp_path, capsys):
 
 
 def test_check_blocks_and_oracle_agree(tmp_path, capsys):
+    # at a zero boundary value check certifies with a boundary-block
+    # coefficient, and the norm-evaluation referee reads the same verdict
     a = np.diag([2.0, 1.0, 0.0])
     b = np.zeros((3, 3))
     b[2, 2] = 1.0
     path = write_pair(tmp_path, a, b, 3)
-    code_blocks, _, _ = run(capsys, "check", path, "--mode", "blocks")
+    code_engine, out, _ = run(capsys, "check", path)
     code_oracle, _, _ = run(capsys, "check", path, "--oracle")
-    assert code_blocks == 0
+    assert code_engine == 0
+    assert "certificate=BLOCK_COEFFICIENT" in out
     assert code_oracle == 0
+
+
+def _subcommand_options(name):
+    """{option string: argparse action} of one subcommand's parser."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {opt: action for action in sub.choices[name]._actions
+            for opt in action.option_strings}
+
+
+def test_check_reads_the_question_from_the_problem_alone(tmp_path, capsys):
+    # the problem file fixes the matrices, k, the field and the tolerances,
+    # so check decides the question verify re-checks; check's options only
+    # pick the criterion and what to write
+    options = _subcommand_options("check")
+    assert set(options) == {"-h", "--help", "--mode", "--json", "--report",
+                            "--no-cert", "--oracle"}
+    assert list(options["--mode"].choices) == ["pair", "subspace", "parallel"]
+    path = write_pair(tmp_path, np.diag([2.0, 1.0]), np.eye(2), 2)
+    for removed in (["--mode", "blocks"], ["--field", "real"],
+                    ["--field", "complex"], ["--tol-decide", "0.45"],
+                    ["--tol-strict", "0.5"], ["--cluster-tol", "1e-3"],
+                    ["--seed", "5"]):
+        code, _, err = run(capsys, "check", path, *removed)
+        assert code == 2, removed
+        assert "usage" in err
 
 
 def test_check_json_report(tmp_path, capsys):
@@ -114,11 +145,11 @@ def test_check_json_report(tmp_path, capsys):
     path = write_pair(tmp_path, a, np.eye(2), 2)
     report_path = str(tmp_path / "report.json")
     code, out, _ = run(capsys, "check", path, "--json",
-                       "--report", report_path, "--seed", "5")
+                       "--report", report_path)
     assert code == 1
     payload = json.loads(out)
     assert payload["verdict"] == "NOT_ORTHOGONAL"
-    assert payload["seed"] == 5
+    assert "seed" not in payload
     assert payload["certificate"]["kind"] == "VIOLATION"
     on_disk = json.loads(open(report_path, encoding="utf-8").read())
     assert on_disk["verdict"] == payload["verdict"]
@@ -146,17 +177,19 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def test_tolerance_flags_change_bands(tmp_path, capsys):
+def test_problem_tolerances_change_bands(tmp_path, capsys):
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     path = write_pair(tmp_path, a, b, 2)
-    loose, _, _ = run(capsys, "check", path,
-                      "--tol-decide", "0.45", "--tol-strict", "0.5")
-    strictish, _, _ = run(capsys, "check", path)
-    assert strictish == 1
-    # an absurdly wide decide band turns the same instance orthogonal
-    assert loose == 0
+    wide = write_pair(tmp_path, a, b, 2, name="wide.json",
+                      tolerances=Tolerances(decide=0.45, strict=0.5))
+    assert run(capsys, "check", path)[0] == 1
+    # an absurdly wide decide band stored in the problem turns the same
+    # instance orthogonal, with no certificate that the band could back
+    code, out, _ = run(capsys, "check", wide)
+    assert code == 0
+    assert "certificate=" not in out
 
 
 def test_verify_pass_and_tamper(tmp_path, capsys):
@@ -248,17 +281,10 @@ def test_verify_ignores_the_tolerances_a_report_carries(tmp_path, capsys):
     from kyfanorth.generate import make_nonorthogonal_pair
     from kyfanorth.io import save_report
     from kyfanorth.linalg import haar_unitary
-    from kyfanorth.model import (
-        Certificate,
-        CertKind,
-        Decision,
-        Tolerances,
-        Verdict,
-    )
+    from kyfanorth.model import Certificate, CertKind, Decision, Verdict
 
     a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))
-    loose = Tolerances(decide=1e5, strict=1e6, cert=1e5, resid=1e5,
-                       cluster=1e9)
+    loose = Tolerances(decide=1e5, strict=1e6, cert=1e5, cluster=1e9)
     cert = Certificate(kind=CertKind.WITNESS_SYSTEM,
                        vectors=haar_unitary(4, np.random.default_rng(0))[:, :2],
                        details={"purpose": "orthogonal"})
@@ -300,7 +326,6 @@ def test_verify_fails_a_certificate_of_another_verdict(tmp_path, capsys):
 def test_verify_reads_a_real_field_pair_through_real_certificates(tmp_path,
                                                                   capsys):
     from kyfanorth.generate import make_nonorthogonal_pair, make_orthogonal_pair
-    from kyfanorth.model import REAL_FIELD
 
     rng = np.random.default_rng(2)
     a, b, _ = make_orthogonal_pair(4, 2, rng, field=REAL_FIELD)
@@ -313,17 +338,16 @@ def test_verify_reads_a_real_field_pair_through_real_certificates(tmp_path,
     complex_path = write_pair(tmp_path, a, b, 2, name="complex.json")
     assert run(capsys, "verify", complex_path, report_path)[0] == 1
     # a complex scalar that shrinks the norm (-0.212 - 0.184i here) does not
-    # refute over the reals; the real field's own scalar does
+    # refute over the reals; the real field's own scalar refutes in both
     a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))
     path = write_pair(tmp_path, a, b, 2, name="refuted.json")
     real = write_pair(tmp_path, a, b, 2, name="refuted_real.json",
                       field_name=REAL_FIELD)
-    for field, code in (("complex", 1), ("real", 0)):
-        report_path = str(tmp_path / f"report_{field}.json")
-        assert run(capsys, "check", path, "--field", field,
-                   "--report", report_path)[0] == 1
-        assert run(capsys, "verify", path, report_path)[0] == 0
-        assert run(capsys, "verify", real, report_path)[0] == code
+    for own, other, code in ((path, real, 1), (real, path, 0)):
+        report_path = own + ".report.json"
+        assert run(capsys, "check", own, "--report", report_path)[0] == 1
+        assert run(capsys, "verify", own, report_path)[0] == 0
+        assert run(capsys, "verify", other, report_path)[0] == code
 
 
 def test_check_encodes_the_report_once(tmp_path, capsys, monkeypatch):
@@ -425,7 +449,6 @@ def test_sweep_plot_uses_problem_tolerances(tmp_path, capsys):
     # cluster; the plotted sweep must be the one check decides from
     from kyfanorth.decide import check_pair
     from kyfanorth.generate import haar_unitary, random_matrix
-    from kyfanorth.model import Tolerances
     from kyfanorth.norms import ky_fan_norm
 
     rng = np.random.default_rng(3)
@@ -447,14 +470,111 @@ def test_sweep_plot_uses_problem_tolerances(tmp_path, capsys):
     assert margin - 1e-9 <= h_min <= margin + resolution
 
 
-def test_check_real_field_flag(tmp_path, capsys):
+def test_check_reads_the_field_from_the_problem(tmp_path, capsys):
     rng = np.random.default_rng(2)
     from kyfanorth.generate import make_orthogonal_pair
-    from kyfanorth.model import REAL_FIELD
 
     a, b, _ = make_orthogonal_pair(4, 2, rng, field=REAL_FIELD)
-    path = write_pair(tmp_path, a, b, 2, field_name=REAL_FIELD)
-    assert run(capsys, "check", path)[0] == 0
-    # the field stored in the problem can be overridden from the flag
-    code_complex, _, _ = run(capsys, "check", path, "--field", "complex")
-    assert code_complex in (0, 1)
+    for field_name in ("complex", REAL_FIELD):
+        path = write_pair(tmp_path, a, b, 2, name=f"{field_name}.json",
+                          field_name=field_name)
+        for oracle in ([], ["--oracle"]):
+            code, out, _ = run(capsys, "check", path, "--json", *oracle)
+            assert code in (0, 1)
+            assert json.loads(out)["details"]["field"] == field_name
+    assert run(capsys, "check", str(tmp_path / "real.json"))[0] == 0
+
+
+def _near_tie_pair(rng):
+    """A with singular values 3, 2, 2 - 1e-4, 1, 0.5 and a random B."""
+    from kyfanorth.generate import random_matrix
+    from kyfanorth.linalg import haar_unitary
+
+    u, v = haar_unitary(5, rng), haar_unitary(5, rng)
+    a = (u * np.array([3.0, 2.0, 2.0 - 1e-4, 1.0, 0.5])) @ v.conj().T
+    return a, random_matrix(5, rng)
+
+
+@pytest.mark.parametrize("case", ["near_tie", "real_pair"])
+def test_check_report_verifies_against_its_own_problem(tmp_path, capsys,
+                                                       case):
+    # a cluster width of 1e-3 merges the near tie and decides orthogonal
+    # draws with witnesses that mix it; verify reads the same width from
+    # the problem, while at the default width it splits the tie and fails
+    # those witnesses
+    from kyfanorth.generate import make_nonorthogonal_pair, make_orthogonal_pair
+
+    rng = np.random.default_rng(0)
+    if case == "near_tie":
+        pairs = [_near_tie_pair(rng) for _ in range(6)]
+        kwargs = {"tolerances": Tolerances(cluster=1e-3)}
+    else:
+        pairs = [make_orthogonal_pair(4, 2, rng, q=2, field=REAL_FIELD)[:2],
+                 make_nonorthogonal_pair(4, 2, rng)[:2]]
+        kwargs = {"field_name": REAL_FIELD}
+    codes = []
+    for i, (a, b) in enumerate(pairs):
+        path = write_pair(tmp_path, a, b, 2, name=f"p{i}.json", **kwargs)
+        report_path = str(tmp_path / f"r{i}.json")
+        codes.append(run(capsys, "check", path, "--report", report_path)[0])
+        assert codes[-1] in (0, 1)
+        assert load_report(report_path).certificate is not None
+        assert run(capsys, "verify", path, report_path)[0] == 0
+        if case == "near_tie" and codes[-1] == 0:
+            bare = write_pair(tmp_path, a, b, 2, name=f"bare{i}.json")
+            code, out, _ = run(capsys, "verify", bare, report_path)
+            assert code == 1
+            assert "[FAIL] cluster_span_" in out
+    assert sorted(set(codes)) == [0, 1]
+
+
+@pytest.mark.parametrize("mode", ["parallel", "subspace"])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_real_field_problem_outside_pair_mode_exits_2(tmp_path, capsys, mode,
+                                                      oracle):
+    # parallelism and subspace orthogonality are decided over complex
+    # scalars only: a real-field problem is refused, never read as complex
+    from kyfanorth.generate import make_parallel_pair
+
+    a, b, _ = make_parallel_pair(4, 2, np.random.default_rng(1))
+    path = str(tmp_path / "p.json")
+    if mode == "subspace":
+        save_problem(path, {"a": a, "w0": b}, 2, field_name=REAL_FIELD,
+                     subspace=["w0"])
+    else:
+        save_problem(path, {"a": a, "b": b}, 2, field_name=REAL_FIELD)
+    argv = ["check", path, "--mode", mode] + (["--oracle"] if oracle else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "real field" in err
+
+
+def test_verify_refuses_a_real_field_problem_outside_pair_mode(tmp_path,
+                                                                capsys):
+    # the parallel pair reads PARALLEL at lambda = -0.884 - 0.467i, a
+    # scalar the real field does not have; its report proves nothing there
+    from kyfanorth.generate import make_parallel_pair
+
+    a, b, _ = make_parallel_pair(4, 2, np.random.default_rng(1))
+    path = write_pair(tmp_path, a, b, 2)
+    report_path = str(tmp_path / "r.json")
+    assert run(capsys, "check", path, "--mode", "parallel",
+               "--report", report_path)[0] == 0
+    assert run(capsys, "verify", path, report_path)[0] == 0
+    real = write_pair(tmp_path, a, b, 2, name="real.json",
+                      field_name=REAL_FIELD)
+    code, _, err = run(capsys, "verify", real, report_path)
+    assert code == 2
+    assert "real field" in err
+
+
+@pytest.mark.parametrize("kind", ["parallel", "nonparallel", "subspace"])
+def test_gen_refuses_the_real_field_for_complex_only_kinds(tmp_path, capsys,
+                                                           kind):
+    out_path = tmp_path / f"{kind}.json"
+    code, _, err = run(capsys, "gen", "--kind", kind, "--out", str(out_path),
+                       "-n", "4", "-k", "2", "--field", "real")
+    assert code == 2
+    assert "--field real" in err
+    assert not out_path.exists()

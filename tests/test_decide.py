@@ -10,9 +10,10 @@ from kyfanorth.decide import (
     _checked_miss,
     _cluster_factors,
     _hull_weights,
+    _pair_outcome,
     _pair_setup,
+    _witness_block,
     check_pair,
-    check_pair_blocks,
     check_parallel,
     check_subspace,
     verify_certificate,
@@ -56,6 +57,15 @@ def _densities(cert):
 
 def complex_gauss(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def _block_decision(a, b, k):
+    """check_pair's decision certified by the BLOCK_COEFFICIENT it falls
+    back to when no witness system can be built."""
+    d = check_pair(a, b, k, want_certificate=False)
+    setup = _pair_setup(a, b, k)
+    d.certificate = _witness_block(setup, _pair_outcome(setup, COMPLEX_FIELD))
+    return d
 
 
 def test_swept_minimum_cosine():
@@ -163,11 +173,14 @@ def test_real_field_margin_is_two_point(rng):
 
 
 def test_blocks_worked_example_degenerate():
+    # at s_k = 0 the boundary-block criterion certifies the verdict
     a = np.diag([2.0, 1.0, 0.0]).astype(complex)
     b = np.zeros((3, 3), complex)
     b[2, 2] = 1.0
-    d = check_pair_blocks(a, b, 3)
+    d = check_pair(a, b, 3)
     assert d.verdict is Verdict.ORTHOGONAL
+    assert d.certificate.kind is CertKind.BLOCK_COEFFICIENT
+    assert verify_certificate(d.certificate, a, b, 3)["ok"]
     # the trace norm grows one-for-one along this direction
     for lam in (0.5, -1.0, 1j):
         assert ky_fan_norm(a + lam * b, 3) == pytest.approx(3.0 + abs(lam),
@@ -177,12 +190,15 @@ def test_blocks_worked_example_degenerate():
 def test_blocks_worked_example_negative():
     a = np.diag([2.0, 1.0]).astype(complex)
     b = np.eye(2, dtype=complex)
-    d = check_pair_blocks(a, b, 2)
+    d = check_pair(a, b, 2)
     assert d.verdict is Verdict.NOT_ORTHOGONAL
     assert ky_fan_norm(a - 0.5 * b, 2) < ky_fan_norm(a, 2)
 
 
 def test_pair_and_blocks_agree(rng):
+    # the boundary-block criterion reads check_pair's range model: its
+    # coefficient exists, and verifies, exactly when the pair is orthogonal
+    verdicts = set()
     for trial in range(40):
         if trial % 2:
             a, b, _ = make_orthogonal_pair(4, 2, rng,
@@ -190,31 +206,17 @@ def test_pair_and_blocks_agree(rng):
         else:
             a = complex_gauss(rng, 4, 4)
             b = complex_gauss(rng, 4, 4)
-        d1 = check_pair(a, b, 2, want_certificate=False)
-        d2 = check_pair_blocks(a, b, 2, want_certificate=False)
-        assert d1.verdict is d2.verdict
-
-
-def test_blocks_refutation_certified_whenever_pair_is():
-    # rank-degenerate refutations: both modes read one range-set model, so
-    # the block form searches the same steepest ray and certifies alike
-    rng = np.random.default_rng(2026)
-    certified = 0
-    for _ in range(200):
-        n = int(rng.integers(4, 8))
-        k = int(rng.integers(2, n + 1))
-        a, b, _ = make_singular_pair(n, k, rng)
-        b = b + 0.3 * random_matrix(n, rng)
-        pair = check_pair(a, b, k)
-        blocks = check_pair_blocks(a, b, k)
-        assert blocks.verdict is pair.verdict
-        if pair.verdict is not Verdict.NOT_ORTHOGONAL or pair.certificate is None:
-            continue
-        certified += 1
-        cert = blocks.certificate
-        assert cert is not None and cert.kind is CertKind.VIOLATION
-        assert verify_certificate(cert, a, b, k)["ok"]
-    assert certified >= 20
+        d = check_pair(a, b, 2, want_certificate=False)
+        setup = _pair_setup(a, b, 2)
+        outcome = _pair_outcome(setup, COMPLEX_FIELD)
+        verdicts.add(d.verdict)
+        if d.verdict is Verdict.ORTHOGONAL:
+            cert = _witness_block(setup, outcome)
+            assert verify_certificate(cert, a, b, 2)["ok"]
+        elif d.verdict is Verdict.NOT_ORTHOGONAL:
+            with pytest.raises(WitnessSearchFailed, match="misses 0"):
+                _witness_block(setup, outcome)
+    assert verdicts == {Verdict.ORTHOGONAL, Verdict.NOT_ORTHOGONAL}
 
 
 def _violation_checked(decision, a, b, k):
@@ -264,8 +266,7 @@ def test_every_refutation_carries_a_violation():
     # scalar may fall below that bound
     refuted = shallow = 0
     for a, b, k in _coverage_pairs(np.random.default_rng(4242)):
-        for d in (check_pair(a, b, k), check_pair(a, b, k, field=REAL_FIELD),
-                  check_pair_blocks(a, b, k)):
+        for d in (check_pair(a, b, k), check_pair(a, b, k, field=REAL_FIELD)):
             if d.verdict is not Verdict.NOT_ORTHOGONAL:
                 continue
             refuted += 1
@@ -353,7 +354,7 @@ def test_witness_orthonormality_is_implied(rng, defect):
 def test_witness_block_hand_example():
     a = np.eye(2, dtype=complex)
     b = np.diag([1.0, -1.0]).astype(complex)
-    cert = check_pair_blocks(a, b, 1).certificate
+    cert = _block_decision(a, b, 1).certificate
     assert cert.kind is CertKind.BLOCK_COEFFICIENT
     t = cert.block_matrix
     assert np.trace(t).real == pytest.approx(1.0, abs=1e-9)
@@ -368,7 +369,7 @@ def test_witness_block_hand_example():
 def test_witness_block_random_instances(rng):
     for _ in range(10):
         a, b, _ = make_orthogonal_pair(5, 3, rng, q=2)
-        cert = check_pair_blocks(a, b, 3).certificate
+        cert = _block_decision(a, b, 3).certificate
         assert cert.kind is CertKind.BLOCK_COEFFICIENT
         g = cert.subgradient
         assert subgradient_membership(a, 3, g, tol=1e-7)
@@ -379,7 +380,7 @@ def test_witness_block_random_instances(rng):
 
 def test_witness_block_degenerate(rng):
     a, b, _ = make_orthogonal_pair(5, 3, rng, q=2, degenerate=True)
-    cert = check_pair_blocks(a, b, 3).certificate
+    cert = _block_decision(a, b, 3).certificate
     assert cert.kind is CertKind.BLOCK_COEFFICIENT
     report = verify_certificate(cert, a, b, 3)
     assert report["ok"], report
@@ -413,7 +414,7 @@ def test_block_verifier_rejects_infeasible_coefficients(rng):
     # s_k > 0: a boundary cluster of width 4 with q = 2, where T must be
     # Hermitian with 0 <= T <= I and trace 2
     a, b, _ = make_orthogonal_pair(6, 3, rng, q=2, r=2)
-    coeff = check_pair_blocks(a, b, 3).certificate.block_matrix
+    coeff = _block_decision(a, b, 3).certificate.block_matrix
     assert _coefficient_feasible(coeff, a, b, 3)
     w = haar_unitary(4, rng)
     skew = np.zeros((4, 4))
@@ -546,7 +547,7 @@ def _instance_244():
 def test_witness_on_a_centrally_symmetric_set():
     a, b = _instance_244()
     for d in (check_pair(a, b, 2), check_pair(a, b, 2, field=REAL_FIELD),
-              check_pair_blocks(a, b, 2)):
+              _block_decision(a, b, 2)):
         _certified(d, a, b, 2)
 
 
@@ -584,7 +585,7 @@ def test_witness_when_the_set_is_a_segment():
     a, b = _hermitian_frame_pair(0.2, (w * np.array([-1.0, 0.5, 2.0]))
                                  @ w.conj().T)
     for d in (check_pair(a, b, 2), check_pair(a, b, 2, field=REAL_FIELD),
-              check_pair_blocks(a, b, 2)):
+              _block_decision(a, b, 2)):
         _certified(d, a, b, 2)
 
 
@@ -599,7 +600,7 @@ def test_witness_at_an_exposed_vertex(outside):
     scale = ky_fan_norm(a, 2) + ky_fan_norm(b, 2)
     shift = outside * tol.decide * scale
     a, b = _hermitian_frame_pair(-corners[0] - 1j * shift, np.diag(corners))
-    for d in (check_pair(a, b, 2), check_pair_blocks(a, b, 2)):
+    for d in (check_pair(a, b, 2), _block_decision(a, b, 2)):
         cert = _certified(d, a, b, 2)
         if outside:
             assert -tol.decide * d.scale <= d.margin < 0.0
@@ -622,7 +623,7 @@ def test_orthogonal_pairs_carry_hull_certificates(seed, n, data):
     b = b * 10.0 ** data.draw(st.floats(-3.0, 6.0))
     decisions = [check_pair(a, b, k, field=field)]
     if field == COMPLEX_FIELD:
-        decisions.append(check_pair_blocks(a, b, k))
+        decisions.append(_block_decision(a, b, k))
     for d in decisions:
         _certified(d, a, b, k)
 

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 from kyfanorth.cli import main
 from kyfanorth.decide import (
+    _pair_outcome,
+    _pair_setup,
+    _witness_block,
     check_pair,
-    check_pair_blocks,
     check_parallel,
     check_subspace,
     verify_certificate,
@@ -119,10 +121,22 @@ def _assert_same(before, after, factor, a, second, k):
         assert report["ok"], [c for c in report["checks"] if not c["pass"]]
 
 
+def _block_certified(a, b, k):
+    """check_pair's decision, an ORTHOGONAL one certified by the
+    BLOCK_COEFFICIENT it falls back to when no witness system can be
+    built."""
+    d = check_pair(a, b, k, COMPLEX_FIELD, want_certificate=False)
+    if d.verdict is Verdict.ORTHOGONAL:
+        setup = _pair_setup(a, b, k)
+        d.certificate = _witness_block(setup,
+                                       _pair_outcome(setup, COMPLEX_FIELD))
+    return d
+
+
 PAIR_CHECKS = {
     "complex": lambda a, b, k: check_pair(a, b, k, COMPLEX_FIELD),
     "real": lambda a, b, k: check_pair(a, b, k, REAL_FIELD),
-    "blocks": check_pair_blocks,
+    "block": _block_certified,
     "parallel": check_parallel,
 }
 
@@ -281,8 +295,8 @@ def _near_tie_subspace(rng):
 
 
 def test_density_certificate_under_a_wide_cluster_verifies():
-    # --cluster-tol 1e-3 merges the near tie, and a verifier clustering at
-    # that width reads the merged span
+    # a cluster width of 1e-3 merges the near tie, and a verifier
+    # clustering at that width reads the merged span
     rng = np.random.default_rng(4)
     wide = Tolerances(cluster=1e-3)
     for _ in range(8):
@@ -299,8 +313,9 @@ def test_density_certificate_under_a_wide_cluster_verifies():
 
 
 ZERO_CASES = {
-    # (check_pair, check_pair_blocks, check_parallel, check_subspace):
-    # verdict and certificate kind, each certificate verifying
+    # (check_pair, its fallback BLOCK_COEFFICIENT, check_parallel,
+    # check_subspace): verdict and certificate kind, each certificate
+    # verifying
     "a_zero": ("ORTHOGONAL BLOCK_COEFFICIENT", "ORTHOGONAL BLOCK_COEFFICIENT",
                "DegenerateRank", "BOUNDARY None"),
     "b_zero": ("ORTHOGONAL WITNESS_SYSTEM", "ORTHOGONAL BLOCK_COEFFICIENT",
@@ -321,7 +336,7 @@ def test_zero_operands_are_pinned(case):
     a = zero if case != "b_zero" else a
     b = zero if case != "a_zero" else b
     got = []
-    for check, second in ((check_pair, b), (check_pair_blocks, b),
+    for check, second in ((check_pair, b), (_block_certified, b),
                           (check_parallel, b), (check_subspace, [b])):
         d = _decide(check, a, second, 2)
         if isinstance(d, type):
@@ -350,7 +365,7 @@ def _guarded_certificates():
     rng = np.random.default_rng(17)
     a, b, _ = make_orthogonal_pair(5, 2, rng, q=1, r=1)
     yield "witness", check_pair(a, b, 2).certificate, a, b
-    yield "block", check_pair_blocks(a, b, 2).certificate, a, b
+    yield "block", _block_certified(a, b, 2).certificate, a, b
     a, b, _ = make_parallel_pair(4, 2, rng)
     yield "parallel", check_parallel(a, b, 2).certificate, a, b
     a, b, _ = make_nonorthogonal_pair(4, 2, rng)

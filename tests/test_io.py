@@ -109,14 +109,15 @@ def test_report_round_trip_with_certificate(rng, tmp_path):
     decision = check_pair(a, b, 2)
     assert decision.certificate is not None
     path = tmp_path / "r.json"
-    path.write_text(json.dumps(
-        encode_report(decision, timings={"total_s": 0.25}, seed=7)))
+    obj = encode_report(decision, timings={"total_s": 0.25})
+    # the generator seed lives in the problem's label, not in the report
+    assert "seed" not in obj
+    path.write_text(json.dumps(obj))
     report = load_report(path)
     assert report.verdict == decision.verdict.name
     assert report.margin == pytest.approx(decision.margin)
     assert report.scale == pytest.approx(decision.scale)
     assert report.method == decision.method
-    assert report.seed == 7
     assert report.timings["total_s"] == 0.25
     cert = report.certificate
     assert cert.kind is decision.certificate.kind
@@ -181,8 +182,9 @@ def test_density_report_size_guard():
     assert verify_certificate(back.certificate, a, basis, 20)["ok"]
 
 
-# a problem and its report as written before the unread "herm" tolerance
-# was retired: every saved tolerances block carries it
+# a problem and its report as written before the unread "herm" and "resid"
+# tolerances and the report's "seed" were retired: every saved tolerances
+# block carries both tolerances
 _HERM_PROBLEM = (
     '{"schema_version": 1, "matrices": {"a": {"rows": 2, "cols": 2, '
     '"re": [2.0, 0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0, 0.0]}, "b": {"rows": '
@@ -218,15 +220,24 @@ def test_files_with_a_herm_tolerance_still_load_and_verify(tmp_path):
     p.write_text(_HERM_PROBLEM, encoding="utf-8")
     r.write_text(_HERM_REPORT, encoding="utf-8")
     assert main(["verify", str(p), str(r)]) == 0
-    # what is written now carries no herm key
+    # a retired key is dropped whatever its value, and so is a report seed
+    old = json.loads(_HERM_PROBLEM)
+    old["tolerances"].update(resid=0.5, herm=0.5, decide=1e-3, strict=1e-2)
+    assert decode_problem(old).tolerances == Tolerances(decide=1e-3,
+                                                        strict=1e-2)
+    seeded = decode_report({**json.loads(_HERM_REPORT), "seed": 7})
+    assert seeded.certificate.kind is report.certificate.kind
+    # what is written now carries neither retired key, nor a seed
     decision = check_pair(a, b, 1)
     for obj in (encode_problem({"a": a, "b": b}, 1, tolerances=Tolerances()),
                 encode_report(decision)):
-        assert set(obj["tolerances"]) == {"decide", "strict", "cert", "resid",
+        assert set(obj["tolerances"]) == {"decide", "strict", "cert",
                                           "cluster", "rank"}
-    with pytest.raises(ParseError, match="unknown keys"):
-        decode_problem({**json.loads(_HERM_PROBLEM),
-                        "tolerances": {"herm": 1e-8, "hermit": 1.0}})
+    assert "seed" not in encode_report(decision)
+    for retired in ("herm", "resid"):
+        with pytest.raises(ParseError, match="unknown keys"):
+            decode_problem({**json.loads(_HERM_PROBLEM),
+                            "tolerances": {retired: 1e-8, "hermit": 1.0}})
 
 
 def test_load_problem_missing_file(tmp_path):
