@@ -143,10 +143,10 @@ def _tolerances(problem) -> Tolerances:
 
 
 def _require_field(problem, mode: str) -> None:
-    """Refuse a real-field problem in a mode that decides over complex
-    scalars only."""
+    """Refuse a real-field problem in a mode or command that reads complex
+    scalars only: every one but the pair mode."""
     if mode != "pair" and problem.field == REAL_FIELD:
-        raise ParseError(f"{mode} mode decides over complex scalars only; "
+        raise ParseError(f"{mode} works over complex scalars only; "
                          "the problem is stored in the real field")
 
 
@@ -306,6 +306,8 @@ def cmd_gen(args) -> int:
 
 def cmd_sweep_plot(args) -> int:
     problem = load_problem(args.problem)
+    # the sweep runs over every phase: its minimum is the complex margin
+    _require_field(problem, "sweep-plot")
     a, b = problem.pair()
     if args.grid < 8:
         raise ParseError("--grid must be at least 8")

@@ -37,7 +37,7 @@ from .model import (
     Tolerances,
     Verdict,
 )
-from .norms import ky_fan_norm, require_operands
+from .norms import ky_fan_norm, require_field, require_operands
 from .subdiff import (
     RangeSetModel,
     SubdifferentialFrame,
@@ -62,7 +62,7 @@ def _tol_or_default(tol: Tolerances | None) -> Tolerances:
 
 
 def _frame_for(a: np.ndarray, k: int, tol: Tolerances) -> SubdifferentialFrame:
-    return build_frame(a, k, cluster_tol=tol.cluster, rank_tol=tol.rank)
+    return build_frame(a, k, cluster_tol=tol.cluster)
 
 
 @dataclass
@@ -125,8 +125,7 @@ def check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     one-sided derivative of the norm along rotated copies of B (nonnegative
     iff orthogonal).
     """
-    if field not in (COMPLEX_FIELD, REAL_FIELD):
-        raise ValueError(f"unknown scalar field {field!r}")
+    require_field(field)
     return _decide_pair(_pair_setup(a, b, k, tol), field, want_certificate)
 
 
@@ -161,14 +160,19 @@ def _decide_pair(setup: _PairSetup, field: str,
 def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
                              outcome: SweepOutcome, field: str) -> None:
     if decision.verdict is Verdict.ORTHOGONAL:
+        hull = None
         if not setup.frame.degenerate_zero:
+            hull = _hull_coefficient(setup, outcome, field)
             try:
-                decision.certificate = _witness_system(setup, outcome, field)
+                decision.certificate = _witness_system(setup, hull, field)
                 return
             except WitnessSearchFailed as exc:
                 decision.details["witness_error"] = str(exc)
+            if field == REAL_FIELD:
+                # the block equation pairs over complex scalars
+                hull = _hull_coefficient(setup, outcome, COMPLEX_FIELD)
         try:
-            decision.certificate = _witness_block(setup, outcome)
+            decision.certificate = _witness_block(setup, hull)
         except (WitnessSearchFailed, NoConvergence) as exc:
             decision.details["certificate_error"] = str(exc)
     elif decision.verdict is Verdict.NOT_ORTHOGONAL:
@@ -313,67 +317,119 @@ def _ray_trials(t_min: float, t_hi: float, vals: list):
 
 
 # ---------------------------------------------------------------------------
-# witness construction
+# nearest point of a convex set to 0
+
+# atoms a nearest-point search may add before it stops with its bracket open
+_ATOM_CAP = 800
 
 
-def _hull_weights(points: np.ndarray) -> tuple:
-    """At most three of ``points`` and convex weights on them whose
-    combination is the candidate nearest 0, as (indices, weights).
+def _nearest_point(oracle, start: tuple, tol: float,
+                   gate: float = np.inf) -> tuple:
+    """Point x nearest 0 of a convex set Z in C^m, given by its linear
+    oracle, as (atoms, weights, x, lower, added, capped): the kept atoms
+    and their convex weights, whose points combine to x, a lower bound on
+    the distance of 0 from Z, the atoms added after the start and whether
+    the cap stopped the search. The caller combines the atoms.
 
-    Exposed points run along the boundary of a convex set in the order of
-    their angles, so the triangles fanning out from the first one tile
-    their hull: when 0 lies in the hull one of them holds it, with
-    barycentric weights nonnegative up to rounding, which is clipped. When
-    0 lies outside, or every triangle is flat, the nearest point of the
-    hull lies on an edge between neighbours; the nearest point of each
-    triangle's first edge is a candidate too.
+    Wolfe's minimum-norm-point algorithm (P. Wolfe, Math. Programming 11,
+    1976) in its support-oracle form (E. G. Gilbert, SIAM J. Control 4,
+    1966), on Z as a subset of R^{2m}. ``start`` and each ``oracle(x)`` are
+    (atom, point); the oracle's point p minimizes <x, z> over Z, so Z lies
+    beyond the supporting line <x, z> = <x, p> and <x, p> / |x| bounds the
+    distance of 0 from Z below. The search stops once |x| <= tol, the bound
+    exceeds ``gate``, or |x| is within tol of the bound: the bracket then
+    decides.
     """
-    j = np.arange(points.size)
-    idx = np.concatenate([np.column_stack([0 * j[2:], j[1:-1], j[2:]]),
-                          np.column_stack([j, (j + 1) % j.size, j])])
-    a = points[idx[:, 0]]
-    e1, e2 = points[idx[:, 1]] - a, points[idx[:, 2]] - a
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a flat triangle's weights come out nan, and nan never wins
-        area = np.imag(np.conj(e1) * e2)
-        s = np.imag(np.conj(-a) * e2) / area
-        t = np.imag(np.conj(e1) * -a) / area
-        tri = np.maximum(np.column_stack([1.0 - s - t, s, t]), 0.0)
-        tri /= tri.sum(axis=1, keepdims=True)
-        u = np.fmin(np.fmax(-np.real(np.conj(e1) * a) / np.abs(e1) ** 2,
-                            0.0), 1.0)
-    weights = np.concatenate([tri, np.column_stack([1.0 - u, u, 0.0 * u])])
-    idx = np.concatenate([idx, idx])
-    miss = np.abs(np.sum(weights * points[idx], axis=1))
-    best = int(np.argmin(np.where(np.isnan(miss), np.inf, miss)))
-    keep = weights[best] > 0.0
-    return idx[best][keep], weights[best][keep]
+    atoms, points = [start[0]], np.atleast_2d(start[1])
+    weights = np.ones(1)
+    x = points[0]
+    lower, added, capped = 0.0, 0, False
+    while True:
+        miss = float(np.linalg.norm(x))
+        if miss <= tol:
+            break
+        atom, p = oracle(x)
+        lower = max(lower, float(np.real(np.vdot(x, p))) / miss)
+        if lower > gate or miss - lower <= tol:
+            break
+        if added == _ATOM_CAP:
+            capped = True
+            break
+        added += 1
+        atoms.append(atom)
+        points = np.vstack([points, p])
+        weights, keep = _wolfe_step(points, np.append(weights, 0.0))
+        atoms = [a for a, kept in zip(atoms, keep) if kept]
+        points = points[keep]
+        x = weights @ points
+    # the distance is at most |x|; only rounding could put the bound above
+    return (atoms, weights, x, min(lower, float(np.linalg.norm(x))), added,
+            capped)
+
+
+def _wolfe_step(points: np.ndarray, weights: np.ndarray) -> tuple:
+    """Minor cycle of Wolfe's algorithm: convex weights on the points that
+    make the nearest point to 0 of the affine hull of those kept, and the
+    mask of the points kept.
+
+    The affine nearest point is solved from the differences to the first
+    point by least squares, which stays exact when the points are nearly
+    affinely dependent. While some of its weights are not positive the
+    current combination moves toward it until a weight reaches 0, and that
+    point is dropped, so rounding cannot keep it in the cycle.
+    """
+    real = np.hstack([points.real, points.imag])
+    keep = np.ones(weights.size, dtype=bool)
+    while True:
+        idx = np.flatnonzero(keep)
+        base = real[idx[0]]
+        nu = np.linalg.lstsq((real[idx[1:]] - base).T, -base, rcond=None)[0]
+        mu = np.concatenate([[1.0 - nu.sum()], nu])
+        lam = weights[idx]
+        if mu.min() > 0.0:
+            return mu, keep
+        neg = np.flatnonzero(mu <= 0.0)
+        ratio = lam[neg] / np.maximum(lam[neg] - mu[neg], np.finfo(float).tiny)
+        j = int(np.argmin(ratio))
+        weights[idx] = lam + ratio[j] * (mu - lam)
+        weights[idx[neg[j]]] = 0.0
+        keep &= weights > 0.0
+
+
+# ---------------------------------------------------------------------------
+# witness construction
 
 
 def _hull_coefficient(setup: _PairSetup, outcome: SweepOutcome,
                       field: str) -> tuple:
-    """Coefficient T = sum_j w_j W_j W_j* of the trace-q polytope with
-    tr(T C) equal to minus the fixed part, its miss, and the hull's angles
+    """Coefficient T = sum_j w_j W_j W_j* of the trace-q polytope whose
+    pairing is the point nearest 0 of the hull of the outcome's exposed
+    points (of their real parts in the real field), with the hull's angles
     and weights.
 
-    W_j holds the top-q eigenvectors at the j-th angle ``_hull_weights``
-    picks from the outcome's exposed points (their real parts in the real
-    field). A sweep that reads ORTHOGONAL leaves 0 within decide*scale of
-    their hull.
+    ``_nearest_point`` searches that hull from the exposed point nearest 0,
+    with the exposed points as its atoms; its corral in the plane keeps at
+    most three. W_j holds the top-q eigenvectors at the j-th atom's angle.
+    A sweep that reads ORTHOGONAL leaves 0 within decide*scale of the hull.
     """
     points = outcome.points.real + 0j if field == REAL_FIELD else outcome.points
-    order = np.argsort(outcome.angles)
-    idx, weights = _hull_weights(points[order])
-    angles = outcome.angles[order][idx]
+
+    def oracle(x):
+        j = int(np.argmin(np.real(np.conj(x[0]) * points)))
+        return j, points[j:j + 1]
+
+    start = int(np.argmin(np.abs(points)))
+    idx, weights, *_ = _nearest_point(oracle, (start, points[start:start + 1]),
+                                      1e-3 * setup.tol.cert * setup.scale)
+    angles = outcome.angles[idx]
     _, tops = setup.model._top_eigen(angles)
     coeff = sum(w * (v @ v.conj().T) for w, v in zip(weights, tops))
-    resid = _checked_miss(setup, coeff, field, "hull of the exposed points")
-    return coeff, resid, {"hull_angles": [float(x) for x in angles],
-                          "hull_weights": [float(x) for x in weights]}
+    return coeff, {"hull_angles": [float(x) for x in angles],
+                   "hull_weights": [float(x) for x in weights]}
 
 
 def _checked_miss(setup: _PairSetup, coeff: np.ndarray, field: str,
-                  what: str) -> float:
+                  what: str = "hull of the exposed points") -> float:
     """|fixed part + tr(T* C)| (its real part in the real field), checked
     against the construction bar 10 cert_tol."""
     miss = setup.model.pairing(coeff)
@@ -435,15 +491,16 @@ def _purify(coeff: np.ndarray, c: np.ndarray, q: int) -> tuple:
     return vec[:, picked], steps
 
 
-def _witness_system(setup: _PairSetup, outcome: SweepOutcome,
+def _witness_system(setup: _PairSetup, hull: tuple,
                     field: str) -> Certificate:
     """k orthonormal eigenvectors of |A| whose compression sum of the
     polar-rotated direction vanishes (its real part, in the real field): the
-    hull of the sweep's exposed points, a mixture of at most three top-q
-    eigenprojectors, purified to one rank-q projector on the boundary
-    cluster whose columns are the boundary witness vectors."""
+    ``hull`` coefficient of the sweep's exposed points, a mixture of at most
+    three top-q eigenprojectors, purified to one rank-q projector on the
+    boundary cluster whose columns are the boundary witness vectors."""
     frame = setup.frame
-    coeff, _, hull = _hull_coefficient(setup, outcome, field)
+    coeff, info = hull
+    _checked_miss(setup, coeff, field)
     cols, steps = _purify(coeff, setup.model.compression, frame.part.q)
     resid = _checked_miss(setup, cols @ cols.conj().T, field,
                           "purified projector")
@@ -460,25 +517,25 @@ def _witness_system(setup: _PairSetup, outcome: SweepOutcome,
             "construction_residual": resid,
             "singular_values": [float(s) for s in frame.svd.s[:setup.k]],
             "purify_steps": steps,
-            **hull,
+            **info,
         },
     )
 
 
-def _witness_block(setup: _PairSetup, outcome: SweepOutcome) -> Certificate:
+def _witness_block(setup: _PairSetup, hull: tuple | None) -> Certificate:
     """Boundary-block coefficient solving the trace equation, with the dual
-    matrix assembled from it: a trace-q coefficient from the hull of the
-    exposed points when s_k > 0, and at s_k = 0 a contraction on the widened
-    tail, built by phase-aligned waterfilling."""
+    matrix assembled from it: when s_k > 0 the ``hull`` coefficient of the
+    exposed points over complex scalars, and at s_k = 0 (``hull`` None) the
+    closed-form contraction on the widened tail."""
     model = setup.model
     if model.degenerate:
         # the overflow is the block_equation residual: share its bound
-        coeff = _waterfill_contraction(model.block, model.m,
-                                       -complex(model.fixed_part),
-                                       0.1 * setup.tol.strict * setup.scale)
-        resid, hull = abs(model.pairing(coeff)), {}
+        coeff = _contraction(model.block, model.m, -complex(model.fixed_part),
+                             0.1 * setup.tol.strict * setup.scale)
+        resid, info = abs(model.pairing(coeff)), {}
     else:
-        coeff, resid, hull = _hull_coefficient(setup, outcome, COMPLEX_FIELD)
+        coeff, info = hull
+        resid = _checked_miss(setup, coeff, COMPLEX_FIELD)
     return Certificate(
         kind=CertKind.BLOCK_COEFFICIENT,
         block_matrix=coeff,
@@ -489,40 +546,29 @@ def _witness_block(setup: _PairSetup, outcome: SweepOutcome) -> Certificate:
             "set": "general" if model.degenerate else "psd",
             "rows": coeff.shape[0],
             "cols": coeff.shape[1],
-            **hull,
+            **info,
         },
     )
 
 
-def _waterfill_contraction(wide: np.ndarray, q: int, target: complex,
-                           tol: float) -> np.ndarray:
-    """Contraction T with singular sum <= q and tr(T* M) = target, assuming
-    |target| is at most the top-q singular sum of M."""
-    rows, cols = wide.shape
-    t = np.zeros((rows, cols), dtype=complex)
-    budget = abs(target)
-    if budget <= tol * 1e-3:
-        return t
-    u, s, vh = np.linalg.svd(wide)
-    remaining = budget
-    weights = []
-    for i in range(min(q, s.size)):
-        if s[i] <= 0 or remaining <= 0:
-            weights.append(0.0)
-            continue
-        w = min(1.0, remaining / s[i])
-        weights.append(w)
-        remaining -= w * s[i]
-    if remaining > tol:
+def _contraction(wide: np.ndarray, q: int, target: complex,
+                 tol: float) -> np.ndarray:
+    """Contraction T with singular sum <= q and tr(T* M) = target, for
+    |target| at most tol above the top-q singular sum rho of M.
+
+    The linear oracle of that set in closed form: T = c U_q V_q* from the
+    top-q singular pairs of M pairs to conj(c) rho, so c = conj(target) /
+    rho, cut back to modulus 1 when |target| overflows rho.
+    """
+    if abs(target) <= tol * 1e-3:
+        return np.zeros(wide.shape, dtype=complex)
+    u, s, vh = np.linalg.svd(wide, full_matrices=False)
+    rho = float(s[:q].sum())
+    if abs(target) - rho > tol:
         raise NoConvergence(
-            f"waterfilling budget overflow by {remaining:.3e}; "
+            f"contraction budget overflow by {abs(target) - rho:.3e}; "
             "target outside the attainable disk")
-    # tr(T* M) = conj(psi) * sum(w_i s_i), so align psi against the target
-    psi = cmath.exp(-1j * cmath.phase(target)) if target != 0 else 1.0
-    for i, w in enumerate(weights):
-        if w > 0:
-            t += (w * psi) * np.outer(u[:, i], vh[i, :])
-    return t
+    return (np.conj(target) / max(rho, abs(target))) * (u[:, :q] @ vh[:q])
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +579,6 @@ def _waterfill_contraction(wide: np.ndarray, q: int, target: complex,
 # the joint pairing set Z = {(tr(G* W_j))_j} in C^m. Its j-th coordinate is
 # the pair range set of W_j, fixed_j + tr(T C_j), over one shared trace-q
 # coefficient T.
-
-# atoms a subspace decision may add before it stops with its bracket open
-_SUBSPACE_CAP = 800
-
 
 def _orthonormalize_basis(mats: list) -> list:
     out = []
@@ -552,83 +594,23 @@ def _orthonormalize_basis(mats: list) -> list:
     return out
 
 
-def _nearest_point(models: list, tol: float, gate: float) -> tuple:
-    """Point z of the joint pairing set Z nearest 0, as (T, z, lower,
-    atoms, capped): its coefficient T, a lower bound on the distance of 0
-    from Z, the atoms added after the start and whether the cap stopped the
-    search.
-
-    Wolfe's minimum-norm-point algorithm (P. Wolfe, Math. Programming 11,
-    1976) in its support-oracle form (E. G. Gilbert, SIAM J. Control 4,
-    1966), on Z as a subset of R^{2m}. The start is the centre (q/d) I of
-    the coefficient polytope; the atoms are rank-q projectors V V*, where V
-    holds the bottom-q eigenvectors of herm(sum_j conj(x_j) C_j) at the
-    current point x. Such an atom p minimizes <x, z> over Z, so Z lies
-    beyond the supporting line <x, z> = <x, p> and <x, p> / |x| bounds the
-    distance of 0 from Z below. The search stops once |x| <= tol, the bound
-    exceeds ``gate``, or |x| is within tol of the bound: the bracket then
-    decides.
-    """
+def _joint_oracle(models: list) -> tuple:
+    """Linear oracle of the joint pairing set of the range models and the
+    start for ``_nearest_point``: the centre (q/d) I of the coefficient
+    polytope. The rank-q projector V V* on the bottom-q eigenvectors V of
+    herm(sum_j conj(x_j) C_j) minimizes <x, z> over the set."""
     comps = np.stack([model.compression for model in models])
     fixed = np.array([complex(model.fixed_part) for model in models])
     d, q = comps.shape[1], models[0].m
-    coeffs = [np.eye(d, dtype=complex) * (q / d)]
-    points = (fixed + (q / d) * np.trace(comps, axis1=1, axis2=2))[None, :]
-    weights = np.ones(1)
-    x = points[0]
-    lower, atoms, capped = 0.0, 0, False
-    while True:
-        miss = float(np.linalg.norm(x))
-        if miss <= tol:
-            break
+
+    def oracle(x):
         _, vec = np.linalg.eigh(herm(np.tensordot(x.conj(), comps, 1)))
         v = vec[:, :q]
-        p = fixed + np.einsum("ai,jab,bi->j", v.conj(), comps, v)
-        lower = max(lower, float(np.real(np.vdot(x, p))) / miss)
-        if lower > gate or miss - lower <= tol:
-            break
-        if atoms == _SUBSPACE_CAP:
-            capped = True
-            break
-        atoms += 1
-        coeffs.append(v @ v.conj().T)
-        points = np.vstack([points, p])
-        weights, keep = _wolfe_step(points, np.append(weights, 0.0))
-        coeffs = [c for c, kept in zip(coeffs, keep) if kept]
-        points = points[keep]
-        x = weights @ points
-    coeff = sum(w * c for w, c in zip(weights, coeffs))
-    # the distance is at most |x|; only rounding could put the bound above
-    return coeff, x, min(lower, float(np.linalg.norm(x))), atoms, capped
+        return (v @ v.conj().T,
+                fixed + np.einsum("ai,jab,bi->j", v.conj(), comps, v))
 
-
-def _wolfe_step(points: np.ndarray, weights: np.ndarray) -> tuple:
-    """Minor cycle of Wolfe's algorithm: convex weights on the points that
-    make the nearest point to 0 of the affine hull of those kept, and the
-    mask of the points kept.
-
-    The affine nearest point is solved from the differences to the first
-    point by least squares, which stays exact when the points are nearly
-    affinely dependent. While some of its weights are not positive the
-    current combination moves toward it until a weight reaches 0, and that
-    point is dropped, so rounding cannot keep it in the cycle.
-    """
-    real = np.hstack([points.real, points.imag])
-    keep = np.ones(weights.size, dtype=bool)
-    while True:
-        idx = np.flatnonzero(keep)
-        base = real[idx[0]]
-        nu = np.linalg.lstsq((real[idx[1:]] - base).T, -base, rcond=None)[0]
-        mu = np.concatenate([[1.0 - nu.sum()], nu])
-        lam = weights[idx]
-        if mu.min() > 0.0:
-            return mu, keep
-        neg = np.flatnonzero(mu <= 0.0)
-        ratio = lam[neg] / np.maximum(lam[neg] - mu[neg], np.finfo(float).tiny)
-        j = int(np.argmin(ratio))
-        weights[idx] = lam + ratio[j] * (mu - lam)
-        weights[idx[neg[j]]] = 0.0
-        keep &= weights > 0.0
+    return oracle, (np.eye(d, dtype=complex) * (q / d),
+                    fixed + (q / d) * np.trace(comps, axis1=1, axis2=2))
 
 
 def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
@@ -665,15 +647,16 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     ortho = [size * w for w in ortho]
     scale = tol.margin_scale(norm_a, max(ky_fan_norm(w, k) for w in ortho))
     feas_tol = 0.125 * tol.decide * scale
-    coeff, zeta, lower, atoms, capped = _nearest_point(
-        [frame.range_model(w) for w in ortho], feas_tol,
-        4.0 * tol.strict * scale)
+    oracle, start = _joint_oracle([frame.range_model(w) for w in ortho])
+    atoms, weights, zeta, lower, added, capped = _nearest_point(
+        oracle, start, feas_tol, 4.0 * tol.strict * scale)
+    coeff = sum(w * c for w, c in zip(weights, atoms))
     resid = float(np.linalg.norm(zeta))
     details = {
         "basis_rank": len(ortho),
         "feasibility_residual": resid,
         "residual_lower_bound": lower,
-        "iterations": atoms,
+        "iterations": added,
         "subspace_capped": capped,
         "degenerate_zero": frame.degenerate_zero,
         "q": frame.part.q,
@@ -681,7 +664,7 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     }
     if capped:
         details["subspace_reason"] = (
-            f"{_SUBSPACE_CAP} atoms left the residual bracket "
+            f"{_ATOM_CAP} atoms left the residual bracket "
             f"[{lower:.3e}, {resid:.3e}] open")
     decision = Decision(verdict=Verdict.BOUNDARY, margin=-resid, scale=scale,
                         method="subspace-feasibility", tolerances=tol,

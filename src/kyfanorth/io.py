@@ -44,9 +44,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_TOL_KEYS = ("decide", "strict", "cert", "cluster", "rank")
+_TOL_KEYS = ("decide", "strict", "cert", "cluster")
 # tolerances older files carry that nothing reads: they are dropped
-_RETIRED_TOL_KEYS = ("herm", "resid")
+_RETIRED_TOL_KEYS = ("herm", "resid", "rank")
 
 
 def encode_matrix(m) -> dict:

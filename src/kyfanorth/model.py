@@ -39,8 +39,8 @@ class Tolerances:
     Norm values (margins, pairings, construction misses) are read in units
     of the margin scale ||A||_(k) + ||B||_(k): at or above -decide*scale is
     orthogonal, below -strict*scale not, anything between BOUNDARY. Spectral
-    widths are in units of s1 = ||A||: the clustering and rank widths
-    (1e-8 s1, 1e-12 s1; the absolute cluster/rank when set). Bare, cert
+    widths are in units of s1 = ||A||: the clustering width 1e-8 s1 (the
+    absolute cluster when set) and the rank cut 1e-12 s1. Bare, cert
     bounds trace, cluster span and operator norm.
 
     A problem file carries its tolerances, and ``check`` and ``verify`` both
@@ -51,7 +51,6 @@ class Tolerances:
     strict: float = 1e-6
     cert: float = 1e-8
     cluster: float | None = None
-    rank: float | None = None
 
     def __post_init__(self):
         if not (0 < self.decide <= self.strict):
@@ -92,7 +91,6 @@ class Tolerances:
             "strict": self.strict,
             "cert": self.cert,
             "cluster": self.cluster,
-            "rank": self.rank,
         }
 
 

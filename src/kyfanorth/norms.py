@@ -1,4 +1,4 @@
-"""Ky Fan k-norms and the argument check every decision and referee shares."""
+"""Ky Fan k-norms and the argument checks every decision and referee shares."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import KOutOfRange, ShapeMismatch
 from .linalg import as_matrix, require_square, singular_values
+from .model import COMPLEX_FIELD, REAL_FIELD
 
 __all__ = [
     "ky_fan_norm",
@@ -30,6 +31,13 @@ def require_operands(a, others, k: int) -> tuple:
             raise ShapeMismatch(f"operand shape {w.shape} != {a.shape}")
     require_k(k, a.shape[0])
     return a, mats
+
+
+def require_field(field: str) -> None:
+    """The scalar field every pair decision and referee names: complex or
+    real."""
+    if field not in (COMPLEX_FIELD, REAL_FIELD):
+        raise ValueError(f"unknown scalar field {field!r}")
 
 
 def ky_fan_norm(a, k: int) -> float:

@@ -35,7 +35,12 @@ from .model import (
     Tolerances,
     Verdict,
 )
-from .norms import ky_fan_norm, ky_fan_norm_batch, require_operands
+from .norms import (
+    ky_fan_norm,
+    ky_fan_norm_batch,
+    require_field,
+    require_operands,
+)
 
 __all__ = [
     "fd_directional",
@@ -291,6 +296,7 @@ def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
         raise ValueError("chord_margin needs n_theta >= 1, refine_rounds >= 0 "
                          f"and t_count >= 1, got {n_theta}, {refine_rounds} "
                          f"and {t_count}")
+    require_field(field)
     a, (b,) = require_operands(a, [b], k)
     return _chord_scan(a, b, k, ky_fan_norm(a, k), ky_fan_norm(b, k), field,
                        n_theta, refine_rounds, t_count)[:2]
@@ -411,6 +417,7 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     or ``real_field``.
     """
     tol = Tolerances() if tol is None else tol
+    require_field(field)
     a, (b,) = require_operands(a, [b], k)
     norm_a = ky_fan_norm(a, k)
     norm_b = ky_fan_norm(b, k)

@@ -131,20 +131,19 @@ class SubdifferentialFrame:
                 and abs(float(np.real(np.trace(t))) - q) <= tol * max(1, q))
 
 
-def build_frame(a, k: int, cluster_tol: float | None = None,
-                rank_tol: float | None = None) -> SubdifferentialFrame:
+def build_frame(a, k: int,
+                cluster_tol: float | None = None) -> SubdifferentialFrame:
     """Compute the SVD of ``a`` and split it around the cluster of s_k."""
     a, _ = require_operands(a, [], k)
     fr = svd(a)
     s1 = float(fr.s[0]) if fr.s.size else 0.0
     ct = default_cluster_tol(s1) if cluster_tol is None else float(cluster_tol)
-    rt = default_rank_tol(s1) if rank_tol is None else float(rank_tol)
     part = cluster_spectrum(fr.s, k, ct)
     i1, i2 = part.boundary
     return SubdifferentialFrame(
         svd=fr,
         part=part,
-        degenerate_zero=bool(fr.s[k - 1] <= rt),
+        degenerate_zero=bool(fr.s[k - 1] <= default_rank_tol(s1)),
         u1=fr.u[:, :i1],
         v1=fr.v[:, :i1],
         u2=fr.u[:, i1:i2],

@@ -444,6 +444,25 @@ def test_sweep_plot_singleton_sinusoid(tmp_path, capsys):
     np.testing.assert_allclose(rows[:, 1], want, atol=1e-9)
 
 
+def test_sweep_plot_refuses_a_real_field_problem(tmp_path, capsys):
+    # the sweep's minimum over every phase is the complex margin (-0.595
+    # here), not the real one that check decides from (-0.450): a real-field
+    # problem is refused, and nothing is written
+    from kyfanorth.generate import make_nonorthogonal_pair
+
+    a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))
+    out_csv = tmp_path / "sweep.csv"
+    real = write_pair(tmp_path, a, b, 2, name="real.json",
+                      field_name=REAL_FIELD)
+    code, out, err = run(capsys, "sweep-plot", real, "--out", str(out_csv))
+    assert code == 2
+    assert out == ""
+    assert "real field" in err
+    assert not out_csv.exists()
+    assert run(capsys, "sweep-plot", write_pair(tmp_path, a, b, 2), "--out",
+               str(out_csv))[0] == 0
+
+
 def test_sweep_plot_uses_problem_tolerances(tmp_path, capsys):
     # a cluster width of 1e-3 merges 2 and 2 - 1e-4 into the boundary
     # cluster; the plotted sweep must be the one check decides from

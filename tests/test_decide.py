@@ -9,7 +9,8 @@ import kyfanorth.decide
 from kyfanorth.decide import (
     _checked_miss,
     _cluster_factors,
-    _hull_weights,
+    _hull_coefficient,
+    _nearest_point,
     _pair_outcome,
     _pair_setup,
     _witness_block,
@@ -59,12 +60,20 @@ def complex_gauss(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
+def _fallback_block(setup):
+    """The BLOCK_COEFFICIENT check_pair falls back to, from the hull of the
+    complex sweep's exposed points (none at s_k = 0)."""
+    outcome = _pair_outcome(setup, COMPLEX_FIELD)
+    hull = (None if setup.model.degenerate
+            else _hull_coefficient(setup, outcome, COMPLEX_FIELD))
+    return _witness_block(setup, hull)
+
+
 def _block_decision(a, b, k):
     """check_pair's decision certified by the BLOCK_COEFFICIENT it falls
     back to when no witness system can be built."""
     d = check_pair(a, b, k, want_certificate=False)
-    setup = _pair_setup(a, b, k)
-    d.certificate = _witness_block(setup, _pair_outcome(setup, COMPLEX_FIELD))
+    d.certificate = _fallback_block(_pair_setup(a, b, k))
     return d
 
 
@@ -208,14 +217,13 @@ def test_pair_and_blocks_agree(rng):
             b = complex_gauss(rng, 4, 4)
         d = check_pair(a, b, 2, want_certificate=False)
         setup = _pair_setup(a, b, 2)
-        outcome = _pair_outcome(setup, COMPLEX_FIELD)
         verdicts.add(d.verdict)
         if d.verdict is Verdict.ORTHOGONAL:
-            cert = _witness_block(setup, outcome)
+            cert = _fallback_block(setup)
             assert verify_certificate(cert, a, b, 2)["ok"]
         elif d.verdict is Verdict.NOT_ORTHOGONAL:
             with pytest.raises(WitnessSearchFailed, match="misses 0"):
-                _witness_block(setup, outcome)
+                _fallback_block(setup)
     assert verdicts == {Verdict.ORTHOGONAL, Verdict.NOT_ORTHOGONAL}
 
 
@@ -403,6 +411,30 @@ def test_witness_block_degenerate_across_orthogonal_band(eps):
     assert report["ok"], report
 
 
+def test_witness_block_degenerate_spreads_the_contraction_evenly():
+    # s_k = 0 with q = 2: A = diag(3, 2, 0, 0, 0), k = 4, the pairing set is
+    # the disk of radius rho = 1 + 0.5 about the fixed part 0.72 + 0.96i.
+    # The closed form c U_q V_q* puts |c| = 1.2 / 1.5 on both top singular
+    # directions of the widened compression, where filling them one at a
+    # time would give 1 and 0.4
+    rng = np.random.default_rng(5)
+    u, v = haar_unitary(5, rng), haar_unitary(5, rng)
+    a = u @ np.diag([3.0, 2.0, 0.0, 0.0, 0.0]) @ v.conj().T
+    b = u @ np.diag([0.72, 0.96j, 1.0, 0.5, 0.2]) @ v.conj().T
+    d = check_pair(a, b, 4)
+    assert d.verdict is Verdict.ORTHOGONAL and d.details["q"] == 2
+    cert = d.certificate
+    assert cert.kind is CertKind.BLOCK_COEFFICIENT
+    assert cert.details["set"] == "general"
+    assert verify_certificate(cert, a, b, 4)["ok"]
+    s = np.linalg.svd(cert.block_matrix, compute_uv=False)
+    live = s[s > 1e-12]
+    assert live.size == 2
+    assert live[1] == pytest.approx(live[0], rel=1e-12)
+    assert live[0] == pytest.approx(0.8, rel=1e-12)
+    assert live[0] <= 1.0 and live.sum() <= 2.0
+
+
 def _coefficient_feasible(coeff, a, b, k):
     cert = Certificate(kind=CertKind.BLOCK_COEFFICIENT, block_matrix=coeff)
     report = verify_certificate(cert, a, b, k)
@@ -551,17 +583,27 @@ def test_witness_on_a_centrally_symmetric_set():
         _certified(d, a, b, 2)
 
 
-def test_hull_weights_clip_rounding_on_a_diagonal():
+def test_nearest_exposed_point_on_a_diagonal():
     # exposed points of ellipses symmetric about 0: 0 sits on every
-    # diagonal between antipodal points, and rounding leaves the third
-    # barycentric weight of the triangles on either side a few 1e-17 off
+    # diagonal between antipodal points, where a barycentric weight of a
+    # triangle holding it rounds a few 1e-17 off 0. The nearest-point
+    # search over the points, with the finite oracle and start of a pair
+    # certificate, keeps at most three with positive weights
     rng = np.random.default_rng(244)
     for _ in range(200):
         phi = np.sort(rng.uniform(0.0, np.pi, 5))
         ellipse = (np.cos(phi) + 1j * rng.uniform(1e-3, 1.0) * np.sin(phi))
         half = np.exp(1j * rng.uniform(0.0, 2 * np.pi)) * ellipse
         points = np.concatenate([half, -half])
-        idx, weights = _hull_weights(points)
+
+        def oracle(x):
+            j = int(np.argmin(np.real(np.conj(x[0]) * points)))
+            return j, points[j:j + 1]
+
+        start = int(np.argmin(np.abs(points)))
+        idx, weights, *_ = _nearest_point(
+            oracle, (start, points[start:start + 1]), 1e-3 * Tolerances().cert)
+        idx = np.asarray(idx)
         assert idx.size <= 3 and np.all(weights > 0.0)
         assert abs(weights.sum() - 1.0) <= 1e-15
         assert abs(np.sum(weights * points[idx])) <= 1e-15
@@ -768,7 +810,7 @@ def test_tied_subspace_count_guard():
 def test_capped_subspace_search_reads_boundary(monkeypatch):
     # with one atom to spend, a search whose bracket is still open must say
     # so, and may only read ORTHOGONAL from a point that certifies it
-    monkeypatch.setattr(kyfanorth.decide, "_SUBSPACE_CAP", 1)
+    monkeypatch.setattr(kyfanorth.decide, "_ATOM_CAP", 1)
     rng = np.random.default_rng(7)
     capped = 0
     for _ in range(12):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from kyfanorth.cli import main
 from kyfanorth.decide import (
+    _hull_coefficient,
     _pair_outcome,
     _pair_setup,
     _witness_block,
@@ -128,8 +129,9 @@ def _block_certified(a, b, k):
     d = check_pair(a, b, k, COMPLEX_FIELD, want_certificate=False)
     if d.verdict is Verdict.ORTHOGONAL:
         setup = _pair_setup(a, b, k)
-        d.certificate = _witness_block(setup,
-                                       _pair_outcome(setup, COMPLEX_FIELD))
+        hull = (None if setup.model.degenerate else _hull_coefficient(
+            setup, _pair_outcome(setup, COMPLEX_FIELD), COMPLEX_FIELD))
+        d.certificate = _witness_block(setup, hull)
     return d
 
 

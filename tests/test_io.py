@@ -182,9 +182,9 @@ def test_density_report_size_guard():
     assert verify_certificate(back.certificate, a, basis, 20)["ok"]
 
 
-# a problem and its report as written before the unread "herm" and "resid"
-# tolerances and the report's "seed" were retired: every saved tolerances
-# block carries both tolerances
+# a problem and its report as written before the unread "herm", "resid" and
+# "rank" tolerances and the report's "seed" were retired: every saved
+# tolerances block carries all three
 _HERM_PROBLEM = (
     '{"schema_version": 1, "matrices": {"a": {"rows": 2, "cols": 2, '
     '"re": [2.0, 0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0, 0.0]}, "b": {"rows": '
@@ -222,7 +222,8 @@ def test_files_with_a_herm_tolerance_still_load_and_verify(tmp_path):
     assert main(["verify", str(p), str(r)]) == 0
     # a retired key is dropped whatever its value, and so is a report seed
     old = json.loads(_HERM_PROBLEM)
-    old["tolerances"].update(resid=0.5, herm=0.5, decide=1e-3, strict=1e-2)
+    old["tolerances"].update(resid=0.5, herm=0.5, rank=0.5, decide=1e-3,
+                             strict=1e-2)
     assert decode_problem(old).tolerances == Tolerances(decide=1e-3,
                                                         strict=1e-2)
     seeded = decode_report({**json.loads(_HERM_REPORT), "seed": 7})
@@ -232,9 +233,9 @@ def test_files_with_a_herm_tolerance_still_load_and_verify(tmp_path):
     for obj in (encode_problem({"a": a, "b": b}, 1, tolerances=Tolerances()),
                 encode_report(decision)):
         assert set(obj["tolerances"]) == {"decide", "strict", "cert",
-                                          "cluster", "rank"}
+                                          "cluster"}
     assert "seed" not in encode_report(decision)
-    for retired in ("herm", "resid"):
+    for retired in ("herm", "resid", "rank"):
         with pytest.raises(ParseError, match="unknown keys"):
             decode_problem({**json.loads(_HERM_PROBLEM),
                             "tolerances": {retired: 1e-8, "hermit": 1.0}})

@@ -55,4 +55,4 @@ def test_band_bracket_must_land_on_one_side():
 
 def test_tolerances_carry_no_unread_field():
     assert list(Tolerances().as_dict()) == ["decide", "strict", "cert",
-                                            "cluster", "rank"]
+                                            "cluster"]

@@ -448,6 +448,15 @@ def test_chord_margin_rejects_empty_scans(rng):
             chord_margin(a, a, 1, **bad)
 
 
+def test_unknown_scalar_field_is_refused_by_engine_and_referee(rng):
+    # the engine and both referee entries share one field check; an unknown
+    # field never falls through to a complex scan
+    a, b = complex_gauss(rng, 3, 3), complex_gauss(rng, 3, 3)
+    for entry in (check_pair, oracle_check_pair, chord_margin):
+        with pytest.raises(ValueError, match="unknown scalar field"):
+            entry(a, b, 2, field="bogus")
+
+
 def test_chord_margin_zero_direction(rng):
     a = complex_gauss(rng, 4, 4)
     margin, theta = chord_margin(a, np.zeros((4, 4)), 2)
