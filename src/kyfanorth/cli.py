@@ -251,8 +251,11 @@ def _proves_verdict(verdict: Verdict, cert, real_pair: bool) -> bool:
     the one real-field problem verify reads."""
     purpose = cert.details.get("purpose", "orthogonal")
     if verdict is Verdict.ORTHOGONAL:
+        if purpose == "real":
+            return real_pair and cert.kind in (CertKind.WITNESS_SYSTEM,
+                                               CertKind.BLOCK_COEFFICIENT)
         if cert.kind is CertKind.WITNESS_SYSTEM:
-            return purpose == "orthogonal" or (purpose == "real" and real_pair)
+            return purpose == "orthogonal"
         return cert.kind in (CertKind.BLOCK_COEFFICIENT,
                              CertKind.DENSITY_SYSTEM)
     if verdict is Verdict.NOT_ORTHOGONAL:

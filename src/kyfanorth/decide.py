@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     BadBlockStructure,
     DegenerateRank,
-    NoConvergence,
     WitnessSearchFailed,
 )
 from .linalg import as_matrix, herm
@@ -168,12 +167,9 @@ def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
                 return
             except WitnessSearchFailed as exc:
                 decision.details["witness_error"] = str(exc)
-            if field == REAL_FIELD:
-                # the block equation pairs over complex scalars
-                hull = _hull_coefficient(setup, outcome, COMPLEX_FIELD)
         try:
-            decision.certificate = _witness_block(setup, hull)
-        except (WitnessSearchFailed, NoConvergence) as exc:
+            decision.certificate = _witness_block(setup, hull, field)
+        except WitnessSearchFailed as exc:
             decision.details["certificate_error"] = str(exc)
     elif decision.verdict is Verdict.NOT_ORTHOGONAL:
         decision.certificate, info = _violation_certificate(
@@ -522,21 +518,25 @@ def _witness_system(setup: _PairSetup, hull: tuple,
     )
 
 
-def _witness_block(setup: _PairSetup, hull: tuple | None) -> Certificate:
-    """Boundary-block coefficient solving the trace equation, with the dual
-    matrix assembled from it: when s_k > 0 the ``hull`` coefficient of the
-    exposed points over complex scalars, and at s_k = 0 (``hull`` None) the
-    closed-form contraction on the widened tail."""
-    model = setup.model
+def _witness_block(setup: _PairSetup, hull: tuple | None,
+                   field: str) -> Certificate:
+    """Boundary-block coefficient solving the trace equation (its real part,
+    in the real field), with the dual matrix assembled from it: when s_k > 0
+    the ``hull`` coefficient of the exposed points, and at s_k = 0 (``hull``
+    None) the closed-form contraction on the widened tail."""
+    model, real = setup.model, field == REAL_FIELD
     if model.degenerate:
+        target = -complex(model.fixed_part)
         # the overflow is the block_equation residual: share its bound
-        coeff = _contraction(model.block, model.m, -complex(model.fixed_part),
+        coeff = _contraction(model.block, model.m,
+                             target.real if real else target,
                              0.1 * setup.tol.strict * setup.scale)
-        resid, info = abs(model.pairing(coeff)), {}
+        miss, info = model.pairing(coeff), {}
+        resid = abs(miss.real) if real else abs(miss)
     else:
         coeff, info = hull
-        resid = _checked_miss(setup, coeff, COMPLEX_FIELD)
-    return Certificate(
+        resid = _checked_miss(setup, coeff, field)
+    cert = Certificate(
         kind=CertKind.BLOCK_COEFFICIENT,
         block_matrix=coeff,
         subgradient=setup.frame.subgradient(coeff),
@@ -549,6 +549,9 @@ def _witness_block(setup: _PairSetup, hull: tuple | None) -> Certificate:
             **info,
         },
     )
+    if real:
+        cert.details["purpose"] = "real"
+    return cert
 
 
 def _contraction(wide: np.ndarray, q: int, target: complex,
@@ -565,7 +568,7 @@ def _contraction(wide: np.ndarray, q: int, target: complex,
     u, s, vh = np.linalg.svd(wide, full_matrices=False)
     rho = float(s[:q].sum())
     if abs(target) - rho > tol:
-        raise NoConvergence(
+        raise WitnessSearchFailed(
             f"contraction budget overflow by {abs(target) - rho:.3e}; "
             "target outside the attainable disk")
     return (np.conj(target) / max(rho, abs(target))) * (u[:, :q] @ vh[:q])
@@ -882,13 +885,17 @@ def _verify_block(cert, a, b, k, tol, add):
         return
     add("coefficient_feasible", 0.0 if frame.contains(coeff, tol=10 * tol.cert)
         else 1.0, 0.5)
-    add("block_equation", abs(model.pairing(coeff)), 0.1 * tol.strict * scale)
+    # a real-purpose block pairs with B over real scalars only
+    real = cert.details.get("purpose") == "real"
+    miss = model.pairing(coeff)
+    add("block_equation", abs(miss.real) if real else abs(miss),
+        0.1 * tol.strict * scale)
     if cert.subgradient is not None:
         _verify_subgradient(cert.subgradient, a, b, k, tol, add, norm_a,
-                            scale)
+                            scale, real)
 
 
-def _verify_subgradient(g, a, b, k, tol, add, norm_a, scale):
+def _verify_subgradient(g, a, b, k, tol, add, norm_a, scale, real):
     g = as_matrix(g)
     s = np.linalg.svd(g, compute_uv=False)
     add("dual_operator_norm", float(s[0]) - 1.0 if s.size else 0.0,
@@ -896,7 +903,8 @@ def _verify_subgradient(g, a, b, k, tol, add, norm_a, scale):
     add("dual_trace_norm", float(s.sum()) - k, 10.0 * tol.cert)
     pair_a = float(np.real(np.trace(g.conj().T @ a)))
     add("norming", norm_a - pair_a, 0.1 * tol.strict * norm_a)
-    add("direction_pairing", abs(complex(np.trace(g.conj().T @ b))),
+    pairing = complex(np.trace(g.conj().T @ b))
+    add("direction_pairing", abs(pairing.real) if real else abs(pairing),
         0.1 * tol.strict * scale)
 
 

@@ -128,27 +128,27 @@ def make_orthogonal_pair(n: int, k: int, rng=None, q: int = 1, r: int = 0,
     return a, b, label
 
 
-def make_nonorthogonal_pair(n: int, k: int, rng=None):
-    """Pair (A, B) whose margin is far below the strict band.
-
-    Rejection sampling; a random direction almost always qualifies on the
-    first draw. Returns (a, b, label) with the observed margin recorded.
-    """
+def _clearly_failing_pair(n: int, k: int, rng, check, kind: str,
+                          expected: Verdict):
+    """Random pair (A, B) whose margin under ``check`` is far below the
+    strict band, by rejection sampling over up to 64 draws; a random pair
+    almost always qualifies on the first. Returns (a, b, label) with the
+    observed margin recorded."""
     rng = np.random.default_rng(0) if rng is None else rng
     for _ in range(64):
         a = random_matrix(n, rng)
         b = random_matrix(n, rng)
-        d = check_pair(a, b, k, want_certificate=False)
+        d = check(a, b, k, want_certificate=False)
         if d.margin < -10.0 * d.tolerances.strict * d.scale:
-            label = {
-                "kind": "nonorthogonal",
-                "expected": Verdict.NOT_ORTHOGONAL.value,
-                "n": n,
-                "k": k,
-                "margin": d.margin,
-            }
-            return a, b, label
+            return a, b, {"kind": kind, "expected": expected.value, "n": n,
+                          "k": k, "margin": d.margin}
     raise RuntimeError("rejection sampling failed to find a clear instance")
+
+
+def make_nonorthogonal_pair(n: int, k: int, rng=None):
+    """Pair (A, B) whose margin is far below the strict band."""
+    return _clearly_failing_pair(n, k, rng, check_pair, "nonorthogonal",
+                                 Verdict.NOT_ORTHOGONAL)
 
 
 def make_parallel_pair(n: int, k: int, rng=None):
@@ -180,21 +180,8 @@ def make_parallel_pair(n: int, k: int, rng=None):
 
 def make_nonparallel_pair(n: int, k: int, rng=None):
     """Pair whose peak pairing modulus stays clearly below ||B||_(k)."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    for _ in range(64):
-        a = random_matrix(n, rng)
-        b = random_matrix(n, rng)
-        d = check_parallel(a, b, k, want_certificate=False)
-        if d.margin < -10.0 * d.tolerances.strict * d.scale:
-            label = {
-                "kind": "nonparallel",
-                "expected": Verdict.NOT_PARALLEL.value,
-                "n": n,
-                "k": k,
-                "margin": d.margin,
-            }
-            return a, b, label
-    raise RuntimeError("rejection sampling failed to find a clear instance")
+    return _clearly_failing_pair(n, k, rng, check_parallel, "nonparallel",
+                                 Verdict.NOT_PARALLEL)
 
 
 def make_singular_pair(n: int, k: int, rng=None, rank: int | None = None):

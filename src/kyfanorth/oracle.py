@@ -61,15 +61,19 @@ _RING_PHASES = 32
 _DIP_CAP = 4096
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# the chord probe evaluates every _PROBE_STRIDE-th phase first, and each
-# refinement round the 16 points of its 17 other than the centre
+# the chord probe scans _PROBE_PHASES phases, evaluating every
+# _PROBE_STRIDE-th first, refines the best in _REFINE_ROUNDS rounds of the 16
+# points of its 17 other than the centre, and then samples _TAIL_RADII radii
+_PROBE_PHASES = 512
 _PROBE_STRIDE = 32
+_REFINE_ROUNDS = 7
+_TAIL_RADII = 13
 _AROUND = np.r_[0:8, 9:17]
 
 # span directions the subspace referee samples, the basis matrices first,
-# and unimodular phases the parallel referee scans
+# and the norm evaluations after which the parallel referee gives up
 _SUBSPACE_DIRECTIONS = 64
-_PARALLEL_GRID = 720
+_PEAK_CAP = 1024
 
 
 def _norms_at(a: np.ndarray, b: np.ndarray, k: int, cs: np.ndarray) -> np.ndarray:
@@ -84,9 +88,7 @@ class _Scalars:
 
     def __init__(self, a: np.ndarray, b: np.ndarray, k: int):
         self.a, self.b, self.k = a, b, k
-        self.evals = 0
-        self.value = np.inf
-        self.point = 0.0 + 0.0j
+        self.evals, self.value, self.point = 0, np.inf, 0.0 + 0.0j
 
     def __call__(self, cs: np.ndarray) -> np.ndarray:
         cs = np.asarray(cs, dtype=complex).ravel()
@@ -277,13 +279,11 @@ def fd_directional(a, x, k: int, t: float) -> float:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    a = as_matrix(a)
-    x = as_matrix(x)
+    a, x = as_matrix(a), as_matrix(x)
     return (ky_fan_norm(a + t * x, k) - ky_fan_norm(a, k)) / t
 
 
-def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
-                 refine_rounds: int = 7, t_count: int = 13):
+def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD):
     """Sampled minimum chord rate of ||A + c B|| over scalar directions.
 
     Scans phases at a probe radius, refines the worst phase, then sweeps
@@ -292,14 +292,10 @@ def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD, n_theta: int = 512,
     approaches the margin from above as the smallest magnitudes dominate.
     Returns (margin_estimate, phase).
     """
-    if n_theta < 1 or refine_rounds < 0 or t_count < 1:
-        raise ValueError("chord_margin needs n_theta >= 1, refine_rounds >= 0 "
-                         f"and t_count >= 1, got {n_theta}, {refine_rounds} "
-                         f"and {t_count}")
     require_field(field)
     a, (b,) = require_operands(a, [b], k)
-    return _chord_scan(a, b, k, ky_fan_norm(a, k), ky_fan_norm(b, k), field,
-                       n_theta, refine_rounds, t_count)[:2]
+    return _chord_scan(a, b, k, ky_fan_norm(a, k), ky_fan_norm(b, k),
+                       field)[:2]
 
 
 def _chord_floors(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
@@ -333,8 +329,7 @@ def _chord_floors(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
 
 
 def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
-                norm_b: float, field: str = COMPLEX_FIELD, n_theta: int = 512,
-                refine_rounds: int = 7, t_count: int = 13):
+                norm_b: float, field: str = COMPLEX_FIELD):
     """``chord_margin`` from the norms ||A||_(k) and ||B||_(k) in hand.
 
     Returns (margin, phase, work), where work counts the norm evaluations
@@ -354,17 +349,16 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     norms = _Scalars(a, b, k)
 
     def chords(cs):
-        cs = np.asarray(cs, dtype=complex).ravel()
         return (norms(cs) - norm_a) / np.abs(cs)
 
     # magnitudes chosen so the perturbation size t*||B|| spans the norm scale
     unit = (norm_a + norm_b) / norm_b
-    ts = unit * np.geomspace(1e-7, 0.25, t_count)
+    ts = unit * np.geomspace(1e-7, 0.25, _TAIL_RADII)
     t_probe = unit * 1e-4
     if field == REAL_FIELD:
         thetas = np.array([0.0, np.pi])
     else:
-        thetas = np.linspace(0.0, _TWO_PI, n_theta, endpoint=False)
+        thetas = np.linspace(0.0, _TWO_PI, _PROBE_PHASES, endpoint=False)
     cs = t_probe * np.exp(1j * thetas)
     probe = np.full(thetas.size, np.inf)
     done = np.zeros(thetas.size, dtype=bool)
@@ -383,18 +377,16 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
             probe[rest] = chords(cs[rest])
             done[rest] = True
     i = int(np.argmin(probe))
-    best = float(probe[i])
-    theta = float(thetas[i])
+    best, theta = float(probe[i]), float(thetas[i])
     if field != REAL_FIELD:
-        width = _TWO_PI / n_theta
-        for _ in range(refine_rounds):
+        width = _TWO_PI / _PROBE_PHASES
+        for _ in range(_REFINE_ROUNDS):
             # local[8] is theta itself, whose chord is best
             local = theta + np.linspace(-width, width, 17)
             vals = np.full(17, best)
             vals[_AROUND] = chords(t_probe * np.exp(1j * local[_AROUND]))
             j = int(np.argmin(vals))
-            best = float(vals[j])
-            theta = float(local[j])
+            best, theta = float(vals[j]), float(local[j])
             width *= 0.2
     tail = chords(ts * cmath.exp(1j * theta))
     best = min(best, float(tail.min()))
@@ -424,13 +416,8 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     scale = tol.margin_scale(norm_a, norm_b)
     margin, theta, work = _chord_scan(a, b, k, norm_a, norm_b, field)
     verdict = tol.band(margin, scale)
-    details = {
-        "field": field,
-        "norm_a": norm_a,
-        "norm_b": norm_b,
-        "chord_phase": theta,
-        **work,
-    }
+    details = {"field": field, "norm_a": norm_a, "norm_b": norm_b,
+               "chord_phase": theta, **work}
     if field != COMPLEX_FIELD:
         # real scalars: the dip check scans complex ones
         details.update(dip_status="real_field", dip_evals=0)
@@ -467,8 +454,7 @@ def oracle_check_subspace(a, basis, k: int,
                         details={"directions": 0})
     norms_w = [ky_fan_norm(w, k) for w in mats]
     scale = tol.margin_scale(norm_a, max(norms_w))
-    worst = np.inf
-    chord_evals = 0
+    worst, chord_evals = np.inf, 0
     m = len(mats)
     for j in range(_SUBSPACE_DIRECTIONS):
         if j < m:
@@ -497,38 +483,51 @@ def oracle_check_subspace(a, basis, k: int,
 
 def oracle_check_parallel(a, b, k: int,
                           tol: Tolerances | None = None) -> Decision:
-    """Referee for norm parallelism: scan unimodular scalars for triangle
-    equality, with a bounded polish around the best grid phase."""
-    import scipy.optimize  # here, so that importing the package loads no scipy
+    """Referee for norm parallelism: a certified bracket on the peak of
+    f(phi) = ||A + e^{i phi} B||_(k) below the triangle bound.
 
+    f is ||B||_(k)-Lipschitz in phi, so on an arc of width w between samples
+    it is at most their mean plus w ||B||_(k) / 2 (S. A. Piyavskii, USSR
+    Comput. Math. Math. Phys. 12, 1972; B. O. Shubert, SIAM J. Numer. Anal.
+    9, 1972) and ``_dip_check``'s rounding allowance. From ``_RING_PHASES``
+    phases, each round halves every arc whose bound reaches the strict band,
+    until the best sample (``peak``, at ``lambda``) and the highest bound
+    (``peak_upper_bound``) agree, or the next round would pass ``_PEAK_CAP``
+    norms (``peak_evals``): BOUNDARY, with ``peak_reason``.
+    """
     tol = Tolerances() if tol is None else tol
     a, (b,) = require_operands(a, [b], k)
-    norm_a = ky_fan_norm(a, k)
-    norm_b = ky_fan_norm(b, k)
-    scale = tol.margin_scale(norm_a, norm_b)
-    phis = np.linspace(0.0, _TWO_PI, _PARALLEL_GRID, endpoint=False)
-    vals = _norms_at(a, b, k, np.exp(1j * phis))
-    i = int(np.argmax(vals))
-    peak = float(vals[i])
-    phi = float(phis[i])
-    delta = _TWO_PI / _PARALLEL_GRID
-
-    def neg(p):
-        return -ky_fan_norm(a + cmath.exp(1j * p) * b, k)
-
-    res = scipy.optimize.minimize_scalar(
-        neg, bounds=(phi - delta, phi + delta), method="bounded",
-        options={"xatol": 1e-12, "maxiter": 200})
-    if -float(res.fun) > peak:
-        peak = -float(res.fun)
-        phi = float(res.x)
-    margin = peak - (norm_a + norm_b)
-    verdict = tol.band(margin, scale, Verdict.PARALLEL, Verdict.NOT_PARALLEL)
-    lam = cmath.exp(1j * phi)
-    return Decision(verdict=verdict, margin=margin, scale=scale,
-                    method="oracle-peak", tolerances=tol,
-                    details={"lambda_re": lam.real, "lambda_im": lam.imag,
-                             "peak": peak, "triangle_bound": norm_a + norm_b})
+    norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
+    scale, triangle = tol.margin_scale(norm_a, norm_b), norm_a + norm_b
+    allowance = 64.0 * a.shape[0] * np.finfo(float).eps * triangle
+    phases = (_TWO_PI / _RING_PHASES) * np.arange(_RING_PHASES)
+    f = _norms_at(a, b, k, np.exp(1j * phases))
+    while True:
+        order = np.argsort(phases)
+        phases, f = phases[order], f[order]
+        # arc j runs from phases[j] to the next sample, around the circle
+        width = np.diff(phases, append=phases[0] + _TWO_PI)
+        bounds = 0.5 * (f + np.roll(f, -1) + width * norm_b) + allowance
+        i, top = int(np.argmax(f)), float(bounds.max())
+        verdict = tol.band(f[i] - triangle, scale, Verdict.PARALLEL,
+                           Verdict.NOT_PARALLEL, bound=top - triangle)
+        live = bounds >= triangle - tol.strict * scale
+        if verdict is not Verdict.BOUNDARY or not live.any() \
+                or f.size + live.sum() > _PEAK_CAP:
+            break
+        mid = phases[live] + 0.5 * width[live]
+        phases = np.append(phases, mid)
+        f = np.append(f, _norms_at(a, b, k, np.exp(1j * mid)))
+    lam = cmath.exp(1j * phases[i])
+    details = {"lambda_re": lam.real, "lambda_im": lam.imag,
+               "peak": float(f[i]), "peak_upper_bound": top,
+               "peak_evals": f.size, "triangle_bound": triangle}
+    if verdict is Verdict.BOUNDARY:
+        details["peak_reason"] = (f"{live.sum()} arcs still open after "
+                                  f"{f.size} norm evaluations")
+    return Decision(verdict=verdict, margin=details["peak"] - triangle,
+                    scale=scale, method="oracle-peak", tolerances=tol,
+                    details=details)
 
 
 def sample_range_points(a, b, k: int, count: int = 100, rng=None) -> np.ndarray:

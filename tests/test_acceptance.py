@@ -126,7 +126,8 @@ def test_c02_pair_and_block_criteria_cross_consistent():
         setup = _pair_setup(a, b, k)
         outcome = _pair_outcome(setup, COMPLEX_FIELD)
         cert = _witness_block(setup, _hull_coefficient(setup, outcome,
-                                                       COMPLEX_FIELD))
+                                                       COMPLEX_FIELD),
+                              COMPLEX_FIELD)
         assert cert.kind is CertKind.BLOCK_COEFFICIENT
         assert verify_certificate(cert, a, b, k)["ok"], (i, n, k)
         checked_positive_rank += 1

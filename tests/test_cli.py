@@ -48,14 +48,22 @@ back = decode_report(encode_report(tied)).certificate
 assert verify_certificate(back, a, basis, 2)["ok"]
 refuted = check_subspace(a, [np.diag([-1.2, 1.0, 0.0, 0.0, 0.0]), w2], 2)
 assert refuted.verdict is Verdict.NOT_ORTHOGONAL, refuted.summary()
+# the three referees run on numpy alone too
+from kyfanorth import (make_parallel_pair, oracle_check_pair,
+                       oracle_check_parallel, oracle_check_subspace)
+assert oracle_check_pair(a, w2, 2).verdict is Verdict.ORTHOGONAL
+assert oracle_check_subspace(a, basis, 2).verdict \
+    is Verdict.NO_COUNTEREXAMPLE
+pa, pb, _ = make_parallel_pair(4, 2, np.random.default_rng(1))
+assert oracle_check_parallel(pa, pb, 2).verdict is Verdict.PARALLEL
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
 def test_cli_import_loads_no_scipy():
-    # only the parallel referee's bounded polish uses scipy, and it imports
-    # it when called: neither the CLI nor a subspace decision, its density
-    # certificate's verification or its report round trip loads it
+    # no module of the package imports scipy: neither the CLI nor a
+    # subspace decision, its density certificate's verification, its report
+    # round trip or any of the three referees loads it
     src = str(Path(kyfanorth.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -337,6 +345,23 @@ def test_verify_reads_a_real_field_pair_through_real_certificates(tmp_path,
     # the same real-field witnesses prove nothing about complex scalars
     complex_path = write_pair(tmp_path, a, b, 2, name="complex.json")
     assert run(capsys, "verify", complex_path, report_path)[0] == 1
+    # at s_k = 0 the fixed part 2i overflows the widened block's disk of
+    # radius 1, but its real part 0 needs no contraction: a real-purpose
+    # BLOCK_COEFFICIENT proves the real problem and nothing about the complex
+    # one, which reads NOT_ORTHOGONAL with margin -1
+    a, b = np.diag([2.0, 1.0, 0.0]), np.diag([2j, 0.0, 1.0])
+    real = write_pair(tmp_path, a, b, 3, name="singular_real.json",
+                      field_name=REAL_FIELD)
+    report_path = str(tmp_path / "singular_real_report.json")
+    assert run(capsys, "check", real, "--report", report_path)[0] == 0
+    assert load_report(report_path).certificate.details["purpose"] == "real"
+    code, out, _ = run(capsys, "verify", real, report_path)
+    assert code == 0 and out.startswith("PASS kind=BLOCK_COEFFICIENT"), out
+    complex_path = write_pair(tmp_path, a, b, 3, name="singular.json")
+    code, out, _ = run(capsys, "check", complex_path)
+    assert code == 1 and "margin=-1.000000e+00" in out, out
+    code, out, _ = run(capsys, "verify", complex_path, report_path)
+    assert code == 1 and "[FAIL] proves_verdict" in out, out
     # a complex scalar that shrinks the norm (-0.212 - 0.184i here) does not
     # refute over the reals; the real field's own scalar refutes in both
     a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kyfanorth.decide
+from kyfanorth.cli import _proves_verdict
 from kyfanorth.decide import (
     _checked_miss,
     _cluster_factors,
+    _contraction,
     _hull_coefficient,
     _nearest_point,
     _pair_outcome,
@@ -22,6 +24,7 @@ from kyfanorth.decide import (
 from kyfanorth.errors import (
     BadBlockStructure,
     DegenerateRank,
+    NoConvergence,
     WitnessSearchFailed,
 )
 from kyfanorth.generate import (
@@ -66,7 +69,7 @@ def _fallback_block(setup):
     outcome = _pair_outcome(setup, COMPLEX_FIELD)
     hull = (None if setup.model.degenerate
             else _hull_coefficient(setup, outcome, COMPLEX_FIELD))
-    return _witness_block(setup, hull)
+    return _witness_block(setup, hull, COMPLEX_FIELD)
 
 
 def _block_decision(a, b, k):
@@ -433,6 +436,51 @@ def test_witness_block_degenerate_spreads_the_contraction_evenly():
     assert live[1] == pytest.approx(live[0], rel=1e-12)
     assert live[0] == pytest.approx(0.8, rel=1e-12)
     assert live[0] <= 1.0 and live.sum() <= 2.0
+
+
+def test_real_field_orthogonal_readings_at_zero_boundary_are_certified():
+    # s_k = 0 in every draw, where a complex block equation may overflow the
+    # widened block's disk although its real part is met: each real-field
+    # ORTHOGONAL reading carries a real-purpose certificate that verifies
+    # and proves the real problem only
+    rng = np.random.default_rng(21)
+    readings = 0
+    for i in range(600):
+        n = int(rng.integers(3, 7))
+        k = int(rng.integers(2, n + 1))
+        if i % 2:
+            a, b, _ = make_singular_pair(n, k, rng)
+        else:
+            a, b, _ = make_orthogonal_pair(n, k, rng, degenerate=True,
+                                           field=REAL_FIELD)
+        d = check_pair(a, b, k, field=REAL_FIELD)
+        if d.verdict is not Verdict.ORTHOGONAL:
+            continue
+        readings += 1
+        cert = d.certificate
+        assert cert is not None, (i, d.details)
+        assert cert.details["purpose"] == "real"
+        assert verify_certificate(cert, a, b, k)["ok"], i
+        assert _proves_verdict(d.verdict, cert, True)
+        assert not _proves_verdict(d.verdict, cert, False)
+    assert readings == 538
+
+
+def test_contraction_overflow_is_a_failed_construction(monkeypatch):
+    # a target beyond the attainable disk fails the construction, which
+    # check_pair records; a failure of the backend is not caught there
+    with pytest.raises(WitnessSearchFailed, match="budget overflow"):
+        _contraction(np.ones((1, 1)), 1, 2.0, 1e-9)
+    a, b = np.diag([2.0, 1.0, 0.0]), np.diag([0.5, 0.0, 1.0])
+    d = check_pair(a, b, 3)
+    assert d.verdict is Verdict.ORTHOGONAL and d.certificate is not None
+
+    def failing(*args):
+        raise NoConvergence("svd failed: planted")
+
+    monkeypatch.setattr(kyfanorth.decide, "_contraction", failing)
+    with pytest.raises(NoConvergence, match="planted"):
+        check_pair(a, b, 3)
 
 
 def _coefficient_feasible(coeff, a, b, k):

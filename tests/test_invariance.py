@@ -131,7 +131,7 @@ def _block_certified(a, b, k):
         setup = _pair_setup(a, b, k)
         hull = (None if setup.model.degenerate else _hull_coefficient(
             setup, _pair_outcome(setup, COMPLEX_FIELD), COMPLEX_FIELD))
-        d.certificate = _witness_block(setup, hull)
+        d.certificate = _witness_block(setup, hull, COMPLEX_FIELD)
     return d
 
 
