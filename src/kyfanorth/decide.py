@@ -143,6 +143,7 @@ def _decide_pair(setup: _PairSetup, field: str,
         "degenerate_zero": frame.degenerate_zero,
         "cluster_tol": frame.part.cluster_tol,
         "sweep_evals": outcome.evals,
+        "sweep_rounds": outcome.rounds,
         "sweep_capped": outcome.capped,
         "margin_lower_bound": outcome.bound,
         "support_theta": outcome.theta,
@@ -806,6 +807,7 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
         "peak_modulus": outcome.value,
         "peak_upper_bound": outcome.bound,
         "sweep_evals": outcome.evals,
+        "sweep_rounds": outcome.rounds,
         "sweep_capped": outcome.capped,
         "norm_a": norm_a,
         "norm_b": norm_b,

@@ -220,8 +220,10 @@ class SweepOutcome:
     ``bound`` is the certified other end of the bracket: at or below the
     true minimum, or at or above the true maximum. ``capped`` records that
     the sweep stopped before the bracket closed to its tolerance: on the
-    evaluation cap, or on an angle already sampled. ``angles`` holds every
-    angle sampled and ``points`` the exposed point of the set found at each.
+    evaluation cap, or with no angle left that it had not sampled.
+    ``evals`` counts the angles sampled and ``rounds`` the batches after
+    the first; ``angles`` holds every angle sampled and ``points`` the
+    exposed point of the set found at each.
     """
 
     theta: float
@@ -231,6 +233,7 @@ class SweepOutcome:
     angles: np.ndarray
     points: np.ndarray
     capped: bool = False
+    rounds: int = 0
 
 
 _START_ANGLES = 8
@@ -243,10 +246,12 @@ def swept_minimum(expose, tol_abs: float, slack: float = 0.0,
 
     ``expose(thetas)`` returns h at each angle and a point of K attaining
     it, each to within ``slack``. The convex hull of the exposed points lies
-    in K, so the minimum of its support function (the signed distance of 0
-    to the hull: negative outside, the nearest edge line inside) bounds
-    min h from below. The next angle is the one attaining that bound, and
-    the sweep stops once the smallest sample is within ``tol_abs`` of it.
+    in K, so on each arc between neighbouring sampled angles the hull's
+    support function bounds h from below, and its smallest value over all
+    arcs bounds min h (the signed distance of 0 to the hull: negative
+    outside, the nearest edge line inside). Each round samples every arc
+    whose bound is not yet within ``tol_abs`` of the smallest sample, at the
+    angle attaining its bound, and the sweep stops once none is left.
     """
     return _sweep(expose, tol_abs, max_evals, -1.0,
                   lambda th, h, z: _inner_bound(th, z, slack))
@@ -258,51 +263,88 @@ def swept_maximum(expose, tol_abs: float, slack: float = 0.0,
     set K, that is max |z| over K; ``expose`` as for ``swept_minimum``.
 
     The supporting lines at the sampled angles cut out a polygon holding
-    K, so the largest modulus among its vertices bounds max h from above.
-    The next angle is that vertex's angle.
+    K, so on each arc the modulus of the polygon's vertex there bounds h
+    from above. Each round samples every arc whose bound is not yet within
+    ``tol_abs`` of the largest sample, at that vertex's angle.
     """
     return _sweep(expose, tol_abs, max_evals, 1.0,
                   lambda th, h, z: _outer_bound(th, h, slack))
 
 
 def _sweep(expose, tol_abs, max_evals, sign, certify) -> SweepOutcome:
-    """Sample the angle ``certify`` names until its bound is within
-    ``tol_abs`` of the best sample; sign -1 minimizes, +1 maximizes."""
+    """Refine the live arcs round by round; sign -1 minimizes, +1 maximizes.
+
+    ``certify`` takes the samples in angle order and returns, for each arc
+    from one sampled angle to the next, its certified bound and the angle
+    attaining it. An arc is live while its bound is more than ``tol_abs``
+    beyond the best sample. One round samples every live arc in a single
+    ``expose`` call: at that angle, and also at the midpoints on either side
+    of it once a sample has already failed to close the arc (one of its
+    ends was sampled after the first batch), so that the arc closes about
+    16-fold rather than 4-fold. A batch that would pass ``max_evals`` takes
+    the arcs with the worst bounds first. Angles already sampled are
+    dropped, and the sweep stops when no live arc is left, at the cap, or
+    when no new angle is.
+    """
     theta = np.linspace(0.0, _TWO_PI, _START_ANGLES, endpoint=False)
     h, z = expose(theta)
+    rounds = 0
     while True:
         i = int(np.argmax(sign * h))
-        bound, nxt = certify(theta, h, z)
-        gap = sign * (bound - h[i])
-        if gap <= tol_abs or theta.size >= max_evals:
+        order = np.argsort(theta)
+        th = theta[order]
+        bounds, spots = certify(th, h[order], z[order])
+        gaps = sign * (bounds - h[i])
+        live = np.flatnonzero(gaps > tol_abs)
+        if live.size == 0 or theta.size >= max_evals:
             break
-        nxt %= _TWO_PI
-        if np.any(theta == nxt):  # a repeated sample cannot move the bracket
+        ranked = live[np.argsort(-sign * bounds[live], kind="stable")]
+        late = order >= _START_ANGLES
+        fresh = _round_angles(th, spots, ranked, late | np.roll(late, -1),
+                              theta)[:max_evals - theta.size]
+        if fresh.size == 0:  # repeated samples cannot move the bracket
             break
-        hn, zn = expose(np.array([nxt]))
-        theta = np.append(theta, nxt)
+        hn, zn = expose(fresh)
+        theta = np.append(theta, fresh)
         h = np.append(h, hn)
         z = np.append(z, zn)
-    bound = max(bound, h[i]) if sign > 0 else min(bound, h[i])
+        rounds += 1
+    j = int(np.argmax(sign * bounds))
+    bound = max(bounds[j], h[i]) if sign > 0 else min(bounds[j], h[i])
     return SweepOutcome(theta=float(theta[i]), value=float(h[i]),
                         bound=float(bound), evals=int(theta.size),
-                        capped=bool(gap > tol_abs), angles=theta, points=z)
+                        capped=bool(gaps[j] > tol_abs), angles=theta,
+                        points=z, rounds=rounds)
 
 
-def _inner_bound(theta, z, slack: float) -> tuple:
-    """Smallest support value of the hull of the exposed points, less
-    rounding slack, and the angle attaining it.
+def _round_angles(th, spots, ranked, refined, taken) -> np.ndarray:
+    """The new angles of one round, arc by arc in the order ``ranked``:
+    each arc's ``spot``, then, for a ``refined`` arc, the midpoints between
+    the spot and the arc's two ends. Angles in ``taken`` or repeated are
+    dropped."""
+    ends = np.append(th[1:], th[0] + _TWO_PI)
+    split = np.column_stack([spots, 0.5 * (th + spots), 0.5 * (spots + ends)])
+    used = np.ones(split.shape, dtype=bool)
+    used[~refined, 1:] = False
+    angles = split[ranked][used[ranked]] % _TWO_PI
+    same = angles[:, None] == np.append(taken, angles)
+    seen = same[:, :taken.size].any(axis=1)
+    seen |= np.tril(same[:, taken.size:], -1).any(axis=1)
+    return angles[~seen]
 
-    Exposed points follow the boundary in the order of their angles, so
-    on the arc from theta_j to theta_{j+1} the hull's support value is
-    max(Re(e^{-i phi} z_j), Re(e^{-i phi} z_{j+1})). That maximum of two
-    sinusoids is smallest at an end of the arc, where the two cross (a
-    normal of the edge from z_j to z_{j+1}), or at the trough of one of
+
+def _inner_bound(th, near, slack: float) -> tuple:
+    """Smallest support value over each arc of the hull of the exposed
+    points, less rounding slack, and the angle attaining it.
+
+    Exposed points ``near`` follow the boundary in the order of their
+    angles ``th`` (ascending), so on the arc from th_j to th_{j+1} the hull's support
+    value is max(Re(e^{-i phi} z_j), Re(e^{-i phi} z_{j+1})). That maximum
+    of two sinusoids is smallest at an end of the arc, where the two cross
+    (a normal of the edge from z_j to z_{j+1}), or at the trough of one of
     them. Reading each arc off its two points alone keeps the bound below
     the support function of the set even where rounding bends the polygon.
     """
-    order = np.argsort(theta)
-    th, near = theta[order], z[order]
     far = np.roll(near, -1)
     delta = np.diff(th, append=th[0] + _TWO_PI)
     normal = np.angle(far - near) - 0.5 * np.pi
@@ -314,23 +356,23 @@ def _inner_bound(theta, z, slack: float) -> tuple:
     value = np.maximum(np.real(phase * near[:, None]),
                        np.real(phase * far[:, None]))
     value[offset > delta[:, None]] = np.inf
-    j, s = np.unravel_index(np.argmin(value), value.shape)
-    return float(value[j, s]) - slack, float(th[j] + offset[j, s])
+    s = np.argmin(value, axis=1)
+    arcs = np.arange(th.size)
+    return value[arcs, s] - slack, th + offset[arcs, s]
 
 
-def _outer_bound(theta, h, slack: float) -> tuple:
-    """Largest support value of the polygon cut out by the supporting lines
-    at the sampled angles, plus rounding slack, and the angle attaining it.
+def _outer_bound(th, ends, slack: float) -> tuple:
+    """Largest support value over each arc of the polygon cut out by the
+    supporting lines with support values ``ends`` at the sampled angles
+    ``th`` (ascending), plus rounding slack, and the angle attaining it.
 
-    Over the arc from theta_j to theta_j + delta the two half-planes of its
+    Over the arc from th_j to th_j + delta the two half-planes of its
     ends have support value a h_j + b h_{j+1}, with e^{i phi} =
-    a e^{i theta_j} + b e^{i theta_{j+1}}. That peaks at the modulus of the
+    a e^{i th_j} + b e^{i th_{j+1}}. That peaks at the modulus of the
     vertex where their lines meet when the vertex points into the arc, and
     at an end otherwise. An error of at most ``slack`` in each h moves the
     peak by at most (a + b) slack <= slack / cos(delta / 2).
     """
-    order = np.argsort(theta)
-    th, ends = theta[order], h[order]
     far = np.roll(ends, -1)
     delta = np.diff(th, append=th[0] + _TWO_PI)
     vertex = np.exp(1j * th) * (
@@ -338,9 +380,8 @@ def _outer_bound(theta, h, slack: float) -> tuple:
     turn = np.angle(vertex * np.exp(-1j * th))
     inside = (turn >= 0.0) & (turn <= delta)
     peak = np.where(inside, np.abs(vertex), np.maximum(ends, far))
-    j = int(np.argmax(peak))
-    bound = float(peak[j]) + slack / np.cos(0.5 * delta[j])
-    return bound, float(th[j] + (turn[j] if inside[j] else 0.0))
+    return (peak + slack / np.cos(0.5 * delta),
+            th + np.where(inside, turn, 0.0))
 
 
 @dataclass

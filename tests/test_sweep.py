@@ -1,5 +1,5 @@
 """The exposed-point sweep against range sets with closed forms, its cap
-flag, and the evaluation counts the benchmark relies on."""
+flag, and the evaluation and round counts the benchmark relies on."""
 
 import inspect
 from itertools import combinations
@@ -14,6 +14,7 @@ import kyfanorth
 from kyfanorth.generate import make_orthogonal_pair
 from kyfanorth.linalg import haar_unitary
 from kyfanorth.subdiff import RangeSetModel, swept_maximum, swept_minimum
+from test_acceptance import _pair_corpus
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -202,3 +203,44 @@ def test_point_set_needs_no_refinement(sweep):
     want = abs(1 - 2j) * (1 if sweep is swept_maximum else -1)
     assert out.value == pytest.approx(want, abs=1e-12)
     assert out.evals <= 9
+
+
+def _counted_sweep(monkeypatch, a, b, k):
+    """check_pair on (A, B), with its sweep's batches counted where the
+    range model exposes them and checked against the report."""
+    sizes = []
+    expose = RangeSetModel._expose
+
+    def counted(model, thetas):
+        sizes.append(thetas.size)
+        return expose(model, thetas)
+
+    monkeypatch.setattr(RangeSetModel, "_expose", counted)
+    d = kyfanorth.check_pair(a, b, k, want_certificate=False)
+    assert d.details["sweep_rounds"] == len(sizes) - 1
+    assert d.details["sweep_evals"] == sum(sizes)
+    return d
+
+
+def test_two_near_equal_minima_close_in_few_rounds(monkeypatch):
+    # instance 366 of the c01 corpus (k = 2, q = 1, r = 1, 0 inside the
+    # set): two near-equal minima of h, which one angle a step took 84
+    # steps to close
+    rng = np.random.default_rng(101)
+    _pair_corpus(rng, 4, 1, 200)
+    a, b = _pair_corpus(rng, 4, 2, 200)[166]
+    d = _counted_sweep(monkeypatch, a, b, 2)
+    assert d.details["sweep_rounds"] <= 8
+    assert d.details["sweep_capped"] is False
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orthogonal_pairs_close_in_few_rounds(monkeypatch, k):
+    # 0 inside the pairing set: every live arc is refined in each round,
+    # so the count of rounds, not of angles, stays small
+    rng = np.random.default_rng(2200 + k)
+    for _ in range(20):
+        a, b, _ = make_orthogonal_pair(4, k, rng, q=1, r=1)
+        d = _counted_sweep(monkeypatch, a, b, k)
+        assert d.details["sweep_rounds"] <= 10
+        assert d.details["sweep_capped"] is False
