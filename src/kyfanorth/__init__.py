@@ -20,7 +20,6 @@ from .errors import (
     NoConvergence,
     NonFinite,
     ParseError,
-    QOutOfRange,
     ShapeMismatch,
     WitnessSearchFailed,
 )
@@ -51,7 +50,6 @@ from .linalg import (
     haar_unitary,
     singular_values,
     svd,
-    top_q_singsum,
 )
 from .model import (
     COMPLEX_FIELD,
@@ -64,7 +62,6 @@ from .model import (
 )
 from .norms import ky_fan_norm, ky_fan_norm_batch
 from .oracle import (
-    chord_margin,
     fd_directional,
     oracle_check_pair,
     oracle_check_parallel,
@@ -96,7 +93,6 @@ __all__ = [
     "NonFinite",
     "ParseError",
     "Problem",
-    "QOutOfRange",
     "Report",
     "ShapeMismatch",
     "SubdifferentialFrame",
@@ -107,7 +103,6 @@ __all__ = [
     "check_pair",
     "check_parallel",
     "check_subspace",
-    "chord_margin",
     "cluster_spectrum",
     "decode_problem",
     "decode_report",
@@ -139,7 +134,6 @@ __all__ = [
     "svd",
     "swept_minimum",
     "tied_spectrum",
-    "top_q_singsum",
     "verify_certificate",
     "__version__",
 ]

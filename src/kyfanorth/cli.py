@@ -46,7 +46,7 @@ from .generate import (
 from .io import _save_json, encode_report, load_problem, load_report, save_problem
 from .linalg import singular_values
 from .model import COMPLEX_FIELD, REAL_FIELD, CertKind, Tolerances, Verdict
-from .norms import ky_fan_norm
+from .norms import ky_fan_norm, require_k
 from .oracle import (
     oracle_check_pair,
     oracle_check_parallel,
@@ -60,6 +60,10 @@ _PASS_VERDICTS = (Verdict.ORTHOGONAL, Verdict.PARALLEL, Verdict.NO_COUNTEREXAMPL
 _FAIL_VERDICTS = (Verdict.NOT_ORTHOGONAL, Verdict.NOT_PARALLEL)
 # pair orthogonality is the one question check decides over the reals
 _REAL_KINDS = ("orthogonal", "nonorthogonal", "singular")
+_PAIR_MAKERS = {"nonorthogonal": make_nonorthogonal_pair,
+                "parallel": make_parallel_pair,
+                "nonparallel": make_nonparallel_pair,
+                "singular": make_singular_pair}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,41 +274,37 @@ def cmd_gen(args) -> int:
     if args.field == REAL_FIELD and args.kind not in _REAL_KINDS:
         raise ParseError(f"--kind {args.kind} builds complex instances only; "
                          f"--field real takes --kind {', '.join(_REAL_KINDS)}")
-    rng = np.random.default_rng(args.seed)
     n, k = args.n, args.k
-    if args.kind == "orthogonal":
-        a, b, label = make_orthogonal_pair(n, k, rng, q=args.q, r=args.r,
-                                           degenerate=args.degenerate,
-                                           field=args.field)
-        matrices, subspace = {"a": a, "b": b}, None
-    elif args.kind == "nonorthogonal":
-        a, b, label = make_nonorthogonal_pair(n, k, rng)
-        matrices, subspace = {"a": a, "b": b}, None
-    elif args.kind == "parallel":
-        a, b, label = make_parallel_pair(n, k, rng)
-        matrices, subspace = {"a": a, "b": b}, None
-    elif args.kind == "nonparallel":
-        a, b, label = make_nonparallel_pair(n, k, rng)
-        matrices, subspace = {"a": a, "b": b}, None
-    elif args.kind == "singular":
-        a, b, label = make_singular_pair(n, k, rng)
-        matrices, subspace = {"a": a, "b": b}, None
-    else:
-        a, basis, label = make_subspace_instance(
-            n, k, args.m, rng, orthogonal=not args.negative,
-            q=args.q, r=args.r)
-        matrices = {"a": a}
-        subspace = []
-        for i, w in enumerate(basis):
-            name = f"w{i}"
-            matrices[name] = w
-            subspace.append(name)
+    require_k(k, n)
+    try:
+        matrices, subspace, label = _generate(args, n, k)
+    except ValueError as exc:  # a layout the spectrum cannot hold
+        raise ParseError(str(exc)) from exc
     label["seed"] = args.seed
     save_problem(args.out, matrices, k, field_name=args.field,
                  subspace=subspace, label=label)
     print(f"wrote {args.out} kind={label['kind']} "
           f"expected={label.get('expected', 'n/a')}")
     return 0
+
+
+def _generate(args, n: int, k: int) -> tuple:
+    """The matrices, subspace names and label of the instance ``gen``
+    asks for."""
+    rng = np.random.default_rng(args.seed)
+    if args.kind == "subspace":
+        a, basis, label = make_subspace_instance(
+            n, k, args.m, rng, orthogonal=not args.negative,
+            q=args.q, r=args.r)
+        names = [f"w{i}" for i in range(len(basis))]
+        return {"a": a, **dict(zip(names, basis))}, names, label
+    if args.kind == "orthogonal":
+        a, b, label = make_orthogonal_pair(n, k, rng, q=args.q, r=args.r,
+                                           degenerate=args.degenerate,
+                                           field=args.field)
+    else:
+        a, b, label = _PAIR_MAKERS[args.kind](n, k, rng)
+    return {"a": a, "b": b}, None, label
 
 
 def cmd_sweep_plot(args) -> int:
@@ -345,9 +345,6 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DegenerateRank as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -60,10 +60,6 @@ def _tol_or_default(tol: Tolerances | None) -> Tolerances:
     return Tolerances() if tol is None else tol
 
 
-def _frame_for(a: np.ndarray, k: int, tol: Tolerances) -> SubdifferentialFrame:
-    return build_frame(a, k, cluster_tol=tol.cluster)
-
-
 @dataclass
 class _PairSetup:
     """Validated pair (A, B) with the frame of A, ||B||_(k), the margin
@@ -89,7 +85,7 @@ def _pair_setup(a, b, k: int, tol: Tolerances | None = None,
     tol = _tol_or_default(tol)
     a, (b,) = require_operands(a, [b], k)
     if frame is None:
-        frame = _frame_for(a, k, tol)
+        frame = build_frame(a, k, tol.cluster)
     norm_b = ky_fan_norm(b, k)
     return _PairSetup(a=a, b=b, k=k, tol=tol, frame=frame, norm_b=norm_b,
                       scale=tol.margin_scale(frame.norm_value, norm_b),
@@ -633,7 +629,7 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     """
     tol = _tol_or_default(tol)
     a, basis = require_operands(a, basis, k)
-    frame = _frame_for(a, k, tol)
+    frame = build_frame(a, k, tol.cluster)
     norm_a = frame.norm_value
     ortho = _orthonormalize_basis(basis)
     if not ortho:
@@ -877,7 +873,7 @@ def verify_certificate(cert: Certificate, a, second, k: int,
 
 
 def _verify_block(cert, a, b, k, tol, add):
-    frame = _frame_for(a, k, tol)
+    frame = build_frame(a, k, tol.cluster)
     norm_a = frame.norm_value
     scale = tol.margin_scale(norm_a, ky_fan_norm(b, k))
     coeff = as_matrix(cert.block_matrix)
@@ -956,7 +952,7 @@ def _verify_density(cert, a, second, k, tol, add):
     as the density system P_i = x_i x_i* it defines, regrouped by the
     verifier's clusters into X_c = [x_i]_{i in c} / sqrt(m_c). Unit traces
     and ||S S*|| <= 1 + 10 cert make a witness orthonormal to O(k cert)."""
-    frame = _frame_for(a, k, tol)
+    frame = build_frame(a, k, tol.cluster)
     witness = cert.kind is CertKind.WITNESS_SYSTEM
     mats = [as_matrix(second)] if witness else [as_matrix(w) for w in second]
     norms = [ky_fan_norm(w, k) for w in mats]

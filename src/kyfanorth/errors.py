@@ -21,10 +21,6 @@ class KOutOfRange(KyFanError):
     """The norm index k is outside 1..n."""
 
 
-class QOutOfRange(KyFanError):
-    """A partial-sum count q is outside the admissible range."""
-
-
 class DegenerateRank(KyFanError):
     """s_k(A) is numerically zero and the requested criterion needs s_k > 0."""
 

@@ -9,7 +9,7 @@ input surfaces as ParseError with a message naming the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -44,9 +44,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_TOL_KEYS = ("decide", "strict", "cert", "cluster")
+_TOL_KEYS = tuple(f.name for f in fields(Tolerances))
 # tolerances older files carry that nothing reads: they are dropped
 _RETIRED_TOL_KEYS = ("herm", "resid", "rank")
+# the matrix fields of a certificate, in the order a file lists them
+_CERT_MATRICES = ("vectors", "block_matrix", "subgradient")
 
 
 def encode_matrix(m) -> dict:
@@ -135,17 +137,10 @@ class Problem:
 
 
 @dataclass
-class Report:
-    """Decoded report file."""
+class Report(Decision):
+    """Decoded report file: a decision and the timings of its check."""
 
-    verdict: Verdict
-    margin: float
-    scale: float
-    method: str
-    tolerances: Tolerances | None
-    certificate: Certificate | None
-    details: dict
-    timings: dict
+    timings: dict = dataclass_field(default_factory=dict)
 
 
 def encode_problem(matrices: dict, k: int, field_name: str = COMPLEX_FIELD,
@@ -228,12 +223,9 @@ def decode_problem(obj) -> Problem:
 
 def encode_certificate(cert: Certificate) -> dict:
     obj = {"kind": cert.kind.value}
-    if cert.vectors is not None:
-        obj["vectors"] = encode_matrix(cert.vectors)
-    if cert.block_matrix is not None:
-        obj["block_matrix"] = encode_matrix(cert.block_matrix)
-    if cert.subgradient is not None:
-        obj["subgradient"] = encode_matrix(cert.subgradient)
+    for name in _CERT_MATRICES:
+        if getattr(cert, name) is not None:
+            obj[name] = encode_matrix(getattr(cert, name))
     if cert.coefficient is not None:
         c = complex(cert.coefficient)
         obj["coefficient"] = [c.real, c.imag]
@@ -255,13 +247,8 @@ def decode_certificate(obj) -> Certificate:
         kind = CertKind(kind_raw)
     except ValueError as exc:
         raise ParseError(f"certificate: unknown kind {kind_raw!r}") from exc
-    vectors = block = subgrad = None
-    if "vectors" in obj:
-        vectors = decode_matrix(obj["vectors"], name="certificate.vectors")
-    if "block_matrix" in obj:
-        block = decode_matrix(obj["block_matrix"], name="certificate.block_matrix")
-    if "subgradient" in obj:
-        subgrad = decode_matrix(obj["subgradient"], name="certificate.subgradient")
+    matrices = {name: decode_matrix(obj[name], name=f"certificate.{name}")
+                for name in _CERT_MATRICES if name in obj}
     coefficient = None
     if "coefficient" in obj:
         pair = obj["coefficient"]
@@ -292,10 +279,9 @@ def decode_certificate(obj) -> Certificate:
     details = obj.get("details") or {}
     if not isinstance(details, dict):
         raise ParseError("certificate: details must be an object")
-    return Certificate(kind=kind, vectors=vectors, block_matrix=block,
-                       subgradient=subgrad, coefficient=coefficient,
+    return Certificate(kind=kind, coefficient=coefficient,
                        norm_value=norm_value, factors=factors,
-                       multiplicities=mults, details=details)
+                       multiplicities=mults, details=details, **matrices)
 
 
 def encode_report(decision: Decision, timings: dict | None = None) -> dict:

@@ -1,9 +1,8 @@
 """Dense complex linear-algebra primitives.
 
-Everything downstream is built on three ingredients: singular value
-decompositions, single-linkage clustering of a descending spectrum, and the
-Ky Fan style partial sum of the largest singular values. The Hermitian
-eigenproblems of the range model call numpy directly.
+Everything downstream is built on two ingredients: singular value
+decompositions and single-linkage clustering of a descending spectrum. The
+Hermitian eigenproblems of the range model call numpy directly.
 
 Singular vectors are deterministic for identical input: columns are
 phase-normalized so that the first significant component of the left vector
@@ -17,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    KOutOfRange,
-    NoConvergence,
-    NonFinite,
-    QOutOfRange,
-    ShapeMismatch,
-)
+from .errors import KOutOfRange, NoConvergence, NonFinite, ShapeMismatch
 
 __all__ = [
     "SvdFrame",
@@ -33,7 +26,6 @@ __all__ = [
     "svd",
     "singular_values",
     "cluster_spectrum",
-    "top_q_singsum",
     "default_cluster_tol",
     "default_rank_tol",
     "haar_unitary",
@@ -167,21 +159,6 @@ def cluster_spectrum(values, k: int, cluster_tol: float) -> SpectralPartition:
     c = int(np.searchsorted(stops, k - 1, side="right"))
     return SpectralPartition(k=k, clusters=clusters, q=k - int(starts[c]),
                              r=int(stops[c]) - k, cluster_tol=float(cluster_tol))
-
-
-def top_q_singsum(m, q: int) -> float:
-    """Sum of the q largest singular values of a rectangular matrix.
-
-    Equals the maximum of Re tr(T* M) over contractions T with at most q
-    unit singular values (von Neumann pairing). q = 0 yields 0.
-    """
-    m = as_matrix(m)
-    bound = min(m.shape)
-    if not 0 <= q <= bound:
-        raise QOutOfRange(f"q={q} outside 0..{bound}")
-    if q == 0 or m.size == 0:
-        return 0.0
-    return float(singular_values(m)[:q].sum())
 
 
 def haar_unitary(n: int, rng=None) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,12 +86,7 @@ class Tolerances:
         return verdict
 
     def as_dict(self) -> dict:
-        return {
-            "decide": self.decide,
-            "strict": self.strict,
-            "cert": self.cert,
-            "cluster": self.cluster,
-        }
+        return asdict(self)
 
 
 @dataclass

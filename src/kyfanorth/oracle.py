@@ -20,13 +20,11 @@ import math
 import numpy as np
 
 from .linalg import (
-    as_matrix,
     cluster_spectrum,
     default_cluster_tol,
     default_rank_tol,
     haar_unitary,
     svd,
-    top_q_singsum,
 )
 from .model import (
     COMPLEX_FIELD,
@@ -44,7 +42,6 @@ from .norms import (
 
 __all__ = [
     "fd_directional",
-    "chord_margin",
     "oracle_check_pair",
     "oracle_check_subspace",
     "oracle_check_parallel",
@@ -277,25 +274,10 @@ def fd_directional(a, x, k: int, t: float) -> float:
     For convex norms this is nonincreasing as t decreases and lower bounded
     by the one-sided directional derivative.
     """
+    a, (x,) = require_operands(a, [x], k)
     if t <= 0:
         raise ValueError("t must be positive")
-    a, x = as_matrix(a), as_matrix(x)
     return (ky_fan_norm(a + t * x, k) - ky_fan_norm(a, k)) / t
-
-
-def chord_margin(a, b, k: int, field: str = COMPLEX_FIELD):
-    """Sampled minimum chord rate of ||A + c B|| over scalar directions.
-
-    Scans phases at a probe radius, refines the worst phase, then sweeps
-    magnitudes down to 1e-7 of the combined norm scale along it. Every
-    sample is a chord and hence at least the true margin; the reported value
-    approaches the margin from above as the smallest magnitudes dominate.
-    Returns (margin_estimate, phase).
-    """
-    require_field(field)
-    a, (b,) = require_operands(a, [b], k)
-    return _chord_scan(a, b, k, ky_fan_norm(a, k), ky_fan_norm(b, k),
-                       field)[:2]
 
 
 def _chord_floors(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
@@ -330,8 +312,13 @@ def _chord_floors(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
 
 def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
                 norm_b: float, field: str = COMPLEX_FIELD):
-    """``chord_margin`` from the norms ||A||_(k) and ||B||_(k) in hand.
+    """Sampled minimum chord rate of ||A + c B||_(k) over scalars c, from
+    the norms ||A||_(k) and ||B||_(k) in hand.
 
+    Scans phases at a probe radius, refines the worst phase, then sweeps
+    magnitudes down to 1e-7 of the combined norm scale along it. Every
+    sample is a chord and hence at least the true margin; the reported value
+    approaches the margin from above as the smallest magnitudes dominate.
     Returns (margin, phase, work), where work counts the norm evaluations
     (``chord_evals``, the two norms in hand included), the probe phases
     evaluated (``probe_evals``) and the SVDs with vectors taken for Fan
@@ -550,7 +537,7 @@ def sample_range_points(a, b, k: int, count: int = 100, rng=None) -> np.ndarray:
     fixed = complex(np.trace(u1.conj().T @ b @ v1)) if i1 else 0.0 + 0.0j
     if float(fr.s[k - 1]) <= default_rank_tol(s1):
         wide = fr.u[:, i1:].conj().T @ b @ fr.v[:, i1:i2]
-        rho = top_q_singsum(wide, q)
+        rho = ky_fan_norm(wide, q)
         rr = rho * np.sqrt(rng.uniform(0.0, 1.0, count))
         ph = rng.uniform(0.0, _TWO_PI, count)
         return fixed + rr * np.exp(1j * ph)

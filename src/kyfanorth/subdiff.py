@@ -40,9 +40,8 @@ from .linalg import (
     herm,
     singular_values,
     svd,
-    top_q_singsum,
 )
-from .norms import ky_fan_norm, require_k, require_operands
+from .norms import ky_fan_norm, require_operands
 
 __all__ = [
     "SubdifferentialFrame",
@@ -159,11 +158,9 @@ def directional_derivative(a, k: int, x, frame: SubdifferentialFrame | None = No
     boundary compression (top-q singular value sum of the widened
     compression when s_k = 0).
     """
+    a, (x,) = require_operands(a, [x], k)
     if frame is None:
         frame = build_frame(a, k)
-    x = as_matrix(x)
-    if x.shape != frame.svd.u.shape:
-        raise ShapeMismatch(f"direction shape {x.shape} != {frame.svd.u.shape}")
     return frame.range_model(x).support(0.0)
 
 
@@ -175,11 +172,7 @@ def subgradient_membership(a, k: int, g, tol: float = 1e-8) -> bool:
     are dimensionless and take ``tol`` as it is; the norming clause takes
     it relative to ||A||_(k).
     """
-    a = as_matrix(a)
-    g = as_matrix(g)
-    if g.shape != a.shape:
-        raise ShapeMismatch(f"subgradient shape {g.shape} != {a.shape}")
-    require_k(k, min(a.shape))
+    a, (g,) = require_operands(a, [g], k)
     sg = singular_values(g)
     if sg[0] > 1.0 + tol or sg.sum() > k + tol:
         return False
@@ -404,10 +397,8 @@ class RangeSetModel:
     wide_compression: np.ndarray | None = None
 
     def __post_init__(self):
-        self._tail_const = (
-            top_q_singsum(self.wide_compression, self.m)
-            if self.degenerate else 0.0
-        )
+        self._tail_const = (ky_fan_norm(self.wide_compression, self.m)
+                            if self.degenerate else 0.0)
 
     @property
     def width(self) -> int:

@@ -622,3 +622,17 @@ def test_gen_refuses_the_real_field_for_complex_only_kinds(tmp_path, capsys,
     assert code == 2
     assert "--field real" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "orthogonal", "-n", "4", "-k", "2", "--q", "5"),
+    ("--kind", "orthogonal", "-n", "4", "-k", "3", "--r", "3"),
+    ("--kind", "parallel", "-n", "4", "-k", "5"),
+    ("--kind", "singular", "-n", "4", "-k", "5"),
+])
+def test_gen_refuses_an_impossible_layout(tmp_path, capsys, argv):
+    out_path = tmp_path / "x.json"
+    code, _, err = run(capsys, "gen", *argv, "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert not out_path.exists()

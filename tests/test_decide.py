@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from kyfanorth.decide import (
     _nearest_point,
     _pair_outcome,
     _pair_setup,
+    _ray_trials,
     _witness_block,
     check_pair,
     check_parallel,
@@ -514,6 +516,15 @@ def test_block_verifier_rejects_infeasible_coefficients(rng):
         assert not _coefficient_feasible((u * values) @ v.conj().T, a, b, 3)
 
 
+def test_ray_trials_golden_section_steps_right():
+    # the steps down from t_hi/2 rise at once, so the minimum at 0.8 lies
+    # right of the best sample and each golden-section step moves right
+    vals = []
+    for t in _ray_trials(1e-6, 1.0, vals):
+        vals.append((t - 0.8) ** 2 + 1.0)
+    assert abs(t - 0.8) <= 1e-6
+
+
 def test_checked_miss_bar_is_relative_at_small_scale(rng):
     # the construction bar is 10 cert scale with no order-one floor: a
     # coefficient that misses 0 by 100 cert scale is refused at any scale
@@ -917,8 +928,9 @@ def test_density_system_is_one_factor_per_cluster():
 
 
 def _planted(defect):
-    """A density certificate with one planted defect, its problem, and the
-    clause that must fail."""
+    """A certificate with one planted defect (a density certificate but for
+    the kind and block-shape cases), its problem, and the clause that must
+    fail."""
     e = np.eye(3, dtype=complex)
     if defect == "combined_norm":
         # one tied cluster {1, 2}: a single unit column of multiplicity 2
@@ -949,13 +961,22 @@ def _planted(defect):
         cert.factors = [np.hstack(cert.factors) / np.sqrt(2.0)]
         cert.multiplicities = [2]
         return cert, a, basis, k, "factor_layout"
+    if defect == "kind":
+        cert.kind = enum.Enum("Kind", "UNKNOWN").UNKNOWN
+        return cert, a, basis, k, "known_kind"
+    if defect == "block_shape":
+        # a 3 x 3 block where the boundary cluster {2, 3} takes a 2 x 2 one
+        block = Certificate(kind=CertKind.BLOCK_COEFFICIENT,
+                            block_matrix=np.eye(3))
+        return block, a, basis[0], k, "coefficient_shape"
     cert.multiplicities[0] += 1
     return cert, a, basis, k, "factor_layout"
 
 
 @pytest.mark.parametrize("defect", ["trace", "off_eigenspace",
                                     "combined_norm", "pairing",
-                                    "multiplicities", "straddle"])
+                                    "multiplicities", "straddle", "kind",
+                                    "block_shape"])
 def test_density_verify_rejects_planted_defects(defect):
     cert, a, basis, k, clause = _planted(defect)
     report = verify_certificate(cert, a, basis, k)

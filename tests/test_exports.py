@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pkgutil
 from collections import Counter
+from pathlib import Path
 
 import kyfanorth
 
@@ -23,3 +25,33 @@ def test_package_exports_each_name_once():
     twice = [name for name, count in Counter(kyfanorth.__all__).items()
              if count > 1]
     assert twice == []
+
+
+# acceptance references that nothing in the program calls: they stand
+# beside the engine so that tests can check it against the definitions
+_REFERENCES = {"fd_directional", "directional_derivative",
+               "sample_subgradient", "subgradient_membership"}
+
+
+def _referenced_names(paths) -> set:
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_is_used_or_a_reference():
+    # a public name that no module and no bench reads is dead API
+    package = Path(kyfanorth.__file__).parent
+    bench = package.parents[1] / "perfbench"
+    used = _referenced_names(
+        [p for p in package.glob("*.py") if p.name != "__init__.py"]
+        + list(bench.glob("*.py")))
+    # dunder names such as __version__ are package metadata
+    unused = [name for name in kyfanorth.__all__
+              if name not in used | _REFERENCES and not name.startswith("__")]
+    assert unused == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kyfanorth.errors import QOutOfRange, ShapeMismatch
+from kyfanorth.errors import KOutOfRange, ShapeMismatch
 from kyfanorth.linalg import (
     _column_phases,
     cluster_spectrum,
@@ -10,8 +10,8 @@ from kyfanorth.linalg import (
     require_square,
     singular_values,
     svd,
-    top_q_singsum,
 )
+from kyfanorth.norms import ky_fan_norm
 
 
 def complex_gauss(rng, rows, cols):
@@ -96,22 +96,22 @@ def test_cluster_tie_across_k():
     assert part.r == 1
 
 
-def test_top_q_singsum_matches_sum(rng):
+def test_ky_fan_norm_of_a_rectangular_matrix_matches_sum(rng):
     m = complex_gauss(rng, 4, 3)
     s = np.linalg.svd(m, compute_uv=False)
     for q in range(1, 4):
-        assert top_q_singsum(m, q) == pytest.approx(s[:q].sum(), abs=1e-10)
-    assert top_q_singsum(m, 0) == 0.0
-    with pytest.raises(QOutOfRange):
-        top_q_singsum(m, 4)
+        assert ky_fan_norm(m, q) == pytest.approx(s[:q].sum(), abs=1e-10)
+    for q in (0, 4):
+        with pytest.raises(KOutOfRange):
+            ky_fan_norm(m, q)
 
 
-def test_top_q_singsum_dominates_contractions(rng):
+def test_ky_fan_norm_of_a_rectangular_matrix_dominates_contractions(rng):
     # value = max Re tr(T* M) over contractions T with singular values in
     # [0,1] summing to at most q
     m = complex_gauss(rng, 4, 3)
     q = 2
-    value = top_q_singsum(m, q)
+    value = ky_fan_norm(m, q)
     u, s, vh = np.linalg.svd(m)
     best = u[:, :q] @ vh[:q, :]
     assert np.real(np.trace(best.conj().T @ m)) == pytest.approx(value,

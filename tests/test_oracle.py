@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import kyfanorth.oracle
 from kyfanorth.decide import check_pair, verify_certificate
+from kyfanorth.errors import KOutOfRange, ShapeMismatch
 from kyfanorth.generate import (
     make_nonorthogonal_pair,
     make_orthogonal_pair,
@@ -19,15 +20,15 @@ from kyfanorth.linalg import as_matrix, haar_unitary
 from kyfanorth.model import CertKind, Tolerances, Verdict
 from kyfanorth.norms import ky_fan_norm, ky_fan_norm_batch
 from kyfanorth.oracle import (
+    _chord_scan,
     _dip_check,
-    chord_margin,
     fd_directional,
     oracle_check_pair,
     oracle_check_parallel,
     oracle_check_subspace,
     sample_range_points,
 )
-from kyfanorth.subdiff import directional_derivative
+from kyfanorth.subdiff import directional_derivative, subgradient_membership
 
 
 def complex_gauss(rng, rows, cols):
@@ -305,23 +306,26 @@ def _full_probe_scan(a, b, k, field="complex", n_theta=512, refine_rounds=7,
     return best, theta % (2.0 * np.pi)
 
 
-def _chord_margin_with(a, b, k, field="complex", **constants):
-    """chord_margin with some of the oracle's scan constants replaced."""
+def _chord_scan_with(a, b, k, field="complex", **constants):
+    """The chord scan's (margin, phase) with some of the oracle's scan
+    constants replaced."""
+    a, b = as_matrix(a), as_matrix(b)
     with pytest.MonkeyPatch.context() as patch:
         for name, value in constants.items():
             patch.setattr(kyfanorth.oracle, name, value)
-        return chord_margin(a, b, k, field=field)
+        return _chord_scan(a, b, k, ky_fan_norm(a, k), ky_fan_norm(b, k),
+                           field)[:2]
 
 
 def _assert_full_scan_result(a, b, k, field="complex"):
-    """chord_margin and oracle_check_pair return what the unpruned scan
+    """The chord scan and oracle_check_pair return what the unpruned scan
     gives, bit for bit: margin, phase, verdict and every dip_* detail."""
     a, b = as_matrix(a), as_matrix(b)
     # with no refinement the phase is the probe's own first argmin
-    assert _chord_margin_with(a, b, k, field, _REFINE_ROUNDS=0) \
+    assert _chord_scan_with(a, b, k, field, _REFINE_ROUNDS=0) \
         == _full_probe_scan(a, b, k, field, refine_rounds=0)
     margin, theta = _full_probe_scan(a, b, k, field)
-    assert chord_margin(a, b, k, field=field) == (margin, theta)
+    assert _chord_scan_with(a, b, k, field) == (margin, theta)
     norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
     scale = Tolerances().margin_scale(norm_a, norm_b)
     verdict = Tolerances().band(margin, scale)
@@ -397,7 +401,7 @@ def test_pruned_probe_matches_full_scan_for_any_phase_count(n_theta):
     cases.append((a, b, 2))
     for a, b, k in cases:
         for rounds in (0, 7):
-            assert _chord_margin_with(a, b, k, _PROBE_PHASES=n_theta,
+            assert _chord_scan_with(a, b, k, _PROBE_PHASES=n_theta,
                                       _REFINE_ROUNDS=rounds) \
                 == _full_probe_scan(a, b, k, n_theta=n_theta,
                                     refine_rounds=rounds)
@@ -435,14 +439,44 @@ def test_fd_directional_requires_positive_step(rng):
         fd_directional(a, a, 1, 0.0)
 
 
+def test_references_check_their_operands_as_the_engine_does():
+    # one preamble: a misshapen operand or an out-of-range k is refused
+    # before any norm is taken, never broadcast into a number
+    a = np.diag([3.0, 2.0, 1.0])
+    references = (lambda x, k: fd_directional(a, x, k, 1e-3),
+                  lambda x, k: directional_derivative(a, k, x),
+                  lambda x, k: subgradient_membership(a, k, x))
+    for reference in references:
+        with pytest.raises(ShapeMismatch):
+            reference(np.ones((1, 3)), 2)
+        with pytest.raises(KOutOfRange):
+            reference(np.ones((3, 3)), 4)
+
+
+def test_a_found_dip_demotes_an_orthogonal_chord_reading(rng, monkeypatch):
+    # a chord scan that reads 0 on a deeply refuted pair: the dip check
+    # finds a scalar below the level and the referee answers BOUNDARY
+    a, b, _ = make_nonorthogonal_pair(4, 2, rng)
+    work = {"chord_evals": 2, "probe_evals": 0, "probe_minorants": 0}
+    monkeypatch.setattr(kyfanorth.oracle, "_chord_scan",
+                        lambda *args: (0.0, 0.0, work))
+    d = oracle_check_pair(a, b, 2)
+    assert d.verdict is Verdict.BOUNDARY
+    assert d.details["dip_status"] == "dip"
+    assert d.details["grid_contradiction"] is True
+    point = d.details["dip_point"]
+    assert ky_fan_norm(a + point * b, 2) < ky_fan_norm(a, 2) - 1e-3 * d.scale
+
+
 def test_chord_margin_sign(rng):
     a, b, _ = make_orthogonal_pair(4, 2, rng)
-    margin, _ = chord_margin(a, b, 2)
+    margin = oracle_check_pair(a, b, 2).margin
     scale = ky_fan_norm(a, 2) + ky_fan_norm(b, 2)
     assert margin >= -1e-7 * scale
 
     a, b, _ = make_nonorthogonal_pair(4, 2, rng)
-    margin, theta = chord_margin(a, b, 2)
+    d = oracle_check_pair(a, b, 2)
+    margin, theta = d.margin, d.details["chord_phase"]
     assert margin < -1e-6 * scale
     # the phase must actually witness a norm decrease along some radius
     unit = np.exp(1j * theta)
@@ -454,16 +488,16 @@ def test_unknown_scalar_field_is_refused_by_engine_and_referee(rng):
     # the engine and both referee entries share one field check; an unknown
     # field never falls through to a complex scan
     a, b = complex_gauss(rng, 3, 3), complex_gauss(rng, 3, 3)
-    for entry in (check_pair, oracle_check_pair, chord_margin):
+    for entry in (check_pair, oracle_check_pair):
         with pytest.raises(ValueError, match="unknown scalar field"):
             entry(a, b, 2, field="bogus")
 
 
 def test_chord_margin_zero_direction(rng):
     a = complex_gauss(rng, 4, 4)
-    margin, theta = chord_margin(a, np.zeros((4, 4)), 2)
-    assert margin == 0.0
-    assert theta == 0.0
+    d = oracle_check_pair(a, np.zeros((4, 4)), 2)
+    assert d.margin == 0.0
+    assert d.details["chord_phase"] == 0.0
 
 
 def test_oracle_check_pair_trivial_cases(rng):
