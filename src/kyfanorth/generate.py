@@ -180,6 +180,10 @@ def make_parallel_pair(n: int, k: int, rng=None):
 
 def make_nonparallel_pair(n: int, k: int, rng=None):
     """Pair whose peak pairing modulus stays clearly below ||B||_(k)."""
+    if n < 2:
+        # every 1 x 1 pair is parallel: the unimodular lambda that turns
+        # lambda b onto a gives |a + lambda b| = |a| + |b|
+        raise ValueError("a nonparallel pair needs n >= 2")
     return _clearly_failing_pair(n, k, rng, check_parallel, "nonparallel",
                                  Verdict.NOT_PARALLEL)
 

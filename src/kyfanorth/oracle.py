@@ -311,7 +311,8 @@ def _chord_floors(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
 
 
 def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
-                norm_b: float, field: str = COMPLEX_FIELD):
+                norm_b: float, field: str = COMPLEX_FIELD,
+                proof: float = -np.inf):
     """Sampled minimum chord rate of ||A + c B||_(k) over scalars c, from
     the norms ||A||_(k) and ||B||_(k) in hand.
 
@@ -319,20 +320,25 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     magnitudes down to 1e-7 of the combined norm scale along it. Every
     sample is a chord and hence at least the true margin; the reported value
     approaches the margin from above as the smallest magnitudes dominate.
-    Returns (margin, phase, work), where work counts the norm evaluations
-    (``chord_evals``, the two norms in hand included), the probe phases
-    evaluated (``probe_evals``) and the SVDs with vectors taken for Fan
-    minorants (``probe_minorants``).
+    Returns (margin, phase, details): ``chord_point`` is the scalar c of the
+    reported chord, ``chord_evals`` counts the norm evaluations (the two
+    norms in hand included), ``probe_evals`` the probe phases evaluated and
+    ``probe_minorants`` the SVDs with vectors taken for Fan minorants.
 
     The probe evaluates every ``_PROBE_STRIDE``-th phase, builds a Fan
     minorant at each (``_chord_floors``) and then evaluates only the
     phases whose chord floor is not strictly above the lowest chord seen.
     A skipped phase has a chord strictly above the minimum, so the probe's
     minimum and its first argmin are those of a scan of every phase.
+
+    A chord below ``proof`` already proves the margin below that level, so
+    the scan stops after the first batch that holds one (the strided probe,
+    the rest of the probe, a refinement round or the tail) and reports that
+    batch's lowest chord. At the default level, -inf, it scans everything.
     """
     if norm_b <= 0:
-        return 0.0, 0.0, {"chord_evals": 2, "probe_evals": 0,
-                          "probe_minorants": 0}
+        return 0.0, 0.0, {"chord_point": 0j, "chord_evals": 2,
+                          "probe_evals": 0, "probe_minorants": 0}
     norms = _Scalars(a, b, k)
 
     def chords(cs):
@@ -353,7 +359,7 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     done[::_PROBE_STRIDE if thetas.size > _PROBE_STRIDE else 1] = True
     probe[done] = chords(cs[done])
     minorants = 0
-    if not done.all():
+    if not done.all() and not probe.min() < proof:
         minorants = int(done.sum())
         rest = np.flatnonzero(~done)
         floors = _chord_floors(a, b, k, norm_a, norm_b, cs[done], cs[rest])
@@ -364,20 +370,28 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
             probe[rest] = chords(cs[rest])
             done[rest] = True
     i = int(np.argmin(probe))
-    best, theta = float(probe[i]), float(thetas[i])
+    best, theta, point = float(probe[i]), float(thetas[i]), cs[i]
     if field != REAL_FIELD:
         width = _TWO_PI / _PROBE_PHASES
         for _ in range(_REFINE_ROUNDS):
+            if best < proof:
+                break
             # local[8] is theta itself, whose chord is best
             local = theta + np.linspace(-width, width, 17)
-            vals = np.full(17, best)
-            vals[_AROUND] = chords(t_probe * np.exp(1j * local[_AROUND]))
+            vals, points = np.full(17, best), np.full(17, point)
+            points[_AROUND] = t_probe * np.exp(1j * local[_AROUND])
+            vals[_AROUND] = chords(points[_AROUND])
             j = int(np.argmin(vals))
-            best, theta = float(vals[j]), float(local[j])
+            best, theta, point = float(vals[j]), float(local[j]), points[j]
             width *= 0.2
-    tail = chords(ts * cmath.exp(1j * theta))
-    best = min(best, float(tail.min()))
-    return best, theta % _TWO_PI, {"chord_evals": 2 + norms.evals,
+    if not best < proof:
+        along = ts * cmath.exp(1j * theta)
+        tail = chords(along)
+        j = int(np.argmin(tail))
+        if tail[j] < best:
+            best, point = float(tail[j]), along[j]
+    return best, theta % _TWO_PI, {"chord_point": complex(point),
+                                   "chord_evals": 2 + norms.evals,
                                    "probe_evals": int(done.sum()),
                                    "probe_minorants": minorants}
 
@@ -386,14 +400,26 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
                       tol: Tolerances | None = None) -> Decision:
     """Referee verdict on pair orthogonality from norm evaluations alone.
 
-    The margin estimate comes from the chord scan. When it reads ORTHOGONAL
-    in the complex field, the only case a dip can overturn, ``_dip_check``
-    either proves that no scalar c takes ||A + c B||_(k) below ||A||_(k) -
-    1e-3 scale, or finds one, which demotes the answer to BOUNDARY with
-    ``grid_contradiction``; a check stopped by its cap demotes it too, with
-    the reason in ``dip_reason``. ``dip_status`` says which happened:
-    ``cleared``, ``dip``, ``capped``, ``skipped`` (any other chord verdict)
-    or ``real_field``.
+    The margin estimate comes from the chord scan, which stops at the first
+    chord below -strict scale: by convexity that chord proves NOT_ORTHOGONAL,
+    and it is the reported margin, at ``chord_point``. When the scan reads
+    ORTHOGONAL in the complex field, the only case a dip can overturn,
+    ``_dip_check`` either proves that no scalar c takes ||A + c B||_(k)
+    below ||A||_(k) - 1e-3 scale, or finds one, which demotes the answer to
+    BOUNDARY with ``grid_contradiction``; a check stopped by its cap demotes
+    it too, with the reason in ``dip_reason``. ``dip_status`` says which
+    happened: ``cleared``, ``dip``, ``capped``, ``skipped`` (any other chord
+    verdict) or ``real_field``.
+
+    An ORTHOGONAL reading is demoted to BOUNDARY, with the gap in
+    ``near_tie``, when a value distinct from s_k (beyond 64 n eps s_1) that
+    could trade places with it across index k lies closer than the probe's
+    perturbation t ||B||_(k) = 1e-4 (||A||_(k) + ||B||_(k)): at the probe
+    radius the norm acts as if the two were tied, and a dip of order
+    margin x gap is below what the dip check resolves. Those values are the
+    singular values of A below s_k and 0 below s_n, and the ones above s_k
+    when s_{k+1} is tied to it; a value above an untied s_k stays in the
+    top k and leaves the norm smooth.
     """
     tol = Tolerances() if tol is None else tol
     require_field(field)
@@ -401,10 +427,11 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     norm_a = ky_fan_norm(a, k)
     norm_b = ky_fan_norm(b, k)
     scale = tol.margin_scale(norm_a, norm_b)
-    margin, theta, work = _chord_scan(a, b, k, norm_a, norm_b, field)
+    margin, theta, scan = _chord_scan(a, b, k, norm_a, norm_b, field,
+                                      -tol.strict * scale)
     verdict = tol.band(margin, scale)
     details = {"field": field, "norm_a": norm_a, "norm_b": norm_b,
-               "chord_phase": theta, **work}
+               "chord_phase": theta, **scan}
     if field != COMPLEX_FIELD:
         # real scalars: the dip check scans complex ones
         details.update(dip_status="real_field", dip_evals=0)
@@ -417,6 +444,16 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
             verdict = Verdict.BOUNDARY
         if details["dip_status"] == "dip":
             details["grid_contradiction"] = True
+    if verdict is Verdict.ORTHOGONAL and norm_b > 0:
+        # zero stands below s_n: a small s_n is a near tie with it
+        s = np.append(np.linalg.svd(a, compute_uv=False), 0.0)
+        gaps = np.abs(s - s[k - 1])
+        rounding = 64.0 * a.shape[0] * np.finfo(float).eps * s[0]
+        # values above s_k cross index k only when s_{k+1} is tied to s_k
+        gaps = gaps[gaps > rounding] if gaps[k] <= rounding else gaps[k:]
+        if gaps.size and gaps.min() < 1e-4 * (norm_a + norm_b):
+            verdict = Verdict.BOUNDARY
+            details["near_tie"] = float(gaps.min())
     return Decision(verdict=verdict, margin=margin, scale=scale,
                     method="oracle-chord", tolerances=tol, details=details)
 
@@ -426,9 +463,11 @@ def oracle_check_subspace(a, basis, k: int,
     """Referee for subspace orthogonality by sampling span directions.
 
     Checks each basis matrix and random unit combinations; one refuted
-    direction refutes the span. The positive outcome is deliberately weak,
-    NO_COUNTEREXAMPLE rather than ORTHOGONAL, because finitely many sampled
-    directions cannot certify the whole span.
+    direction refutes the span, so the sampling stops at the first chord
+    below -strict scale, and ``directions`` counts the directions sampled.
+    The positive outcome is deliberately weak, NO_COUNTEREXAMPLE rather than
+    ORTHOGONAL, because finitely many sampled directions cannot certify the
+    whole span.
     """
     tol = Tolerances() if tol is None else tol
     rng = np.random.default_rng(0)
@@ -441,6 +480,7 @@ def oracle_check_subspace(a, basis, k: int,
                         details={"directions": 0})
     norms_w = [ky_fan_norm(w, k) for w in mats]
     scale = tol.margin_scale(norm_a, max(norms_w))
+    proof = -tol.strict * scale
     worst, chord_evals = np.inf, 0
     m = len(mats)
     for j in range(_SUBSPACE_DIRECTIONS):
@@ -454,17 +494,20 @@ def oracle_check_subspace(a, basis, k: int,
         if fro <= 0:
             continue
         direction = combo / fro
-        margin, _, work = _chord_scan(a, direction, k, norm_a,
-                                      ky_fan_norm(direction, k))
+        margin, _, scan = _chord_scan(a, direction, k, norm_a,
+                                      ky_fan_norm(direction, k),
+                                      COMPLEX_FIELD, proof)
         worst = min(worst, margin)
-        chord_evals += work["chord_evals"]
+        chord_evals += scan["chord_evals"]
+        if worst < proof:
+            break
     # one-sided: sampling never certifies the span, so the band between
     # the thresholds reads as no counterexample
     verdict = tol.band(worst, scale, Verdict.NO_COUNTEREXAMPLE,
                        Verdict.NOT_ORTHOGONAL, middle=Verdict.NO_COUNTEREXAMPLE)
     return Decision(verdict=verdict, margin=float(worst), scale=scale,
                     method="oracle-sample", tolerances=tol,
-                    details={"directions": _SUBSPACE_DIRECTIONS,
+                    details={"directions": j + 1,
                              "basis_size": m, "chord_evals": chord_evals})
 
 
@@ -473,20 +516,31 @@ def oracle_check_parallel(a, b, k: int,
     """Referee for norm parallelism: a certified bracket on the peak of
     f(phi) = ||A + e^{i phi} B||_(k) below the triangle bound.
 
-    f is ||B||_(k)-Lipschitz in phi, so on an arc of width w between samples
-    it is at most their mean plus w ||B||_(k) / 2 (S. A. Piyavskii, USSR
-    Comput. Math. Math. Phys. 12, 1972; B. O. Shubert, SIAM J. Numer. Anal.
-    9, 1972) and ``_dip_check``'s rounding allowance. From ``_RING_PHASES``
-    phases, each round halves every arc whose bound reaches the strict band,
-    until the best sample (``peak``, at ``lambda``) and the highest bound
-    (``peak_upper_bound``) agree, or the next round would pass ``_PEAK_CAP``
-    norms (``peak_evals``): BOUNDARY, with ``peak_reason``.
+    On an arc of width w between two samples, f is bounded by the smaller
+    of two bounds, each with ``_dip_check``'s rounding allowance. f is
+    ||B||_(k)-Lipschitz in phi, so it is at most the samples' mean plus
+    w ||B||_(k) / 2 (S. A. Piyavskii, USSR Comput. Math. Math. Phys. 12,
+    1972; B. O. Shubert, SIAM J. Numer. Anal. 9, 1972). And c -> ||A + c
+    B||_(k) is convex, so it is at most the larger sample on the chord
+    between them, which lies within 1 - cos(w/2) of the arc along each
+    radius: f is at most that sample plus (1 - cos(w/2)) ||B||_(k). From
+    ``_RING_PHASES`` phases, each round halves every arc whose bound reaches
+    the strict band, until the best sample (``peak``, at ``lambda``) and
+    the highest bound (``peak_upper_bound``) read the same verdict, which
+    is BOUNDARY when both lie inside the band. When the next round would
+    pass ``_PEAK_CAP`` norms (``peak_evals``) it stops with BOUNDARY and
+    ``peak_reason``.
     """
     tol = Tolerances() if tol is None else tol
     a, (b,) = require_operands(a, [b], k)
     norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
     scale, triangle = tol.margin_scale(norm_a, norm_b), norm_a + norm_b
     allowance = 64.0 * a.shape[0] * np.finfo(float).eps * triangle
+
+    def read(value):
+        return tol.band(value - triangle, scale, Verdict.PARALLEL,
+                        Verdict.NOT_PARALLEL)
+
     phases = (_TWO_PI / _RING_PHASES) * np.arange(_RING_PHASES)
     f = _norms_at(a, b, k, np.exp(1j * phases))
     while True:
@@ -494,22 +548,25 @@ def oracle_check_parallel(a, b, k: int,
         phases, f = phases[order], f[order]
         # arc j runs from phases[j] to the next sample, around the circle
         width = np.diff(phases, append=phases[0] + _TWO_PI)
-        bounds = 0.5 * (f + np.roll(f, -1) + width * norm_b) + allowance
+        after = np.roll(f, -1)
+        bounds = np.minimum(
+            0.5 * (f + after + width * norm_b),
+            np.maximum(f, after) + (1.0 - np.cos(0.5 * width)) * norm_b
+        ) + allowance
         i, top = int(np.argmax(f)), float(bounds.max())
-        verdict = tol.band(f[i] - triangle, scale, Verdict.PARALLEL,
-                           Verdict.NOT_PARALLEL, bound=top - triangle)
+        closed = read(f[i]) is read(top)
         live = bounds >= triangle - tol.strict * scale
-        if verdict is not Verdict.BOUNDARY or not live.any() \
-                or f.size + live.sum() > _PEAK_CAP:
+        if closed or not live.any() or f.size + live.sum() > _PEAK_CAP:
             break
         mid = phases[live] + 0.5 * width[live]
         phases = np.append(phases, mid)
         f = np.append(f, _norms_at(a, b, k, np.exp(1j * mid)))
+    verdict = read(f[i]) if closed else Verdict.BOUNDARY
     lam = cmath.exp(1j * phases[i])
     details = {"lambda_re": lam.real, "lambda_im": lam.imag,
                "peak": float(f[i]), "peak_upper_bound": top,
                "peak_evals": f.size, "triangle_bound": triangle}
-    if verdict is Verdict.BOUNDARY:
+    if not closed:
         details["peak_reason"] = (f"{live.sum()} arcs still open after "
                                   f"{f.size} norm evaluations")
     return Decision(verdict=verdict, margin=details["peak"] - triangle,

@@ -629,6 +629,7 @@ def test_gen_refuses_the_real_field_for_complex_only_kinds(tmp_path, capsys,
     ("--kind", "orthogonal", "-n", "4", "-k", "3", "--r", "3"),
     ("--kind", "parallel", "-n", "4", "-k", "5"),
     ("--kind", "singular", "-n", "4", "-k", "5"),
+    ("--kind", "nonparallel", "-n", "1", "-k", "1"),
 ])
 def test_gen_refuses_an_impossible_layout(tmp_path, capsys, argv):
     out_path = tmp_path / "x.json"

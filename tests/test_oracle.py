@@ -15,6 +15,8 @@ from kyfanorth.generate import (
     make_nonorthogonal_pair,
     make_orthogonal_pair,
     make_parallel_pair,
+    make_subspace_instance,
+    random_matrix,
 )
 from kyfanorth.linalg import as_matrix, haar_unitary
 from kyfanorth.model import CertKind, Tolerances, Verdict
@@ -261,8 +263,80 @@ def test_oracle_check_pair_explains_itself(rng):
     assert d.details["dip_evals"] == 0
     d = oracle_check_pair(a, b, 2, field="real")
     assert d.details["dip_status"] == "real_field"
-    assert d.details["chord_evals"] == 2 + 2 + 13
+    # one of the two real probe scalars +-t already proves the refutation
+    assert d.details["chord_evals"] == 2 + 2
     assert d.details["probe_minorants"] == 0
+
+
+def test_a_refutation_stops_at_its_first_proving_chord():
+    # one of the 16 strided probe phases proves each of these refutations,
+    # so the scan stops after 2 + 16 norm evaluations with no minorant, and
+    # its margin is the proving chord at chord_point
+    rng = np.random.default_rng(26)
+    for i in range(40):
+        k = 1 + i % 4
+        a, b, _ = make_nonorthogonal_pair(4, k, rng)
+        d = oracle_check_pair(a, b, k)
+        assert d.verdict is Verdict.NOT_ORTHOGONAL
+        assert d.details["chord_evals"] <= 18, (i, d.details["chord_evals"])
+        assert d.details["probe_minorants"] == 0
+        assert d.margin < -Tolerances().strict * d.scale
+        chord, slack = _chord_at(a, b, k, d.details["chord_point"])
+        assert abs(d.margin - chord) <= slack
+
+
+def _near_tie_draws():
+    """420 pairs from default_rng(31), 30 for each j = 2..15: n = 3..5,
+    k = 1..n-1, A = U diag(s) V* with s drawn from [0.5, 2] and s_{k+1} =
+    s_k (1 - 10^-j), and B Ginibre. Yields (j, a, b, k)."""
+    rng = np.random.default_rng(31)
+    for j in range(2, 16):
+        for _ in range(30):
+            n = int(rng.integers(3, 6))
+            k = int(rng.integers(1, n))
+            s = np.sort(rng.uniform(0.5, 2.0, n))[::-1]
+            s[k] = s[k - 1] * (1.0 - 10.0 ** -j)
+            s = np.sort(s)[::-1]
+            u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+            yield j, (u * s) @ v.conj().T, random_matrix(n, rng), k
+
+
+def test_referee_reads_no_orthogonal_on_near_ties():
+    # at j = 5..8 the probe radius reaches far past the gap s_k - s_{k+1};
+    # twelve of these pairs, which the engine refutes, used to read
+    # ORTHOGONAL with a cleared dip check
+    demoted = 0
+    for j, a, b, k in _near_tie_draws():
+        if not 5 <= j <= 8:
+            continue
+        d = oracle_check_pair(a, b, k)
+        if "near_tie" in d.details:
+            assert d.verdict is Verdict.BOUNDARY
+            s = np.linalg.svd(a, compute_uv=False)
+            assert 64.0 * s.size * np.finfo(float).eps * s[0] \
+                < d.details["near_tie"] < 1e-4 * d.scale
+        if check_pair(a, b, k, want_certificate=False).verdict \
+                is Verdict.NOT_ORTHOGONAL:
+            assert d.verdict is not Verdict.ORTHOGONAL, (j, d.details)
+            demoted += "near_tie" in d.details
+    assert demoted >= 12
+
+
+def test_near_tie_reads_only_values_that_cross_index_k():
+    # s_n = 1e-7 lies that close to the zero below it: ||A + c B||_(k) falls
+    # at rate 1/2 scale only for |c| < 1e-7, far inside the probe radius
+    for s, k in (([1.0, 1e-7], 2), ([1.0, 0.5, 1e-7], 3)):
+        a, b = np.diag(s), np.diag([0.0] * (k - 1) + [1.0])
+        d = oracle_check_pair(a, b, k)
+        assert check_pair(a, b, k).verdict is Verdict.NOT_ORTHOGONAL
+        assert d.verdict is Verdict.BOUNDARY
+        assert d.details["near_tie"] == pytest.approx(1e-7)
+    # s_1 close above an untied s_2 stays in the top two: the norm is
+    # smooth at A, and B = E_33 is orthogonal to it
+    d = oracle_check_pair(np.diag([2.0, 2.0 - 1e-7, 1.0]),
+                          np.diag([0.0, 0.0, 1.0]), 2)
+    assert d.verdict is Verdict.ORTHOGONAL
+    assert "near_tie" not in d.details
 
 
 def _full_probe_scan(a, b, k, field="complex", n_theta=512, refine_rounds=7,
@@ -317,9 +391,23 @@ def _chord_scan_with(a, b, k, field="complex", **constants):
                            field)[:2]
 
 
+def _chord_at(a, b, k, c):
+    """The chord rate (||A + c B||_(k) - ||A||_(k)) / |c| and the rounding
+    of two norm evaluations at that scalar, divided by |c|."""
+    norm_a = ky_fan_norm(a, k)
+    slack = 64.0 * a.shape[0] * np.finfo(float).eps \
+        * (norm_a + abs(c) * ky_fan_norm(b, k))
+    return (ky_fan_norm(a + c * b, k) - norm_a) / abs(c), slack / abs(c)
+
+
 def _assert_full_scan_result(a, b, k, field="complex"):
-    """The chord scan and oracle_check_pair return what the unpruned scan
-    gives, bit for bit: margin, phase, verdict and every dip_* detail."""
+    """The chord scan with no proof level returns what the unpruned scan
+    gives, bit for bit. oracle_check_pair reads the same verdict and dip_*
+    details, unless a near tie demotes ORTHOGONAL to BOUNDARY. A refutation
+    reports the chord that proved it, at or above the full scan's margin;
+    any other reading reports the full scan's margin and phase bit for bit.
+    The margin is the chord at ``chord_point``, up to the rounding of two
+    norm evaluations (a batched SVD and a single one round differently)."""
     a, b = as_matrix(a), as_matrix(b)
     # with no refinement the phase is the probe's own first argmin
     assert _chord_scan_with(a, b, k, field, _REFINE_ROUNDS=0) \
@@ -339,8 +427,19 @@ def _assert_full_scan_result(a, b, k, field="complex"):
             verdict = Verdict.BOUNDARY
     d = oracle_check_pair(a, b, k, field=field)
     got = {key: v for key, v in d.details.items() if key.startswith("dip_")}
-    assert (d.verdict, d.margin, d.details["chord_phase"], got) \
-        == (verdict, margin, theta, dips)
+    assert got == dips
+    if "near_tie" in d.details:
+        assert (verdict, d.verdict) == (Verdict.ORTHOGONAL, Verdict.BOUNDARY)
+    else:
+        assert d.verdict is verdict
+    point = d.details["chord_point"]
+    if norm_b > 0:
+        chord, slack = _chord_at(a, b, k, point)
+        assert abs(d.margin - chord) <= slack
+    if verdict is Verdict.NOT_ORTHOGONAL:
+        assert margin <= d.margin < -Tolerances().strict * scale
+    else:
+        assert (d.margin, d.details["chord_phase"]) == (margin, theta)
     return d
 
 
@@ -354,11 +453,14 @@ def test_pruned_probe_matches_full_scan_on_seeded_pairs():
                     a, b = rng.normal(size=(2, n, n))
                 else:
                     a, b = complex_gauss(rng, n, n), complex_gauss(rng, n, n)
-                d = _assert_full_scan_result(a, b, k, field)
-                pruned += field == "complex" and d.details["probe_evals"] < 512
+                _assert_full_scan_result(a, b, k, field)
                 a, b, _ = make_orthogonal_pair(n, k, rng, q=1 + k // 2,
                                                r=int(k < n), field=field)
-                _assert_full_scan_result(a, b, k, field)
+                d = _assert_full_scan_result(a, b, k, field)
+                # a refutation stops before any minorant is taken, so count
+                # the orthogonal pairs, whose scans run the pruning
+                pruned += field == "complex" and d.details["probe_minorants"] \
+                    and d.details["probe_evals"] < 512
                 if k > 1:
                     a, b, _ = make_nonorthogonal_pair(n, k, rng)
                     _assert_full_scan_result(a, b, k, field)
@@ -516,8 +618,6 @@ def test_oracle_check_pair_constructed(rng):
 
 
 def test_oracle_subspace_is_asymmetric(rng):
-    from kyfanorth.generate import make_subspace_instance
-
     a, basis, _ = make_subspace_instance(4, 2, 2, rng, orthogonal=True)
     d = oracle_check_subspace(a, basis, 2)
     assert d.verdict is Verdict.NO_COUNTEREXAMPLE
@@ -530,6 +630,15 @@ def test_oracle_subspace_is_asymmetric(rng):
     assert d.verdict is Verdict.NOT_ORTHOGONAL
     d = oracle_check_subspace(a, [], 2)
     assert d.verdict is Verdict.NO_COUNTEREXAMPLE
+
+
+def test_subspace_referee_stops_at_the_first_refuted_direction(rng):
+    a, basis, _ = make_subspace_instance(4, 2, 2, rng, orthogonal=False)
+    d = oracle_check_subspace(a, basis, 2)
+    assert d.verdict is Verdict.NOT_ORTHOGONAL
+    assert d.details["directions"] < 64
+    # below the least a scan of all 64 directions can cost
+    assert d.details["chord_evals"] < 64 * (2 + 16 + 7 * 16 + 13)
 
 
 def test_oracle_parallel(rng):
@@ -566,8 +675,9 @@ def _band_parallel_pair(n, k, rng):
 
 
 def test_parallel_bracket_holds_the_peak():
-    # on random, parallel and band pairs the best sample is a norm at lambda
-    # and the highest arc bound lies above a dense scan of the circle
+    # on random, parallel and band pairs the best sample is a norm at lambda,
+    # the highest arc bound lies above a dense scan of the circle, and the
+    # bracket closes well before the cap, band pairs included
     rng = np.random.default_rng(2121)
     phis = np.linspace(0.0, 2.0 * np.pi, 20_000, endpoint=False)
     seen = set()
@@ -594,13 +704,10 @@ def test_parallel_bracket_holds_the_peak():
         if i % 3 == 1:
             assert d.verdict is Verdict.PARALLEL
         if i % 3 == 2:
-            # the bracket cannot close inside the band, so it stops when the
-            # next round, which at most doubles the samples, would pass the cap
+            # the convex arc bound closes the bracket inside the band
             assert d.verdict is Verdict.BOUNDARY
-            assert "peak_reason" in d.details
-            assert d.details["peak_evals"] > 512
-        else:
-            assert "peak_reason" not in d.details
+            assert d.details["peak_evals"] <= 128
+        assert "peak_reason" not in d.details
     assert seen == {Verdict.PARALLEL, Verdict.NOT_PARALLEL, Verdict.BOUNDARY}
 
 
