@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     BadBlockStructure,
     DegenerateRank,
+    NonFinite,
     WitnessSearchFailed,
 )
 from .linalg import as_matrix, herm
@@ -36,12 +37,17 @@ from .model import (
     Tolerances,
     Verdict,
 )
-from .norms import ky_fan_norm, require_field, require_operands
+from .norms import (
+    ky_fan_norm_batch,
+    ky_fan_sum,
+    require_field,
+    require_operands,
+)
 from .subdiff import (
     RangeSetModel,
     SubdifferentialFrame,
     SweepOutcome,
-    build_frame,
+    frame_of,
 )
 
 __all__ = [
@@ -80,13 +86,16 @@ class _PairSetup:
         return 1e-3 * self.tol.decide * self.scale
 
 
-def _pair_setup(a, b, k: int, tol: Tolerances | None = None,
-                frame: SubdifferentialFrame | None = None) -> _PairSetup:
+def _pair_setup(a, b, k: int, tol: Tolerances | None = None) -> _PairSetup:
     tol = _tol_or_default(tol)
     a, (b,) = require_operands(a, [b], k)
-    if frame is None:
-        frame = build_frame(a, k, tol.cluster)
-    norm_b = ky_fan_norm(b, k)
+    return _setup_of(a, b, k, tol, frame_of(a, k, tol.cluster))
+
+
+def _setup_of(a: np.ndarray, b: np.ndarray, k: int, tol: Tolerances,
+              frame: SubdifferentialFrame) -> _PairSetup:
+    """``_pair_setup`` of a checked pair whose frame is in hand."""
+    norm_b = ky_fan_sum(b, k)
     return _PairSetup(a=a, b=b, k=k, tol=tol, frame=frame, norm_b=norm_b,
                       scale=tol.margin_scale(frame.norm_value, norm_b),
                       model=frame.range_model(b))
@@ -218,7 +227,7 @@ def _violation_certificate(setup: _PairSetup, outcome: SweepOutcome,
         return exhausted("no scalar can dip 10*decide*scale (t_min >= t_hi)")
     for t in _ray_trials(t_min, t_hi, vals):
         ts.append(t)
-        vals.append(ky_fan_norm(a + (t * phase) * b, k))
+        vals.append(ky_fan_sum(a + (t * phase) * b, k))
         if vals[-1] < norm_a - dip:
             cert = Certificate(
                 kind=CertKind.VIOLATION,
@@ -629,7 +638,7 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     """
     tol = _tol_or_default(tol)
     a, basis = require_operands(a, basis, k)
-    frame = build_frame(a, k, tol.cluster)
+    frame = frame_of(a, k, tol.cluster)
     norm_a = frame.norm_value
     ortho = _orthonormalize_basis(basis)
     if not ortho:
@@ -645,7 +654,7 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
         return decision
     size = max(float(np.linalg.norm(w)) for w in basis)
     ortho = [size * w for w in ortho]
-    scale = tol.margin_scale(norm_a, max(ky_fan_norm(w, k) for w in ortho))
+    scale = tol.margin_scale(norm_a, max(ky_fan_sum(w, k) for w in ortho))
     feas_tol = 0.125 * tol.decide * scale
     oracle, start = _joint_oracle([frame.range_model(w) for w in ortho])
     atoms, weights, zeta, lower, added, capped = _nearest_point(
@@ -684,7 +693,7 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
         # basis matrix: its pairing set lies beyond a line missing 0
         coefficients = zeta.conj() / resid
         witness_dir = sum(c * w for c, w in zip(coefficients, ortho))
-        pair = _decide_pair(_pair_setup(a, witness_dir, k, tol, frame),
+        pair = _decide_pair(_setup_of(a, witness_dir, k, tol, frame),
                             COMPLEX_FIELD, want_certificate)
         details["counterexample_coefficients"] = [complex(c)
                                                   for c in coefficients]
@@ -843,12 +852,14 @@ def verify_certificate(cert: Certificate, a, second, k: int,
     """Independently re-check every clause of a certificate.
 
     ``second`` is the direction matrix for pair certificates and the list of
-    basis matrices for subspace certificates. Returns a report dict with one
-    entry per clause and an overall ``ok`` flag; never raises on a bad
-    certificate.
+    basis matrices for subspace certificates: a DENSITY_SYSTEM, or a
+    VIOLATION whose ``combination`` detail combines the basis. The operands
+    pass the entry preamble once, inside the report, and every clause reads
+    the arrays it returns. Returns a report dict with one entry per clause
+    and an overall ``ok`` flag; never raises on a bad certificate, operand
+    or k.
     """
     tol = _tol_or_default(tol)
-    a = as_matrix(a)
     checks = []
 
     def add(name, value, bound):
@@ -856,15 +867,10 @@ def verify_certificate(cert: Certificate, a, second, k: int,
                        "bound": float(bound), "pass": bool(value <= bound)})
 
     try:
-        if cert.kind in (CertKind.WITNESS_SYSTEM, CertKind.DENSITY_SYSTEM):
-            _verify_density(cert, a, second, k, tol, add)
-        elif cert.kind is CertKind.BLOCK_COEFFICIENT:
-            _verify_block(cert, a, as_matrix(second), k, tol, add)
-        elif cert.kind is CertKind.VIOLATION:
-            _verify_violation(cert, a, second, k, tol, add)
+        if isinstance(cert.kind, CertKind):
+            _verify_kind(cert, a, second, k, tol, add)
         else:
-            checks.append({"name": "known_kind", "value": 1.0, "bound": 0.0,
-                           "pass": False})
+            add("known_kind", 1.0, 0.0)
     except Exception as exc:  # verification must always produce a report
         checks.append({"name": "exception", "value": 1.0, "bound": 0.0,
                        "pass": False, "error": f"{type(exc).__name__}: {exc}"})
@@ -872,10 +878,26 @@ def verify_certificate(cert: Certificate, a, second, k: int,
             "ok": all(c["pass"] for c in checks)}
 
 
+def _verify_kind(cert, a, second, k, tol, add):
+    """The entry preamble on A, the direction or basis and k, then the
+    clauses of the certificate's kind on the arrays it returns."""
+    basis = (cert.kind is CertKind.DENSITY_SYSTEM
+             or (cert.kind is CertKind.VIOLATION
+                 and "combination" in cert.details))
+    a, mats = require_operands(a, second if basis else [second], k)
+    if cert.kind in (CertKind.WITNESS_SYSTEM, CertKind.DENSITY_SYSTEM):
+        _verify_density(cert, a, mats, k, tol, add)
+    elif cert.kind is CertKind.BLOCK_COEFFICIENT:
+        _verify_block(cert, a, mats[0], k, tol, add)
+    else:
+        _verify_violation(cert, a, _materialize_direction(mats, cert.details),
+                          k, tol, add)
+
+
 def _verify_block(cert, a, b, k, tol, add):
-    frame = build_frame(a, k, tol.cluster)
+    frame = frame_of(a, k, tol.cluster)
     norm_a = frame.norm_value
-    scale = tol.margin_scale(norm_a, ky_fan_norm(b, k))
+    scale = tol.margin_scale(norm_a, ky_fan_sum(b, k))
     coeff = as_matrix(cert.block_matrix)
     model = frame.range_model(b)
     if coeff.shape != model.block.shape:
@@ -906,23 +928,34 @@ def _verify_subgradient(g, a, b, k, tol, add, norm_a, scale, real):
         0.1 * tol.strict * scale)
 
 
-def _materialize_direction(second, details):
+def _materialize_direction(mats: list, details) -> np.ndarray:
+    """The direction of a violation: the one matrix in ``mats``, or the
+    ``combination`` of the basis ``mats`` a subspace refutation records."""
     combo = details.get("combination")
     if combo is None:
-        return as_matrix(second)
-    basis = [as_matrix(w) for w in second]
-    out = np.zeros_like(basis[0])
-    for (re, im), w in zip(combo, basis):
+        return mats[0]
+    out = np.zeros_like(mats[0])
+    for (re, im), w in zip(combo, mats):
         out = out + complex(re, im) * w
     return out
 
 
-def _verify_violation(cert, a, second, k, tol, add):
-    b = _materialize_direction(second, cert.details)
-    norm_a = ky_fan_norm(a, k)
-    scale = tol.margin_scale(norm_a, ky_fan_norm(b, k))
-    lam = complex(cert.coefficient)
-    value = ky_fan_norm(a + lam * b, k)
+def _certificate_scalar(value) -> complex:
+    """A scalar c that a certificate supplies, refused unless finite. The
+    operands are checked at entry, so c is the one way that A + c B can
+    reach LAPACK with an inf or a NaN in it."""
+    c = complex(value)
+    if not cmath.isfinite(c):
+        raise NonFinite(f"certificate scalar {c} is not finite")
+    return c
+
+
+def _verify_violation(cert, a, b, k, tol, add):
+    # ||A||, ||B|| and ||A + lam B|| in one SVD call
+    lam = _certificate_scalar(cert.coefficient)
+    norm_a, norm_b, value = (float(x) for x in ky_fan_norm_batch(
+        np.stack([a, b, a + lam * b]), k))
+    scale = tol.margin_scale(norm_a, norm_b)
     add("claimed_norm_matches", abs(value - float(cert.norm_value)),
         tol.cert * scale)
     add("norm_decrease", value - (norm_a - 5.0 * tol.decide * scale), 0.0)
@@ -947,15 +980,14 @@ def _factor_clusters(frame: SubdifferentialFrame, factors: list,
     return [frame.part.clusters[c] for c in held]
 
 
-def _verify_density(cert, a, second, k, tol, add):
+def _verify_density(cert, a, mats, k, tol, add):
     """A DENSITY_SYSTEM against its basis, or a WITNESS_SYSTEM against [B]
     as the density system P_i = x_i x_i* it defines, regrouped by the
     verifier's clusters into X_c = [x_i]_{i in c} / sqrt(m_c). Unit traces
     and ||S S*|| <= 1 + 10 cert make a witness orthonormal to O(k cert)."""
-    frame = build_frame(a, k, tol.cluster)
+    frame = frame_of(a, k, tol.cluster)
     witness = cert.kind is CertKind.WITNESS_SYSTEM
-    mats = [as_matrix(second)] if witness else [as_matrix(w) for w in second]
-    norms = [ky_fan_norm(w, k) for w in mats]
+    norms = [ky_fan_sum(w, k) for w in mats]
     scale = tol.margin_scale(frame.norm_value, max(norms, default=0.0))
     if witness:
         vectors = as_matrix(cert.vectors)
@@ -990,7 +1022,8 @@ def _verify_density(cert, a, second, k, tol, add):
         lam = complex(cert.details.get("lambda_re", 1.0),
                       cert.details.get("lambda_im", 0.0))
         add("unimodular", abs(abs(lam) - 1.0), 1e-9)
-        achieved = ky_fan_norm(a + lam * mats[0], k)
+        lam = _certificate_scalar(lam)
+        achieved = ky_fan_sum(a + lam * mats[0], k)
         add("triangle_equality",
             abs(achieved - (frame.norm_value + norms[0])), bound)
     elif purpose == "real":

@@ -37,7 +37,8 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    # a complex entry is finite when both of its parts are
+    if not np.isfinite(m).all():
         raise NonFinite("matrix entries must be finite")
     return m
 
@@ -94,8 +95,14 @@ def svd(a) -> SvdFrame:
     """
     a = as_matrix(a)
     require_square(a)
+    return svd_frame(a)
+
+
+def svd_frame(m: np.ndarray) -> SvdFrame:
+    """``svd`` of a matrix its caller has already checked: a finite
+    complex128 square array. Nothing is validated again."""
     try:
-        u, s, vh = np.linalg.svd(a)
+        u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise NoConvergence(f"svd failed: {exc}") from exc
     phases = _column_phases(u)

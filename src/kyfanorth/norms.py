@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KOutOfRange, ShapeMismatch
-from .linalg import as_matrix, require_square, singular_values
+from .linalg import as_matrix, require_square
 from .model import COMPLEX_FIELD, REAL_FIELD
 
 __all__ = [
@@ -42,13 +42,20 @@ def require_field(field: str) -> None:
 
 def ky_fan_norm(a, k: int) -> float:
     """Sum of the k largest singular values."""
-    s = singular_values(as_matrix(a))
-    require_k(k, s.size)
-    return float(s[:k].sum())
+    m = as_matrix(a)
+    require_k(k, min(m.shape))
+    return ky_fan_sum(m, k)
+
+
+def ky_fan_sum(m: np.ndarray, k: int) -> float:
+    """``ky_fan_norm`` of a matrix its caller has already checked, with k in
+    range. Nothing is validated again."""
+    return float(np.linalg.svd(m, compute_uv=False)[:k].sum())
 
 
 def ky_fan_norm_batch(ms: np.ndarray, k: int) -> np.ndarray:
-    """Ky Fan k-norms of a stack of matrices (m, rows, cols)."""
+    """Ky Fan k-norms of a stack of matrices (m, rows, cols), one SVD call
+    for all of them; like ``ky_fan_sum`` it trusts the stack's entries."""
     sv = np.linalg.svd(ms, compute_uv=False)
     require_k(k, sv.shape[-1])
     return sv[..., :k].sum(axis=-1)

@@ -15,6 +15,7 @@ norm evaluation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from .linalg import (
     default_cluster_tol,
     default_rank_tol,
     haar_unitary,
-    svd,
+    svd_frame,
 )
 from .model import (
     COMPLEX_FIELD,
@@ -34,8 +35,8 @@ from .model import (
     Verdict,
 )
 from .norms import (
-    ky_fan_norm,
     ky_fan_norm_batch,
+    ky_fan_sum,
     require_field,
     require_operands,
 )
@@ -71,6 +72,11 @@ _AROUND = np.r_[0:8, 9:17]
 # and the norm evaluations after which the parallel referee gives up
 _SUBSPACE_DIRECTIONS = 64
 _PEAK_CAP = 1024
+
+
+def _operand_norms(a: np.ndarray, others: list, k: int) -> list:
+    """||A||_(k) and the norm of each of ``others``, from one SVD call."""
+    return [float(x) for x in ky_fan_norm_batch(np.stack([a, *others]), k)]
 
 
 def _norms_at(a: np.ndarray, b: np.ndarray, k: int, cs: np.ndarray) -> np.ndarray:
@@ -275,9 +281,10 @@ def fd_directional(a, x, k: int, t: float) -> float:
     by the one-sided directional derivative.
     """
     a, (x,) = require_operands(a, [x], k)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return (ky_fan_norm(a + t * x, k) - ky_fan_norm(a, k)) / t
+    # an inf or NaN step would carry past the operand check into the SVD
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+    return (ky_fan_sum(a + t * x, k) - ky_fan_sum(a, k)) / t
 
 
 def _chord_floors(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
@@ -308,6 +315,26 @@ def _chord_floors(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     slack = (defect + 64.0 * a.shape[0] * np.finfo(float).eps) \
         * (norm_a + radius * norm_b)
     return (lower - norm_a - slack) / radius
+
+
+@functools.cache
+def _probe_circle(count: int) -> tuple:
+    """``count`` equally spaced probe phases from 0 and their unit scalars,
+    built once per count and shared read-only by every chord scan."""
+    thetas = np.linspace(0.0, _TWO_PI, count, endpoint=False)
+    units = np.exp(1j * thetas)
+    thetas.setflags(write=False)
+    units.setflags(write=False)
+    return thetas, units
+
+
+@functools.cache
+def _tail_steps(count: int) -> np.ndarray:
+    """The tail's ``count`` radii as fractions of the scan's unit, from 1e-7
+    to 0.25, built once per count and shared read-only."""
+    steps = np.geomspace(1e-7, 0.25, count)
+    steps.setflags(write=False)
+    return steps
 
 
 def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
@@ -346,13 +373,14 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
 
     # magnitudes chosen so the perturbation size t*||B|| spans the norm scale
     unit = (norm_a + norm_b) / norm_b
-    ts = unit * np.geomspace(1e-7, 0.25, _TAIL_RADII)
+    ts = unit * _tail_steps(_TAIL_RADII)
     t_probe = unit * 1e-4
     if field == REAL_FIELD:
         thetas = np.array([0.0, np.pi])
+        cs = t_probe * np.exp(1j * thetas)
     else:
-        thetas = np.linspace(0.0, _TWO_PI, _PROBE_PHASES, endpoint=False)
-    cs = t_probe * np.exp(1j * thetas)
+        thetas, units = _probe_circle(_PROBE_PHASES)
+        cs = t_probe * units
     probe = np.full(thetas.size, np.inf)
     done = np.zeros(thetas.size, dtype=bool)
     # a probe no longer than the stride is evaluated whole
@@ -424,8 +452,7 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     tol = Tolerances() if tol is None else tol
     require_field(field)
     a, (b,) = require_operands(a, [b], k)
-    norm_a = ky_fan_norm(a, k)
-    norm_b = ky_fan_norm(b, k)
+    norm_a, norm_b = _operand_norms(a, [b], k)
     scale = tol.margin_scale(norm_a, norm_b)
     margin, theta, scan = _chord_scan(a, b, k, norm_a, norm_b, field,
                                       -tol.strict * scale)
@@ -472,13 +499,12 @@ def oracle_check_subspace(a, basis, k: int,
     tol = Tolerances() if tol is None else tol
     rng = np.random.default_rng(0)
     a, mats = require_operands(a, basis, k)
-    norm_a = ky_fan_norm(a, k)
+    norm_a, *norms_w = _operand_norms(a, mats, k)
     if not mats:
         return Decision(verdict=Verdict.NO_COUNTEREXAMPLE, margin=0.0,
                         scale=tol.margin_scale(norm_a, 0.0),
                         method="oracle-sample", tolerances=tol,
                         details={"directions": 0})
-    norms_w = [ky_fan_norm(w, k) for w in mats]
     scale = tol.margin_scale(norm_a, max(norms_w))
     proof = -tol.strict * scale
     worst, chord_evals = np.inf, 0
@@ -495,7 +521,7 @@ def oracle_check_subspace(a, basis, k: int,
             continue
         direction = combo / fro
         margin, _, scan = _chord_scan(a, direction, k, norm_a,
-                                      ky_fan_norm(direction, k),
+                                      ky_fan_sum(direction, k),
                                       COMPLEX_FIELD, proof)
         worst = min(worst, margin)
         chord_evals += scan["chord_evals"]
@@ -533,7 +559,7 @@ def oracle_check_parallel(a, b, k: int,
     """
     tol = Tolerances() if tol is None else tol
     a, (b,) = require_operands(a, [b], k)
-    norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
+    norm_a, norm_b = _operand_norms(a, [b], k)
     scale, triangle = tol.margin_scale(norm_a, norm_b), norm_a + norm_b
     allowance = 64.0 * a.shape[0] * np.finfo(float).eps * triangle
 
@@ -585,7 +611,7 @@ def sample_range_points(a, b, k: int, count: int = 100, rng=None) -> np.ndarray:
     """
     rng = np.random.default_rng(0) if rng is None else rng
     a, (b,) = require_operands(a, [b], k)
-    fr = svd(a)
+    fr = svd_frame(a)
     s1 = float(fr.s[0]) if fr.s.size else 0.0
     part = cluster_spectrum(fr.s, k, default_cluster_tol(s1))
     i1, i2 = part.boundary
@@ -594,7 +620,7 @@ def sample_range_points(a, b, k: int, count: int = 100, rng=None) -> np.ndarray:
     fixed = complex(np.trace(u1.conj().T @ b @ v1)) if i1 else 0.0 + 0.0j
     if float(fr.s[k - 1]) <= default_rank_tol(s1):
         wide = fr.u[:, i1:].conj().T @ b @ fr.v[:, i1:i2]
-        rho = ky_fan_norm(wide, q)
+        rho = ky_fan_sum(wide, q)
         rr = rho * np.sqrt(rng.uniform(0.0, 1.0, count))
         ph = rng.uniform(0.0, _TWO_PI, count)
         return fixed + rr * np.exp(1j * ph)

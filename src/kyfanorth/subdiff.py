@@ -32,16 +32,14 @@ from .errors import ShapeMismatch
 from .linalg import (
     SpectralPartition,
     SvdFrame,
-    as_matrix,
     cluster_spectrum,
     default_cluster_tol,
     default_rank_tol,
     haar_unitary,
     herm,
-    singular_values,
-    svd,
+    svd_frame,
 )
-from .norms import ky_fan_norm, require_operands
+from .norms import ky_fan_sum, require_operands
 
 __all__ = [
     "SubdifferentialFrame",
@@ -111,17 +109,16 @@ class SubdifferentialFrame:
         vectors with coordinates X in the boundary cluster."""
         return np.hstack([self.v1, self.v2 @ cols])
 
-    def contains(self, coeff, tol: float = 1e-8) -> bool:
-        """Whether T is a boundary coefficient: Hermitian with 0 <= T <= I
-        and tr T = q when s_k > 0, a contraction with singular values
-        summing to at most q when s_k = 0."""
-        t = as_matrix(coeff)
+    def contains(self, t: np.ndarray, tol: float = 1e-8) -> bool:
+        """Whether the checked matrix T is a boundary coefficient: Hermitian
+        with 0 <= T <= I and tr T = q when s_k > 0, a contraction with
+        singular values summing to at most q when s_k = 0."""
         shape = (self.u2_wide.shape[1], self.v2.shape[1])
         if t.shape != shape:
             raise ShapeMismatch(f"T shape {t.shape} != {shape}")
         q = self.part.q
         if self.degenerate_zero:
-            s = singular_values(t)
+            s = np.linalg.svd(t, compute_uv=False)
             return s[0] <= 1.0 + tol and s.sum() <= q + tol
         if float(np.abs(t - t.conj().T).max()) > tol:
             return False
@@ -134,7 +131,14 @@ def build_frame(a, k: int,
                 cluster_tol: float | None = None) -> SubdifferentialFrame:
     """Compute the SVD of ``a`` and split it around the cluster of s_k."""
     a, _ = require_operands(a, [], k)
-    fr = svd(a)
+    return frame_of(a, k, cluster_tol)
+
+
+def frame_of(a: np.ndarray, k: int,
+             cluster_tol: float | None = None) -> SubdifferentialFrame:
+    """``build_frame`` of a matrix and k that an entry point has already
+    checked: nothing is validated again."""
+    fr = svd_frame(a)
     s1 = float(fr.s[0]) if fr.s.size else 0.0
     ct = default_cluster_tol(s1) if cluster_tol is None else float(cluster_tol)
     part = cluster_spectrum(fr.s, k, ct)
@@ -160,7 +164,7 @@ def directional_derivative(a, k: int, x, frame: SubdifferentialFrame | None = No
     """
     a, (x,) = require_operands(a, [x], k)
     if frame is None:
-        frame = build_frame(a, k)
+        frame = frame_of(a, k)
     return frame.range_model(x).support(0.0)
 
 
@@ -173,10 +177,10 @@ def subgradient_membership(a, k: int, g, tol: float = 1e-8) -> bool:
     it relative to ||A||_(k).
     """
     a, (g,) = require_operands(a, [g], k)
-    sg = singular_values(g)
+    sg = np.linalg.svd(g, compute_uv=False)
     if sg[0] > 1.0 + tol or sg.sum() > k + tol:
         return False
-    norm = ky_fan_norm(a, k)
+    norm = ky_fan_sum(a, k)
     return float(np.real(np.trace(g.conj().T @ a))) >= norm - tol * norm
 
 
@@ -397,7 +401,7 @@ class RangeSetModel:
     wide_compression: np.ndarray | None = None
 
     def __post_init__(self):
-        self._tail_const = (ky_fan_norm(self.wide_compression, self.m)
+        self._tail_const = (ky_fan_sum(self.wide_compression, self.m)
                             if self.degenerate else 0.0)
 
     @property

@@ -84,7 +84,10 @@ def test_c01_engine_matches_oracle_on_random_pairs():
             eng = check_pair(a, b, k, want_certificate=False)
             orc = oracle_check_pair(a, b, k)
             s = singular_values(a)
-            if s[k - 1] > 1e-10 * s[0]:
+            # a refutation stops after the strided phases, before any
+            # minorant is taken, so only full scans show the pruning
+            if (s[k - 1] > 1e-10 * s[0]
+                    and orc.details["probe_minorants"] > 0):
                 probe_evals.append(orc.details["probe_evals"])
             # the dip check runs on every ORTHOGONAL chord verdict and
             # settles each one within its count
@@ -100,6 +103,7 @@ def test_c01_engine_matches_oracle_on_random_pairs():
         assert boundary <= 10, f"k={k}: {boundary} boundary exclusions"
     # the Fan minorants rule out most of the 512 probe phases wherever A's
     # k-th singular value is not zero (a count, so no timing noise)
+    assert len(probe_evals) >= 200, len(probe_evals)
     assert np.median(probe_evals) <= 128, np.median(probe_evals)
 
 

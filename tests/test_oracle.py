@@ -537,8 +537,9 @@ def test_fd_directional_monotone_and_tight(rng):
 
 def test_fd_directional_requires_positive_step(rng):
     a = complex_gauss(rng, 3, 3)
-    with pytest.raises(ValueError):
-        fd_directional(a, a, 1, 0.0)
+    for t in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            fd_directional(a, a, 1, t)
 
 
 def test_references_check_their_operands_as_the_engine_does():
