@@ -49,7 +49,6 @@ from .linalg import (
     cluster_spectrum,
     haar_unitary,
     singular_values,
-    svd,
 )
 from .model import (
     COMPLEX_FIELD,
@@ -131,7 +130,6 @@ __all__ = [
     "save_report",
     "singular_values",
     "subgradient_membership",
-    "svd",
     "swept_minimum",
     "tied_spectrum",
     "verify_certificate",

@@ -11,7 +11,9 @@ outer polygons of C. R. Johnson, SIAM J. Numer. Anal. 15, 1978, for the
 field of values), and backs each verdict with a checkable
 certificate: an orthonormal witness system, a feasible boundary-block
 coefficient with its assembled subgradient, a density system for subspaces,
-or an explicit norm-decreasing scalar.
+or a scalar c whose chord rate (||A + cB||_(k) - ||A||_(k))/|c|, an upper
+bound on the derivative along cB by convexity, proves the margin below
+-strict*scale.
 """
 
 from __future__ import annotations
@@ -183,139 +185,53 @@ def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
         decision.details.update(info)
 
 
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
-_VIOLATION_MAX_EVALS = 200
+def _chord_allowance(norm_a: float, norm_b: float, t: float, n: int) -> float:
+    """Rounding allowance on a chord rate (||A + cB||_(k) - ||A||_(k))/|c|
+    at |c| = t: each of the two norms is exact to 32 n eps (||A||_(k) +
+    t ||B||_(k))."""
+    return 64.0 * n * np.finfo(float).eps * (norm_a + t * norm_b) / t
 
 
 def _violation_certificate(setup: _PairSetup, outcome: SweepOutcome,
                            real_field: bool = False
                            ) -> tuple[Certificate | None, dict]:
-    """First scalar on the steepest rotated ray that shrinks the norm by the
-    certificate's dip, with the ``violation_*`` details of the search: the
-    norm evaluations spent and, when there is no certificate, the reason and
-    a lower bound on the norm along the ray.
+    """First scalar on the steepest rotated ray whose chord rate proves the
+    refutation, with the ``violation_evals`` spent and, when there is none,
+    the ``certificate_error``.
 
-    f(t) = ||A + t e^{-i theta} B||_(k) is convex with f(0) = ||A||_(k) and
-    f'(0+) = margin < 0, so f(t) >= ||A|| + t*margin rules out t below
-    t_min = dip / |margin|, and f(t) >= t||B|| - ||A|| rules out t above
-    t_hi = 2||A|| / ||B||. Every trial of ``_ray_trials`` inside that
-    bracket costs one norm evaluation; the first that clears the bar is the
-    certificate. The search gives up as soon as ``_ray_lower_bound`` shows
-    that no t in [0, t_hi] can clear it.
+    f(t) = ||A + t e^{-i theta} B||_(k) is convex with f'(0+) = margin, so
+    the chord rate (f(t) - f(0))/t is an upper bound on the derivative along
+    the ray, and never below the margin. A rate below -strict*scale less
+    ``_chord_allowance`` proves the verdict. The search quarters t from
+    ||A||/||B|| and gives up once the allowance alone would lift the margin
+    above that bar: then no chord at t or below can prove it.
     """
     a, b, k = setup.a, setup.b, setup.k
-    norm_a = setup.frame.norm_value
-    dip = 10.0 * setup.tol.decide * setup.scale
+    norm_a, norm_b, n = setup.frame.norm_value, setup.norm_b, a.shape[0]
+    bar = -setup.tol.strict * setup.scale
     # support angle theta corresponds to the ray c = t * e^{-i theta}
     phase = cmath.exp(-1j * outcome.theta)
     if real_field:
-        phase = -1.0 if abs(cmath.phase(phase)) > np.pi / 2 else 1.0
-    # the factor 1/2 guards the lower end against rounding in the margin
-    t_min = 0.5 * dip / -outcome.value
-    t_hi = 2.0 * norm_a / setup.norm_b
-    ts, vals = [], []
-
-    def exhausted(reason: str) -> tuple:
-        lower = _ray_lower_bound(norm_a, outcome.value, setup.norm_b, t_hi,
-                                 ts, vals, a.shape[0])
-        return None, {"violation_evals": len(vals),
-                      "violation_too_shallow": True,
-                      "violation_reason": reason,
-                      "violation_lower_bound": lower}
-
-    if t_min >= t_hi:
-        return exhausted("no scalar can dip 10*decide*scale (t_min >= t_hi)")
-    for t in _ray_trials(t_min, t_hi, vals):
-        ts.append(t)
-        vals.append(ky_fan_sum(a + (t * phase) * b, k))
-        if vals[-1] < norm_a - dip:
+        phase = -1.0 if phase.real < 0.0 else 1.0
+    t, evals = norm_a / norm_b, 0
+    while outcome.value + _chord_allowance(norm_a, norm_b, t, n) < bar:
+        value = ky_fan_sum(a + (t * phase) * b, k)
+        evals += 1
+        rate = (value - norm_a) / t
+        if rate + _chord_allowance(norm_a, norm_b, t, n) < bar:
             cert = Certificate(
                 kind=CertKind.VIOLATION,
                 coefficient=complex(t * phase),
-                norm_value=vals[-1],
-                details={"norm_a": norm_a, "dip": norm_a - vals[-1],
-                         "evals": len(vals)},
+                norm_value=value,
+                details={"norm_a": norm_a, "chord_rate": rate,
+                         "evals": evals},
             )
-            return cert, {"violation_evals": len(vals)}
-        if (len(vals) == _VIOLATION_MAX_EVALS
-                or _ray_lower_bound(norm_a, outcome.value, setup.norm_b,
-                                    t_hi, ts, vals, a.shape[0])
-                >= norm_a - dip):
-            break
-    return exhausted("search exhausted")
-
-
-def _ray_lower_bound(norm_a: float, slope: float, norm_b: float, t_hi: float,
-                     ts: list, vals: list, n: int) -> float:
-    """Lower bound on the convex f(t) = ||A + t e^{-i theta} B||_(k) over
-    [0, t_hi] from its samples ``vals`` at ``ts``.
-
-    Outside each interval between consecutive samples (f(0) = ||A|| counts
-    as one) f lies above the secant through the interval's ends. So on an
-    interval it lies above the secant of the interval to its left, extended
-    (the tangent ||A|| + slope*t on the first), and above the secant of the
-    interval to its right, extended (t||B|| - ||A|| on the last). Every
-    norm carries a rounding error of at most ``err``; a secant is drawn
-    through its near end lowered and its far end raised by ``err``, which
-    keeps it below f where it is extended.
-    """
-    err = 64.0 * n * np.finfo(float).eps * (norm_a + t_hi * norm_b)
-    knots, first = np.unique(np.concatenate([[0.0], ts]), return_index=True)
-    fs = np.concatenate([[norm_a], vals])[first]
-    ends = np.append(knots, t_hi) if knots[-1] < t_hi else knots
-
-    def secant(i, j):
-        # through (t_i, f_i - err) and (t_j, f_j + err), extended past t_i
-        s = (fs[j] - fs[i] + 2.0 * err) / (knots[j] - knots[i])
-        return s, fs[i] - err - s * knots[i]
-
-    lowest = np.inf
-    for i in range(ends.size - 1):
-        s1, c1 = secant(i, i - 1) if i else (slope, norm_a - err)
-        s2, c2 = (secant(i + 1, i + 2) if i + 2 < knots.size
-                  else (norm_b, -norm_a - err))
-        spots = [ends[i], ends[i + 1]]
-        if s1 != s2 and ends[i] < (c2 - c1) / (s1 - s2) < ends[i + 1]:
-            spots.append((c2 - c1) / (s1 - s2))
-        lowest = min(lowest, *(max(s1 * t + c1, s2 * t + c2) for t in spots))
-    return float(lowest)
-
-
-def _ray_trials(t_min: float, t_hi: float, vals: list):
-    """Trial points of a convex line search on [t_min, t_hi]; the caller
-    appends f at each trial to ``vals`` before asking for the next.
-
-    Steps down from t_hi/2 by quarters until f rises or t leaves the
-    bracket, then golden-sections the interval between the best sample's
-    neighbours, which holds the minimum of a convex f, down to 1e-12*t_hi.
-    """
-    ts = []
-    t = 0.5 * t_hi
-    while t >= t_min:
-        ts.append(t)
-        yield t
-        if len(vals) > 1 and vals[-1] >= vals[-2]:
-            break
+            return cert, {"violation_evals": evals}
         t *= 0.25
-    j = int(np.argmin(vals)) if vals else 0
-    lo = ts[j + 1] if j + 1 < len(ts) else t_min
-    hi = ts[j - 1] if j > 0 else t_hi
-    x1 = lo + _GOLDEN * (hi - lo)
-    x2 = hi - _GOLDEN * (hi - lo)
-    yield x1
-    yield x2
-    f1, f2 = vals[-2], vals[-1]
-    while hi - lo > 1e-12 * t_hi:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = lo + _GOLDEN * (hi - lo)
-            yield x1
-            f1 = vals[-1]
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = hi - _GOLDEN * (hi - lo)
-            yield x2
-            f2 = vals[-1]
+    return None, {"violation_evals": evals, "certificate_error": (
+        f"no chord rate on the steepest ray clears -strict*scale: the "
+        f"rounding allowance at |c| = {t:.3e} lifts the margin "
+        f"{outcome.value:.3e} above it")}
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +619,8 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
             decision.verdict = Verdict.NOT_ORTHOGONAL
             decision.margin = pair.margin
             details.update({key: value for key, value in pair.details.items()
-                            if key.startswith("violation_")})
+                            if key.startswith("violation_")
+                            or key == "certificate_error"})
             if want_certificate and pair.certificate is not None:
                 cert = pair.certificate
                 cert.details["combination"] = _raw_combination(basis,
@@ -958,7 +875,10 @@ def _verify_violation(cert, a, b, k, tol, add):
     scale = tol.margin_scale(norm_a, norm_b)
     add("claimed_norm_matches", abs(value - float(cert.norm_value)),
         tol.cert * scale)
-    add("norm_decrease", value - (norm_a - 5.0 * tol.decide * scale), 0.0)
+    # by convexity the chord rate bounds the derivative along lam B above
+    t = abs(lam)
+    add("chord_rate", (value - norm_a) / t
+        + _chord_allowance(norm_a, norm_b, t, a.shape[0]), -tol.strict * scale)
 
 
 def _factor_clusters(frame: SubdifferentialFrame, factors: list,

@@ -23,7 +23,6 @@ __all__ = [
     "SpectralPartition",
     "as_matrix",
     "herm",
-    "svd",
     "singular_values",
     "cluster_spectrum",
     "default_cluster_tol",
@@ -87,20 +86,14 @@ class SvdFrame:
     v: np.ndarray
 
 
-def svd(a) -> SvdFrame:
-    """SVD of a square matrix with joint phase normalization.
+def svd_frame(m: np.ndarray) -> SvdFrame:
+    """SVD of a matrix its caller has already checked, a finite complex128
+    square array, with joint phase normalization; nothing is validated
+    again.
 
     Left and right singular vector pairs are rotated by a common phase keyed
     on the left vector, which leaves the reconstruction unchanged.
     """
-    a = as_matrix(a)
-    require_square(a)
-    return svd_frame(a)
-
-
-def svd_frame(m: np.ndarray) -> SvdFrame:
-    """``svd`` of a matrix its caller has already checked: a finite
-    complex128 square array. Nothing is validated again."""
     try:
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure

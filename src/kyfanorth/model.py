@@ -106,8 +106,11 @@ class Certificate:
     singular cluster of A share their P_i, so it is stored once per cluster
     as an n-row factor X_c in ``factors``, P_i = X_c X_c*, and its index
     count m_c in ``multiplicities`` (sum m_c = k, in index order).
-    kind VIOLATION: ``coefficient`` is a scalar with
-    ||A + coefficient*B||_(k) = ``norm_value`` strictly below ||A||_(k).
+    kind VIOLATION: ``coefficient`` is a scalar c with ||A + c*B||_(k) =
+    ``norm_value`` whose chord rate (``norm_value`` - ||A||_(k))/|c|, plus a
+    rounding allowance, lies below -strict*scale. The norm is convex in c,
+    so that rate bounds the derivative along c*B above and proves the
+    NOT_ORTHOGONAL verdict; the norm value lies strictly below ||A||_(k).
     """
 
     kind: CertKind

@@ -39,3 +39,17 @@ def test_smoke_corpus_passes_the_bench_gate(workloads, workload, seed):
         if reasons:
             failed.append((i, inst.tag, reasons))
     assert failed == []
+
+
+def test_full_ginibre_probe_passes_the_bench_gate(workloads):
+    # 36 unlabelled Ginibre pairs at n = 64 and 200: near the band a
+    # refutation's norm dips too little for any fixed depth, but a chord
+    # rate still proves it, so each one carries a certificate that verifies
+    probe = workloads.build_probe("ginibre", 2, [], size="full")
+    assert len(probe) == 36
+    failed = []
+    for i, inst in enumerate(probe):
+        reasons = workloads.failure_reasons(inst, workloads.run_op(inst))
+        if reasons:
+            failed.append((i, inst.tag, reasons))
+    assert failed == []

@@ -16,7 +16,7 @@ from kyfanorth.decide import (
     _nearest_point,
     _pair_outcome,
     _pair_setup,
-    _ray_trials,
+    _violation_certificate,
     _witness_block,
     check_pair,
     check_parallel,
@@ -47,7 +47,7 @@ from kyfanorth.model import (
     Tolerances,
     Verdict,
 )
-from kyfanorth.norms import ky_fan_norm, ky_fan_norm_batch
+from kyfanorth.norms import ky_fan_norm
 from kyfanorth.subdiff import (
     build_frame,
     subgradient_membership,
@@ -233,11 +233,20 @@ def test_pair_and_blocks_agree(rng):
 
 
 def _violation_checked(decision, a, b, k):
+    """The decision's VIOLATION, checked: it verifies, its ``chord_rate``
+    clause proves the margin below -strict*scale, and by convexity its
+    chord rate lies at or above the margin, up to rounding."""
     cert = decision.certificate
     assert cert is not None and cert.kind is CertKind.VIOLATION
-    assert cert.details["dip"] >= 10.0 * decision.tolerances.decide * decision.scale
     assert cert.details["evals"] == decision.details["violation_evals"]
-    assert verify_certificate(cert, a, b, k)["ok"]
+    report = verify_certificate(cert, a, b, k)
+    assert report["ok"]
+    assert [c["pass"] for c in report["checks"]
+            if c["name"] == "chord_rate"] == [True]
+    t = abs(cert.coefficient)
+    rounding = 64 * a.shape[0] * np.finfo(float).eps * decision.scale * (
+        1.0 + 1.0 / t)
+    assert cert.details["chord_rate"] >= decision.margin - rounding
     return cert
 
 
@@ -253,47 +262,48 @@ def _coverage_pairs(rng):
         yield a, b + 0.3 * random_matrix(n, rng), k
 
 
-def _bar(decision, a, k):
-    dip = 10.0 * decision.tolerances.decide * decision.scale
-    return ky_fan_norm(a, k) - dip
-
-
-def _ray_scan_min(decision, a, b, k):
-    """Smallest norm a dense scan of the refuting ray finds."""
-    norm_a = ky_fan_norm(a, k)
-    theta = decision.details["support_theta"]
-    phase = np.exp(-1j * theta)
-    if decision.details["field"] == REAL_FIELD:
-        phase = np.sign(phase.real)
-    ts = np.geomspace(1e-9, 2.0, 400) * norm_a / ky_fan_norm(b, k)
-    vals = ky_fan_norm_batch(a[None] + (ts * phase)[:, None, None] * b, k)
-    return vals.min()
-
-
 def test_every_refutation_carries_a_violation():
-    # the violation search stops at the first scalar that clears the dip;
-    # guard that it loses no certificate in any mode. A refutation whose
-    # ray never dips that far keeps none, says why, and a dense scan of
-    # the ray must agree that no scalar clears the bar. Its convexity bound
-    # rules the whole ray out after a few evaluations, and no scanned
-    # scalar may fall below that bound
-    refuted = shallow = 0
+    # the violation search stops at the first chord rate that proves the
+    # margin; guard that no refutation in either field goes without one
+    refuted = 0
     for a, b, k in _coverage_pairs(np.random.default_rng(4242)):
         for d in (check_pair(a, b, k), check_pair(a, b, k, field=REAL_FIELD)):
             if d.verdict is not Verdict.NOT_ORTHOGONAL:
                 continue
             refuted += 1
-            if d.certificate is None:
-                shallow += 1
-                assert d.details["violation_reason"] == "search exhausted"
-                assert 0 < d.details["violation_evals"] <= 12
-                lower = d.details["violation_lower_bound"]
-                assert lower >= _bar(d, a, k)
-                assert _ray_scan_min(d, a, b, k) >= lower
-            else:
-                _violation_checked(d, a, b, k)
+            _violation_checked(d, a, b, k)
+            real = d.details["field"] == REAL_FIELD
+            assert _proves_verdict(d.verdict, d.certificate, real)
     assert refuted >= 500
-    assert shallow <= 0.01 * refuted
+
+
+def _near_tie_pairs():
+    """420 seeded draws with s_{k+1} = s_k (1 - 10^-j), 30 for each
+    j = 2..15, n = 3..5 and k = 1..n-1, against a random direction."""
+    rng = np.random.default_rng(31)
+    for j in range(2, 16):
+        for _ in range(30):
+            n = int(rng.integers(3, 6))
+            k = int(rng.integers(1, n))
+            s = np.sort(rng.uniform(0.5, 2.0, n))[::-1]
+            s[k] = s[k - 1] * (1.0 - 10.0 ** -j)
+            a = (haar_unitary(n, rng) * s) @ haar_unitary(n, rng).conj().T
+            yield a, random_matrix(n, rng), k
+
+
+def test_every_near_tie_refutation_carries_a_violation():
+    # near ties dip the norm only by about margin x gap, far below any fixed
+    # depth, yet a chord close enough to 0 proves each margin
+    refuted = 0
+    for a, b, k in _near_tie_pairs():
+        for field in (COMPLEX_FIELD, REAL_FIELD):
+            d = check_pair(a, b, k, field=field)
+            if d.verdict is Verdict.NOT_ORTHOGONAL:
+                refuted += 1
+                _violation_checked(d, a, b, k)
+                assert _proves_verdict(d.verdict, d.certificate,
+                                       field == REAL_FIELD)
+    assert refuted >= 500
 
 
 def test_deep_refutation_costs_two_norm_evaluations():
@@ -313,21 +323,66 @@ def test_deep_refutation_costs_two_norm_evaluations():
     assert len(cert.details["combination"]) == 2
 
 
-def test_refutation_too_shallow_for_any_scalar():
-    # margin -2e-5 at scale 11 is decisive, but the dip 10*decide*scale
-    # needs t >= 0.55 along a ray where only t < 2||A||/||B|| = 0.2 can help
+def test_refutation_with_no_deep_dip_carries_a_violation():
+    # margin -2e-5 at scale 11 is decisive although no scalar lowers the
+    # norm by even 5e-6; the chord at |c| = ||A||/(4||B||) proves it
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([2e-5, 10.0]).astype(complex)
     d = check_pair(a, b, 1)
     assert d.verdict is Verdict.NOT_ORTHOGONAL
     assert d.margin == pytest.approx(-2e-5)
     assert d.scale == pytest.approx(11.0)
+    cert = _violation_checked(d, a, b, 1)
+    assert d.details["violation_evals"] <= 2
+    assert "certificate_error" not in d.details
+    dip = ky_fan_norm(a, 1) - cert.norm_value
+    assert dip < 5.0 * d.tolerances.decide * d.scale
+
+
+def test_a_dip_without_a_proving_chord_rate_fails_verify():
+    # c = -1 lowers the norm by 8e-7, past 5 decide scale, but its chord
+    # rate -8e-7 stays above -strict*scale: it proves no refutation
+    a = np.diag([1.0, 0.0]).astype(complex)
+    b = np.diag([8e-7, 0.0]).astype(complex)
+    cert = Certificate(kind=CertKind.VIOLATION, coefficient=-1.0,
+                       norm_value=ky_fan_norm(a - b, 1))
+    tol = Tolerances()
+    scale = tol.margin_scale(1.0, 8e-7)
+    assert 1.0 - cert.norm_value >= 5.0 * tol.decide * scale
+    report = verify_certificate(cert, a, b, 1)
+    assert not report["ok"]
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["chord_rate"]
+    assert check_pair(a, b, 1).verdict is Verdict.BOUNDARY
+    # c = 0 draws no chord: the report fails without raising
+    cert.coefficient = 0.0
+    assert not verify_certificate(cert, a, b, 1)["ok"]
+
+
+def test_violation_search_gives_up_when_rounding_covers_the_margin():
+    # a margin within rounding of -strict*scale leaves no chord that can
+    # prove it at any |c|, so the search stops before its first evaluation
+    a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(5))
+    setup = _pair_setup(a, b, 2)
+    bar = -setup.tol.strict * setup.scale
+    outcome = dataclasses.replace(_pair_outcome(setup, COMPLEX_FIELD),
+                                  value=bar * (1.0 + 1e-15))
+    cert, info = _violation_certificate(setup, outcome)
+    assert cert is None
+    assert info["violation_evals"] == 0
+    assert "rounding allowance" in info["certificate_error"]
+
+
+def test_subspace_refutation_says_why_it_has_no_certificate(monkeypatch):
+    rng = np.random.default_rng(64)
+    a, basis, _ = make_subspace_instance(6, 2, 2, rng, orthogonal=False)
+    missing = {"violation_evals": 3, "certificate_error": "planted"}
+    monkeypatch.setattr(kyfanorth.decide, "_violation_certificate",
+                        lambda *args, **kwargs: (None, dict(missing)))
+    d = check_subspace(a, basis, 2)
+    assert d.verdict is Verdict.NOT_ORTHOGONAL
     assert d.certificate is None
-    assert d.details["violation_too_shallow"]
-    assert d.details["violation_evals"] == 0
-    assert d.details["violation_reason"] == (
-        "no scalar can dip 10*decide*scale (t_min >= t_hi)")
-    assert d.details["violation_lower_bound"] >= _bar(d, a, 1)
+    assert {key: d.details[key] for key in missing} == missing
 
 
 def test_witness_system_quality(rng):
@@ -514,15 +569,6 @@ def test_block_verifier_rejects_infeasible_coefficients(rng):
                                  a, b, 3)
     for values in ([1.5, 0.0, 0.0, 0.0], [0.8, 0.8, 0.8, 0.0]):
         assert not _coefficient_feasible((u * values) @ v.conj().T, a, b, 3)
-
-
-def test_ray_trials_golden_section_steps_right():
-    # the steps down from t_hi/2 rise at once, so the minimum at 0.8 lies
-    # right of the best sample and each golden-section step moves right
-    vals = []
-    for t in _ray_trials(1e-6, 1.0, vals):
-        vals.append((t - 0.8) ** 2 + 1.0)
-    assert abs(t - 0.8) <= 1e-6
 
 
 def test_checked_miss_bar_is_relative_at_small_scale(rng):

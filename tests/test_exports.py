@@ -33,15 +33,51 @@ _REFERENCES = {"fd_directional", "directional_derivative",
                "sample_subgradient", "subgradient_membership"}
 
 
+_MODULES = {info.name for info in pkgutil.iter_modules(kyfanorth.__path__)}
+
+
+def _module_aliases(tree) -> set:
+    """Names a module binds to kyfanorth or one of its modules."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name.split(".")[0]
+                        for alias in node.names
+                        if alias.name.split(".")[0] == "kyfanorth"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module == "kyfanorth"):
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name in _MODULES}
+    return aliases
+
+
 def _referenced_names(paths) -> set:
+    """What the modules read: names loaded, names imported from a module,
+    and attributes of kyfanorth or of one of its modules. A field, a
+    parameter or an attribute of anything else (``np.linalg.svd``) that
+    happens to share an export's name does not count."""
     names = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and _of_a_module(
+                    node.value, aliases):
                 names.add(node.attr)
     return names
+
+
+def _of_a_module(node, aliases: set) -> bool:
+    """Whether ``node`` is a name bound to kyfanorth or one of its modules,
+    or an attribute chain such as ``kyfanorth.linalg`` down to one."""
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    return (isinstance(node, ast.Attribute) and node.attr in _MODULES
+            and _of_a_module(node.value, aliases))
 
 
 def test_every_export_is_used_or_a_reference():

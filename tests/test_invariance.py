@@ -360,7 +360,7 @@ def test_zero_operands_are_pinned(case):
 # pure number
 _NORM_UNITS = ("pairing", "triangle_equality", "block_equation", "norming",
                "direction_pairing", "basis_pairing_", "claimed_norm_matches",
-               "norm_decrease")
+               "chord_rate")
 
 
 def _guarded_certificates():
