@@ -45,11 +45,7 @@ from .io import (
     save_problem,
     save_report,
 )
-from .linalg import (
-    cluster_spectrum,
-    haar_unitary,
-    singular_values,
-)
+from .linalg import haar_unitary, singular_values
 from .model import (
     COMPLEX_FIELD,
     REAL_FIELD,
@@ -102,7 +98,6 @@ __all__ = [
     "check_pair",
     "check_parallel",
     "check_subspace",
-    "cluster_spectrum",
     "decode_problem",
     "decode_report",
     "directional_derivative",

@@ -278,7 +278,7 @@ def cmd_gen(args) -> int:
     require_k(k, n)
     try:
         matrices, subspace, label = _generate(args, n, k)
-    except ValueError as exc:  # a layout the spectrum cannot hold
+    except ValueError as exc:  # a layout the spectrum cannot hold, or m < 1
         raise ParseError(str(exc)) from exc
     label["seed"] = args.seed
     save_problem(args.out, matrices, k, field_name=args.field,

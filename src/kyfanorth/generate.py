@@ -218,6 +218,8 @@ def make_subspace_instance(n: int, k: int, m: int, rng=None,
     a strong component along A itself, whose pairing set sits at distance
     ||A||_(k) from zero. Returns (a, basis, label).
     """
+    if m < 1:
+        raise ValueError(f"a subspace instance needs m >= 1, got {m}")
     rng = np.random.default_rng(0) if rng is None else rng
     s = tied_spectrum(n, k, rng, q=q, r=r)
     a = _compose(haar_unitary(n, rng), s, haar_unitary(n, rng))

@@ -2,8 +2,10 @@
 
 Matrices travel as flat row-major real and imaginary lists with explicit
 dimensions. Floats use Python's shortest round-trip form, which stays within
-17 significant digits and reconstructs the exact double. Every malformed
-input surfaces as ParseError with a message naming the offending field.
+17 significant digits and reconstructs the exact double. Counts and
+dimensions are JSON integers and every other scalar a JSON number, read
+through ``_integer`` and ``_number``. Every malformed input surfaces as
+ParseError with a message naming the offending field.
 """
 
 from __future__ import annotations
@@ -64,16 +66,34 @@ def encode_matrix(m) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer: neither true, nor 2.0, nor "2" passes."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number, integer or not: neither true nor "1e-8" passes."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _require_version(obj, what: str):
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ParseError(f"{what}: unsupported schema_version {version!r}")
+
+
 def decode_matrix(obj, name: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"{name}: expected an object, got {type(obj).__name__}")
     for key in ("rows", "cols", "re", "im"):
         if key not in obj:
             raise ParseError(f"{name}: missing key {key!r}")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{name}: rows/cols must be integers") from exc
+    rows = _integer(obj["rows"], f"{name}: rows")
+    cols = _integer(obj["cols"], f"{name}: cols")
     if rows < 0 or cols < 0:
         raise ParseError(f"{name}: negative dimensions {rows}x{cols}")
     re, im = obj["re"], obj["im"]
@@ -168,14 +188,9 @@ def _decode_tolerances(obj) -> Tolerances:
     unknown = set(obj) - set(_TOL_KEYS) - set(_RETIRED_TOL_KEYS)
     if unknown:
         raise ParseError(f"tolerances: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in obj.items():
-        if value is None or key in _RETIRED_TOL_KEYS:
-            continue
-        try:
-            kwargs[key] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"tolerances: {key} must be a number") from exc
+    kwargs = {key: _number(value, f"tolerances: {key}")
+              for key, value in obj.items()
+              if value is not None and key not in _RETIRED_TOL_KEYS}
     try:
         return Tolerances(**kwargs)
     except ValueError as exc:
@@ -185,20 +200,13 @@ def _decode_tolerances(obj) -> Tolerances:
 def decode_problem(obj) -> Problem:
     if not isinstance(obj, dict):
         raise ParseError("problem: expected a top-level object")
-    version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"problem: unsupported schema_version {version!r}")
+    _require_version(obj, "problem")
     raw = obj.get("matrices")
     if not isinstance(raw, dict) or not raw:
         raise ParseError("problem: matrices must be a non-empty object")
     matrices = {nm: decode_matrix(m, name=f"matrices[{nm!r}]")
                 for nm, m in raw.items()}
-    try:
-        k = int(obj["k"])
-    except KeyError as exc:
-        raise ParseError("problem: missing k") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError("problem: k must be an integer") from exc
+    k = _integer(obj.get("k"), "problem: k")
     if k < 1:
         raise ParseError(f"problem: k must be positive, got {k}")
     field_name = obj.get("field", COMPLEX_FIELD)
@@ -209,8 +217,9 @@ def decode_problem(obj) -> Problem:
         if not isinstance(subspace, list):
             raise ParseError("problem: subspace must be a list of names")
         for nm in subspace:
-            if nm not in matrices:
-                raise ParseError(f"problem: subspace names unknown matrix {nm!r}")
+            if not isinstance(nm, str) or nm not in matrices:
+                raise ParseError(f"problem: subspace entry {nm!r} names no "
+                                 "matrix")
     tolerances = None
     if obj.get("tolerances") is not None:
         tolerances = _decode_tolerances(obj["tolerances"])
@@ -254,26 +263,21 @@ def decode_certificate(obj) -> Certificate:
         pair = obj["coefficient"]
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise ParseError("certificate: coefficient must be [re, im]")
-        try:
-            coefficient = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError("certificate: coefficient must be numeric") from exc
+        coefficient = complex(*(_number(x, "certificate: coefficient")
+                                for x in pair))
     norm_value = None
     if "norm_value" in obj:
-        try:
-            norm_value = float(obj["norm_value"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError("certificate: norm_value must be a number") from exc
+        norm_value = _number(obj["norm_value"], "certificate: norm_value")
     if "densities" in obj:
         raise ParseError("certificate: the dense DENSITY_SYSTEM format (n x n "
                          "'densities') is no longer read; re-run check")
     factors, mults = obj.get("factors"), obj.get("multiplicities")
     if factors is not None or mults is not None:
         if not (isinstance(factors, list) and isinstance(mults, list)
-                and len(mults) == len(factors)
-                and all(type(m) is int for m in mults)):
+                and len(mults) == len(factors)):
             raise ParseError("certificate: factors and multiplicities must be "
-                             "lists of matrices and integers of one length")
+                             "lists of one length")
+        mults = [_integer(m, "certificate: multiplicities") for m in mults]
         factors = [decode_matrix(x, name=f"certificate.factors[{i}]")
                    for i, x in enumerate(factors)]
     details = obj.get("details") or {}
@@ -304,21 +308,14 @@ def encode_report(decision: Decision, timings: dict | None = None) -> dict:
 def decode_report(obj) -> Report:
     if not isinstance(obj, dict):
         raise ParseError("report: expected a top-level object")
-    version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"report: unsupported schema_version {version!r}")
+    _require_version(obj, "report")
     verdict_raw = obj.get("verdict")
     try:
         verdict = Verdict(verdict_raw)
     except ValueError as exc:
         raise ParseError(f"report: unknown verdict {verdict_raw!r}") from exc
-    try:
-        margin = float(obj["margin"])
-        scale = float(obj["scale"])
-    except KeyError as exc:
-        raise ParseError(f"report: missing {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError("report: margin/scale must be numbers") from exc
+    margin = _number(obj.get("margin"), "report: margin")
+    scale = _number(obj.get("scale"), "report: scale")
     tolerances = None
     if obj.get("tolerances") is not None:
         tolerances = _decode_tolerances(obj["tolerances"])

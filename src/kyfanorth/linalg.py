@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KOutOfRange, NoConvergence, NonFinite, ShapeMismatch
+from .errors import NoConvergence, NonFinite, ShapeMismatch
 
 __all__ = [
     "SvdFrame",
@@ -24,7 +24,6 @@ __all__ = [
     "as_matrix",
     "herm",
     "singular_values",
-    "cluster_spectrum",
     "default_cluster_tol",
     "default_rank_tol",
     "haar_unitary",
@@ -133,24 +132,18 @@ class SpectralPartition:
         return (self.k - self.q, self.k + self.r)
 
 
-def cluster_spectrum(values, k: int, cluster_tol: float) -> SpectralPartition:
+def cluster_spectrum(values: np.ndarray, k: int,
+                     cluster_tol: float) -> SpectralPartition:
     """Group a descending spectrum by single linkage at width ``cluster_tol``.
 
     Adjacent values closer than ``cluster_tol`` land in one cluster. The
     returned partition records how the cluster containing position k splits
-    around k, which is what the decision formulas consume.
+    around k, which is what the decision formulas consume. The caller has
+    already checked its arguments, a nonempty descending float array, k in
+    1..n and a width >= 0: nothing is validated again.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    n = v.size
-    if n == 0:
-        raise ShapeMismatch("empty spectrum")
-    if np.any(v[:-1] < v[1:] - 1e-12 * float(np.abs(v).max())):
-        raise ValueError("spectrum must be sorted descending")
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside 1..{n}")
-    if cluster_tol < 0:
-        raise ValueError("cluster_tol must be nonnegative")
-    gaps = v[:-1] - v[1:]
+    n = values.size
+    gaps = values[:-1] - values[1:]
     cut = np.flatnonzero(gaps > cluster_tol) + 1
     starts = np.concatenate([[0], cut])
     stops = np.concatenate([cut, [n]])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ class Tolerances:
 
     A problem file carries its tolerances, and ``check`` and ``verify`` both
     read them from there; the Python entry points take them as ``tol``.
+    This is their one door: every value is finite, 0 < decide <= strict,
+    cert > 0 and cluster, when set, >= 0; nothing below checks them again.
     """
 
     decide: float = 1e-7
@@ -53,10 +56,13 @@ class Tolerances:
     cluster: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.decide <= self.strict):
-            raise ValueError("need 0 < decide <= strict")
-        if self.cert <= 0:
-            raise ValueError("cert must be positive")
+        # chained comparisons: a NaN fails every one of them
+        if not 0 < self.decide <= self.strict < math.inf:
+            raise ValueError("need 0 < decide <= strict, all finite")
+        if not 0 < self.cert < math.inf:
+            raise ValueError("cert must be positive and finite")
+        if self.cluster is not None and not 0 <= self.cluster < math.inf:
+            raise ValueError("cluster must be None or finite and >= 0")
 
     def margin_scale(self, norm_a: float, norm_b: float) -> float:
         return max(norm_a + norm_b, 1e-300)

@@ -74,9 +74,11 @@ _SUBSPACE_DIRECTIONS = 64
 _PEAK_CAP = 1024
 
 
-def _operand_norms(a: np.ndarray, others: list, k: int) -> list:
-    """||A||_(k) and the norm of each of ``others``, from one SVD call."""
-    return [float(x) for x in ky_fan_norm_batch(np.stack([a, *others]), k)]
+def _operand_norms(a: np.ndarray, others: list, k: int) -> tuple:
+    """The singular values of A, and ||A||_(k) followed by the norm of each
+    of ``others``, from one SVD call."""
+    sv = np.linalg.svd(np.stack([a, *others]), compute_uv=False)
+    return sv[0], [float(x) for x in sv[:, :k].sum(axis=-1)]
 
 
 def _norms_at(a: np.ndarray, b: np.ndarray, k: int, cs: np.ndarray) -> np.ndarray:
@@ -452,7 +454,7 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     tol = Tolerances() if tol is None else tol
     require_field(field)
     a, (b,) = require_operands(a, [b], k)
-    norm_a, norm_b = _operand_norms(a, [b], k)
+    sv_a, (norm_a, norm_b) = _operand_norms(a, [b], k)
     scale = tol.margin_scale(norm_a, norm_b)
     margin, theta, scan = _chord_scan(a, b, k, norm_a, norm_b, field,
                                       -tol.strict * scale)
@@ -473,7 +475,7 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
             details["grid_contradiction"] = True
     if verdict is Verdict.ORTHOGONAL and norm_b > 0:
         # zero stands below s_n: a small s_n is a near tie with it
-        s = np.append(np.linalg.svd(a, compute_uv=False), 0.0)
+        s = np.append(sv_a, 0.0)
         gaps = np.abs(s - s[k - 1])
         rounding = 64.0 * a.shape[0] * np.finfo(float).eps * s[0]
         # values above s_k cross index k only when s_{k+1} is tied to s_k
@@ -499,7 +501,7 @@ def oracle_check_subspace(a, basis, k: int,
     tol = Tolerances() if tol is None else tol
     rng = np.random.default_rng(0)
     a, mats = require_operands(a, basis, k)
-    norm_a, *norms_w = _operand_norms(a, mats, k)
+    _, (norm_a, *norms_w) = _operand_norms(a, mats, k)
     if not mats:
         return Decision(verdict=Verdict.NO_COUNTEREXAMPLE, margin=0.0,
                         scale=tol.margin_scale(norm_a, 0.0),
@@ -559,7 +561,7 @@ def oracle_check_parallel(a, b, k: int,
     """
     tol = Tolerances() if tol is None else tol
     a, (b,) = require_operands(a, [b], k)
-    norm_a, norm_b = _operand_norms(a, [b], k)
+    _, (norm_a, norm_b) = _operand_norms(a, [b], k)
     scale, triangle = tol.margin_scale(norm_a, norm_b), norm_a + norm_b
     allowance = 64.0 * a.shape[0] * np.finfo(float).eps * triangle
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
 from .linalg import (
     SpectralPartition,
     SvdFrame,
@@ -109,13 +108,11 @@ class SubdifferentialFrame:
         vectors with coordinates X in the boundary cluster."""
         return np.hstack([self.v1, self.v2 @ cols])
 
-    def contains(self, t: np.ndarray, tol: float = 1e-8) -> bool:
-        """Whether the checked matrix T is a boundary coefficient: Hermitian
+    def contains(self, t: np.ndarray, tol: float) -> bool:
+        """Whether T, a finite matrix of the boundary block's shape that the
+        caller has already checked, is a boundary coefficient: Hermitian
         with 0 <= T <= I and tr T = q when s_k > 0, a contraction with
         singular values summing to at most q when s_k = 0."""
-        shape = (self.u2_wide.shape[1], self.v2.shape[1])
-        if t.shape != shape:
-            raise ShapeMismatch(f"T shape {t.shape} != {shape}")
         q = self.part.q
         if self.degenerate_zero:
             s = np.linalg.svd(t, compute_uv=False)
@@ -127,17 +124,18 @@ class SubdifferentialFrame:
                 and abs(float(np.real(np.trace(t))) - q) <= tol * max(1, q))
 
 
-def build_frame(a, k: int,
-                cluster_tol: float | None = None) -> SubdifferentialFrame:
-    """Compute the SVD of ``a`` and split it around the cluster of s_k."""
+def build_frame(a, k: int) -> SubdifferentialFrame:
+    """Compute the SVD of ``a`` and split it around the cluster of s_k at
+    the default clustering width."""
     a, _ = require_operands(a, [], k)
-    return frame_of(a, k, cluster_tol)
+    return frame_of(a, k)
 
 
 def frame_of(a: np.ndarray, k: int,
              cluster_tol: float | None = None) -> SubdifferentialFrame:
-    """``build_frame`` of a matrix and k that an entry point has already
-    checked: nothing is validated again."""
+    """``build_frame`` of a matrix, k and clustering width (None for the
+    default) that an entry point has already checked: nothing is
+    validated again."""
     fr = svd_frame(a)
     s1 = float(fr.s[0]) if fr.s.size else 0.0
     ct = default_cluster_tol(s1) if cluster_tol is None else float(cluster_tol)

@@ -185,6 +185,34 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+def test_check_exits_3_on_a_boundary_verdict(tmp_path, capsys):
+    # the refuted diag(2, 1) + I example again, with a strict band so wide
+    # that its margin of -2 at scale 5 falls between the two thresholds
+    path = write_pair(tmp_path, np.diag([2.0, 1.0]), np.eye(2), 2,
+                      tolerances=Tolerances(decide=1e-7, strict=0.5))
+    for oracle in ((), ("--oracle",)):
+        code, out, _ = run(capsys, "check", path, *oracle)
+        assert code == 3, out
+        assert "verdict=BOUNDARY" in out
+
+
+def test_check_refuses_subspace_mode_without_a_subspace(tmp_path, capsys):
+    path = write_pair(tmp_path, np.diag([2.0, 1.0]), np.eye(2), 2)
+    code, _, err = run(capsys, "check", path, "--mode", "subspace")
+    assert code == 2
+    assert "subspace list" in err
+
+
+def test_sweep_plot_refuses_a_grid_below_8(tmp_path, capsys):
+    path = write_pair(tmp_path, np.diag([2.0, 1.0]), np.eye(2), 2)
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep-plot", path, "--out", str(out_path),
+                       "--grid", "7")
+    assert code == 2
+    assert "--grid" in err
+    assert not out_path.exists()
+
+
 def test_problem_tolerances_change_bands(tmp_path, capsys):
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -329,6 +357,33 @@ def test_verify_fails_a_certificate_of_another_verdict(tmp_path, capsys):
         assert "[FAIL] proves_verdict" in out
     # the parallel pair is not orthogonal at all
     assert run(capsys, "check", parallel)[0] == 1
+
+
+@pytest.mark.parametrize("mode,verdict,edited", [
+    ("pair", "ORTHOGONAL", "BOUNDARY"),
+    ("parallel", "PARALLEL", "NOT_PARALLEL"),
+])
+def test_verify_refuses_a_proof_of_an_edited_verdict(tmp_path, capsys, mode,
+                                                     verdict, edited):
+    # every clause of the certificate still passes, but an ORTHOGONAL or
+    # PARALLEL certificate proves neither BOUNDARY nor NOT_PARALLEL
+    from kyfanorth.generate import make_orthogonal_pair, make_parallel_pair
+
+    rng = np.random.default_rng(4)
+    maker = make_orthogonal_pair if mode == "pair" else make_parallel_pair
+    a, b, _ = maker(4, 2, rng)
+    path = write_pair(tmp_path, a, b, 2)
+    report_path = str(tmp_path / "r.json")
+    assert run(capsys, "check", path, "--mode", mode,
+               "--report", report_path)[0] == 0
+    assert load_report(report_path).verdict.value == verdict
+    code, out, _ = run(capsys, "verify", path,
+                       _edit_report(report_path, verdict=edited), "--json")
+    assert code == 1
+    outcome = json.loads(out)
+    assert outcome["ok"] is False
+    failed = [c["name"] for c in outcome["checks"] if not c["pass"]]
+    assert failed == ["proves_verdict"]
 
 
 def test_verify_reads_a_real_field_pair_through_real_certificates(tmp_path,
@@ -630,6 +685,8 @@ def test_gen_refuses_the_real_field_for_complex_only_kinds(tmp_path, capsys,
     ("--kind", "parallel", "-n", "4", "-k", "5"),
     ("--kind", "singular", "-n", "4", "-k", "5"),
     ("--kind", "nonparallel", "-n", "1", "-k", "1"),
+    ("--kind", "subspace", "-n", "4", "-k", "2", "--m", "0", "--negative"),
+    ("--kind", "subspace", "-n", "4", "-k", "2", "--m", "-2"),
 ])
 def test_gen_refuses_an_impossible_layout(tmp_path, capsys, argv):
     out_path = tmp_path / "x.json"

@@ -1,19 +1,27 @@
-"""Operands are checked once, at the entry points.
+"""Each input is checked once, at its door.
 
-Every public decision, referee and ``verify_certificate`` opens with the
-one operand preamble, and the kernels below it trust the arrays it
-returns. These tests pin both halves: a non-finite operand is refused at
-every entry (a failing clause, never an exception, in the verifier), and a
-refutation op checks each of its operands once.
+There are three doors: the operand preamble that every public decision,
+referee and ``verify_certificate`` opens with, ``Tolerances`` for the
+bands and widths, and the file decoder for problems and reports. The
+kernels below them trust what they are given. These tests pin both halves:
+a non-finite operand is refused at every entry (a failing clause, never an
+exception, in the verifier), a malformed file is a parse error before any
+decision, a refutation op checks each of its operands once, and no trusted
+kernel raises an argument error of its own.
 """
 
+import ast
 import importlib
+import json
+import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kyfanorth
+import kyfanorth.cli
 from kyfanorth.decide import (
     check_pair,
     check_parallel,
@@ -26,8 +34,9 @@ from kyfanorth.generate import (
     make_orthogonal_pair,
     make_subspace_instance,
 )
+from kyfanorth.io import encode_problem, save_report
 from kyfanorth.linalg import as_matrix
-from kyfanorth.model import CertKind, Verdict
+from kyfanorth.model import CertKind, Tolerances, Verdict
 from kyfanorth.oracle import (
     oracle_check_pair,
     oracle_check_parallel,
@@ -127,7 +136,6 @@ def test_a_refutation_checks_each_operand_once(monkeypatch):
 
 
 def test_the_referee_takes_both_operand_norms_from_one_svd(monkeypatch):
-    a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(5))
     svd = np.linalg.svd
     inputs = []
 
@@ -136,6 +144,106 @@ def test_the_referee_takes_both_operand_norms_from_one_svd(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
-    oracle_check_pair(a, b, 2)
-    assert np.array_equal(inputs[0], np.stack([a, b]))
-    assert not any(m.shape == (4, 4) for m in inputs)
+    # an ORTHOGONAL reading also runs the near-tie rule on A's spectrum,
+    # which comes from that same batched call
+    for maker, verdict in ((make_nonorthogonal_pair, Verdict.NOT_ORTHOGONAL),
+                           (make_orthogonal_pair, Verdict.ORTHOGONAL)):
+        a, b, _ = maker(4, 2, np.random.default_rng(5))
+        inputs.clear()
+        assert oracle_check_pair(a, b, 2).verdict is verdict
+        assert np.array_equal(inputs[0], np.stack([a, b]))
+        assert not any(m.shape == (4, 4) for m in inputs)
+
+
+# the kernels below the doors, by module, and the errors that would mean
+# one re-checks an argument; svd_frame's NoConvergence reports a LAPACK
+# failure, not a bad argument
+_TRUSTED = {"linalg": {"cluster_spectrum", "svd_frame"},
+            "norms": {"ky_fan_sum"},
+            "subdiff": {"frame_of", "contains"}}
+_ARGUMENT_ERRORS = {"ShapeMismatch", "KOutOfRange", "NonFinite", "ValueError"}
+_CHECKS = {"as_matrix", "require_square", "require_k", "require_operands",
+           "require_field"}
+
+
+def _called_name(node):
+    func = node.func if isinstance(node, ast.Call) else node
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def test_trusted_kernels_raise_no_argument_error():
+    package = Path(kyfanorth.__file__).parent
+    found, offences = set(), []
+    for module, names in _TRUSTED.items():
+        tree = ast.parse((package / f"{module}.py").read_text("utf-8"))
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in names):
+                continue
+            found.add(fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Raise) and node.exc is not None \
+                        and _called_name(node.exc) in _ARGUMENT_ERRORS:
+                    offences.append(f"{fn.name} raises line {node.lineno}")
+                if isinstance(node, ast.Call) and _called_name(node) in _CHECKS:
+                    offences.append(f"{fn.name} checks line {node.lineno}")
+    assert found == set().union(*_TRUSTED.values())
+    assert offences == []
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cluster", math.nan), ("cluster", -1.0), ("cluster", math.inf),
+    ("strict", math.inf), ("strict", math.nan), ("decide", math.nan),
+    ("decide", 1e-5), ("cert", math.inf), ("cert", math.nan), ("cert", 0.0),
+])
+def test_tolerances_refuse_a_bad_value(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: value})
+
+
+def test_tolerances_keep_any_finite_clustering_width():
+    # a width at zero splits every distinct value, a large one is the
+    # user's choice
+    for width in (0.0, 1e-300, 1e9):
+        assert Tolerances(cluster=width).cluster == width
+
+
+# problem files that must stop at the decoder: a clustering width of NaN
+# would otherwise tie every singular value and read this refuted pair
+# ORTHOGONAL, and "k": 2.7 would be read as k = 2
+_REFUSED_FILES = {
+    "cluster_nan": ("tolerances", {"cluster": math.nan}),
+    "cluster_negative": ("tolerances", {"cluster": -1}),
+    "cluster_infinite": ("tolerances", {"cluster": math.inf}),
+    "strict_infinite": ("tolerances", {"strict": math.inf}),
+    "cert_infinite": ("tolerances", {"cert": math.inf}),
+    "k_fraction": ("k", 2.7),
+    "k_boolean": ("k", True),
+    "k_string": ("k", "2"),
+    "rows_fraction": ("rows", 1.9),
+    "subspace_nested": ("subspace", [["b"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_FILES))
+def test_a_refused_problem_file_builds_no_decision(tmp_path, capsys,
+                                                   monkeypatch, case):
+    a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))
+    obj = encode_problem({"a": a, "b": b}, 2)
+    key, value = _REFUSED_FILES[case]
+    (obj["matrices"]["b"] if key == "rows" else obj)[key] = value
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(obj), encoding="utf-8")
+    report = tmp_path / "r.json"
+    save_report(report, check_pair(a, b, 2))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a decision was built from a refused file")
+
+    for name in ("check_pair", "check_parallel", "check_subspace",
+                 "verify_certificate", "oracle_check_pair"):
+        monkeypatch.setattr(kyfanorth.cli, name, refused)
+    for argv in (["check", str(problem)], ["verify", str(problem), str(report)]):
+        assert kyfanorth.cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")

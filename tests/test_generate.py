@@ -79,3 +79,13 @@ def test_subspace_instance_shapes(rng):
     assert label["expected"] == "ORTHOGONAL"
     a, basis, label = make_subspace_instance(5, 2, 4, rng, orthogonal=False)
     assert label["expected"] == "NOT_ORTHOGONAL"
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_subspace_instance_refuses_an_empty_basis_before_any_draw(m):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for orthogonal in (True, False):
+        with pytest.raises(ValueError, match="m >= 1"):
+            make_subspace_instance(5, 2, m, rng, orthogonal=orthogonal)
+    assert rng.bit_generator.state == state

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,87 @@ def test_report_decode_validation(rng):
     no_margin = {k: v for k, v in good.items() if k != "margin"}
     with pytest.raises(ParseError):
         decode_report(no_margin)
+
+
+def _good_problem():
+    return encode_problem({"a": np.diag([2.0, 1.0]), "b": np.eye(2)}, 1)
+
+
+def _good_report():
+    a, b = np.diag([2.0, 1.0]), np.eye(2)
+    return encode_report(check_pair(a, b, 1))
+
+
+def _edited(obj, path, value):
+    """A copy of ``obj`` with the entry at ``path`` (a tuple of keys) set to
+    ``value``."""
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+# (what is decoded, where, the value put there, what the error names)
+_MALFORMED = [
+    ("problem", (), None, "top-level object"),
+    ("problem", ("schema_version",), True, "schema_version"),
+    ("problem", ("schema_version",), 1.0, "schema_version"),
+    ("problem", ("matrices", "a"), [1.0], "expected an object"),
+    ("problem", ("matrices", "a", "rows"), 1.9, "rows must be an integer"),
+    ("problem", ("matrices", "a", "cols"), "2", "cols must be an integer"),
+    ("problem", ("matrices", "a", "re"), ["one", 0.0, 0.0, 1.0],
+     "entries must be numbers"),
+    ("problem", ("matrices", "a", "im"), [0.0, _NAN, 0.0, 0.0],
+     "entries must be finite"),
+    ("problem", ("k",), 2.7, "k must be an integer"),
+    ("problem", ("k",), True, "k must be an integer"),
+    ("problem", ("k",), "2", "k must be an integer"),
+    ("problem", ("k",), None, "k must be an integer"),
+    ("problem", ("tolerances",), [1e-7], "tolerances: expected an object"),
+    ("problem", ("tolerances",), {"cert": "1e-8"}, "cert must be a number"),
+    ("problem", ("tolerances",), {"decide": True}, "decide must be a number"),
+    ("problem", ("tolerances",), {"cluster": _NAN}, "cluster"),
+    ("problem", ("tolerances",), {"cluster": -1}, "cluster"),
+    ("problem", ("tolerances",), {"strict": _INF}, "strict"),
+    ("problem", ("subspace",), "b", "subspace must be a list"),
+    ("problem", ("subspace",), [["b"]], "names no matrix"),
+    ("problem", ("label",), ["kind"], "label must be an object"),
+    ("report", (), [], "top-level object"),
+    ("report", ("margin",), "0.5", "margin must be a number"),
+    ("report", ("scale",), None, "scale must be a number"),
+    ("report", ("certificate",), "VIOLATION", "expected an object"),
+    ("report", ("certificate", "kind"), "ORACLE", "unknown kind"),
+    ("report", ("certificate", "coefficient"), [1.0], "must be [re, im]"),
+    ("report", ("certificate", "coefficient"), ["-1", 0.0],
+     "coefficient must be a number"),
+    ("report", ("certificate", "norm_value"), True,
+     "norm_value must be a number"),
+    ("report", ("certificate", "details"), ["chord_rate"],
+     "details must be an object"),
+    ("report", ("tolerances", "cert"), _INF, "cert"),
+]
+
+
+@pytest.mark.parametrize("what,path,value,names", _MALFORMED)
+def test_every_malformed_file_is_a_parse_error(what, path, value, names):
+    decode = decode_problem if what == "problem" else decode_report
+    good = _good_problem() if what == "problem" else _good_report()
+    assert decode(good) is not None
+    # a path of () replaces the whole object
+    bad = value if path == () else _edited(good, path, value)
+    with pytest.raises(ParseError, match=re.escape(names)):
+        decode(bad)
+
+
+def test_a_missing_matrix_and_a_1d_array_are_parse_errors():
+    with pytest.raises(ParseError, match="no matrix named 'w0'"):
+        decode_problem(_good_problem()).matrix("w0")
+    with pytest.raises(ParseError, match="2-d"):
+        encode_matrix(np.ones(3))
 
 
 def _dense_density_report(decision) -> dict:

@@ -712,6 +712,20 @@ def test_parallel_bracket_holds_the_peak():
     assert seen == {Verdict.PARALLEL, Verdict.NOT_PARALLEL, Verdict.BOUNDARY}
 
 
+def test_capped_peak_search_reads_boundary(monkeypatch):
+    # a parallel pair needs a refinement round past its first ring; with no
+    # budget for one the referee reads BOUNDARY and says why
+    a, b, _ = make_parallel_pair(4, 2, np.random.default_rng(0))
+    assert oracle_check_parallel(a, b, 2).verdict is Verdict.PARALLEL
+    monkeypatch.setattr(kyfanorth.oracle, "_PEAK_CAP",
+                        kyfanorth.oracle._RING_PHASES)
+    d = oracle_check_parallel(a, b, 2)
+    assert d.verdict is Verdict.BOUNDARY
+    assert d.details["peak_evals"] == kyfanorth.oracle._RING_PHASES
+    assert "arcs still open" in d.details["peak_reason"]
+    assert d.details["peak"] <= d.details["peak_upper_bound"]
+
+
 def test_sample_range_points_hermitian_case(rng):
     # classical numerical range of diag(1,-1) is the segment [-1, 1]
     a = np.eye(2, dtype=complex)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kyfanorth
+from kyfanorth.generate import make_singular_pair
 from kyfanorth.norms import ky_fan_norm
 from kyfanorth.subdiff import (
     build_frame,
@@ -85,6 +86,18 @@ def test_sampled_subgradients_are_members(seed, k):
     a = complex_gauss(rng, 4, 4)
     g = sample_subgradient(a, k, rng=rng)
     assert subgradient_membership(a, k, g, tol=1e-8)
+
+
+def test_sampled_subgradients_at_a_zero_s_k_are_members():
+    # rank 1 below k = 2: the boundary cluster is the zero tail, and each
+    # draw mixes left vectors from anywhere in it
+    rng = np.random.default_rng(9)
+    a, _, _ = make_singular_pair(5, 2, rng, rank=1)
+    frame = build_frame(a, 2)
+    assert frame.degenerate_zero
+    for _ in range(20):
+        g = sample_subgradient(a, 2, rng=rng, frame=frame)
+        assert subgradient_membership(a, 2, g, tol=1e-8)
 
 
 def test_membership_rejects_scaled(rng):

@@ -151,6 +151,19 @@ def test_cap_hit_is_recorded():
         assert abs(out.value - out.bound) > 1e-15
 
 
+def test_sweep_stops_when_no_new_angle_is_left():
+    # exposed points that contradict their support values keep every arc
+    # open, yet each arc's bound sits at an angle already sampled: the sweep
+    # stops after its first batch rather than repeat it, and says so
+    def inconsistent(th):
+        return np.ones(th.size), np.zeros(th.size, dtype=complex)
+
+    out = swept_minimum(inconsistent, tol_abs=1e-9)
+    assert out.capped
+    assert (out.evals, out.rounds) == (8, 0)
+    assert out.bound <= 0.0 < out.value
+
+
 def _tied_pair():
     a, b, _ = make_orthogonal_pair(24, 4, np.random.default_rng(24), q=4,
                                    r=20)
