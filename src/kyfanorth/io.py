@@ -80,6 +80,15 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _object(value, what: str) -> dict:
+    """A JSON object, or {} for an absent one."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def _require_version(obj, what: str):
     version = obj.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
@@ -102,11 +111,15 @@ def decode_matrix(obj, name: str = "matrix") -> np.ndarray:
     if len(re) != rows * cols or len(im) != rows * cols:
         raise ParseError(
             f"{name}: entry count {len(re)}/{len(im)} != rows*cols {rows * cols}")
+    # NumPy would parse "1e0" and cast true: only JSON numbers pass
+    if not set(map(type, re)).union(map(type, im)) <= {int, float}:
+        raise ParseError(f"{name}: entries must be numbers")
     try:
         real = np.asarray(re, dtype=float).reshape(rows, cols)
         imag = np.asarray(im, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{name}: entries must be numbers") from exc
+    except OverflowError as exc:
+        # an integer past the largest double
+        raise ParseError(f"{name}: entries must be finite") from exc
     m = real + 1j * imag
     if not np.all(np.isfinite(real)) or not np.all(np.isfinite(imag)):
         raise ParseError(f"{name}: entries must be finite")
@@ -223,9 +236,7 @@ def decode_problem(obj) -> Problem:
     tolerances = None
     if obj.get("tolerances") is not None:
         tolerances = _decode_tolerances(obj["tolerances"])
-    label = obj.get("label") or {}
-    if not isinstance(label, dict):
-        raise ParseError("problem: label must be an object")
+    label = _object(obj.get("label"), "problem: label")
     return Problem(matrices=matrices, k=k, field=field_name,
                    subspace=subspace, tolerances=tolerances, label=label)
 
@@ -280,9 +291,7 @@ def decode_certificate(obj) -> Certificate:
         mults = [_integer(m, "certificate: multiplicities") for m in mults]
         factors = [decode_matrix(x, name=f"certificate.factors[{i}]")
                    for i, x in enumerate(factors)]
-    details = obj.get("details") or {}
-    if not isinstance(details, dict):
-        raise ParseError("certificate: details must be an object")
+    details = _object(obj.get("details"), "certificate: details")
     return Certificate(kind=kind, coefficient=coefficient,
                        norm_value=norm_value, factors=factors,
                        multiplicities=mults, details=details, **matrices)
@@ -322,12 +331,15 @@ def decode_report(obj) -> Report:
     certificate = None
     if obj.get("certificate") is not None:
         certificate = decode_certificate(obj["certificate"])
+    method = obj.get("method", "")
+    if not isinstance(method, str):
+        raise ParseError(f"report: method must be a string, got {method!r}")
     # older reports carry a "seed" that nothing reads: it is ignored
-    details = obj.get("details") or {}
-    timings = obj.get("timings") or {}
     return Report(verdict=verdict, margin=margin, scale=scale,
-                  method=str(obj.get("method", "")), tolerances=tolerances,
-                  certificate=certificate, details=details, timings=timings)
+                  method=method, tolerances=tolerances,
+                  certificate=certificate,
+                  details=_object(obj.get("details"), "report: details"),
+                  timings=_object(obj.get("timings"), "report: timings"))
 
 
 def _load_json(path):

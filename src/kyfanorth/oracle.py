@@ -8,8 +8,8 @@ two sides is meaningful evidence. The margin estimator uses chord rates
 (f(c) - f(0)) / |c|, which by convexity are upper bounds on the one-sided
 derivative at 0 for every sampled scalar c, so the sampled minimum can
 undershoot the true margin only by floating-point noise. Fan's bound only
-decides which probe phases need no evaluation; every chord it reports is a
-norm evaluation.
+decides which probe phases need no evaluation and, where it can, proves
+that no scalar dips the norm; every chord reported is a norm evaluation.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ _PROBE_STRIDE = 32
 _REFINE_ROUNDS = 7
 _TAIL_RADII = 13
 _AROUND = np.r_[0:8, 9:17]
+
+# sectors of the dip annulus that the probe's Fan minorants are read on
+# before the dip check runs
+_CLEARANCE_ARCS = 1024
 
 # span directions the subspace referee samples, the basis matrices first,
 # and the norm evaluations after which the parallel referee gives up
@@ -289,19 +293,17 @@ def fd_directional(a, x, k: int, t: float) -> float:
     return (ky_fan_sum(a + t * x, k) - ky_fan_sum(a, k)) / t
 
 
-def _chord_floors(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
-                  norm_b: float, known: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Lower bounds on the computed chord rates at the scalars ``cs``, from
-    Fan minorants taken at the scalars ``known``.
+def _fan_minorants(a: np.ndarray, b: np.ndarray, k: int,
+                   known: np.ndarray) -> tuple:
+    """Fan minorants of c -> ||A + c B||_(k) taken at the scalars ``known``.
 
     Fan's formula ||M||_(k) = max Re tr(U* M V) over n x k isometries U, V
-    makes the top-k singular vectors of A + c_j B an affine minorant
-    c -> Re tr(U* A V) + Re(c tr(U* B V)) of ||A + c B||_(k). Computed
-    vectors are isometries only up to a defect d = k (max |U*U - I| +
-    max |V*V - I|), and ||U|| ||V|| <= 1 + d, so the minorant stands less
-    d (||A||_(k) + |c| ||B||_(k)). The traces, the sum A + c B and the
-    values-only SVD that computes the chords round by a further 64 n eps
-    of that size.
+    makes the top-k singular vectors U_j, V_j of A + c_j B an affine
+    minorant c -> alpha_j + Re(c beta_j), alpha_j = Re tr(U_j* A V_j) and
+    beta_j = tr(U_j* B V_j). Computed vectors are isometries only up to a
+    defect d = k (max |U*U - I| + max |V*V - I|), and ||U|| ||V|| <= 1 + d,
+    so each minorant stands less d (||A||_(k) + |c| ||B||_(k)). Returns
+    (alpha, beta, d).
     """
     u, _, vh = np.linalg.svd(a[None, :, :] + known[:, None, None] * b[None, :, :])
     u, vh = u[:, :, :k], vh[:, :k, :]
@@ -312,11 +314,64 @@ def _chord_floors(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     polar = (u @ vh).conj()
     alpha = np.einsum("jpq,pq->j", polar, a).real
     beta = np.einsum("jpq,pq->j", polar, b)
+    return alpha, beta, defect
+
+
+def _chord_floors(minorants: tuple, n: int, norm_a: float, norm_b: float,
+                  cs: np.ndarray) -> np.ndarray:
+    """Lower bounds on the computed chord rates at the scalars ``cs``, from
+    the Fan minorants (``_fan_minorants``) of n x n operands. The traces,
+    the sum A + c B and the values-only SVD that computes the chords round
+    by 64 n eps (||A||_(k) + |c| ||B||_(k)) beyond the isometry defect."""
+    alpha, beta, defect = minorants
     lower = (alpha[:, None] + (beta[:, None] * cs[None, :]).real).max(axis=0)
     radius = np.abs(cs)
-    slack = (defect + 64.0 * a.shape[0] * np.finfo(float).eps) \
+    slack = (defect + 64.0 * n * np.finfo(float).eps) \
         * (norm_a + radius * norm_b)
     return (lower - norm_a - slack) / radius
+
+
+@functools.cache
+def _clearance_arcs(count: int) -> tuple:
+    """The cosines and sines of the centres of ``count`` equal arcs of the
+    circle, as a (count, 2) array, and the arcs' width; built once per count
+    and shared read-only."""
+    width = _TWO_PI / count
+    centres = width * (np.arange(count) + 0.5)
+    trig = np.stack([np.cos(centres), np.sin(centres)], axis=1)
+    trig.setflags(write=False)
+    return trig, width
+
+
+def _minorants_clear(minorants: tuple, n: int, norm_a: float, norm_b: float,
+                     depth: float) -> bool:
+    """Whether the Fan minorants alone prove what ``_dip_check`` proves: no
+    scalar c has ||A + c B||_(k) < ||A||_(k) - depth.
+
+    A dip lies in the annulus t0 = depth/||B||_(k) <= |c| <= reach =
+    2 ||A||_(k)/||B||_(k) (see ``_dip_check``), cut here into
+    ``_CLEARANCE_ARCS`` sectors of width w. On a sector with centre phase
+    phi, Re(c beta_j) >= |c| (Re(e^{i phi} beta_j) - |beta_j| w/2), so
+    minorant j bounds f(c) - ||A||_(k) below by an affine function of |c|,
+    less ``_chord_floors``' slack (d + 64 n eps) and ``_dip_check``'s own
+    rounding allowance 64 n eps, each times ||A||_(k) + |c| ||B||_(k). An
+    affine function is least at an end radius, so the sector is cleared
+    when for some j that bound is at least -depth at both t0 and reach.
+    """
+    if depth >= 2.0 * norm_a:
+        # the annulus is empty, as in _dip_check
+        return True
+    alpha, beta, defect = minorants
+    t0, reach = depth / norm_b, 2.0 * norm_a / norm_b
+    slack = defect + 128.0 * n * np.finfo(float).eps
+    base = alpha - norm_a - slack * norm_a
+    trig, width = _clearance_arcs(_CLEARANCE_ARCS)
+    # the least Re(e^{i phi} beta_j) at a sector's centre phi that holds
+    # minorant j's bound at or above -depth at both end radii
+    need = (np.maximum((-depth - base) / t0, (-depth - base) / reach)
+            + 0.5 * width * np.abs(beta) + slack * norm_b)
+    rates = trig @ np.stack([beta.real, -beta.imag])
+    return bool((rates >= need).any(axis=1).all())
 
 
 @functools.cache
@@ -349,16 +404,25 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     magnitudes down to 1e-7 of the combined norm scale along it. Every
     sample is a chord and hence at least the true margin; the reported value
     approaches the margin from above as the smallest magnitudes dominate.
-    Returns (margin, phase, details): ``chord_point`` is the scalar c of the
-    reported chord, ``chord_evals`` counts the norm evaluations (the two
-    norms in hand included), ``probe_evals`` the probe phases evaluated and
-    ``probe_minorants`` the SVDs with vectors taken for Fan minorants.
+    Returns (margin, phase, details, minorants): ``chord_point`` is the
+    scalar c of the reported chord, ``chord_evals`` counts the norm
+    evaluations (the two norms in hand included), ``probe_evals`` the probe
+    phases evaluated, ``probe_minorants`` the SVDs with vectors taken for
+    Fan minorants and ``refine_rounds`` the refinement rounds run;
+    ``minorants`` is what ``_fan_minorants`` returned, or None when none
+    were taken.
 
     The probe evaluates every ``_PROBE_STRIDE``-th phase, builds a Fan
-    minorant at each (``_chord_floors``) and then evaluates only the
-    phases whose chord floor is not strictly above the lowest chord seen.
-    A skipped phase has a chord strictly above the minimum, so the probe's
+    minorant at each and then evaluates only the phases whose chord floor
+    (``_chord_floors``) is not strictly above the lowest chord seen. A
+    skipped phase has a chord strictly above the minimum, so the probe's
     minimum and its first argmin are those of a scan of every phase.
+
+    Each refinement round evaluates 16 phases around the best one, at a
+    fifth of the last round's spacing. After a round whose 17 chords span
+    no more than the rounding allowance of a chord at the probe radius,
+    64 n eps (||A||_(k) + t ||B||_(k)) / t, the window is flat to rounding
+    and the rounds stop, at most ``_REFINE_ROUNDS`` of them.
 
     A chord below ``proof`` already proves the margin below that level, so
     the scan stops after the first batch that holds one (the strided probe,
@@ -367,7 +431,8 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     """
     if norm_b <= 0:
         return 0.0, 0.0, {"chord_point": 0j, "chord_evals": 2,
-                          "probe_evals": 0, "probe_minorants": 0}
+                          "probe_evals": 0, "probe_minorants": 0,
+                          "refine_rounds": 0}, None
     norms = _Scalars(a, b, k)
 
     def chords(cs):
@@ -388,11 +453,12 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     # a probe no longer than the stride is evaluated whole
     done[::_PROBE_STRIDE if thetas.size > _PROBE_STRIDE else 1] = True
     probe[done] = chords(cs[done])
-    minorants = 0
+    minorants = None
     if not done.all() and not probe.min() < proof:
-        minorants = int(done.sum())
+        minorants = _fan_minorants(a, b, k, cs[done])
         rest = np.flatnonzero(~done)
-        floors = _chord_floors(a, b, k, norm_a, norm_b, cs[done], cs[rest])
+        floors = _chord_floors(minorants, a.shape[0], norm_a, norm_b,
+                               cs[rest])
         # only a floor strictly above the best rules a phase out: a tie
         # keeps argmin's first index, and a NaN floor rules nothing out
         rest = rest[~(floors > probe.min())]
@@ -401,11 +467,12 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
             done[rest] = True
     i = int(np.argmin(probe))
     best, theta, point = float(probe[i]), float(thetas[i]), cs[i]
+    rounds = 0
     if field != REAL_FIELD:
         width = _TWO_PI / _PROBE_PHASES
-        for _ in range(_REFINE_ROUNDS):
-            if best < proof:
-                break
+        flat = 64.0 * a.shape[0] * np.finfo(float).eps \
+            * (norm_a + t_probe * norm_b) / t_probe
+        while rounds < _REFINE_ROUNDS and not best < proof:
             # local[8] is theta itself, whose chord is best
             local = theta + np.linspace(-width, width, 17)
             vals, points = np.full(17, best), np.full(17, point)
@@ -414,16 +481,20 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
             j = int(np.argmin(vals))
             best, theta, point = float(vals[j]), float(local[j]), points[j]
             width *= 0.2
+            rounds += 1
+            if vals.max() - vals.min() <= flat:
+                break
     if not best < proof:
         along = ts * cmath.exp(1j * theta)
         tail = chords(along)
         j = int(np.argmin(tail))
         if tail[j] < best:
             best, point = float(tail[j]), along[j]
-    return best, theta % _TWO_PI, {"chord_point": complex(point),
-                                   "chord_evals": 2 + norms.evals,
-                                   "probe_evals": int(done.sum()),
-                                   "probe_minorants": minorants}
+    taken = 0 if minorants is None else minorants[0].size
+    details = {"chord_point": complex(point), "chord_evals": 2 + norms.evals,
+               "probe_evals": int(done.sum()), "probe_minorants": taken,
+               "refine_rounds": rounds}
+    return best, theta % _TWO_PI, details, minorants
 
 
 def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
@@ -433,13 +504,15 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     The margin estimate comes from the chord scan, which stops at the first
     chord below -strict scale: by convexity that chord proves NOT_ORTHOGONAL,
     and it is the reported margin, at ``chord_point``. When the scan reads
-    ORTHOGONAL in the complex field, the only case a dip can overturn,
-    ``_dip_check`` either proves that no scalar c takes ||A + c B||_(k)
-    below ||A||_(k) - 1e-3 scale, or finds one, which demotes the answer to
-    BOUNDARY with ``grid_contradiction``; a check stopped by its cap demotes
-    it too, with the reason in ``dip_reason``. ``dip_status`` says which
-    happened: ``cleared``, ``dip``, ``capped``, ``skipped`` (any other chord
-    verdict) or ``real_field``.
+    ORTHOGONAL in the complex field, the only case a dip can overturn, the
+    probe's own Fan minorants (``_minorants_clear``) or, where they fall
+    short, ``_dip_check`` either prove that no scalar c takes
+    ||A + c B||_(k) below ||A||_(k) - 1e-3 scale, or the dip check finds
+    one, which demotes the answer to BOUNDARY with ``grid_contradiction``;
+    a check stopped by its cap demotes it too, with the reason in
+    ``dip_reason``. ``dip_status`` says which happened: ``cleared`` (with
+    ``dip_evals`` 0 when the minorants cleared it), ``dip``, ``capped``,
+    ``skipped`` (any other chord verdict) or ``real_field``.
 
     An ORTHOGONAL reading is demoted to BOUNDARY, with the gap in
     ``near_tie``, when a value distinct from s_k (beyond 64 n eps s_1) that
@@ -456,19 +529,22 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     a, (b,) = require_operands(a, [b], k)
     sv_a, (norm_a, norm_b) = _operand_norms(a, [b], k)
     scale = tol.margin_scale(norm_a, norm_b)
-    margin, theta, scan = _chord_scan(a, b, k, norm_a, norm_b, field,
-                                      -tol.strict * scale)
+    margin, theta, scan, minorants = _chord_scan(a, b, k, norm_a, norm_b,
+                                                 field, -tol.strict * scale)
     verdict = tol.band(margin, scale)
     details = {"field": field, "norm_a": norm_a, "norm_b": norm_b,
                "chord_phase": theta, **scan}
+    depth = 1e-3 * scale
     if field != COMPLEX_FIELD:
         # real scalars: the dip check scans complex ones
         details.update(dip_status="real_field", dip_evals=0)
     elif verdict is not Verdict.ORTHOGONAL:
         details.update(dip_status="skipped", dip_evals=0)
+    elif minorants is not None and _minorants_clear(
+            minorants, a.shape[0], norm_a, norm_b, depth):
+        details.update(dip_status="cleared", dip_evals=0)
     else:
-        details.update(_dip_check(a, b, k, norm_a, norm_b, 1e-3 * scale,
-                                  theta))
+        details.update(_dip_check(a, b, k, norm_a, norm_b, depth, theta))
         if details["dip_status"] != "cleared":
             verdict = Verdict.BOUNDARY
         if details["dip_status"] == "dip":
@@ -522,9 +598,9 @@ def oracle_check_subspace(a, basis, k: int,
         if fro <= 0:
             continue
         direction = combo / fro
-        margin, _, scan = _chord_scan(a, direction, k, norm_a,
-                                      ky_fan_sum(direction, k),
-                                      COMPLEX_FIELD, proof)
+        margin, _, scan, _ = _chord_scan(a, direction, k, norm_a,
+                                         ky_fan_sum(direction, k),
+                                         COMPLEX_FIELD, proof)
         worst = min(worst, margin)
         chord_evals += scan["chord_evals"]
         if worst < proof:

@@ -76,7 +76,7 @@ def _pair_corpus(rng, n, k, count):
 
 def test_c01_engine_matches_oracle_on_random_pairs():
     rng = np.random.default_rng(101)
-    probe_evals = []
+    probe_evals, refine_rounds = [], []
     for k in (1, 2, 3, 4):
         disagreements = 0
         boundary = 0
@@ -94,6 +94,12 @@ def test_c01_engine_matches_oracle_on_random_pairs():
             if orc.details["dip_status"] != "skipped":
                 assert orc.details["dip_status"] != "capped"
                 assert orc.details["dip_evals"] <= 1000
+            # the probe's own Fan minorants clear every ORTHOGONAL reading,
+            # and its refinement stops once the window is flat to rounding
+            if orc.verdict is Verdict.ORTHOGONAL:
+                assert orc.details["dip_status"] == "cleared"
+                assert orc.details["dip_evals"] == 0
+                refine_rounds.append(orc.details["refine_rounds"])
             if Verdict.BOUNDARY in (eng.verdict, orc.verdict):
                 boundary += 1
                 continue
@@ -105,6 +111,8 @@ def test_c01_engine_matches_oracle_on_random_pairs():
     # k-th singular value is not zero (a count, so no timing noise)
     assert len(probe_evals) >= 200, len(probe_evals)
     assert np.median(probe_evals) <= 128, np.median(probe_evals)
+    assert len(refine_rounds) >= 250, len(refine_rounds)
+    assert np.median(refine_rounds) <= 4, np.median(refine_rounds)
 
 
 def test_c02_pair_and_block_criteria_cross_consistent():

@@ -460,7 +460,8 @@ def test_witness_block_degenerate(rng):
 @pytest.mark.parametrize("eps", [2.8e-7, 4.9e-7])
 def test_witness_block_degenerate_across_orthogonal_band(eps):
     # margin -eps lies in the ORTHOGONAL band (decide*scale = 5e-7) while
-    # the waterfilling overflow, equal to eps, must pass the block equation
+    # the closed-form contraction's overflow of its budget, equal to eps,
+    # must pass the block equation
     a = np.diag([2.0, 1.0, 0.0]).astype(complex)
     b = np.diag([1.0 + eps, 0.0, 1.0]).astype(complex)
     d = check_pair(a, b, 3)

@@ -220,6 +220,7 @@ _REFUSED_FILES = {
     "k_boolean": ("k", True),
     "k_string": ("k", "2"),
     "rows_fraction": ("rows", 1.9),
+    "entries_strings_and_booleans": ("re", ["2", True, 0, "1e0"] * 4),
     "subspace_nested": ("subspace", [["b"]]),
 }
 
@@ -230,7 +231,7 @@ def test_a_refused_problem_file_builds_no_decision(tmp_path, capsys,
     a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))
     obj = encode_problem({"a": a, "b": b}, 2)
     key, value = _REFUSED_FILES[case]
-    (obj["matrices"]["b"] if key == "rows" else obj)[key] = value
+    (obj["matrices"]["b"] if key in ("rows", "re") else obj)[key] = value
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(obj), encoding="utf-8")
     report = tmp_path / "r.json"
@@ -242,7 +243,9 @@ def test_a_refused_problem_file_builds_no_decision(tmp_path, capsys,
     for name in ("check_pair", "check_parallel", "check_subspace",
                  "verify_certificate", "oracle_check_pair"):
         monkeypatch.setattr(kyfanorth.cli, name, refused)
-    for argv in (["check", str(problem)], ["verify", str(problem), str(report)]):
+    sweep = ["sweep-plot", str(problem), "--out", str(tmp_path / "s.csv")]
+    for argv in (["check", str(problem)], ["verify", str(problem), str(report)],
+                 sweep):
         assert kyfanorth.cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -199,6 +199,22 @@ _MALFORMED = [
     ("report", ("certificate", "details"), ["chord_rate"],
      "details must be an object"),
     ("report", ("tolerances", "cert"), _INF, "cert"),
+    # matrix entries are JSON numbers only, and a report's method, details
+    # and timings have their declared types
+    ("problem", ("matrices", "a", "re"), ["2", True, 0, "1e0"],
+     "entries must be numbers"),
+    ("problem", ("matrices", "a", "re"), [2.0, True, 0, 1.0],
+     "entries must be numbers"),
+    ("problem", ("matrices", "a", "im"), [0.0, "0", 0.0, 0.0],
+     "entries must be numbers"),
+    ("problem", ("matrices", "a", "re"), [10**400, 0, 0, 1],
+     "entries must be finite"),
+    ("problem", ("label",), [], "label must be an object"),
+    ("report", ("method",), 5, "method must be a string"),
+    ("report", ("method",), None, "method must be a string"),
+    ("report", ("details",), [1], "details must be an object"),
+    ("report", ("details",), [], "details must be an object"),
+    ("report", ("timings",), "x", "timings must be an object"),
 ]
 
 
