@@ -3,22 +3,22 @@
 A matrix A is orthogonal to B when ||A + c*B||_(k) >= ||A||_(k) for every
 scalar c. By convex duality this holds iff 0 lies in the attainable set
 K = {tr(G* B) : G a subgradient of the norm at A}, a compact convex subset
-of the plane. The engine models K exactly through the spectral frame of A
-(a fixed complex offset plus a q-trace numerical range of the boundary
-compression), reads the decision off the minimum of its support function
-via a sweep certified by the hull of exposed points of K (the inner and
-outer polygons of C. R. Johnson, SIAM J. Numer. Anal. 15, 1978, for the
-field of values), and backs each verdict with a checkable
-certificate: an orthonormal witness system, a feasible boundary-block
-coefficient with its assembled subgradient, a density system for subspaces,
-or a scalar c whose chord rate (||A + cB||_(k) - ||A||_(k))/|c|, an upper
-bound on the derivative along cB by convexity, proves the margin below
--strict*scale.
+of the plane, and A is orthogonal to a span iff 0 lies in the joint set of
+its basis in C^m. The engine models each set exactly through the spectral
+frame of A (a fixed complex offset plus a q-trace numerical range of the
+boundary compression), reads the decision off a certified bracket on the
+distance of 0 from it, found by one nearest-point search for pairs and
+subspaces alike, and backs each verdict with a checkable certificate: an
+orthonormal witness system, a feasible boundary-block coefficient with its
+assembled subgradient, a density system for subspaces, or a scalar c whose
+chord rate (||A + cB||_(k) - ||A||_(k))/|c|, an upper bound on the
+derivative along cB by convexity, proves the margin below -strict*scale.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +48,6 @@ from .norms import (
 from .subdiff import (
     RangeSetModel,
     SubdifferentialFrame,
-    SweepOutcome,
     frame_of,
 )
 
@@ -83,10 +82,6 @@ class _PairSetup:
     scale: float
     model: RangeSetModel
 
-    @property
-    def sweep_tol(self) -> float:
-        return 1e-3 * self.tol.decide * self.scale
-
 
 def _pair_setup(a, b, k: int, tol: Tolerances | None = None) -> _PairSetup:
     tol = _tol_or_default(tol)
@@ -103,19 +98,6 @@ def _setup_of(a: np.ndarray, b: np.ndarray, k: int, tol: Tolerances,
                       model=frame.range_model(b))
 
 
-def _pair_outcome(setup: _PairSetup, field: str) -> SweepOutcome:
-    """Minimum of the pairing set's support function over all angles, or
-    over the two real directions 0 and pi in the real field."""
-    if field != REAL_FIELD:
-        return setup.model.minimum(setup.sweep_tol)
-    angles = np.array([0.0, np.pi])
-    values, points = setup.model._expose(angles)
-    i = int(np.argmin(values))
-    return SweepOutcome(theta=float(angles[i]), value=float(values[i]),
-                        bound=float(values[i]), evals=2, angles=angles,
-                        points=points)
-
-
 # ---------------------------------------------------------------------------
 # pair orthogonality
 
@@ -125,21 +107,38 @@ def check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
                want_certificate: bool = True) -> Decision:
     """Decide whether ||A + c*B||_(k) >= ||A||_(k) for all scalars c.
 
-    field "complex" sweeps the support function of the pairing set over all
-    phases, bounded below by the hull of its exposed points; field "real"
-    only inspects the two real directions. The margin is the smallest
-    one-sided derivative of the norm along rotated copies of B (nonnegative
-    iff orthogonal).
+    The margin, the smallest one-sided derivative of the norm along rotated
+    copies of B, is minus the distance of 0 from the pairing set K, or the
+    depth of 0 inside it. ``_nearest_point`` brackets that distance, and
+    the verdict is read off the bracket. Field "real" reads the set's real
+    parts, which only the two real directions 0 and pi expose.
     """
     require_field(field)
     return _decide_pair(_pair_setup(a, b, k, tol), field, want_certificate)
 
 
+def _pair_search(setup: _PairSetup, field: str) -> "_Search":
+    """The point of the pairing set (of its real parts, in the real field)
+    nearest 0, searched to 1e-3 cert*scale. The search starts from the
+    centre (q/d) I of the coefficient polytope, or from an exposed point
+    when d > 3q: its coefficient then has at most 3q eigenvalues strictly
+    between 0 and 1, and purifies in fewer than 3q steps. A point set is
+    its own nearest point, with coefficient I."""
+    model, real = setup.model, field == REAL_FIELD
+    if model.is_point:
+        z = model.point_value
+        x = np.array([complex(z.real) if real else z])
+        return _Search(coeff=np.eye(model.m, dtype=complex), x=x,
+                       lower=abs(x[0]), added=0, capped=False)
+    return _search(*_joint_oracle([model], real,
+                                  exposed=model.width > 3 * model.m),
+                   1e-3 * setup.tol.cert * setup.scale)
+
+
 def _decide_pair(setup: _PairSetup, field: str,
                  want_certificate: bool) -> Decision:
-    frame, model, scale = setup.frame, setup.model, setup.scale
-    outcome = _pair_outcome(setup, field)
-    verdict = setup.tol.band(outcome.value, scale, bound=outcome.bound)
+    frame, scale = setup.frame, setup.scale
+    search = _pair_search(setup, field)
     details = {
         "field": field,
         "norm_a": frame.norm_value,
@@ -149,39 +148,33 @@ def _decide_pair(setup: _PairSetup, field: str,
         "r": frame.part.r,
         "degenerate_zero": frame.degenerate_zero,
         "cluster_tol": frame.part.cluster_tol,
-        "sweep_evals": outcome.evals,
-        "sweep_rounds": outcome.rounds,
-        "sweep_capped": outcome.capped,
-        "margin_lower_bound": outcome.bound,
-        "support_theta": outcome.theta,
-        "leading_trace": complex(model.fixed_part),
+        "leading_trace": complex(setup.model.fixed_part),
     }
-    decision = Decision(verdict=verdict, margin=outcome.value, scale=scale,
-                        method="support-sweep", tolerances=setup.tol,
-                        details=details)
+    decision = search.decision(setup.tol, scale, "nearest-point", details)
     if want_certificate:
-        _attach_pair_certificate(decision, setup, outcome, field)
+        _attach_pair_certificate(decision, setup, search, field)
     return decision
 
 
 def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
-                             outcome: SweepOutcome, field: str) -> None:
+                             search: "_Search", field: str) -> None:
     if decision.verdict is Verdict.ORTHOGONAL:
-        hull = None
         if not setup.frame.degenerate_zero:
-            hull = _hull_coefficient(setup, outcome, field)
             try:
-                decision.certificate = _witness_system(setup, hull, field)
+                decision.certificate = _witness_system(setup, search.coeff,
+                                                       field)
                 return
             except WitnessSearchFailed as exc:
                 decision.details["witness_error"] = str(exc)
         try:
-            decision.certificate = _witness_block(setup, hull, field)
+            decision.certificate = _witness_block(setup, search.coeff, field)
         except WitnessSearchFailed as exc:
             decision.details["certificate_error"] = str(exc)
     elif decision.verdict is Verdict.NOT_ORTHOGONAL:
+        # the support value -lower is read along -x: the ray c = -t conj(x)/|x|
+        x = complex(search.x[0])
         decision.certificate, info = _violation_certificate(
-            setup, outcome, real_field=field == REAL_FIELD)
+            setup, decision.margin, -x.conjugate() / abs(x))
         decision.details.update(info)
 
 
@@ -192,29 +185,25 @@ def _chord_allowance(norm_a: float, norm_b: float, t: float, n: int) -> float:
     return 64.0 * n * np.finfo(float).eps * (norm_a + t * norm_b) / t
 
 
-def _violation_certificate(setup: _PairSetup, outcome: SweepOutcome,
-                           real_field: bool = False
+def _violation_certificate(setup: _PairSetup, margin: float, phase: complex
                            ) -> tuple[Certificate | None, dict]:
-    """First scalar on the steepest rotated ray whose chord rate proves the
+    """First scalar on the ray c = t * phase whose chord rate proves the
     refutation, with the ``violation_evals`` spent and, when there is none,
     the ``certificate_error``.
 
-    f(t) = ||A + t e^{-i theta} B||_(k) is convex with f'(0+) = margin, so
-    the chord rate (f(t) - f(0))/t is an upper bound on the derivative along
-    the ray, and never below the margin. A rate below -strict*scale less
-    ``_chord_allowance`` proves the verdict. The search quarters t from
-    ||A||/||B|| and gives up once the allowance alone would lift the margin
-    above that bar: then no chord at t or below can prove it.
+    f(t) = ||A + t phase B||_(k) is convex, and ``margin`` bounds its
+    derivative f'(0+) from below, so the chord rate (f(t) - f(0))/t, an
+    upper bound on that derivative, never lies below the margin. A rate
+    below -strict*scale less ``_chord_allowance`` proves the verdict. The
+    search quarters t from ||A||/||B|| and gives up once the allowance
+    alone would lift the margin above that bar: then no chord at t or below
+    can prove it.
     """
     a, b, k = setup.a, setup.b, setup.k
     norm_a, norm_b, n = setup.frame.norm_value, setup.norm_b, a.shape[0]
     bar = -setup.tol.strict * setup.scale
-    # support angle theta corresponds to the ray c = t * e^{-i theta}
-    phase = cmath.exp(-1j * outcome.theta)
-    if real_field:
-        phase = -1.0 if phase.real < 0.0 else 1.0
     t, evals = norm_a / norm_b, 0
-    while outcome.value + _chord_allowance(norm_a, norm_b, t, n) < bar:
+    while margin + _chord_allowance(norm_a, norm_b, t, n) < bar:
         value = ky_fan_sum(a + (t * phase) * b, k)
         evals += 1
         rate = (value - norm_a) / t
@@ -231,7 +220,7 @@ def _violation_certificate(setup: _PairSetup, outcome: SweepOutcome,
     return None, {"violation_evals": evals, "certificate_error": (
         f"no chord rate on the steepest ray clears -strict*scale: the "
         f"rounding allowance at |c| = {t:.3e} lifts the margin "
-        f"{outcome.value:.3e} above it")}
+        f"{margin:.3e} above it")}
 
 
 # ---------------------------------------------------------------------------
@@ -314,40 +303,118 @@ def _wolfe_step(points: np.ndarray, weights: np.ndarray) -> tuple:
         keep &= weights > 0.0
 
 
+@dataclass
+class _Search:
+    """A finished nearest-point search: the boundary coefficient whose
+    pairings make the point x, and the bracket [lower, |x|] on the distance
+    of 0 from the set."""
+
+    coeff: np.ndarray
+    x: np.ndarray
+    lower: float
+    added: int
+    capped: bool
+
+    def decision(self, tol: Tolerances, scale: float, method: str,
+                 details: dict) -> Decision:
+        """The verdict of the margin bracket [-|x|, -lower], read through
+        ``Tolerances.band``, with the search's details. A refutation
+        reports the support value -lower of its direction, every other
+        verdict the certified end -|x|."""
+        resid = float(np.linalg.norm(self.x))
+        verdict = tol.band(-resid, scale, bound=-self.lower)
+        details.update({"feasibility_residual": resid,
+                        "residual_lower_bound": self.lower,
+                        "iterations": self.added,
+                        "search_capped": self.capped})
+        if verdict is Verdict.BOUNDARY:
+            bracket = f"[{-resid:.3e}, {-self.lower:.3e}]"
+            details["boundary_reason"] = (
+                f"the {_ATOM_CAP}-atom cap stopped the search with the "
+                f"margin bracket {bracket} open" if self.capped else
+                f"the margin bracket {bracket} is not clear of the band "
+                f"[{-tol.strict * scale:.3e}, {-tol.decide * scale:.3e}]")
+        margin = -self.lower if verdict is Verdict.NOT_ORTHOGONAL else -resid
+        return Decision(verdict=verdict, margin=margin, scale=scale,
+                        method=method, tolerances=tol, details=details)
+
+
+def _search(oracle, start: tuple, tol: float,
+            gate: float = np.inf) -> _Search:
+    atoms, weights, x, lower, added, capped = _nearest_point(oracle, start,
+                                                             tol, gate)
+    return _Search(coeff=sum(w * atom for w, atom in zip(weights, atoms)),
+                   x=x, lower=lower, added=added, capped=capped)
+
+
+def _joint_oracle(models: list, real: bool = False,
+                  exposed: bool = False) -> tuple:
+    """Linear oracle of the joint pairing set of the range models, one
+    coordinate each over a shared boundary coefficient T, and the start
+    for ``_nearest_point``: the centre of the coefficient set or, when
+    ``exposed``, the oracle's atom at the centre's image. ``real`` takes
+    the real parts of the points, the set of a real-field pair.
+
+    - s_k = 0: T ranges over the contractions with singular sum at most q,
+      centre 0. The minimum of Re tr(T* M) over them is -||M||_(q), at
+      T = -U_q V_q* for the top-q singular pairs of
+      M = sum_j conj(x_j) M_j. One matrix makes a disk, and one SVD of its
+      block, taken at the first exposure, serves every direction.
+    - Otherwise: the rank-q projector V V* on the bottom-q eigenvectors V
+      of herm(sum_j conj(x_j) C_j), centre (q/d) I.
+    """
+    fixed = np.array([complex(model.fixed_part) for model in models])
+    head, q = models[0], models[0].m
+    shape = head.block.shape
+    # row j is the block of model j, read entry by entry: the pairing
+    # tr(T* M_j) is then row j times conj(T), flattened
+    flat = np.stack([model.block.ravel() for model in models])
+    if head.degenerate and len(models) == 1:
+        @functools.cache
+        def disk():
+            u, s, vh = np.linalg.svd(head.block, full_matrices=False)
+            return u[:, :q] @ vh[:q], float(s[:q].sum())
+
+        def oracle(x):
+            top, rho = disk()
+            unit = x[0] / abs(x[0])
+            return -np.conj(unit) * top, fixed - unit * rho
+    elif head.degenerate:
+        def oracle(x):
+            u, _, vh = np.linalg.svd((x.conj() @ flat).reshape(shape),
+                                     full_matrices=False)
+            t = -(u[:, :q] @ vh[:q])
+            return t, fixed + flat @ t.conj().ravel()
+    else:
+        def oracle(x):
+            _, vec = np.linalg.eigh(herm((x.conj() @ flat).reshape(shape)))
+            v = vec[:, :q]
+            p = v @ v.conj().T
+            return p, fixed + flat @ p.conj().ravel()
+
+    if head.degenerate:
+        start = (np.zeros(shape, dtype=complex), fixed)
+    else:
+        centre = np.eye(shape[0], dtype=complex) * (q / shape[0])
+        start = (centre, fixed + flat @ centre.ravel())
+    if real:
+        oracle, start = (lambda x, whole=oracle: _real_parts(whole(x)),
+                         _real_parts(start))
+    if exposed and not head.degenerate:
+        start = oracle(start[1])
+    return oracle, start
+
+
+def _real_parts(exposure: tuple) -> tuple:
+    return exposure[0], exposure[1].real + 0j
+
+
 # ---------------------------------------------------------------------------
 # witness construction
 
 
-def _hull_coefficient(setup: _PairSetup, outcome: SweepOutcome,
-                      field: str) -> tuple:
-    """Coefficient T = sum_j w_j W_j W_j* of the trace-q polytope whose
-    pairing is the point nearest 0 of the hull of the outcome's exposed
-    points (of their real parts in the real field), with the hull's angles
-    and weights.
-
-    ``_nearest_point`` searches that hull from the exposed point nearest 0,
-    with the exposed points as its atoms; its corral in the plane keeps at
-    most three. W_j holds the top-q eigenvectors at the j-th atom's angle.
-    A sweep that reads ORTHOGONAL leaves 0 within decide*scale of the hull.
-    """
-    points = outcome.points.real + 0j if field == REAL_FIELD else outcome.points
-
-    def oracle(x):
-        j = int(np.argmin(np.real(np.conj(x[0]) * points)))
-        return j, points[j:j + 1]
-
-    start = int(np.argmin(np.abs(points)))
-    idx, weights, *_ = _nearest_point(oracle, (start, points[start:start + 1]),
-                                      1e-3 * setup.tol.cert * setup.scale)
-    angles = outcome.angles[idx]
-    _, tops = setup.model._top_eigen(angles)
-    coeff = sum(w * (v @ v.conj().T) for w, v in zip(weights, tops))
-    return coeff, {"hull_angles": [float(x) for x in angles],
-                   "hull_weights": [float(x) for x in weights]}
-
-
 def _checked_miss(setup: _PairSetup, coeff: np.ndarray, field: str,
-                  what: str = "hull of the exposed points") -> float:
+                  what: str = "nearest point of the pairing set") -> float:
     """|fixed part + tr(T* C)| (its real part in the real field), checked
     against the construction bar 10 cert_tol."""
     miss = setup.model.pairing(coeff)
@@ -371,9 +438,11 @@ def _purify(coeff: np.ndarray, c: np.ndarray, q: int) -> tuple:
     eigenvectors V, a 3-parameter family, one keeps tr(V D V* C) = 0. The
     block diag(l_i, l_j) + tD keeps its mean m, and its spread
     r(t)^2 = t^2 + 2 l a t + l^2 (l = (l_i - l_j) / 2, a = D_11) reaches
-    min(m, 1 - m) at the step, which sends one eigenvalue to 0 or 1. A
-    mixture of three rank-q projectors has at most 3q interior eigenvalues,
-    so at most 3q - 1 steps: a lone one cannot remain, as the trace q is whole.
+    min(m, 1 - m) at the step, which sends one eigenvalue to 0 or 1. So p
+    interior eigenvalues take at most p - 1 steps: a lone one cannot
+    remain, as the trace q is whole. A pair search hands over at most 3q:
+    a mixture of three rank-q projectors, or one with the centre (q/d) I
+    when d <= 3q.
     """
     lam, vec = np.linalg.eigh(coeff)
     steps = 0
@@ -409,15 +478,13 @@ def _purify(coeff: np.ndarray, c: np.ndarray, q: int) -> tuple:
     return vec[:, picked], steps
 
 
-def _witness_system(setup: _PairSetup, hull: tuple,
+def _witness_system(setup: _PairSetup, coeff: np.ndarray,
                     field: str) -> Certificate:
     """k orthonormal eigenvectors of |A| whose compression sum of the
-    polar-rotated direction vanishes (its real part, in the real field): the
-    ``hull`` coefficient of the sweep's exposed points, a mixture of at most
-    three top-q eigenprojectors, purified to one rank-q projector on the
-    boundary cluster whose columns are the boundary witness vectors."""
+    polar-rotated direction vanishes (its real part, in the real field):
+    the search's coefficient purified to one rank-q projector on the
+    boundary cluster, whose columns are the boundary witness vectors."""
     frame = setup.frame
-    coeff, info = hull
     _checked_miss(setup, coeff, field)
     cols, steps = _purify(coeff, setup.model.compression, frame.part.q)
     resid = _checked_miss(setup, cols @ cols.conj().T, field,
@@ -435,65 +502,32 @@ def _witness_system(setup: _PairSetup, hull: tuple,
             "construction_residual": resid,
             "singular_values": [float(s) for s in frame.svd.s[:setup.k]],
             "purify_steps": steps,
-            **info,
         },
     )
 
 
-def _witness_block(setup: _PairSetup, hull: tuple | None,
+def _witness_block(setup: _PairSetup, coeff: np.ndarray,
                    field: str) -> Certificate:
-    """Boundary-block coefficient solving the trace equation (its real part,
-    in the real field), with the dual matrix assembled from it: when s_k > 0
-    the ``hull`` coefficient of the exposed points, and at s_k = 0 (``hull``
-    None) the closed-form contraction on the widened tail."""
-    model, real = setup.model, field == REAL_FIELD
-    if model.degenerate:
-        target = -complex(model.fixed_part)
-        # the overflow is the block_equation residual: share its bound
-        coeff = _contraction(model.block, model.m,
-                             target.real if real else target,
-                             0.1 * setup.tol.strict * setup.scale)
-        miss, info = model.pairing(coeff), {}
-        resid = abs(miss.real) if real else abs(miss)
-    else:
-        coeff, info = hull
-        resid = _checked_miss(setup, coeff, field)
+    """The search's boundary-block coefficient, which solves the trace
+    equation (its real part, in the real field), with the dual matrix
+    assembled from it: a mixture of rank-q projectors when s_k > 0, of
+    contractions -c U_q V_q* on the widened tail at s_k = 0."""
+    model = setup.model
     cert = Certificate(
         kind=CertKind.BLOCK_COEFFICIENT,
         block_matrix=coeff,
         subgradient=setup.frame.subgradient(coeff),
         details={
-            "block_residual": resid,
+            "block_residual": _checked_miss(setup, coeff, field),
             "trace_budget": model.m,
             "set": "general" if model.degenerate else "psd",
             "rows": coeff.shape[0],
             "cols": coeff.shape[1],
-            **info,
         },
     )
-    if real:
+    if field == REAL_FIELD:
         cert.details["purpose"] = "real"
     return cert
-
-
-def _contraction(wide: np.ndarray, q: int, target: complex,
-                 tol: float) -> np.ndarray:
-    """Contraction T with singular sum <= q and tr(T* M) = target, for
-    |target| at most tol above the top-q singular sum rho of M.
-
-    The linear oracle of that set in closed form: T = c U_q V_q* from the
-    top-q singular pairs of M pairs to conj(c) rho, so c = conj(target) /
-    rho, cut back to modulus 1 when |target| overflows rho.
-    """
-    if abs(target) <= tol * 1e-3:
-        return np.zeros(wide.shape, dtype=complex)
-    u, s, vh = np.linalg.svd(wide, full_matrices=False)
-    rho = float(s[:q].sum())
-    if abs(target) - rho > tol:
-        raise WitnessSearchFailed(
-            f"contraction budget overflow by {abs(target) - rho:.3e}; "
-            "target outside the attainable disk")
-    return (np.conj(target) / max(rho, abs(target))) * (u[:, :q] @ vh[:q])
 
 
 # ---------------------------------------------------------------------------
@@ -519,25 +553,6 @@ def _orthonormalize_basis(mats: list) -> list:
     return out
 
 
-def _joint_oracle(models: list) -> tuple:
-    """Linear oracle of the joint pairing set of the range models and the
-    start for ``_nearest_point``: the centre (q/d) I of the coefficient
-    polytope. The rank-q projector V V* on the bottom-q eigenvectors V of
-    herm(sum_j conj(x_j) C_j) minimizes <x, z> over the set."""
-    comps = np.stack([model.compression for model in models])
-    fixed = np.array([complex(model.fixed_part) for model in models])
-    d, q = comps.shape[1], models[0].m
-
-    def oracle(x):
-        _, vec = np.linalg.eigh(herm(np.tensordot(x.conj(), comps, 1)))
-        v = vec[:, :q]
-        return (v @ v.conj().T,
-                fixed + np.einsum("ai,jab,bi->j", v.conj(), comps, v))
-
-    return oracle, (np.eye(d, dtype=complex) * (q / d),
-                    fixed + (q / d) * np.trace(comps, axis1=1, axis2=2))
-
-
 def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
                    want_certificate: bool = True) -> Decision:
     """Decide orthogonality of A to the span of the basis matrices.
@@ -545,12 +560,9 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     Orthogonality to the whole span is equivalent to one dual matrix
     annihilating every basis direction at once, that is to 0 lying in the
     joint pairing set of an orthonormal basis, scaled to the largest basis
-    matrix so that a one-matrix basis is the pair (A, B) itself. The
-    nearest point z of that set is searched by ``_nearest_point`` until its
-    bracket decides. A far point yields the counterexample direction
-    sum_j conj(z_j) W_j, confirmed by a pair check before a negative
-    verdict is issued with that pair's margin. With a zero boundary value
-    only the sufficient direction is certified.
+    matrix so that a one-matrix basis is the pair (A, B) itself. The pair's
+    search finds the nearest point z of that set until its bracket decides;
+    a refutation is proved by the chord rate along sum_j conj(z_j) W_j.
     """
     tol = _tol_or_default(tol)
     a, basis = require_operands(a, basis, k)
@@ -562,7 +574,7 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
             verdict=Verdict.ORTHOGONAL, margin=0.0,
             scale=tol.margin_scale(norm_a, 0.0), method="subspace-feasibility",
             tolerances=tol, details={"basis_rank": 0, "trivial": True,
-                                     "subspace_capped": False})
+                                     "search_capped": False})
         if want_certificate:
             d = frame.part.q + frame.part.r
             decision.certificate = _density_certificate(
@@ -571,61 +583,47 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     size = max(float(np.linalg.norm(w)) for w in basis)
     ortho = [size * w for w in ortho]
     scale = tol.margin_scale(norm_a, max(ky_fan_sum(w, k) for w in ortho))
-    feas_tol = 0.125 * tol.decide * scale
-    oracle, start = _joint_oracle([frame.range_model(w) for w in ortho])
-    atoms, weights, zeta, lower, added, capped = _nearest_point(
-        oracle, start, feas_tol, 4.0 * tol.strict * scale)
-    coeff = sum(w * c for w, c in zip(weights, atoms))
-    resid = float(np.linalg.norm(zeta))
-    details = {
+    models = [frame.range_model(w) for w in ortho]
+    feas_tol, gate = 0.125 * tol.decide * scale, 4.0 * tol.strict * scale
+    search = _search(*_joint_oracle(models), feas_tol, gate)
+    decision = search.decision(tol, scale, "subspace-feasibility", {
         "basis_rank": len(ortho),
-        "feasibility_residual": resid,
-        "residual_lower_bound": lower,
-        "iterations": added,
-        "subspace_capped": capped,
         "degenerate_zero": frame.degenerate_zero,
         "q": frame.part.q,
         "r": frame.part.r,
-    }
-    if capped:
-        details["subspace_reason"] = (
-            f"{_ATOM_CAP} atoms left the residual bracket "
-            f"[{lower:.3e}, {resid:.3e}] open")
-    decision = Decision(verdict=Verdict.BOUNDARY, margin=-resid, scale=scale,
-                        method="subspace-feasibility", tolerances=tol,
-                        details=details)
-    if resid <= tol.decide * scale:
-        decision.verdict = Verdict.ORTHOGONAL
-        if want_certificate:
-            decision.certificate = _density_certificate(frame, ortho, coeff,
-                                                        tol)
+    })
+    if not want_certificate:
         return decision
-    if frame.degenerate_zero:
-        # only the sufficient direction is available at zero boundary value
-        details["converse_unavailable"] = True
-        return decision
-    if lower > 4.0 * tol.strict * scale:
+    if decision.verdict is Verdict.ORTHOGONAL:
+        if frame.degenerate_zero:
+            # a density system pairs through A's own polar factor, so it
+            # needs a PSD coefficient: search the PSD contractions again
+            search = _search(*_joint_oracle([
+                RangeSetModel(model.fixed_part, model.compression, model.m)
+                for model in models]), feas_tol, gate)
+        miss = float(np.linalg.norm(search.x))
+        if miss <= tol.decide * scale:
+            decision.certificate = _density_certificate(frame, ortho,
+                                                        search.coeff, tol)
+        else:
+            decision.details["certificate_error"] = (
+                f"no density system: the PSD boundary coefficients miss 0 "
+                f"by {search.lower:.3e} to {miss:.3e}")
+    elif decision.verdict is Verdict.NOT_ORTHOGONAL:
         # the direction of the span along conj(z), as large as the largest
-        # basis matrix: its pairing set lies beyond a line missing 0
-        coefficients = zeta.conj() / resid
+        # basis matrix: its pairing set lies beyond a line missing 0, at the
+        # support value -lower along c = -t
+        resid = decision.details["feasibility_residual"]
+        coefficients = search.x.conj() / resid
         witness_dir = sum(c * w for c, w in zip(coefficients, ortho))
-        pair = _decide_pair(_setup_of(a, witness_dir, k, tol, frame),
-                            COMPLEX_FIELD, want_certificate)
-        details["counterexample_coefficients"] = [complex(c)
-                                                  for c in coefficients]
-        details["counterexample_pair_margin"] = pair.margin
-        if pair.verdict is Verdict.NOT_ORTHOGONAL:
-            # the pair's sampled margin lies in [-|z|, -lower]
-            decision.verdict = Verdict.NOT_ORTHOGONAL
-            decision.margin = pair.margin
-            details.update({key: value for key, value in pair.details.items()
-                            if key.startswith("violation_")
-                            or key == "certificate_error"})
-            if want_certificate and pair.certificate is not None:
-                cert = pair.certificate
-                cert.details["combination"] = _raw_combination(basis,
-                                                               witness_dir)
-                decision.certificate = cert
+        decision.details["counterexample_coefficients"] = [
+            complex(c) for c in coefficients]
+        cert, info = _violation_certificate(
+            _setup_of(a, witness_dir, k, tol, frame), decision.margin, -1.0)
+        decision.details.update(info)
+        if cert is not None:
+            cert.details["combination"] = _raw_combination(basis, witness_dir)
+            decision.certificate = cert
     return decision
 
 
@@ -719,7 +717,7 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
         raise DegenerateRank(
             "parallelism is only characterized when s_k is positive")
     norm_a = frame.norm_value
-    outcome = setup.model.maximum(setup.sweep_tol)
+    outcome = setup.model.maximum(1e-3 * setup.tol.decide * scale)
     margin = outcome.value - norm_b
     verdict = setup.tol.band(margin, scale, Verdict.PARALLEL,
                              Verdict.NOT_PARALLEL,

@@ -247,6 +247,8 @@ def swept_minimum(expose, tol_abs: float, slack: float = 0.0,
     outside, the nearest edge line inside). Each round samples every arc
     whose bound is not yet within ``tol_abs`` of the smallest sample, at the
     angle attaining its bound, and the sweep stops once none is left.
+    No decision calls it (only ``check_parallel`` sweeps, for a maximum);
+    the benchmark reads its ``max_evals`` default as the sweep's cap.
     """
     return _sweep(expose, tol_abs, max_evals, -1.0,
                   lambda th, h, z: _inner_bound(th, z, slack))
@@ -398,10 +400,6 @@ class RangeSetModel:
     degenerate: bool = False
     wide_compression: np.ndarray | None = None
 
-    def __post_init__(self):
-        self._tail_const = (ky_fan_sum(self.wide_compression, self.m)
-                            if self.degenerate else 0.0)
-
     @property
     def width(self) -> int:
         return int(self.compression.shape[1]) if self.compression.size else 0
@@ -416,11 +414,13 @@ class RangeSetModel:
         with coefficient T."""
         return complex(self.fixed_part) + complex(np.vdot(coeff, self.block))
 
-    def _is_singleton(self) -> bool:
+    @property
+    def is_point(self) -> bool:
         # trace budget equal to the block width pins the coefficient to I
         return (not self.degenerate) and self.m == self.width
 
-    def _singleton_value(self) -> complex:
+    @property
+    def point_value(self) -> complex:
         return complex(self.fixed_part + np.trace(self.compression))
 
     def support(self, thetas):
@@ -438,10 +438,10 @@ class RangeSetModel:
         ph = np.exp(-1j * thetas)
         fixed = complex(self.fixed_part)
         if self.degenerate:
-            return (np.real(ph * fixed) + self._tail_const,
-                    fixed + self._tail_const * np.conj(ph))
-        if self._is_singleton():
-            z = self._singleton_value()
+            radius = ky_fan_sum(self.wide_compression, self.m)
+            return np.real(ph * fixed) + radius, fixed + radius * np.conj(ph)
+        if self.is_point:
+            z = self.point_value
             return np.real(ph * z), np.full(thetas.shape, z)
         w, top = self._top_eigen(thetas)
         values = np.real(ph * fixed) + w.sum(axis=1)
@@ -466,31 +466,15 @@ class RangeSetModel:
                 * (float(np.linalg.norm(self.compression))
                    + abs(complex(self.fixed_part))))
 
-    def _closed_extreme(self, sign: float) -> SweepOutcome:
-        # a point, or a disk of radius _tail_const about fixed_part when
-        # degenerate: the extreme support value and its angle are explicit
-        if self.degenerate:
-            z, radius = complex(self.fixed_part), self._tail_const
-        else:
-            z, radius = self._singleton_value(), 0.0
-        turn = np.pi if sign < 0 else 0.0
-        theta = 0.0 if z == 0 else (cmath.phase(z) + turn) % _TWO_PI
-        v = radius + sign * abs(z)
-        angles = np.array([theta])
-        return SweepOutcome(theta=theta, value=v, bound=v, evals=0,
-                            angles=angles, points=self._expose(angles)[1])
-
-    def minimum(self, tol_abs: float) -> SweepOutcome:
-        """min over theta of the support function, with closed forms when
-        the set is a point or a disk-invariant offset."""
-        if self.degenerate or self._is_singleton():
-            return self._closed_extreme(-1.0)
-        return swept_minimum(self._expose, tol_abs,
-                             slack=self._rounding_slack())
-
     def maximum(self, tol_abs: float) -> SweepOutcome:
-        """max over theta of the support function = max |z| over the set."""
-        if self.degenerate or self._is_singleton():
-            return self._closed_extreme(1.0)
+        """max over theta of the support function = max |z| over the set,
+        in closed form when the set is a point."""
+        if self.is_point:
+            z = self.point_value
+            theta = 0.0 if z == 0 else cmath.phase(z) % _TWO_PI
+            angles = np.array([theta])
+            return SweepOutcome(theta=theta, value=abs(z), bound=abs(z),
+                                evals=0, angles=angles,
+                                points=np.array([z]))
         return swept_maximum(self._expose, tol_abs,
                              slack=self._rounding_slack())

@@ -12,8 +12,7 @@ import pytest
 
 from kyfanorth.cli import main as cli_main
 from kyfanorth.decide import (
-    _hull_coefficient,
-    _pair_outcome,
+    _pair_search,
     _pair_setup,
     _witness_block,
     check_pair,
@@ -136,9 +135,8 @@ def test_c02_pair_and_block_criteria_cross_consistent():
         if d.verdict is not Verdict.ORTHOGONAL:
             continue
         setup = _pair_setup(a, b, k)
-        outcome = _pair_outcome(setup, COMPLEX_FIELD)
-        cert = _witness_block(setup, _hull_coefficient(setup, outcome,
-                                                       COMPLEX_FIELD),
+        cert = _witness_block(setup,
+                              _pair_search(setup, COMPLEX_FIELD).coeff,
                               COMPLEX_FIELD)
         assert cert.kind is CertKind.BLOCK_COEFFICIENT
         assert verify_certificate(cert, a, b, k)["ok"], (i, n, k)

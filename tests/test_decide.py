@@ -11,10 +11,8 @@ from kyfanorth.cli import _proves_verdict
 from kyfanorth.decide import (
     _checked_miss,
     _cluster_factors,
-    _contraction,
-    _hull_coefficient,
     _nearest_point,
-    _pair_outcome,
+    _pair_search,
     _pair_setup,
     _violation_certificate,
     _witness_block,
@@ -37,6 +35,7 @@ from kyfanorth.generate import (
     make_singular_pair,
     make_subspace_instance,
     random_matrix,
+    tied_spectrum,
 )
 from kyfanorth.linalg import haar_unitary
 from kyfanorth.model import (
@@ -66,12 +65,10 @@ def complex_gauss(rng, rows, cols):
 
 
 def _fallback_block(setup):
-    """The BLOCK_COEFFICIENT check_pair falls back to, from the hull of the
-    complex sweep's exposed points (none at s_k = 0)."""
-    outcome = _pair_outcome(setup, COMPLEX_FIELD)
-    hull = (None if setup.model.degenerate
-            else _hull_coefficient(setup, outcome, COMPLEX_FIELD))
-    return _witness_block(setup, hull, COMPLEX_FIELD)
+    """The BLOCK_COEFFICIENT check_pair falls back to, from the coefficient
+    of the complex pair search."""
+    return _witness_block(setup, _pair_search(setup, COMPLEX_FIELD).coeff,
+                          COMPLEX_FIELD)
 
 
 def _block_decision(a, b, k):
@@ -178,12 +175,16 @@ def test_check_pair_real_field(rng):
 
 
 def test_real_field_margin_is_two_point(rng):
-    a, b, _ = make_orthogonal_pair(4, 2, rng, field=REAL_FIELD)
-    d = check_pair(a, b, 2, field=REAL_FIELD)
-    frame = build_frame(a, 2)
-    model = frame.range_model(b)
-    two_point = float(model.support(np.array([0.0, np.pi])).min())
-    assert d.margin == pytest.approx(two_point, abs=1e-12)
+    # the real field reads the set's real parts, the interval between the
+    # support values at 0 and pi: its margin is minus the distance of 0
+    # from that interval, and 0 when 0 lies inside it
+    for a, b, _ in (make_orthogonal_pair(4, 2, rng, field=REAL_FIELD),
+                    make_nonorthogonal_pair(4, 2, rng)):
+        d = check_pair(a, b, 2, field=REAL_FIELD)
+        frame = build_frame(a, 2)
+        model = frame.range_model(b)
+        two_point = float(model.support(np.array([0.0, np.pi])).min())
+        assert d.margin == pytest.approx(min(two_point, 0.0), abs=1e-12)
 
 
 def test_blocks_worked_example_degenerate():
@@ -365,9 +366,7 @@ def test_violation_search_gives_up_when_rounding_covers_the_margin():
     a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(5))
     setup = _pair_setup(a, b, 2)
     bar = -setup.tol.strict * setup.scale
-    outcome = dataclasses.replace(_pair_outcome(setup, COMPLEX_FIELD),
-                                  value=bar * (1.0 + 1e-15))
-    cert, info = _violation_certificate(setup, outcome)
+    cert, info = _violation_certificate(setup, bar * (1.0 + 1e-15), -1.0)
     assert cert is None
     assert info["violation_evals"] == 0
     assert "rounding allowance" in info["certificate_error"]
@@ -525,20 +524,23 @@ def test_real_field_orthogonal_readings_at_zero_boundary_are_certified():
 
 
 def test_contraction_overflow_is_a_failed_construction(monkeypatch):
-    # a target beyond the attainable disk fails the construction, which
-    # check_pair records; a failure of the backend is not caught there
-    with pytest.raises(WitnessSearchFailed, match="budget overflow"):
-        _contraction(np.ones((1, 1)), 1, 2.0, 1e-9)
+    # s_k = 0: the disk of radius 1 about 1.5 misses 0, and the
+    # contraction nearest it fails the construction; a failure of the
+    # backend in the contraction oracle is not caught there
     a, b = np.diag([2.0, 1.0, 0.0]), np.diag([0.5, 0.0, 1.0])
     d = check_pair(a, b, 3)
     assert d.verdict is Verdict.ORTHOGONAL and d.certificate is not None
+    refuted = _pair_setup(a, np.diag([1.5, 0.0, 1.0]), 3)
+    with pytest.raises(WitnessSearchFailed, match="misses 0"):
+        _fallback_block(refuted)
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         raise NoConvergence("svd failed: planted")
 
-    monkeypatch.setattr(kyfanorth.decide, "_contraction", failing)
+    setup = _pair_setup(a, b, 3)
+    monkeypatch.setattr(np.linalg, "svd", failing)
     with pytest.raises(NoConvergence, match="planted"):
-        check_pair(a, b, 3)
+        _pair_search(setup, COMPLEX_FIELD)
 
 
 def _coefficient_feasible(coeff, a, b, k):
@@ -615,24 +617,25 @@ def test_parallel_and_tied_pair_take_two_svds(rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# pair certificates from the sweep's exposed points
+# pair certificates from the nearest-point search
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _certified(decision, a, b, k):
-    """The decision's ORTHOGONAL certificate, checked: it verifies, mixes
-    at most three exposed points with convex weights, and a witness system
-    took at most 3q purification steps."""
+    """The decision's ORTHOGONAL certificate, checked: it verifies, the
+    search that found its coefficient closed its bracket, and a witness
+    system, purified from a mixture of at most three exposed rank-q
+    projectors, took at most 3q purification steps."""
     assert decision.verdict is Verdict.ORTHOGONAL
     assert "witness_error" not in decision.details
+    assert not decision.details["search_capped"]
+    assert (decision.details["residual_lower_bound"]
+            <= decision.details["feasibility_residual"]
+            <= decision.tolerances.decide * decision.scale)
     cert = decision.certificate
     assert cert is not None
     assert verify_certificate(cert, a, b, k)["ok"]
-    weights = np.asarray(cert.details["hull_weights"])
-    assert 1 <= weights.size <= 3
-    assert len(cert.details["hull_angles"]) == weights.size
-    assert np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= 1e-12
     if cert.kind is CertKind.WITNESS_SYSTEM:
         assert cert.details["purify_steps"] <= 3 * decision.details["q"]
     return cert
@@ -887,7 +890,7 @@ def test_tied_subspace_decisions_are_invariant(seed, data):
         d = check_subspace(aa, ws, k)
         assert (d.details["residual_lower_bound"]
                 <= d.details["feasibility_residual"])
-        assert not d.details["subspace_capped"]
+        assert not d.details["search_capped"]
         if d.certificate is not None:
             assert verify_certificate(d.certificate, aa, ws, k)["ok"]
         if m == 1 and d.verdict is not Verdict.BOUNDARY:
@@ -895,6 +898,102 @@ def test_tied_subspace_decisions_are_invariant(seed, data):
             assert pair.verdict in (d.verdict, Verdict.BOUNDARY)
         verdicts.append(d.verdict)
     assert verdicts == [Verdict(label["expected"])] * 2
+
+
+def _tied_range_set(rng, push: bool):
+    """A tied A (boundary cluster q + r >= 2, n = 4..8) and a direction B
+    whose pairing set K holds 0 at the pairing of a random subgradient, a
+    mixture of three rank-q boundary projectors; with ``push``, B is tilted
+    along A, which moves K by a random amount up to its own size."""
+    n, k, q, r = _tied_layout(rng)
+    a = ((haar_unitary(n, rng) * tied_spectrum(n, k, rng, q=q, r=r))
+         @ haar_unitary(n, rng).conj().T)
+    (b,) = _off_centre(a, [random_matrix(n, rng)], k, rng)
+    if push:
+        # every subgradient pairs with A at ||A||_(k): K moves by t
+        b = b + rng.uniform(0.0, 1.0) * ky_fan_norm(b, k) * (
+            a / ky_fan_norm(a, k))
+    return a, b, k
+
+
+def _exposed_zero(rng):
+    """A tied pair whose pairing set K holds 0 at an exposed boundary
+    point: B - (z / ||A||_(k)) A moves K by -z, for z the point exposed at
+    a random angle."""
+    a, b, k = _tied_range_set(rng, push=False)
+    theta = np.array([rng.uniform(0.0, 2.0 * np.pi)])
+    z = complex(build_frame(a, k).range_model(b)._expose(theta)[1][0])
+    return a, b - (z / ky_fan_norm(a, k)) * a, k
+
+
+def test_one_matrix_subspace_decides_as_the_singular_pair():
+    # s_k = 0: the subspace search runs on the pair's contraction oracle,
+    # so the verdicts agree on every draw, none BOUNDARY. A density system
+    # needs a PSD coefficient, which 58 of the ORTHOGONAL readings lack:
+    # those say why they carry no certificate
+    rng = np.random.default_rng(0)
+    readings = []
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(2, n + 1))
+        a, b, _ = make_singular_pair(n, k, rng)
+        pair, sub = check_pair(a, b, k), check_subspace(a, [b], k)
+        assert sub.verdict is pair.verdict is not Verdict.BOUNDARY
+        for d, second in ((pair, b), (sub, [b])):
+            if d.certificate is None:
+                assert d.verdict is Verdict.ORTHOGONAL and d is sub
+                assert "density system" in d.details["certificate_error"]
+                continue
+            assert verify_certificate(d.certificate, a, second, k)["ok"]
+        readings.append(sub.verdict)
+    assert readings.count(Verdict.NOT_ORTHOGONAL) >= 50
+    assert readings.count(Verdict.ORTHOGONAL) >= 100
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=seeds, push=st.booleans())
+def test_one_matrix_subspace_agrees_with_the_pair(seed, push):
+    # the same oracle for both calls: every decisive draw agrees
+    a, b, k = _tied_range_set(np.random.default_rng(seed), push)
+    pair = check_pair(a, b, k, want_certificate=False)
+    sub = check_subspace(a, [b], k, want_certificate=False)
+    assert pair.verdict is sub.verdict, (pair.summary(), sub.summary())
+
+
+def test_zero_at_an_exposed_boundary_point_is_certified():
+    # the hardest case for the search: 0 on the curved boundary of K, where
+    # the corral closes on it one atom at a time
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        a, b, k = _exposed_zero(rng)
+        d = check_pair(a, b, k)
+        cert = _certified(d, a, b, k)
+        assert cert.kind is CertKind.WITNESS_SYSTEM
+        assert d.details["iterations"] < kyfanorth.decide._ATOM_CAP
+
+
+def test_every_pair_boundary_carries_a_reason(monkeypatch):
+    # a point set 3 decide*scale from 0 lies inside the band; a search
+    # stopped by its cap says so
+    a = np.diag([1.0, 0.5]).astype(complex)
+    d = check_pair(a, np.diag([3e-7, 0.0]).astype(complex), 1)
+    assert d.verdict is Verdict.BOUNDARY
+    assert "not clear of the band" in d.details["boundary_reason"]
+    for a, b, k in _coverage_pairs(np.random.default_rng(4242)):
+        for field in (COMPLEX_FIELD, REAL_FIELD):
+            d = check_pair(a, b, k, field=field, want_certificate=False)
+            assert ("boundary_reason" in d.details) is (
+                d.verdict is Verdict.BOUNDARY)
+    monkeypatch.setattr(kyfanorth.decide, "_ATOM_CAP", 0)
+    rng = np.random.default_rng(12)
+    capped = 0
+    for _ in range(10):
+        d = check_pair(*_exposed_zero(rng), want_certificate=False)
+        if d.details["search_capped"]:
+            capped += d.verdict is Verdict.BOUNDARY
+            assert ("cap stopped the search" in d.details["boundary_reason"]
+                    or d.verdict is Verdict.ORTHOGONAL)
+    assert capped >= 5
 
 
 def test_tied_subspace_count_guard():
@@ -910,7 +1009,7 @@ def test_tied_subspace_count_guard():
         d = check_subspace(a, basis, k, want_certificate=False)
         assert d.verdict.value == label["expected"], i
         assert d.details["iterations"] <= 16, i
-        assert not d.details["subspace_capped"], i
+        assert not d.details["search_capped"], i
 
 
 def test_capped_subspace_search_reads_boundary(monkeypatch):
@@ -924,10 +1023,12 @@ def test_capped_subspace_search_reads_boundary(monkeypatch):
         basis = _off_centre(a, basis, 3, rng)
         d = check_subspace(a, basis, 3)
         assert d.details["iterations"] <= 1
-        if not d.details["subspace_capped"]:
-            assert "subspace_reason" not in d.details
+        reason = d.details.get("boundary_reason")
+        assert (reason is not None) is (d.verdict is Verdict.BOUNDARY)
+        if not d.details["search_capped"]:
+            assert reason is None or "cap" not in reason
             continue
-        assert d.details["subspace_reason"]
+        assert reason is None or "cap" in reason
         assert d.verdict is not Verdict.NOT_ORTHOGONAL
         if d.verdict is Verdict.ORTHOGONAL:
             assert verify_certificate(d.certificate, a, basis, 3)["ok"]
@@ -1034,21 +1135,24 @@ def test_density_verify_rejects_planted_defects(defect):
         assert failed == {clause}, report
 
 
-def test_subspace_refutation_reports_the_pair_margin():
+def test_subspace_refutation_reports_its_bracket():
     # the search stops at its first exposure, where |z| = 0.867 is the
-    # distance of the polytope centre's image; the set itself, and the
-    # counterexample pair, sit at distance 0.2
+    # distance of the polytope centre's image and the set itself sits at
+    # distance 0.2: the margin is the bracket's end -lower, the support
+    # value along the counterexample direction, and its chord proves it
     a = np.diag([3.0, 1.0, 1.0, 1.0, 0.5])
     w2 = np.zeros((5, 5))
     w2[0, 1] = 1.0
-    d = check_subspace(a, [np.diag([-1.2, 1.0, 0.0, 0.0, 0.0]), w2], 2)
+    basis = [np.diag([-1.2, 1.0, 0.0, 0.0, 0.0]), w2]
+    d = check_subspace(a, basis, 2)
     assert d.verdict is Verdict.NOT_ORTHOGONAL
     resid = d.details["feasibility_residual"]
     lower = d.details["residual_lower_bound"]
     assert resid == pytest.approx(0.8666666666666667)
-    assert d.margin == d.details["counterexample_pair_margin"]
-    assert d.margin == pytest.approx(-0.2)
-    assert -resid * (1 + 1e-12) <= d.margin <= -lower * (1 - 1e-12)
+    assert d.details["iterations"] == 0
+    assert d.margin == -lower
+    assert -resid < -0.2 <= d.margin < -4.0 * d.tolerances.strict * d.scale
+    _violation_checked(d, a, basis, 2)
 
 
 def test_parallel_positive(rng):

@@ -91,3 +91,19 @@ def test_every_export_is_used_or_a_reference():
     unused = [name for name in kyfanorth.__all__
               if name not in used | _REFERENCES and not name.startswith("__")]
     assert unused == []
+
+
+def test_decisions_of_orthogonality_do_not_sweep():
+    # one nearest-point search decides pairs and subspaces; the sweep of
+    # the support function serves check_parallel alone, through
+    # RangeSetModel.maximum
+    source = Path(kyfanorth.__file__).parent / "decide.py"
+    swept = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in {"minimum", "swept_minimum", "_inner_bound"}:
+                swept.add(f"{name} at line {node.lineno}")
+    assert swept == set()

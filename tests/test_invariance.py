@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from kyfanorth.cli import main
 from kyfanorth.decide import (
-    _hull_coefficient,
-    _pair_outcome,
+    _pair_search,
     _pair_setup,
     _witness_block,
     check_pair,
@@ -56,8 +55,9 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 SYMMETRIES = ("scale", "unitary", "phase", "adjoint", "transpose")
 
-# margins agree to this fraction of the margin scale: the sweep stops
-# within 1e-3 decide of the minimum, far inside it
+# margins agree to this fraction of the margin scale: a pair search closes
+# its bracket to 1e-3 cert, a subspace search to 0.125 decide, and the
+# transformed problem runs the same search up to rounding
 MARGIN_REL = 1e-8
 
 
@@ -129,9 +129,8 @@ def _block_certified(a, b, k):
     d = check_pair(a, b, k, COMPLEX_FIELD, want_certificate=False)
     if d.verdict is Verdict.ORTHOGONAL:
         setup = _pair_setup(a, b, k)
-        hull = (None if setup.model.degenerate else _hull_coefficient(
-            setup, _pair_outcome(setup, COMPLEX_FIELD), COMPLEX_FIELD))
-        d.certificate = _witness_block(setup, hull, COMPLEX_FIELD)
+        d.certificate = _witness_block(
+            setup, _pair_search(setup, COMPLEX_FIELD).coeff, COMPLEX_FIELD)
     return d
 
 
@@ -317,9 +316,11 @@ def test_density_certificate_under_a_wide_cluster_verifies():
 ZERO_CASES = {
     # (check_pair, its fallback BLOCK_COEFFICIENT, check_parallel,
     # check_subspace): verdict and certificate kind, each certificate
-    # verifying
+    # verifying. A = 0 is orthogonal to every direction; a density system
+    # pairs through A's own polar factor, and no PSD coefficient of it
+    # annihilates this B, so the subspace reading carries none
     "a_zero": ("ORTHOGONAL BLOCK_COEFFICIENT", "ORTHOGONAL BLOCK_COEFFICIENT",
-               "DegenerateRank", "BOUNDARY None"),
+               "DegenerateRank", "ORTHOGONAL None"),
     "b_zero": ("ORTHOGONAL WITNESS_SYSTEM", "ORTHOGONAL BLOCK_COEFFICIENT",
                "PARALLEL WITNESS_SYSTEM", "ORTHOGONAL DENSITY_SYSTEM"),
     "both_zero": ("ORTHOGONAL BLOCK_COEFFICIENT",

@@ -1,5 +1,6 @@
-"""The exposed-point sweep against range sets with closed forms, its cap
-flag, and the evaluation and round counts the benchmark relies on."""
+"""The exposed-point sweep and the pair's nearest-point search against
+range sets with closed forms, the sweep's cap flag, and the evaluation,
+round and atom counts the benchmark relies on."""
 
 import inspect
 from itertools import combinations
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import kyfanorth
+from kyfanorth.decide import _joint_oracle, _search
 from kyfanorth.generate import make_orthogonal_pair
 from kyfanorth.linalg import haar_unitary
 from kyfanorth.subdiff import RangeSetModel, swept_maximum, swept_minimum
@@ -42,10 +44,20 @@ def _signed_distance(points) -> float:
 
 def _check_both(model: RangeSetModel, exact_min: float, exact_max: float,
                 tol: float, rounding: float) -> None:
-    low = model.minimum(tol)
+    """The sweeps bracket the extremes of the support function within tol
+    and uncapped, and the pair's nearest-point search brackets the
+    distance of 0 from the set, max(0, -exact_min), the same way."""
+    low = swept_minimum(model._expose, tol, slack=model._rounding_slack())
     assert low.bound <= exact_min + rounding
     assert exact_min <= low.value + rounding
     assert low.value - low.bound <= tol
+    near = _search(*_joint_oracle([model], exposed=True), tol)
+    resid = float(np.linalg.norm(near.x))
+    assert near.lower <= max(0.0, -exact_min) + rounding
+    assert max(0.0, -exact_min) <= resid + rounding
+    assert resid <= tol or resid - near.lower <= tol
+    assert not near.capped and near.added <= 100
+    assert abs(model.pairing(near.coeff) - complex(near.x[0])) <= rounding
     high = model.maximum(tol)
     assert high.value <= exact_max + rounding
     assert exact_max <= high.bound + rounding
@@ -177,10 +189,17 @@ def _tied_parallel():
 
 
 def test_tied_cluster_sweep_is_short():
+    # a boundary cluster of width 24 with q = 4: the parallel sweep closes
+    # its bracket, and the pair search, which no longer sweeps, closes its
+    # own in a handful of atoms
     a, b = _tied_pair()
-    d = kyfanorth.check_pair(a, b, 4, want_certificate=False)
+    d = kyfanorth.check_parallel(a, b, 4, want_certificate=False)
     assert d.details["sweep_evals"] <= 100
     assert d.details["sweep_capped"] is False
+    d = kyfanorth.check_pair(a, b, 4, want_certificate=False)
+    assert "sweep_evals" not in d.details
+    assert d.details["iterations"] <= 16
+    assert d.details["search_capped"] is False
 
 
 def test_parallel_sweep_reports_its_work():
@@ -193,13 +212,12 @@ def test_parallel_sweep_reports_its_work():
 
 def test_benchmark_reads_the_sweep_cap():
     # the benchmark imports swept_minimum and counts a sweep as capped when
-    # its evaluations reach this default
+    # its evaluations reach this default; only check_parallel sweeps
     cap = inspect.signature(kyfanorth.swept_minimum).parameters[
         "max_evals"].default
     assert isinstance(cap, int) and cap > 0
-    a, b = _tied_pair()
-    assert kyfanorth.check_pair(a, b, 4, want_certificate=False).details[
-        "sweep_evals"] < cap
+    assert cap == inspect.signature(swept_maximum).parameters[
+        "max_evals"].default
     a, b = _tied_parallel()
     assert kyfanorth.check_parallel(a, b, 2, want_certificate=False).details[
         "sweep_evals"] < cap
@@ -218,42 +236,48 @@ def test_point_set_needs_no_refinement(sweep):
     assert out.evals <= 9
 
 
-def _counted_sweep(monkeypatch, a, b, k):
-    """check_pair on (A, B), with its sweep's batches counted where the
-    range model exposes them and checked against the report."""
-    sizes = []
-    expose = RangeSetModel._expose
+def _counted_search(monkeypatch, a, b, k):
+    """check_pair on (A, B), with its search's oracle calls counted and
+    checked against the report: one for each atom added, and one more for
+    the bound that stops the search."""
+    calls = []
+    oracle = kyfanorth.decide._joint_oracle
 
-    def counted(model, thetas):
-        sizes.append(thetas.size)
-        return expose(model, thetas)
+    def counted(*args, **kwargs):
+        expose, start = oracle(*args, **kwargs)
 
-    monkeypatch.setattr(RangeSetModel, "_expose", counted)
+        def tallied(x):
+            calls.append(x)
+            return expose(x)
+
+        return tallied, start
+
+    monkeypatch.setattr(kyfanorth.decide, "_joint_oracle", counted)
     d = kyfanorth.check_pair(a, b, k, want_certificate=False)
-    assert d.details["sweep_rounds"] == len(sizes) - 1
-    assert d.details["sweep_evals"] == sum(sizes)
+    assert "sweep_rounds" not in d.details
+    assert len(calls) <= d.details["iterations"] + 1
     return d
 
 
 def test_two_near_equal_minima_close_in_few_rounds(monkeypatch):
     # instance 366 of the c01 corpus (k = 2, q = 1, r = 1, 0 inside the
     # set): two near-equal minima of h, which one angle a step took 84
-    # steps to close
+    # steps to sweep; the search needs no angle, only a few atoms
     rng = np.random.default_rng(101)
     _pair_corpus(rng, 4, 1, 200)
     a, b = _pair_corpus(rng, 4, 2, 200)[166]
-    d = _counted_sweep(monkeypatch, a, b, 2)
-    assert d.details["sweep_rounds"] <= 8
-    assert d.details["sweep_capped"] is False
+    d = _counted_search(monkeypatch, a, b, 2)
+    assert d.details["iterations"] <= 8
+    assert d.details["search_capped"] is False
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_orthogonal_pairs_close_in_few_rounds(monkeypatch, k):
-    # 0 inside the pairing set: every live arc is refined in each round,
-    # so the count of rounds, not of angles, stays small
+    # 0 inside the pairing set, at the centre's image: the search that
+    # starts there stops at once, where a sweep took rounds
     rng = np.random.default_rng(2200 + k)
     for _ in range(20):
         a, b, _ = make_orthogonal_pair(4, k, rng, q=1, r=1)
-        d = _counted_sweep(monkeypatch, a, b, k)
-        assert d.details["sweep_rounds"] <= 10
-        assert d.details["sweep_capped"] is False
+        d = _counted_search(monkeypatch, a, b, k)
+        assert d.details["iterations"] <= 10
+        assert d.details["search_capped"] is False
