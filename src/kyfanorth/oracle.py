@@ -8,8 +8,9 @@ two sides is meaningful evidence. The margin estimator uses chord rates
 (f(c) - f(0)) / |c|, which by convexity are upper bounds on the one-sided
 derivative at 0 for every sampled scalar c, so the sampled minimum can
 undershoot the true margin only by floating-point noise. Fan's bound only
-decides which probe phases need no evaluation and, where it can, proves
-that no scalar dips the norm; every chord reported is a norm evaluation.
+decides which probe phases need no evaluation, whether a reading settles on
+its strided probe and, where it can, proves that no scalar dips the norm;
+every chord reported is a norm evaluation.
 """
 
 from __future__ import annotations
@@ -331,6 +332,15 @@ def _chord_floors(minorants: tuple, n: int, norm_a: float, norm_b: float,
     return (lower - norm_a - slack) / radius
 
 
+def _with_minorant_at(minorants: tuple, a: np.ndarray, b: np.ndarray,
+                      k: int, c: complex) -> tuple:
+    """``minorants`` with one more Fan minorant, taken at the scalar c; the
+    isometry defect is the larger of the two."""
+    alpha, beta, defect = _fan_minorants(a, b, k, np.array([c]))
+    return (np.append(minorants[0], alpha), np.append(minorants[1], beta),
+            max(minorants[2], defect))
+
+
 @functools.cache
 def _clearance_arcs(count: int) -> tuple:
     """The cosines and sines of the centres of ``count`` equal arcs of the
@@ -396,7 +406,7 @@ def _tail_steps(count: int) -> np.ndarray:
 
 def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
                 norm_b: float, field: str = COMPLEX_FIELD,
-                proof: float = -np.inf):
+                proof: float = -np.inf, settle: float = np.inf):
     """Sampled minimum chord rate of ||A + c B||_(k) over scalars c, from
     the norms ||A||_(k) and ||B||_(k) in hand.
 
@@ -428,6 +438,19 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     the scan stops after the first batch that holds one (the strided probe,
     the rest of the probe, a refinement round or the tail) and reports that
     batch's lowest chord. At the default level, -inf, it scans everything.
+
+    A reading is settled (``details["settled"]``) when the strided chords,
+    the chord floors of every other probe phase and the chords at the
+    strided phases on the tail's smallest radius (the inner ring) all lie
+    at or above ``settle``. Chord rates grow outward along a ray, so every
+    probe chord and every strided chord from that radius outward then
+    stands at or above the level. A settled scan skips the rest of the
+    probe and the refinement and runs the tail along the best strided
+    phase: it reports the lowest strided or tail chord after 2 + 16 + 16 +
+    13 norm evaluations. The inner ring is evaluated only when the probe
+    settles; otherwise the scan goes on as if no level were set, and the
+    ring only adds its 16 to ``chord_evals``. At the default level, +inf,
+    no reading settles.
     """
     if norm_b <= 0:
         return 0.0, 0.0, {"chord_point": 0j, "chord_evals": 2,
@@ -444,31 +467,37 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     t_probe = unit * 1e-4
     if field == REAL_FIELD:
         thetas = np.array([0.0, np.pi])
-        cs = t_probe * np.exp(1j * thetas)
+        units = np.exp(1j * thetas)
     else:
         thetas, units = _probe_circle(_PROBE_PHASES)
-        cs = t_probe * units
+    cs = t_probe * units
     probe = np.full(thetas.size, np.inf)
     done = np.zeros(thetas.size, dtype=bool)
     # a probe no longer than the stride is evaluated whole
     done[::_PROBE_STRIDE if thetas.size > _PROBE_STRIDE else 1] = True
     probe[done] = chords(cs[done])
     minorants = None
+    settled = False
     if not done.all() and not probe.min() < proof:
         minorants = _fan_minorants(a, b, k, cs[done])
         rest = np.flatnonzero(~done)
         floors = _chord_floors(minorants, a.shape[0], norm_a, norm_b,
                                cs[rest])
-        # only a floor strictly above the best rules a phase out: a tie
-        # keeps argmin's first index, and a NaN floor rules nothing out
-        rest = rest[~(floors > probe.min())]
-        if rest.size:
-            probe[rest] = chords(cs[rest])
-            done[rest] = True
+        # the inner ring is evaluated only once the probe circle settles;
+        # a NaN floor or chord settles nothing
+        settled = bool(probe.min() >= settle and floors.min() >= settle
+                       and chords(ts[0] * units[done]).min() >= settle)
+        if not settled:
+            # only a floor strictly above the best rules a phase out: a tie
+            # keeps argmin's first index, and a NaN floor rules nothing out
+            rest = rest[~(floors > probe.min())]
+            if rest.size:
+                probe[rest] = chords(cs[rest])
+                done[rest] = True
     i = int(np.argmin(probe))
     best, theta, point = float(probe[i]), float(thetas[i]), cs[i]
     rounds = 0
-    if field != REAL_FIELD:
+    if field != REAL_FIELD and not settled:
         width = _TWO_PI / _PROBE_PHASES
         flat = 64.0 * a.shape[0] * np.finfo(float).eps \
             * (norm_a + t_probe * norm_b) / t_probe
@@ -494,6 +523,8 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     details = {"chord_point": complex(point), "chord_evals": 2 + norms.evals,
                "probe_evals": int(done.sum()), "probe_minorants": taken,
                "refine_rounds": rounds}
+    if settled:
+        details["settled"] = True
     return best, theta % _TWO_PI, details, minorants
 
 
@@ -503,16 +534,20 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
 
     The margin estimate comes from the chord scan, which stops at the first
     chord below -strict scale: by convexity that chord proves NOT_ORTHOGONAL,
-    and it is the reported margin, at ``chord_point``. When the scan reads
-    ORTHOGONAL in the complex field, the only case a dip can overturn, the
-    probe's own Fan minorants (``_minorants_clear``) or, where they fall
-    short, ``_dip_check`` either prove that no scalar c takes
-    ||A + c B||_(k) below ||A||_(k) - 1e-3 scale, or the dip check finds
-    one, which demotes the answer to BOUNDARY with ``grid_contradiction``;
-    a check stopped by its cap demotes it too, with the reason in
-    ``dip_reason``. ``dip_status`` says which happened: ``cleared`` (with
-    ``dip_evals`` 0 when the minorants cleared it), ``dip``, ``capped``,
-    ``skipped`` (any other chord verdict) or ``real_field``.
+    and it is the reported margin, at ``chord_point``. It also settles at
+    the dip check's own depth, 1e-3 scale: a reading whose probe circle and
+    strided inner ring stand at or above it stops at the strided probe
+    (``settled``, see ``_chord_scan``). When the scan reads ORTHOGONAL in
+    the complex field, the only case a dip can overturn, the probe's own
+    Fan minorants (``_minorants_clear``), then those with one more taken at
+    ``chord_point``, or, where they fall short, ``_dip_check`` either prove
+    that no scalar c takes ||A + c B||_(k) below ||A||_(k) - 1e-3 scale, or
+    the dip check finds one, which demotes the answer to BOUNDARY with
+    ``grid_contradiction``; a check stopped by its cap demotes it too, with
+    the reason in ``dip_reason``. ``dip_status`` says which happened:
+    ``cleared`` (with ``dip_evals`` 0 when the minorants cleared it),
+    ``dip``, ``capped``, ``skipped`` (any other chord verdict) or
+    ``real_field``.
 
     An ORTHOGONAL reading is demoted to BOUNDARY, with the gap in
     ``near_tie``, when a value distinct from s_k (beyond 64 n eps s_1) that
@@ -529,19 +564,23 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     a, (b,) = require_operands(a, [b], k)
     sv_a, (norm_a, norm_b) = _operand_norms(a, [b], k)
     scale = tol.margin_scale(norm_a, norm_b)
+    depth = 1e-3 * scale
     margin, theta, scan, minorants = _chord_scan(a, b, k, norm_a, norm_b,
-                                                 field, -tol.strict * scale)
+                                                 field, -tol.strict * scale,
+                                                 depth)
     verdict = tol.band(margin, scale)
     details = {"field": field, "norm_a": norm_a, "norm_b": norm_b,
                "chord_phase": theta, **scan}
-    depth = 1e-3 * scale
     if field != COMPLEX_FIELD:
         # real scalars: the dip check scans complex ones
         details.update(dip_status="real_field", dip_evals=0)
     elif verdict is not Verdict.ORTHOGONAL:
         details.update(dip_status="skipped", dip_evals=0)
-    elif minorants is not None and _minorants_clear(
-            minorants, a.shape[0], norm_a, norm_b, depth):
+    elif minorants is not None and (
+            _minorants_clear(minorants, a.shape[0], norm_a, norm_b, depth)
+            or _minorants_clear(
+                _with_minorant_at(minorants, a, b, k, scan["chord_point"]),
+                a.shape[0], norm_a, norm_b, depth)):
         details.update(dip_status="cleared", dip_evals=0)
     else:
         details.update(_dip_check(a, b, k, norm_a, norm_b, depth, theta))

@@ -13,3 +13,6 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "invariance: verdicts, margins and certificates under "
         "the symmetries of the problem")
+    config.addinivalue_line(
+        "markers", "census: seeded families that check the referee's and "
+        "the engine's shortcuts against their full readings")

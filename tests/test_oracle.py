@@ -23,11 +23,13 @@ from kyfanorth.model import CertKind, Tolerances, Verdict
 from kyfanorth.norms import ky_fan_norm, ky_fan_norm_batch
 from kyfanorth.oracle import (
     _PROBE_PHASES,
+    _PROBE_STRIDE,
     _REFINE_ROUNDS,
     _TAIL_RADII,
     _chord_scan,
     _dip_check,
     _minorants_clear,
+    _with_minorant_at,
     fd_directional,
     oracle_check_pair,
     oracle_check_parallel,
@@ -86,10 +88,13 @@ def _reference_min(a, b, k, norm_a, norm_b) -> float:
 
 def _probe_clears(a, b, k, depth) -> bool:
     """Whether the Fan minorants of a full chord scan of (A, B) clear the
-    annulus where a dip of depth could lie."""
+    annulus where a dip of depth could lie, the probe's 16 first and then
+    with one more at the scan's chord point, as the referee reads them."""
     norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
-    minorants = _chord_scan(a, b, k, norm_a, norm_b)[3]
-    return _minorants_clear(minorants, a.shape[0], norm_a, norm_b, depth)
+    _, _, scan, minorants = _chord_scan(a, b, k, norm_a, norm_b)
+    return any(_minorants_clear(m, a.shape[0], norm_a, norm_b, depth)
+               for m in (minorants, _with_minorant_at(
+                   minorants, a, b, k, scan["chord_point"])))
 
 
 def test_dip_check_finds_cancellation(rng):
@@ -310,10 +315,29 @@ def _curved_boundary_pair(rng, psi):
             cmath.exp(1j * psi) * (u @ np.diag([-1.0, 1.0, 0.0, 0.0]) @ v))
 
 
+def test_a_minorant_at_the_chord_point_clears_curved_rims():
+    # the 16 strided minorants leave 0 on the rim uncovered; the 17th, taken
+    # at the refined chord point, clears the annulus with no norm evaluation
+    rng = np.random.default_rng(7)
+    for psi in (0.05, 0.1, 0.2, 0.3, 0.34, 0.35):
+        a, b = _curved_boundary_pair(rng, psi)
+        d = oracle_check_pair(a, b, 2)
+        norm_a, norm_b = d.details["norm_a"], d.details["norm_b"]
+        minorants = _chord_scan(a, b, 2, norm_a, norm_b)[3]
+        assert not _minorants_clear(minorants, 4, norm_a, norm_b,
+                                    1e-3 * d.scale)
+        assert d.verdict is Verdict.ORTHOGONAL
+        assert d.details["dip_status"] == "cleared"
+        assert d.details["dip_evals"] == 0
+
+
 def test_capped_dip_check_reads_boundary(monkeypatch):
     # with no budget for a refinement round, a pair that neither the
     # minorants nor the first rings clear must read BOUNDARY with the
-    # reason, never ORTHOGONAL in silence
+    # reason, never ORTHOGONAL in silence; the curved rims need no dip check
+    # once a minorant is taken at the chord point, so the clearance is off
+    monkeypatch.setattr(kyfanorth.oracle, "_minorants_clear",
+                        lambda *args: False)
     rng = np.random.default_rng(7)
     pairs = [_curved_boundary_pair(rng, psi) for psi in (0.05, 0.2, 0.35)]
     for a, b in pairs:
@@ -339,6 +363,19 @@ def test_capped_dip_check_reads_boundary(monkeypatch):
 def test_oracle_check_pair_explains_itself(rng):
     a, b, _ = make_orthogonal_pair(4, 2, rng, q=1, r=1)
     d = oracle_check_pair(a, b, 2)
+    # 0 lies inside a two-dimensional pairing set: every probe chord and
+    # the strided chords on the innermost ring stand above the dip depth,
+    # so the scan settles on the strided probe, its inner ring and the tail
+    assert d.details["settled"] is True
+    assert d.details["refine_rounds"] == 0
+    assert d.details["probe_evals"] == 16
+    assert d.details["chord_evals"] == 2 + 16 + 16 + 13
+    assert d.details["probe_minorants"] == 16
+    assert d.details["dip_status"] == "cleared"
+    assert d.details["dip_evals"] == 0
+    a, b, _ = make_orthogonal_pair(4, 2, rng, q=1, r=0)
+    d = oracle_check_pair(a, b, 2)
+    assert "settled" not in d.details
     # the probe, 16 new points in each refinement round, 13 radii
     rounds = d.details["refine_rounds"]
     assert 1 <= rounds <= 7
@@ -375,6 +412,100 @@ def test_a_refutation_stops_at_its_first_proving_chord():
         assert d.margin < -Tolerances().strict * d.scale
         chord, slack = _chord_at(a, b, k, d.details["chord_point"])
         assert abs(d.margin - chord) <= slack
+
+
+def _small_a_tilted_pair(seed):
+    """A tied, k = 3 orthogonal 3x3 pair with A scaled by 1e-2 and B tilted
+    by 4e-5 ||B||_F along a unit Ginibre direction: the dip that refutes it
+    sits close to 0, at |c| of order 1e-7 of the scan's unit."""
+    rng = np.random.default_rng(seed)
+    a, b, _ = make_orthogonal_pair(3, 3, rng, q=3, r=0)
+    a *= 1e-2
+    g = complex_gauss(rng, 3, 3)
+    b += 4e-5 * np.linalg.norm(b) * g / np.linalg.norm(g)
+    return a, b
+
+
+def _assert_engine_refutes(a, b, k):
+    d = check_pair(a, b, k)
+    assert d.verdict is Verdict.NOT_ORTHOGONAL
+    assert d.certificate.kind is CertKind.VIOLATION
+    assert verify_certificate(d.certificate, a, b, k)["ok"]
+    return d
+
+
+def test_the_inner_ring_keeps_a_refuted_pair_unsettled():
+    # every chord of the probe circle stands far above the dip depth, but
+    # the refuting dip lies inside the probe radius: the strided chords on
+    # the tail's smallest radius fall below the depth, so the reading does
+    # not settle, and the full scan's tail finds the dip
+    a, b = _small_a_tilted_pair(8)
+    e = _assert_engine_refutes(a, b, 3)
+    assert e.margin < -1e-5 * e.scale
+    d = oracle_check_pair(a, b, 3)
+    chords = _probe_chords(d, a, b, 3) / d.scale
+    assert chords[:_PROBE_PHASES].min() >= 1e-3
+    assert chords[_PROBE_PHASES:].min() < 0.0
+    assert "settled" not in d.details
+    assert d.verdict is not Verdict.ORTHOGONAL
+
+
+def test_engine_refutes_a_dip_inside_the_tails_smallest_radius():
+    # the referee reads this pair ORTHOGONAL (unsettled, dip cleared): its
+    # dip lies inside the tail's smallest radius, 1e-7 of the scan's unit,
+    # and with ||A|| << ||B|| the near-tie rule does not see it. The engine
+    # refutes it with a VIOLATION that verifies
+    a, b = _small_a_tilted_pair(22)
+    d = _assert_engine_refutes(a, b, 3)
+    norm_a, norm_b = ky_fan_norm(a, 3), ky_fan_norm(b, 3)
+    assert abs(d.certificate.coefficient) < 1e-7 * (norm_a + norm_b) / norm_b
+
+
+def _reading_without_settling(a, b, k):
+    """oracle_check_pair with the settle level left at the scan's default,
+    so that nothing settles; the dip and near-tie rules are the same. The
+    referee passes the scan's eight arguments by position, the settle level
+    last."""
+    scan = kyfanorth.oracle._chord_scan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kyfanorth.oracle, "_chord_scan",
+                      lambda *args: scan(*args[:7]))
+        return oracle_check_pair(a, b, k)
+
+
+@pytest.mark.census
+def test_settled_readings_match_the_full_scan_census():
+    """Orthogonal pairs and their s_k = 0 variants, n = 2..8 and k = 1..n,
+    with B tilted by 10^U(-9,-1) ||B||_F along a unit Ginibre direction and
+    A scaled by 10^U(-6,6): every settled reading's verdict is the one read
+    off the full scan's margin and phase under the same dip and near-tie
+    rules."""
+    rng = np.random.default_rng(33)
+    settled = 0
+    for i in range(300):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, n + 1))
+        if i % 2 and 2 <= k < n:
+            q = int(rng.integers(1, k))
+            a, b, _ = make_orthogonal_pair(n, k, rng, q=q, degenerate=True)
+        else:
+            q = int(rng.integers(1, k + 1))
+            r = int(rng.integers(0, n - k + 1))
+            a, b, _ = make_orthogonal_pair(n, k, rng, q=q, r=r)
+        g = complex_gauss(rng, n, n)
+        b = b + 10.0 ** rng.uniform(-9.0, -1.0) * np.linalg.norm(b) \
+            * g / np.linalg.norm(g)
+        a = 10.0 ** rng.uniform(-6.0, 6.0) * a
+        d = oracle_check_pair(a, b, k)
+        if "settled" not in d.details:
+            continue
+        settled += 1
+        full = _reading_without_settling(a, b, k)
+        if full.verdict is not Verdict.NOT_ORTHOGONAL:
+            assert (full.margin, full.details["chord_phase"]) \
+                == _full_probe_scan(a, b, k)
+        assert d.verdict is full.verdict, (i, d.details, full.details)
+    assert settled >= 100, settled
 
 
 def _near_tie_draws():
@@ -432,12 +563,13 @@ def test_near_tie_reads_only_values_that_cross_index_k():
 
 
 def _full_probe_scan(a, b, k, field="complex", n_theta=_PROBE_PHASES,
-                     refine_rounds=_REFINE_ROUNDS, t_count=_TAIL_RADII):
-    """The chord scan with no pruning: all n_theta probe phases and all 17
-    points of each refinement round are evaluated, and the rounds stop
-    after one whose chords span no more than the rounding of a chord at
-    the probe radius. The pruned scan must return exactly its (margin,
-    phase)."""
+                     refine_rounds=_REFINE_ROUNDS, t_count=_TAIL_RADII,
+                     stride=1):
+    """The chord scan with no pruning: all n_theta probe phases (every
+    stride-th of them) and all 17 points of each refinement round are
+    evaluated, and the rounds stop after one whose chords span no more than
+    the rounding of a chord at the probe radius. The pruned scan must
+    return exactly its (margin, phase)."""
     a, b = as_matrix(a), as_matrix(b)
     norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
     if norm_b <= 0:
@@ -454,7 +586,8 @@ def _full_probe_scan(a, b, k, field="complex", n_theta=_PROBE_PHASES,
     if field == "real":
         thetas = np.array([0.0, np.pi])
     else:
-        thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+        thetas = np.linspace(0.0, 2.0 * np.pi, n_theta,
+                             endpoint=False)[::stride]
     probe = chords(t_probe * np.exp(1j * thetas))
     i = int(np.argmin(probe))
     best = float(probe[i])
@@ -498,17 +631,35 @@ def _chord_at(a, b, k, c):
     return (ky_fan_norm(a + c * b, k) - norm_a) / abs(c), slack / abs(c)
 
 
+def _probe_chords(d, a, b, k) -> np.ndarray:
+    """The chords of all probe phases at the probe radius and of the
+    strided phases at the tail's smallest radius, from the norms in the
+    referee's reading d."""
+    norm_a, norm_b = d.details["norm_a"], d.details["norm_b"]
+    unit = (norm_a + norm_b) / norm_b
+    thetas = np.linspace(0.0, 2.0 * np.pi, _PROBE_PHASES, endpoint=False)
+    cs = np.r_[1e-4 * unit * np.exp(1j * thetas),
+               1e-7 * unit * np.exp(1j * thetas[::_PROBE_STRIDE])]
+    mats = a[None, :, :] + cs[:, None, None] * b[None, :, :]
+    return (ky_fan_norm_batch(mats, k) - norm_a) / np.abs(cs)
+
+
 def _assert_full_scan_result(a, b, k, field="complex"):
-    """The chord scan with no proof level returns what the unpruned scan
-    gives, bit for bit. oracle_check_pair reads the same verdict and dip_*
-    details, unless a near tie demotes ORTHOGONAL to BOUNDARY. A refutation
-    reports the chord that proved it, at or above the full scan's margin;
-    any other reading reports the full scan's margin and phase bit for bit.
-    The margin is the chord at ``chord_point``, up to the rounding of two
-    norm evaluations (a batched SVD and a single one round differently).
-    When the probe's minorants clear the annulus (``dip_evals`` 0 where the
-    dip check evaluates norms), the dip check must clear it too; otherwise
-    the dip check ran and its details are the same."""
+    """The chord scan with no proof or settle level returns what the
+    unpruned scan gives, bit for bit. oracle_check_pair reads the same
+    verdict and dip_* details, unless a near tie demotes ORTHOGONAL to
+    BOUNDARY. A refutation reports the chord that proved it, at or above
+    the full scan's margin. A settled reading (``details["settled"]``) has
+    every one of the 512 probe chords and the 16 strided chords on the
+    tail's smallest radius at or above the dip depth 1e-3 scale, and
+    reports the margin and phase of a scan of the strided phases with no
+    refinement, bit for bit; any other reading reports the full scan's
+    margin and phase bit for bit. The margin is the chord at
+    ``chord_point``, up to the rounding of two norm evaluations (a batched
+    SVD and a single one round differently). When the probe's minorants
+    clear the annulus (``dip_evals`` 0 where the dip check evaluates
+    norms), the dip check must clear it too; otherwise the dip check ran
+    and its details are the same."""
     a, b = as_matrix(a), as_matrix(b)
     # with no refinement the phase is the probe's own first argmin
     assert _chord_scan_with(a, b, k, field, _REFINE_ROUNDS=0) \
@@ -517,6 +668,12 @@ def _assert_full_scan_result(a, b, k, field="complex"):
     assert _chord_scan_with(a, b, k, field) == (margin, theta)
     norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
     scale = Tolerances().margin_scale(norm_a, norm_b)
+    d = oracle_check_pair(a, b, k, field=field)
+    if d.details.get("settled"):
+        assert d.details["chord_evals"] == 2 + 16 + 16 + 13
+        assert _probe_chords(d, a, b, k).min() >= 1e-3 * d.scale
+        margin, theta = _full_probe_scan(a, b, k, field, refine_rounds=0,
+                                         stride=_PROBE_STRIDE)
     verdict = Tolerances().band(margin, scale)
     if field != "complex":
         dips = {"dip_status": "real_field", "dip_evals": 0}
@@ -526,7 +683,6 @@ def _assert_full_scan_result(a, b, k, field="complex"):
         dips = _dip_check(a, b, k, norm_a, norm_b, 1e-3 * scale, theta)
         if dips["dip_status"] != "cleared":
             verdict = Verdict.BOUNDARY
-    d = oracle_check_pair(a, b, k, field=field)
     got = {key: v for key, v in d.details.items() if key.startswith("dip_")}
     assert got["dip_status"] == dips["dip_status"]
     if got["dip_evals"]:
@@ -548,7 +704,7 @@ def _assert_full_scan_result(a, b, k, field="complex"):
 
 def test_pruned_probe_matches_full_scan_on_seeded_pairs():
     rng = np.random.default_rng(10)
-    pruned = 0
+    pruned = settled = unsettled = 0
     for field in ("complex", "real"):
         for n in range(2, 9):
             for k in range(1, n + 1):
@@ -561,13 +717,18 @@ def test_pruned_probe_matches_full_scan_on_seeded_pairs():
                                                r=int(k < n), field=field)
                 d = _assert_full_scan_result(a, b, k, field)
                 # a refutation stops before any minorant is taken, so count
-                # the orthogonal pairs, whose scans run the pruning
-                pruned += field == "complex" and d.details["probe_minorants"] \
+                # the orthogonal pairs, whose scans stop short of 512 phases
+                # by the pruning or by settling
+                short = field == "complex" and d.details["probe_minorants"] \
                     and d.details["probe_evals"] < 512
+                pruned += short
+                settled += "settled" in d.details
+                unsettled += short and "settled" not in d.details
                 if k > 1:
                     a, b, _ = make_nonorthogonal_pair(n, k, rng)
                     _assert_full_scan_result(a, b, k, field)
     assert pruned >= 30
+    assert settled >= 20 and unsettled >= 5, (settled, unsettled)
 
 
 def test_pruned_probe_matches_full_scan_on_flat_profiles():
