@@ -6,14 +6,8 @@ checkable witness, and ships an independent norm-evaluation referee for
 cross-validation. See the README for the decision model and CLI usage.
 """
 
-from .decide import (
-    check_pair,
-    check_parallel,
-    check_subspace,
-    verify_certificate,
-)
+from .decide import check_pair, check_parallel, check_subspace
 from .errors import (
-    BadBlockStructure,
     DegenerateRank,
     KOutOfRange,
     KyFanError,
@@ -71,13 +65,13 @@ from .subdiff import (
     subgradient_membership,
     swept_minimum,
 )
+from .verify import verify_certificate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "COMPLEX_FIELD",
     "REAL_FIELD",
-    "BadBlockStructure",
     "CertKind",
     "Certificate",
     "Decision",

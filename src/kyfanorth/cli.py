@@ -27,13 +27,7 @@ import time
 
 import numpy as np
 
-from .decide import (
-    _pair_setup,
-    check_pair,
-    check_parallel,
-    check_subspace,
-    verify_certificate,
-)
+from .decide import _pair_setup, check_pair, check_parallel, check_subspace
 from .errors import DegenerateRank, KyFanError, ParseError
 from .generate import (
     make_nonorthogonal_pair,
@@ -53,6 +47,7 @@ from .oracle import (
     oracle_check_subspace,
     sample_range_points,
 )
+from .verify import verify_certificate
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -246,6 +241,8 @@ def cmd_verify(args) -> int:
             status = "ok" if check["pass"] else "FAIL"
             print(f"  [{status}] {check['name']}: value={check['value']:.3e} "
                   f"bound={check['bound']:.3e}")
+        if outcome["statement"] is not None:
+            print(f"  statement: {outcome['statement']['bound']}")
     return 0 if outcome["ok"] else 1
 
 
@@ -255,13 +252,9 @@ def _proves_verdict(verdict: Verdict, cert, real_pair: bool) -> bool:
     the one real-field problem verify reads."""
     purpose = cert.details.get("purpose", "orthogonal")
     if verdict is Verdict.ORTHOGONAL:
-        if purpose == "real":
-            return real_pair and cert.kind in (CertKind.WITNESS_SYSTEM,
-                                               CertKind.BLOCK_COEFFICIENT)
-        if cert.kind is CertKind.WITNESS_SYSTEM:
-            return purpose == "orthogonal"
-        return cert.kind in (CertKind.BLOCK_COEFFICIENT,
-                             CertKind.DENSITY_SYSTEM)
+        if cert.kind is not CertKind.WITNESS_SYSTEM:
+            return False
+        return real_pair if purpose == "real" else purpose == "orthogonal"
     if verdict is Verdict.NOT_ORTHOGONAL:
         real = cert.coefficient is not None and cert.coefficient.imag == 0.0
         return cert.kind is CertKind.VIOLATION and (real or not real_pair)

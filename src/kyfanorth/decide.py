@@ -8,11 +8,16 @@ its basis in C^m. The engine models each set exactly through the spectral
 frame of A (a fixed complex offset plus a q-trace numerical range of the
 boundary compression), reads the decision off a certified bracket on the
 distance of 0 from it, found by one nearest-point search for pairs and
-subspaces alike, and backs each verdict with a checkable certificate: an
-orthonormal witness system, a feasible boundary-block coefficient with its
-assembled subgradient, a density system for subspaces, or a scalar c whose
-chord rate (||A + cB||_(k) - ||A||_(k))/|c|, an upper bound on the
-derivative along cB by convexity, proves the margin below -strict*scale.
+subspaces alike, and backs each verdict with a checkable certificate: a
+witness system, a convex combination sum_i w_i Y_i X_i* of rank-k partial
+isometries that norms A and annihilates the direction or every basis
+matrix, or a scalar c whose chord rate (||A + cB||_(k) - ||A||_(k))/|c|,
+an upper bound on the derivative along cB by convexity, proves the margin
+below -strict*scale. The witness is the search's own corral: each atom, a
+rank-q projector or a contraction -U_q V_q* on the boundary block, lifts
+to one partial isometry, and a pair's mixture is purified to one term when
+s_k > 0. Certificates are checked by ``verify.verify_certificate``, which
+reads nothing of the frame.
 """
 
 from __future__ import annotations
@@ -23,13 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadBlockStructure,
-    DegenerateRank,
-    NonFinite,
-    WitnessSearchFailed,
-)
-from .linalg import as_matrix, herm
+from .errors import DegenerateRank, WitnessSearchFailed
+from .linalg import herm
 from .model import (
     COMPLEX_FIELD,
     REAL_FIELD,
@@ -40,7 +40,7 @@ from .model import (
     Verdict,
 )
 from .norms import (
-    ky_fan_norm_batch,
+    chord_allowance,
     ky_fan_sum,
     require_field,
     require_operands,
@@ -55,7 +55,6 @@ __all__ = [
     "check_pair",
     "check_subspace",
     "check_parallel",
-    "verify_certificate",
 ]
 
 
@@ -128,8 +127,9 @@ def _pair_search(setup: _PairSetup, field: str) -> "_Search":
     if model.is_point:
         z = model.point_value
         x = np.array([complex(z.real) if real else z])
-        return _Search(coeff=np.eye(model.m, dtype=complex), x=x,
-                       lower=abs(x[0]), added=0, capped=False)
+        eye = np.eye(model.m, dtype=complex)
+        return _Search(terms=[(1.0, eye, eye)], x=x, lower=abs(x[0]),
+                       added=0, capped=False)
     return _search(*_joint_oracle([model], real,
                                   exposed=model.width > 3 * model.m),
                    1e-3 * setup.tol.cert * setup.scale)
@@ -159,30 +159,15 @@ def _decide_pair(setup: _PairSetup, field: str,
 def _attach_pair_certificate(decision: Decision, setup: _PairSetup,
                              search: "_Search", field: str) -> None:
     if decision.verdict is Verdict.ORTHOGONAL:
-        if not setup.frame.degenerate_zero:
-            try:
-                decision.certificate = _witness_system(setup, search.coeff,
-                                                       field)
-                return
-            except WitnessSearchFailed as exc:
-                decision.details["witness_error"] = str(exc)
-        try:
-            decision.certificate = _witness_block(setup, search.coeff, field)
-        except WitnessSearchFailed as exc:
-            decision.details["certificate_error"] = str(exc)
+        _attach_witness(decision, setup.a, setup.frame, setup.tol,
+                        lambda: _pair_witness(setup, search, field,
+                                              decision.details))
     elif decision.verdict is Verdict.NOT_ORTHOGONAL:
         # the support value -lower is read along -x: the ray c = -t conj(x)/|x|
         x = complex(search.x[0])
         decision.certificate, info = _violation_certificate(
             setup, decision.margin, -x.conjugate() / abs(x))
         decision.details.update(info)
-
-
-def _chord_allowance(norm_a: float, norm_b: float, t: float, n: int) -> float:
-    """Rounding allowance on a chord rate (||A + cB||_(k) - ||A||_(k))/|c|
-    at |c| = t: each of the two norms is exact to 32 n eps (||A||_(k) +
-    t ||B||_(k))."""
-    return 64.0 * n * np.finfo(float).eps * (norm_a + t * norm_b) / t
 
 
 def _violation_certificate(setup: _PairSetup, margin: float, phase: complex
@@ -194,7 +179,7 @@ def _violation_certificate(setup: _PairSetup, margin: float, phase: complex
     f(t) = ||A + t phase B||_(k) is convex, and ``margin`` bounds its
     derivative f'(0+) from below, so the chord rate (f(t) - f(0))/t, an
     upper bound on that derivative, never lies below the margin. A rate
-    below -strict*scale less ``_chord_allowance`` proves the verdict. The
+    below -strict*scale less ``chord_allowance`` proves the verdict. The
     search quarters t from ||A||/||B|| and gives up once the allowance
     alone would lift the margin above that bar: then no chord at t or below
     can prove it.
@@ -203,11 +188,11 @@ def _violation_certificate(setup: _PairSetup, margin: float, phase: complex
     norm_a, norm_b, n = setup.frame.norm_value, setup.norm_b, a.shape[0]
     bar = -setup.tol.strict * setup.scale
     t, evals = norm_a / norm_b, 0
-    while margin + _chord_allowance(norm_a, norm_b, t, n) < bar:
+    while margin + chord_allowance(norm_a, norm_b, t, n) < bar:
         value = ky_fan_sum(a + (t * phase) * b, k)
         evals += 1
         rate = (value - norm_a) / t
-        if rate + _chord_allowance(norm_a, norm_b, t, n) < bar:
+        if rate + chord_allowance(norm_a, norm_b, t, n) < bar:
             cert = Certificate(
                 kind=CertKind.VIOLATION,
                 coefficient=complex(t * phase),
@@ -305,15 +290,20 @@ def _wolfe_step(points: np.ndarray, weights: np.ndarray) -> tuple:
 
 @dataclass
 class _Search:
-    """A finished nearest-point search: the boundary coefficient whose
-    pairings make the point x, and the bracket [lower, |x|] on the distance
-    of 0 from the set."""
+    """A finished nearest-point search: the weighted boundary atoms
+    (w, L, R) whose coefficient sum w L R* makes the point x, and the
+    bracket [lower, |x|] on the distance of 0 from the set."""
 
-    coeff: np.ndarray
+    terms: list
     x: np.ndarray
     lower: float
     added: int
     capped: bool
+
+    @property
+    def coeff(self) -> np.ndarray:
+        return sum(w * (left @ right.conj().T) for w, left, right
+                   in self.terms)
 
     def decision(self, tol: Tolerances, scale: float, method: str,
                  details: dict) -> Decision:
@@ -341,10 +331,13 @@ class _Search:
 
 def _search(oracle, start: tuple, tol: float,
             gate: float = np.inf) -> _Search:
+    """``_nearest_point`` over atoms that are mixtures [(w, L, R), ...] of
+    rank-q boundary atoms, its corral flattened into one mixture."""
     atoms, weights, x, lower, added, capped = _nearest_point(oracle, start,
                                                              tol, gate)
-    return _Search(coeff=sum(w * atom for w, atom in zip(weights, atoms)),
-                   x=x, lower=lower, added=added, capped=capped)
+    terms = [(float(w * v), left, right) for w, atom in zip(weights, atoms)
+             for v, left, right in atom]
+    return _Search(terms=terms, x=x, lower=lower, added=added, capped=capped)
 
 
 def _joint_oracle(models: list, real: bool = False,
@@ -353,7 +346,9 @@ def _joint_oracle(models: list, real: bool = False,
     coordinate each over a shared boundary coefficient T, and the start
     for ``_nearest_point``: the centre of the coefficient set or, when
     ``exposed``, the oracle's atom at the centre's image. ``real`` takes
-    the real parts of the points, the set of a real-field pair.
+    the real parts of the points, the set of a real-field pair. Each atom
+    is a mixture [(w, L, R), ...] of rank-q partial isometries L R*: one
+    for an exposed point, several for the centre.
 
     - s_k = 0: T ranges over the contractions with singular sum at most q,
       centre 0. The minimum of Re tr(T* M) over them is -||M||_(q), at
@@ -373,30 +368,40 @@ def _joint_oracle(models: list, real: bool = False,
         @functools.cache
         def disk():
             u, s, vh = np.linalg.svd(head.block, full_matrices=False)
-            return u[:, :q] @ vh[:q], float(s[:q].sum())
+            return u[:, :q], vh[:q].conj().T, float(s[:q].sum())
 
         def oracle(x):
-            top, rho = disk()
+            left, right, rho = disk()
             unit = x[0] / abs(x[0])
-            return -np.conj(unit) * top, fixed - unit * rho
+            return [(1.0, -np.conj(unit) * left, right)], fixed - unit * rho
     elif head.degenerate:
         def oracle(x):
             u, _, vh = np.linalg.svd((x.conj() @ flat).reshape(shape),
                                      full_matrices=False)
-            t = -(u[:, :q] @ vh[:q])
-            return t, fixed + flat @ t.conj().ravel()
+            left, right = -u[:, :q], vh[:q].conj().T
+            t = left @ right.conj().T
+            return [(1.0, left, right)], fixed + flat @ t.conj().ravel()
     else:
         def oracle(x):
             _, vec = np.linalg.eigh(herm((x.conj() @ flat).reshape(shape)))
             v = vec[:, :q]
             p = v @ v.conj().T
-            return p, fixed + flat @ p.conj().ravel()
+            return [(1.0, v, v)], fixed + flat @ p.conj().ravel()
 
     if head.degenerate:
-        start = (np.zeros(shape, dtype=complex), fixed)
+        # 0 is the midpoint of the contractions E and -E, E = [I_q; 0]
+        left = np.eye(shape[0], q, dtype=complex)
+        right = np.eye(shape[1], q, dtype=complex)
+        start = ([(0.5, left, right), (0.5, -left, right)], fixed)
     else:
-        centre = np.eye(shape[0], dtype=complex) * (q / shape[0])
-        start = (centre, fixed + flat @ centre.ravel())
+        # (q/d) I is the mean of the d projectors on q cyclically
+        # consecutive coordinates
+        d = shape[0]
+        eye = np.eye(d, dtype=complex)
+        centre = eye * (q / d)
+        start = ([(1.0 / d, p, p) for p in
+                  (np.roll(eye, -i, axis=1)[:, :q] for i in range(d))],
+                 fixed + flat @ centre.ravel())
     if real:
         oracle, start = (lambda x, whole=oracle: _real_parts(whole(x)),
                          _real_parts(start))
@@ -422,6 +427,57 @@ def _checked_miss(setup: _PairSetup, coeff: np.ndarray, field: str,
     if resid > 10.0 * setup.tol.cert * setup.scale:
         raise WitnessSearchFailed(f"{what} misses 0 by {resid:.3e}")
     return resid
+
+
+def _attach_witness(decision: Decision, a: np.ndarray,
+                    frame: SubdifferentialFrame, tol: Tolerances,
+                    build) -> None:
+    """Attach the witness system ``build()`` makes, once its norming defect
+    ||A||_(k) - Re tr(G* A) passes ``Tolerances.norming_level``, the bar
+    the verifier holds it to; a failed construction leaves the verdict and
+    its ``certificate_error``."""
+    try:
+        cert = build()
+        defect = frame.norm_value - cert.pairing(a).real
+        level = tol.norming_level(a.shape[0], frame.part.k,
+                                  float(frame.svd.s[0]))
+        if defect > level:
+            raise WitnessSearchFailed(
+                f"norming defect {defect:.3e} exceeds the rounding level "
+                f"{level:.3e}")
+    except WitnessSearchFailed as exc:
+        decision.details["certificate_error"] = str(exc)
+        return
+    cert.details["norming_defect"] = defect
+    decision.certificate = cert
+
+
+def _witness(frame: SubdifferentialFrame, terms: list,
+             details: dict) -> Certificate:
+    """The WITNESS_SYSTEM of weighted boundary atoms (w, L, R), each lifted
+    to the factors of one partial isometry Y X* = U1 V1* + U2 L R* V2*."""
+    lifted = [frame.term(left, right) for _, left, right in terms]
+    return Certificate(kind=CertKind.WITNESS_SYSTEM,
+                       weights=[w for w, _, _ in terms],
+                       left=[y for y, _ in lifted],
+                       right=[x for _, x in lifted], details=details)
+
+
+def _pair_witness(setup: _PairSetup, search: _Search, field: str,
+                  details: dict) -> Certificate:
+    """The pair's witness system: one term purified from the search's
+    coefficient when s_k > 0, else, or when that fails (its
+    ``witness_error`` in ``details``), the search's corral."""
+    if not setup.frame.degenerate_zero:
+        try:
+            return _witness_system(setup, search.coeff, field)
+        except WitnessSearchFailed as exc:
+            details["witness_error"] = str(exc)
+    return _corral_witness(setup, search, field)
+
+
+def _purpose(field: str) -> str:
+    return "real" if field == REAL_FIELD else "orthogonal"
 
 
 # eigenvalues of a coefficient this close to 0 or 1 count as there
@@ -480,54 +536,31 @@ def _purify(coeff: np.ndarray, c: np.ndarray, q: int) -> tuple:
 
 def _witness_system(setup: _PairSetup, coeff: np.ndarray,
                     field: str) -> Certificate:
-    """k orthonormal eigenvectors of |A| whose compression sum of the
-    polar-rotated direction vanishes (its real part, in the real field):
-    the search's coefficient purified to one rank-q projector on the
-    boundary cluster, whose columns are the boundary witness vectors."""
-    frame = setup.frame
+    """One term: the search's coefficient purified to a rank-q projector
+    P = L L* on the boundary cluster that solves the trace equation (its
+    real part, in the real field), so that X = [V1, V2 L] holds k
+    orthonormal eigenvectors of |A| and Y = [U1, U2 L]."""
     _checked_miss(setup, coeff, field)
-    cols, steps = _purify(coeff, setup.model.compression, frame.part.q)
+    cols, steps = _purify(coeff, setup.model.compression, setup.frame.part.q)
     resid = _checked_miss(setup, cols @ cols.conj().T, field,
                           "purified projector")
-    vectors = frame.witness_vectors(cols)
-    pairing = _pairings(frame, vectors, [setup.b])[0].conjugate()
-    return Certificate(
-        kind=CertKind.WITNESS_SYSTEM,
-        vectors=vectors,
-        details={
-            "purpose": "real" if field == REAL_FIELD else "orthogonal",
-            "field": field,
-            "pairing_re": float(np.real(pairing)),
-            "pairing_im": float(np.imag(pairing)),
-            "construction_residual": resid,
-            "singular_values": [float(s) for s in frame.svd.s[:setup.k]],
-            "purify_steps": steps,
-        },
-    )
+    return _witness(setup.frame, [(1.0, cols, cols)], {
+        "purpose": _purpose(field),
+        "construction_residual": resid,
+        "purify_steps": steps,
+    })
 
 
-def _witness_block(setup: _PairSetup, coeff: np.ndarray,
-                   field: str) -> Certificate:
-    """The search's boundary-block coefficient, which solves the trace
-    equation (its real part, in the real field), with the dual matrix
-    assembled from it: a mixture of rank-q projectors when s_k > 0, of
-    contractions -c U_q V_q* on the widened tail at s_k = 0."""
-    model = setup.model
-    cert = Certificate(
-        kind=CertKind.BLOCK_COEFFICIENT,
-        block_matrix=coeff,
-        subgradient=setup.frame.subgradient(coeff),
-        details={
-            "block_residual": _checked_miss(setup, coeff, field),
-            "trace_budget": model.m,
-            "set": "general" if model.degenerate else "psd",
-            "rows": coeff.shape[0],
-            "cols": coeff.shape[1],
-        },
-    )
-    if field == REAL_FIELD:
-        cert.details["purpose"] = "real"
-    return cert
+def _corral_witness(setup: _PairSetup, search: _Search,
+                    field: str) -> Certificate:
+    """The search's corral as it stands, one term per atom: rank-q
+    projectors when s_k > 0, contractions -U_q V_q* on the widened tail at
+    s_k = 0, whose coefficient solves the trace equation (its real part,
+    in the real field)."""
+    return _witness(setup.frame, search.terms, {
+        "purpose": _purpose(field),
+        "construction_residual": _checked_miss(setup, search.coeff, field),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +609,11 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
             tolerances=tol, details={"basis_rank": 0, "trivial": True,
                                      "search_capped": False})
         if want_certificate:
-            d = frame.part.q + frame.part.r
-            decision.certificate = _density_certificate(
-                frame, [], np.eye(d) * (frame.part.q / d), tol)
+            # the top-k singular pairs norm A exactly
+            left, right = frame.top_term()
+            _attach_witness(decision, a, frame, tol, lambda: Certificate(
+                kind=CertKind.WITNESS_SYSTEM, weights=[1.0], left=[left],
+                right=[right], details={"purpose": "orthogonal"}))
         return decision
     size = max(float(np.linalg.norm(w)) for w in basis)
     ortho = [size * w for w in ortho]
@@ -595,20 +630,8 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     if not want_certificate:
         return decision
     if decision.verdict is Verdict.ORTHOGONAL:
-        if frame.degenerate_zero:
-            # a density system pairs through A's own polar factor, so it
-            # needs a PSD coefficient: search the PSD contractions again
-            search = _search(*_joint_oracle([
-                RangeSetModel(model.fixed_part, model.compression, model.m)
-                for model in models]), feas_tol, gate)
-        miss = float(np.linalg.norm(search.x))
-        if miss <= tol.decide * scale:
-            decision.certificate = _density_certificate(frame, ortho,
-                                                        search.coeff, tol)
-        else:
-            decision.details["certificate_error"] = (
-                f"no density system: the PSD boundary coefficients miss 0 "
-                f"by {search.lower:.3e} to {miss:.3e}")
+        _attach_witness(decision, a, frame, tol, lambda: _witness(
+            frame, search.terms, {"purpose": "orthogonal"}))
     elif decision.verdict is Verdict.NOT_ORTHOGONAL:
         # the direction of the span along conj(z), as large as the largest
         # basis matrix: its pairing set lies beyond a line missing 0, at the
@@ -632,68 +655,6 @@ def _raw_combination(basis, direction: np.ndarray) -> list:
     stack = np.stack([w.ravel() for w in basis], axis=1)
     coeffs, *_ = np.linalg.lstsq(stack, direction.ravel(), rcond=None)
     return [[float(c.real), float(c.imag)] for c in coeffs]
-
-
-def _cluster_factors(frame: SubdifferentialFrame, blocks: list,
-                     tol: float) -> tuple:
-    """Factors X_c and multiplicities m_c of the clusters of A that meet
-    the indices 1..k, from their ``blocks`` B_c (top cluster first) in the
-    bases V_c of their right singular vectors. The m_c indices of a cluster
-    share the density V_c B_c V_c* / m_c = X_c X_c*, so X_c = V_c Y
-    sqrt(L / m_c) for B_c = Y L Y* on its positive eigenvalues. A block
-    more than tol off Hermitian or below -tol in an eigenvalue is rejected."""
-    factors, mults = [], []
-    for (start, stop), block in zip(frame.part.clusters, blocks):
-        lam, vec = np.linalg.eigh(herm(block))
-        if lam[0] < -tol or np.abs(block - block.conj().T).max() > tol:
-            raise BadBlockStructure(
-                f"cluster block at index {start} is not PSD (lowest "
-                f"eigenvalue {lam[0]:.3e})")
-        keep = lam > 0.0
-        mults.append(min(stop, frame.part.k) - start)
-        factors.append(frame.svd.v[:, start:stop]
-                       @ (vec[:, keep] * np.sqrt(lam[keep] / mults[-1])))
-    return factors, mults
-
-
-def _pairings(frame: SubdifferentialFrame, stack: np.ndarray,
-              mats: list) -> list:
-    """The pairings tr(W_j* U V* S S*) of a stacked factor S, in O(n^2 k).
-    A witness system is its own stack, and its pairing tr(X* V U* B X)
-    with B is the conjugate of the one with W = B."""
-    rotated = frame.svd.u @ (frame.svd.v.conj().T @ stack)
-    return [complex(np.vdot(w @ stack, rotated)) for w in mats]
-
-
-def _density_sums(frame: SubdifferentialFrame, factors: list, mults,
-                  mats: list) -> tuple:
-    """||sum_i P_i|| and the pairings tr(W_j* U_polar sum_i P_i), read off
-    the stacked factor S = [sqrt(m_c) X_c], for which sum_i P_i = S S*."""
-    stack = np.hstack([np.sqrt(m) * x for x, m in zip(factors, mults)])
-    return (float(np.linalg.svd(stack, compute_uv=False)[0]) ** 2,
-            _pairings(frame, stack, mats))
-
-
-def _density_certificate(frame: SubdifferentialFrame, ortho: list,
-                         coefficient: np.ndarray, tol: Tolerances) -> Certificate:
-    # fully included clusters carry their whole projector, the boundary
-    # cluster (starting at index k - q) the trace-q coefficient
-    i1 = frame.part.boundary[0]
-    factors, mults = _cluster_factors(frame, [
-        coefficient if start == i1 else np.eye(stop - start)
-        for start, stop in frame.part.clusters if start < frame.part.k],
-        tol.cert)
-    combined, pairings = _density_sums(frame, factors, mults, ortho)
-    return Certificate(
-        kind=CertKind.DENSITY_SYSTEM,
-        factors=factors,
-        multiplicities=mults,
-        details={
-            "pairings": [[z.real, z.imag] for z in pairings],
-            "combined_norm": combined,
-            "singular_values": [float(s) for s in frame.svd.s[:frame.part.k]],
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -741,210 +702,11 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
     if verdict is Verdict.PARALLEL and want_certificate:
         # the top-q eigenvectors at the peak expose its point of the set
         _, top = setup.model._top_eigen(np.array([outcome.theta]))
-        vectors = frame.witness_vectors(top[0])
-        pairing = _pairings(frame, vectors, [setup.b])[0].conjugate()
-        decision.certificate = Certificate(
-            kind=CertKind.WITNESS_SYSTEM,
-            vectors=vectors,
-            details={
+        _attach_witness(decision, setup.a, frame, setup.tol, lambda: _witness(
+            frame, [(1.0, top[0], top[0])], {
                 "purpose": "parallel",
-                "pairing_re": pairing.real,
-                "pairing_im": pairing.imag,
                 "target_modulus": norm_b,
                 "lambda_re": lam.real,
                 "lambda_im": lam.imag,
-            },
-        )
+            }))
     return decision
-
-
-# ---------------------------------------------------------------------------
-# certificate verification
-
-
-def verify_certificate(cert: Certificate, a, second, k: int,
-                       tol: Tolerances | None = None) -> dict:
-    """Independently re-check every clause of a certificate.
-
-    ``second`` is the direction matrix for pair certificates and the list of
-    basis matrices for subspace certificates: a DENSITY_SYSTEM, or a
-    VIOLATION whose ``combination`` detail combines the basis. The operands
-    pass the entry preamble once, inside the report, and every clause reads
-    the arrays it returns. Returns a report dict with one entry per clause
-    and an overall ``ok`` flag; never raises on a bad certificate, operand
-    or k.
-    """
-    tol = _tol_or_default(tol)
-    checks = []
-
-    def add(name, value, bound):
-        checks.append({"name": name, "value": float(value),
-                       "bound": float(bound), "pass": bool(value <= bound)})
-
-    try:
-        if isinstance(cert.kind, CertKind):
-            _verify_kind(cert, a, second, k, tol, add)
-        else:
-            add("known_kind", 1.0, 0.0)
-    except Exception as exc:  # verification must always produce a report
-        checks.append({"name": "exception", "value": 1.0, "bound": 0.0,
-                       "pass": False, "error": f"{type(exc).__name__}: {exc}"})
-    return {"kind": cert.kind.value, "checks": checks,
-            "ok": all(c["pass"] for c in checks)}
-
-
-def _verify_kind(cert, a, second, k, tol, add):
-    """The entry preamble on A, the direction or basis and k, then the
-    clauses of the certificate's kind on the arrays it returns."""
-    basis = (cert.kind is CertKind.DENSITY_SYSTEM
-             or (cert.kind is CertKind.VIOLATION
-                 and "combination" in cert.details))
-    a, mats = require_operands(a, second if basis else [second], k)
-    if cert.kind in (CertKind.WITNESS_SYSTEM, CertKind.DENSITY_SYSTEM):
-        _verify_density(cert, a, mats, k, tol, add)
-    elif cert.kind is CertKind.BLOCK_COEFFICIENT:
-        _verify_block(cert, a, mats[0], k, tol, add)
-    else:
-        _verify_violation(cert, a, _materialize_direction(mats, cert.details),
-                          k, tol, add)
-
-
-def _verify_block(cert, a, b, k, tol, add):
-    frame = frame_of(a, k, tol.cluster)
-    norm_a = frame.norm_value
-    scale = tol.margin_scale(norm_a, ky_fan_sum(b, k))
-    coeff = as_matrix(cert.block_matrix)
-    model = frame.range_model(b)
-    if coeff.shape != model.block.shape:
-        add("coefficient_shape", 1.0, 0.0)
-        return
-    add("coefficient_feasible", 0.0 if frame.contains(coeff, tol=10 * tol.cert)
-        else 1.0, 0.5)
-    # a real-purpose block pairs with B over real scalars only
-    real = cert.details.get("purpose") == "real"
-    miss = model.pairing(coeff)
-    add("block_equation", abs(miss.real) if real else abs(miss),
-        0.1 * tol.strict * scale)
-    if cert.subgradient is not None:
-        _verify_subgradient(cert.subgradient, a, b, k, tol, add, norm_a,
-                            scale, real)
-
-
-def _verify_subgradient(g, a, b, k, tol, add, norm_a, scale, real):
-    g = as_matrix(g)
-    s = np.linalg.svd(g, compute_uv=False)
-    add("dual_operator_norm", float(s[0]) - 1.0 if s.size else 0.0,
-        10.0 * tol.cert)
-    add("dual_trace_norm", float(s.sum()) - k, 10.0 * tol.cert)
-    pair_a = float(np.real(np.trace(g.conj().T @ a)))
-    add("norming", norm_a - pair_a, 0.1 * tol.strict * norm_a)
-    pairing = complex(np.trace(g.conj().T @ b))
-    add("direction_pairing", abs(pairing.real) if real else abs(pairing),
-        0.1 * tol.strict * scale)
-
-
-def _materialize_direction(mats: list, details) -> np.ndarray:
-    """The direction of a violation: the one matrix in ``mats``, or the
-    ``combination`` of the basis ``mats`` a subspace refutation records."""
-    combo = details.get("combination")
-    if combo is None:
-        return mats[0]
-    out = np.zeros_like(mats[0])
-    for (re, im), w in zip(combo, mats):
-        out = out + complex(re, im) * w
-    return out
-
-
-def _certificate_scalar(value) -> complex:
-    """A scalar c that a certificate supplies, refused unless finite. The
-    operands are checked at entry, so c is the one way that A + c B can
-    reach LAPACK with an inf or a NaN in it."""
-    c = complex(value)
-    if not cmath.isfinite(c):
-        raise NonFinite(f"certificate scalar {c} is not finite")
-    return c
-
-
-def _verify_violation(cert, a, b, k, tol, add):
-    # ||A||, ||B|| and ||A + lam B|| in one SVD call
-    lam = _certificate_scalar(cert.coefficient)
-    norm_a, norm_b, value = (float(x) for x in ky_fan_norm_batch(
-        np.stack([a, b, a + lam * b]), k))
-    scale = tol.margin_scale(norm_a, norm_b)
-    add("claimed_norm_matches", abs(value - float(cert.norm_value)),
-        tol.cert * scale)
-    # by convexity the chord rate bounds the derivative along lam B above
-    t = abs(lam)
-    add("chord_rate", (value - norm_a) / t
-        + _chord_allowance(norm_a, norm_b, t, a.shape[0]), -tol.strict * scale)
-
-
-def _factor_clusters(frame: SubdifferentialFrame, factors: list,
-                     mults) -> list | None:
-    """The frame's cluster (start, stop) that holds each factor's run of
-    indices, or None for a layout that is off: multiplicities that are not
-    positive integers summing to k, one per factor, a factor whose rows are
-    not n, or a run that straddles two clusters."""
-    m = np.asarray(mults, dtype=float)
-    if (m.size != len(factors) or m.sum() != frame.part.k or np.any(m < 1)
-            or np.any(m % 1)
-            or any(x.shape[0] != frame.svd.v.shape[0] for x in factors)):
-        return None
-    ends = np.cumsum(m).astype(int)
-    stops = [stop for _, stop in frame.part.clusters]
-    held = np.searchsorted(stops, ends - m.astype(int), side="right")
-    if np.any(ends > np.take(stops, held)):
-        return None
-    return [frame.part.clusters[c] for c in held]
-
-
-def _verify_density(cert, a, mats, k, tol, add):
-    """A DENSITY_SYSTEM against its basis, or a WITNESS_SYSTEM against [B]
-    as the density system P_i = x_i x_i* it defines, regrouped by the
-    verifier's clusters into X_c = [x_i]_{i in c} / sqrt(m_c). Unit traces
-    and ||S S*|| <= 1 + 10 cert make a witness orthonormal to O(k cert)."""
-    frame = frame_of(a, k, tol.cluster)
-    witness = cert.kind is CertKind.WITNESS_SYSTEM
-    norms = [ky_fan_sum(w, k) for w in mats]
-    scale = tol.margin_scale(frame.norm_value, max(norms, default=0.0))
-    if witness:
-        vectors = as_matrix(cert.vectors)
-        runs = [(i, min(j, k)) for i, j in frame.part.clusters if i < k]
-        factors = [vectors[:, i:j] / np.sqrt(j - i) for i, j in runs]
-        # other than k columns leaves no multiplicities, failing the layout
-        mults = [j - i for i, j in runs] if vectors.shape[1] == k else []
-    else:
-        factors = [as_matrix(x) for x in (cert.factors or [])]
-        mults = cert.multiplicities or []
-    spans = _factor_clusters(frame, factors, mults)
-    if spans is None:
-        add("factor_layout", 1.0, 0.0)
-        return
-    for c, x in enumerate(factors):
-        add(f"trace_one_{c}", abs(float(np.linalg.norm(x)) ** 2 - 1.0),
-            10.0 * tol.cert)
-    for c, (x, (start, stop)) in enumerate(zip(factors, spans)):
-        v = frame.svd.v[:, start:stop]
-        add(f"cluster_span_{c}",
-            float(np.linalg.norm(x - v @ (v.conj().T @ x))), 10.0 * tol.cert)
-    combined, pairings = _density_sums(frame, factors, mults, mats)
-    add("combined_operator_norm", combined - 1.0, 10.0 * tol.cert)
-    if not witness:
-        for j, z in enumerate(pairings):
-            add(f"basis_pairing_{j}", abs(z), tol.strict * scale)
-        return
-    pairing, bound = pairings[0], 0.1 * tol.strict * scale
-    purpose = cert.details.get("purpose", "orthogonal")
-    if purpose == "parallel":
-        add("pairing_modulus", abs(abs(pairing) - norms[0]), bound)
-        lam = complex(cert.details.get("lambda_re", 1.0),
-                      cert.details.get("lambda_im", 0.0))
-        add("unimodular", abs(abs(lam) - 1.0), 1e-9)
-        lam = _certificate_scalar(lam)
-        achieved = ky_fan_sum(a + lam * mats[0], k)
-        add("triangle_equality",
-            abs(achieved - (frame.norm_value + norms[0])), bound)
-    elif purpose == "real":
-        add("pairing_real_part", abs(pairing.real), bound)
-    else:
-        add("pairing", abs(pairing), bound)

@@ -29,9 +29,5 @@ class WitnessSearchFailed(KyFanError):
     """The witness search did not reach the requested residual."""
 
 
-class BadBlockStructure(KyFanError):
-    """A certificate matrix violates the required eigenblock structure."""
-
-
 class ParseError(KyFanError):
     """A problem or report file is malformed."""

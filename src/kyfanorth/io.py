@@ -4,8 +4,10 @@ Matrices travel as flat row-major real and imaginary lists with explicit
 dimensions. Floats use Python's shortest round-trip form, which stays within
 17 significant digits and reconstructs the exact double. Counts and
 dimensions are JSON integers and every other scalar a JSON number, read
-through ``_integer`` and ``_number``. Every malformed input surfaces as
-ParseError with a message naming the offending field.
+through ``_integer`` and ``_number``; a witness system's terms are three
+lists of one length, its weights and the matrices Y_i and X_i. Every
+malformed input surfaces as ParseError with a message naming the offending
+field.
 """
 
 from __future__ import annotations
@@ -49,8 +51,13 @@ SCHEMA_VERSION = 1
 _TOL_KEYS = tuple(f.name for f in fields(Tolerances))
 # tolerances older files carry that nothing reads: they are dropped
 _RETIRED_TOL_KEYS = ("herm", "resid", "rank")
-# the matrix fields of a certificate, in the order a file lists them
-_CERT_MATRICES = ("vectors", "block_matrix", "subgradient")
+# a witness system's terms: weights and the matrix lists Y_i and X_i
+_CERT_TERMS = ("weights", "left", "right")
+# certificate kinds and fields earlier reports wrote, which no certificate
+# carries now
+_RETIRED_KINDS = ("BLOCK_COEFFICIENT", "DENSITY_SYSTEM")
+_RETIRED_CERT_FIELDS = ("vectors", "block_matrix", "subgradient", "factors",
+                        "multiplicities", "densities")
 
 
 def encode_matrix(m) -> dict:
@@ -243,17 +250,15 @@ def decode_problem(obj) -> Problem:
 
 def encode_certificate(cert: Certificate) -> dict:
     obj = {"kind": cert.kind.value}
-    for name in _CERT_MATRICES:
-        if getattr(cert, name) is not None:
-            obj[name] = encode_matrix(getattr(cert, name))
+    if cert.weights is not None:
+        obj["weights"] = [float(w) for w in cert.weights]
+        obj["left"] = [encode_matrix(y) for y in cert.left]
+        obj["right"] = [encode_matrix(x) for x in cert.right]
     if cert.coefficient is not None:
         c = complex(cert.coefficient)
         obj["coefficient"] = [c.real, c.imag]
     if cert.norm_value is not None:
         obj["norm_value"] = float(cert.norm_value)
-    if cert.factors is not None:
-        obj["factors"] = [encode_matrix(x) for x in cert.factors]
-        obj["multiplicities"] = [int(m) for m in cert.multiplicities]
     if cert.details:
         obj["details"] = _plain(cert.details)
     return obj
@@ -263,12 +268,29 @@ def decode_certificate(obj) -> Certificate:
     if not isinstance(obj, dict):
         raise ParseError("certificate: expected an object")
     kind_raw = obj.get("kind")
+    if kind_raw in _RETIRED_KINDS:
+        raise ParseError(f"certificate: kind {kind_raw} is retired; re-run "
+                         "check")
     try:
         kind = CertKind(kind_raw)
     except ValueError as exc:
         raise ParseError(f"certificate: unknown kind {kind_raw!r}") from exc
-    matrices = {name: decode_matrix(obj[name], name=f"certificate.{name}")
-                for name in _CERT_MATRICES if name in obj}
+    for name in _RETIRED_CERT_FIELDS:
+        if name in obj:
+            raise ParseError(f"certificate: field {name!r} is retired; "
+                             "re-run check")
+    terms = {}
+    if any(name in obj for name in _CERT_TERMS):
+        lists = [obj.get(name) for name in _CERT_TERMS]
+        if not (all(isinstance(x, list) for x in lists)
+                and len({len(x) for x in lists}) == 1):
+            raise ParseError("certificate: weights, left and right must be "
+                             "lists of one length")
+        terms = {"weights": [_number(w, "certificate: weights")
+                             for w in obj["weights"]]}
+        for name in ("left", "right"):
+            terms[name] = [decode_matrix(m, name=f"certificate.{name}[{i}]")
+                           for i, m in enumerate(obj[name])]
     coefficient = None
     if "coefficient" in obj:
         pair = obj["coefficient"]
@@ -279,22 +301,9 @@ def decode_certificate(obj) -> Certificate:
     norm_value = None
     if "norm_value" in obj:
         norm_value = _number(obj["norm_value"], "certificate: norm_value")
-    if "densities" in obj:
-        raise ParseError("certificate: the dense DENSITY_SYSTEM format (n x n "
-                         "'densities') is no longer read; re-run check")
-    factors, mults = obj.get("factors"), obj.get("multiplicities")
-    if factors is not None or mults is not None:
-        if not (isinstance(factors, list) and isinstance(mults, list)
-                and len(mults) == len(factors)):
-            raise ParseError("certificate: factors and multiplicities must be "
-                             "lists of one length")
-        mults = [_integer(m, "certificate: multiplicities") for m in mults]
-        factors = [decode_matrix(x, name=f"certificate.factors[{i}]")
-                   for i, x in enumerate(factors)]
     details = _object(obj.get("details"), "certificate: details")
     return Certificate(kind=kind, coefficient=coefficient,
-                       norm_value=norm_value, factors=factors,
-                       multiplicities=mults, details=details, **matrices)
+                       norm_value=norm_value, details=details, **terms)
 
 
 def encode_report(decision: Decision, timings: dict | None = None) -> dict:

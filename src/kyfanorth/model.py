@@ -15,6 +15,12 @@ COMPLEX_FIELD = "complex"
 REAL_FIELD = "real"
 
 
+def rounding_level(n: int) -> float:
+    """64 n eps: the relative rounding of the singular values of an n x n
+    matrix, and of the products and sums a certificate is read from."""
+    return 64.0 * n * np.finfo(float).eps
+
+
 class Verdict(str, enum.Enum):
     ORTHOGONAL = "ORTHOGONAL"
     NOT_ORTHOGONAL = "NOT_ORTHOGONAL"
@@ -27,8 +33,6 @@ class Verdict(str, enum.Enum):
 
 class CertKind(str, enum.Enum):
     WITNESS_SYSTEM = "WITNESS_SYSTEM"
-    BLOCK_COEFFICIENT = "BLOCK_COEFFICIENT"
-    DENSITY_SYSTEM = "DENSITY_SYSTEM"
     VIOLATION = "VIOLATION"
 
 
@@ -41,8 +45,10 @@ class Tolerances:
     of the margin scale ||A||_(k) + ||B||_(k): at or above -decide*scale is
     orthogonal, below -strict*scale not, anything between BOUNDARY. Spectral
     widths are in units of s1 = ||A||: the clustering width 1e-8 s1 (the
-    absolute cluster when set) and the rank cut 1e-12 s1. Bare, cert
-    bounds trace, cluster span and operator norm.
+    absolute cluster when set) and the rank cut 1e-12 s1. In units of the
+    margin scale, cert bounds construction misses and a claimed norm. The
+    norming defect of a witness is held to ``norming_level``, a rounding
+    level in units of s1, by the engine and the verifier alike.
 
     A problem file carries its tolerances, and ``check`` and ``verify`` both
     read them from there; the Python entry points take them as ``tol``.
@@ -66,6 +72,17 @@ class Tolerances:
 
     def margin_scale(self, norm_a: float, norm_b: float) -> float:
         return max(norm_a + norm_b, 1e-300)
+
+    def norming_level(self, n: int, k: int, s1: float) -> float:
+        """The largest norming defect ||A||_(k) - Re tr(G* A) a witness of
+        an n x n matrix A with top singular value s1 may carry: the
+        rounding level 64 n eps s1 of its singular values, plus
+        k (n - 1) cluster when a clustering width is set, since a
+        single-linkage cluster spans at most n - 1 gaps of that width."""
+        level = rounding_level(n) * s1
+        if self.cluster is not None:
+            level += k * (n - 1) * self.cluster
+        return level
 
     def band(self, margin: float, scale: float,
              hold: Verdict = Verdict.ORTHOGONAL,
@@ -99,19 +116,15 @@ class Tolerances:
 class Certificate:
     """Checkable evidence attached to a decision.
 
-    kind WITNESS_SYSTEM: ``vectors`` holds k orthonormal columns, each in
-    the span of its cluster's right singular vectors of A, whose
-    compression sum of the polar-rotated direction hits the recorded target
-    (0 for orthogonality, modulus ||B||_(k) for parallelism).
-    kind BLOCK_COEFFICIENT: ``block_matrix`` solves the boundary-block trace
-    equation in the basis of a spectral frame of A; ``subgradient`` is the
-    assembled dual matrix built from it.
-    kind DENSITY_SYSTEM: k PSD trace-one matrices P_i, each supported in the
-    matching eigenspace of |A|, with combined operator norm at most one,
-    whose rotated sum annihilates every basis direction. The indices of one
-    singular cluster of A share their P_i, so it is stored once per cluster
-    as an n-row factor X_c in ``factors``, P_i = X_c X_c*, and its index
-    count m_c in ``multiplicities`` (sum m_c = k, in index order).
+    kind WITNESS_SYSTEM: the dual matrix G = sum_i w_i Y_i X_i* of convex
+    ``weights`` w_i and n x k factors X_i (``right``) and Y_i (``left``)
+    with orthonormal columns, a point of the dual unit ball
+    {||G|| <= 1, ||G||_1 <= k} of the Ky Fan k-norm. It norms A,
+    Re tr(G* A) = ||A||_(k) up to its norming defect, and its pairings
+    tr(G* W) = sum_i w_i tr(Y_i* W X_i) vanish on the direction or every
+    basis matrix (their real parts over the reals), or reach modulus
+    ||B||_(k) for parallelism. Then ||A + sum_j c_j W_j||_(k) >=
+    ||A||_(k) - defect - sum_j |c_j| |tr(G* W_j)| for all scalars c_j.
     kind VIOLATION: ``coefficient`` is a scalar c with ||A + c*B||_(k) =
     ``norm_value`` whose chord rate (``norm_value`` - ||A||_(k))/|c|, plus a
     rounding allowance, lies below -strict*scale. The norm is convex in c,
@@ -120,14 +133,17 @@ class Certificate:
     """
 
     kind: CertKind
-    vectors: np.ndarray | None = None
-    block_matrix: np.ndarray | None = None
-    subgradient: np.ndarray | None = None
+    weights: list | None = None
+    left: list | None = None
+    right: list | None = None
     coefficient: complex | None = None
     norm_value: float | None = None
-    factors: list | None = None
-    multiplicities: list | None = None
     details: dict = field(default_factory=dict)
+
+    def pairing(self, m: np.ndarray) -> complex:
+        """tr(G* M) = sum_i w_i tr(Y_i* M X_i) of a witness system."""
+        return complex(sum(w * np.vdot(y, m @ x) for w, y, x
+                           in zip(self.weights, self.left, self.right)))
 
 
 @dataclass

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import KOutOfRange, ShapeMismatch
 from .linalg import as_matrix, require_square
-from .model import COMPLEX_FIELD, REAL_FIELD
+from .model import COMPLEX_FIELD, REAL_FIELD, rounding_level
 
 __all__ = [
     "ky_fan_norm",
@@ -51,6 +51,13 @@ def ky_fan_sum(m: np.ndarray, k: int) -> float:
     """``ky_fan_norm`` of a matrix its caller has already checked, with k in
     range. Nothing is validated again."""
     return float(np.linalg.svd(m, compute_uv=False)[:k].sum())
+
+
+def chord_allowance(norm_a: float, norm_b: float, t: float, n: int) -> float:
+    """Rounding allowance on a chord rate (||A + cB||_(k) - ||A||_(k))/|c|
+    at |c| = t for n x n operands: each of the two norms is exact to
+    32 n eps (||A||_(k) + t ||B||_(k))."""
+    return rounding_level(n) * (norm_a + t * norm_b) / t
 
 
 def ky_fan_norm_batch(ms: np.ndarray, k: int) -> np.ndarray:

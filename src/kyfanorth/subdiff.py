@@ -15,10 +15,10 @@ the whole tail) when s_k = 0.
 ``SubdifferentialFrame`` is the one place that knows this shape: it builds
 the range model {tr(G* B)} of a direction B (a fixed complex offset plus
 the pairings tr(T* C) of the coefficient with a compression C of B), the
-subgradient and the witness vectors of a coefficient, and tests whether a
-coefficient is feasible. The one-sided directional derivative along X is
-the range model's support function at angle 0; the certified sweeps of
-that support function over all angles close the module.
+subgradient of a coefficient and the partial-isometry factors of a rank-q
+one. The one-sided directional derivative along X is the range model's
+support function at angle 0; the certified sweeps of that support function
+over all angles close the module.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .linalg import (
     default_cluster_tol,
     default_rank_tol,
     haar_unitary,
-    herm,
     svd_frame,
 )
 from .norms import ky_fan_sum, require_operands
@@ -103,25 +102,20 @@ class SubdifferentialFrame:
         return (self.u1 @ self.v1.conj().T
                 + self.u2_wide @ coeff @ self.v2.conj().T)
 
-    def witness_vectors(self, cols: np.ndarray) -> np.ndarray:
-        """[V1, V2 X]: the leading right singular vectors and the boundary
-        vectors with coordinates X in the boundary cluster."""
-        return np.hstack([self.v1, self.v2 @ cols])
+    def term(self, left: np.ndarray, right: np.ndarray) -> tuple:
+        """The factors (Y, X) = ([U1, U2 L], [V1, V2 R]) of the subgradient
+        Y X* of the boundary coefficient T = L R*, U2 widened when s_k = 0.
+        With L and R of q orthonormal columns both have k orthonormal
+        columns: X holds the leading right singular vectors and the
+        boundary vectors with coordinates R in the boundary cluster."""
+        return (np.hstack([self.u1, self.u2_wide @ left]),
+                np.hstack([self.v1, self.v2 @ right]))
 
-    def contains(self, t: np.ndarray, tol: float) -> bool:
-        """Whether T, a finite matrix of the boundary block's shape that the
-        caller has already checked, is a boundary coefficient: Hermitian
-        with 0 <= T <= I and tr T = q when s_k > 0, a contraction with
-        singular values summing to at most q when s_k = 0."""
-        q = self.part.q
-        if self.degenerate_zero:
-            s = np.linalg.svd(t, compute_uv=False)
-            return s[0] <= 1.0 + tol and s.sum() <= q + tol
-        if float(np.abs(t - t.conj().T).max()) > tol:
-            return False
-        w = np.linalg.eigvalsh(herm(t))
-        return (w[0] >= -tol and w[-1] <= 1.0 + tol
-                and abs(float(np.real(np.trace(t))) - q) <= tol * max(1, q))
+    def top_term(self) -> tuple:
+        """(U_k, V_k): the factors of the subgradient U_k V_k* on the top k
+        singular pairs, which norms A exactly."""
+        k = self.part.k
+        return self.svd.u[:, :k], self.svd.v[:, :k]
 
 
 def build_frame(a, k: int) -> SubdifferentialFrame:

@@ -14,11 +14,10 @@ from kyfanorth.cli import main as cli_main
 from kyfanorth.decide import (
     _pair_search,
     _pair_setup,
-    _witness_block,
+    _corral_witness,
     check_pair,
     check_parallel,
     check_subspace,
-    verify_certificate,
 )
 from kyfanorth.generate import (
     make_nonorthogonal_pair,
@@ -28,7 +27,7 @@ from kyfanorth.generate import (
     make_subspace_instance,
 )
 from kyfanorth.io import save_problem, save_report
-from kyfanorth.linalg import herm, singular_values
+from kyfanorth.linalg import singular_values
 from kyfanorth.model import COMPLEX_FIELD, REAL_FIELD, CertKind, Verdict
 from kyfanorth.norms import ky_fan_norm
 from kyfanorth.oracle import (
@@ -43,6 +42,7 @@ from kyfanorth.subdiff import (
     sample_subgradient,
     subgradient_membership,
 )
+from kyfanorth.verify import verify_certificate
 
 pytestmark = pytest.mark.acceptance
 
@@ -128,7 +128,7 @@ def test_c01_engine_matches_oracle_on_random_pairs():
 
 def test_c02_pair_and_block_criteria_cross_consistent():
     # at a positive boundary value every ORTHOGONAL pair's fallback
-    # certificate, a boundary-block coefficient, verifies
+    # certificate, the search's corral of rank-q projectors, verifies
     rng = np.random.default_rng(202)
     checked_positive_rank = 0
     for i in range(200):
@@ -147,10 +147,9 @@ def test_c02_pair_and_block_criteria_cross_consistent():
         if d.verdict is not Verdict.ORTHOGONAL:
             continue
         setup = _pair_setup(a, b, k)
-        cert = _witness_block(setup,
-                              _pair_search(setup, COMPLEX_FIELD).coeff,
-                              COMPLEX_FIELD)
-        assert cert.kind is CertKind.BLOCK_COEFFICIENT
+        cert = _corral_witness(setup, _pair_search(setup, COMPLEX_FIELD),
+                               COMPLEX_FIELD)
+        assert cert.kind is CertKind.WITNESS_SYSTEM
         assert verify_certificate(cert, a, b, k)["ok"], (i, n, k)
         checked_positive_rank += 1
     assert checked_positive_rank >= 90
@@ -188,7 +187,8 @@ def test_c03_operator_norm_witness_vector():
         assert d.verdict is Verdict.ORTHOGONAL, i
         cert = d.certificate
         assert cert is not None and cert.kind is CertKind.WITNESS_SYSTEM, i
-        x = cert.vectors[:, 0]
+        assert len(cert.right) == 1, i
+        x = cert.right[0][:, 0]
         ax = a @ x
         bx = b @ x
         assert abs(np.linalg.norm(ax) - 1.0) <= 1e-7, i
@@ -291,23 +291,22 @@ def test_c08_subspace_round_trip_and_singleton_consistency():
         d = check_subspace(a, basis, k)
         assert d.verdict is Verdict.ORTHOGONAL, (i, n, k, m, d.margin)
         cert = d.certificate
-        assert cert is not None and cert.kind is CertKind.DENSITY_SYSTEM
+        assert cert is not None and cert.kind is CertKind.WITNESS_SYSTEM
         frame = build_frame(a, k)
         s, v = frame.svd.s, frame.svd.v
         abs_a = (v * s) @ v.conj().T
-        total = np.zeros((n, n), dtype=complex)
-        densities = [x @ x.conj().T for x, count
-                     in zip(cert.factors, cert.multiplicities)
-                     for _ in range(count)]
-        assert len(densities) == k
-        for idx, p in enumerate(densities):
-            assert np.abs(abs_a @ p - s[idx] * p).max() <= 1e-6 * (1 + s[0])
-            assert abs(np.trace(p).real - 1.0) <= 1e-6
-            w = np.linalg.eigvalsh(herm(p))
-            assert w.min() >= -1e-8
-            total += p
-        assert np.linalg.norm(total, 2) <= 1.0 + 1e-6
-        g = frame.svd.u @ v.conj().T @ total
+        # each term's columns are eigenvectors of |A| for s_1..s_k, and
+        # A maps them onto its left factor: Y X* norms A
+        g = np.zeros((n, n), dtype=complex)
+        assert sum(cert.weights) == pytest.approx(1.0, abs=1e-12)
+        for w, y, x in zip(cert.weights, cert.left, cert.right):
+            assert w > 0.0
+            assert np.abs(abs_a @ x - x * s[:k]).max() <= 1e-6 * (1 + s[0])
+            assert np.abs(a @ x - y * s[:k]).max() <= 1e-6 * (1 + s[0])
+            assert np.abs(x.conj().T @ x - np.eye(k)).max() <= 1e-8
+            assert np.abs(y.conj().T @ y - np.eye(k)).max() <= 1e-8
+            g += w * y @ x.conj().T
+        assert np.linalg.norm(g, 2) <= 1.0 + 1e-6
         for w_j in basis:
             assert abs(np.trace(w_j.conj().T @ g)) <= 1e-6 * (
                 1 + ky_fan_norm(a, k))
@@ -392,23 +391,23 @@ def test_c10_certificate_loop_pass_and_tamper_fail(tmp_path):
     d = check_pair(a, b, 2)
     assert d.certificate.kind is CertKind.WITNESS_SYSTEM
     cases.append((_emit(tmp_path, "witness", {"a": a, "b": b}, 2, d),
-                  lambda c: c["vectors"]["re"].__setitem__(0,
-                      c["vectors"]["re"][0] + 1e-2)))
+                  lambda c: c["right"][0]["re"].__setitem__(0,
+                      c["right"][0]["re"][0] + 1e-2)))
 
     a, b, _ = make_orthogonal_pair(4, 2, rng, field=REAL_FIELD)
     d = check_pair(a, b, 2, field=REAL_FIELD)
     assert d.certificate.kind is CertKind.WITNESS_SYSTEM
     cases.append((_emit(tmp_path, "witness_real", {"a": a, "b": b}, 2, d,
                         field=REAL_FIELD),
-                  lambda c: c["vectors"]["im"].__setitem__(0,
-                      c["vectors"]["im"][0] + 1e-2)))
+                  lambda c: c["left"][0]["im"].__setitem__(0,
+                      c["left"][0]["im"][0] + 1e-2)))
 
     a, b, _ = make_orthogonal_pair(5, 3, rng, q=2, degenerate=True)
     d = check_pair(a, b, 3)
-    assert d.certificate.kind is CertKind.BLOCK_COEFFICIENT
-    cases.append((_emit(tmp_path, "block", {"a": a, "b": b}, 3, d),
-                  lambda c: c["block_matrix"]["re"].__setitem__(0,
-                      c["block_matrix"]["re"][0] + 1e-2)))
+    assert d.certificate.kind is CertKind.WITNESS_SYSTEM
+    cases.append((_emit(tmp_path, "corral", {"a": a, "b": b}, 3, d),
+                  lambda c: c["weights"].__setitem__(0,
+                      c["weights"][0] + 1e-2)))
 
     a, b, _ = make_nonorthogonal_pair(4, 2, rng)
     d = check_pair(a, b, 2)
@@ -422,20 +421,21 @@ def test_c10_certificate_loop_pass_and_tamper_fail(tmp_path):
     d = check_parallel(a, b, 2)
     assert d.certificate.kind is CertKind.WITNESS_SYSTEM
     cases.append((_emit(tmp_path, "parallel", {"a": a, "b": b}, 2, d),
-                  lambda c: c["vectors"]["re"].__setitem__(0,
-                      c["vectors"]["re"][0] + 1e-2)))
+                  lambda c: c["right"][0]["re"].__setitem__(0,
+                      c["right"][0]["re"][0] + 1e-2)))
 
     a, basis, _ = make_subspace_instance(5, 2, 3, rng, orthogonal=True)
     d = check_subspace(a, basis, 2)
-    assert d.certificate.kind is CertKind.DENSITY_SYSTEM
+    assert d.certificate.kind is CertKind.WITNESS_SYSTEM
     matrices = {"a": a}
     names = []
     for j, w in enumerate(basis):
         matrices[f"w{j}"] = w
         names.append(f"w{j}")
-    cases.append((_emit(tmp_path, "density", matrices, 2, d, subspace=names),
-                  lambda c: c["factors"][0]["re"].__setitem__(0,
-                      c["factors"][0]["re"][0] + 1e-2)))
+    cases.append((_emit(tmp_path, "subspace", matrices, 2, d,
+                        subspace=names),
+                  lambda c: c["left"][-1]["re"].__setitem__(0,
+                      c["left"][-1]["re"][0] + 1e-2)))
 
     a, basis, _ = make_subspace_instance(5, 2, 3, rng, orthogonal=False)
     d = check_subspace(a, basis, 2)

@@ -11,7 +11,7 @@ import pytest
 import kyfanorth
 from kyfanorth.cli import build_parser, main
 from kyfanorth.io import load_problem, load_report, save_problem
-from kyfanorth.model import REAL_FIELD, Tolerances
+from kyfanorth.model import REAL_FIELD, Tolerances, Verdict
 
 
 def run(capsys, *argv):
@@ -42,7 +42,7 @@ basis = [np.diag([-0.5, 1.0, 0.0, 0.0, 0.0]), w2]
 tied = check_subspace(a, basis, 2)
 assert tied.verdict is Verdict.ORTHOGONAL, tied.summary()
 assert tied.details["iterations"] >= 1, tied.details
-# the density factors and their verification run on numpy alone
+# the subspace witness and its verification run on numpy alone
 assert verify_certificate(tied.certificate, a, basis, 2)["ok"]
 back = decode_report(encode_report(tied)).certificate
 assert verify_certificate(back, a, basis, 2)["ok"]
@@ -109,8 +109,9 @@ def test_check_exit_codes(tmp_path, capsys):
 
 
 def test_check_blocks_and_oracle_agree(tmp_path, capsys):
-    # at a zero boundary value check certifies with a boundary-block
-    # coefficient, and the norm-evaluation referee reads the same verdict
+    # at a zero boundary value check certifies with the corral of
+    # boundary-block contractions, and the norm-evaluation referee reads
+    # the same verdict
     a = np.diag([2.0, 1.0, 0.0])
     b = np.zeros((3, 3))
     b[2, 2] = 1.0
@@ -118,7 +119,7 @@ def test_check_blocks_and_oracle_agree(tmp_path, capsys):
     code_engine, out, _ = run(capsys, "check", path)
     code_oracle, _, _ = run(capsys, "check", path, "--oracle")
     assert code_engine == 0
-    assert "certificate=BLOCK_COEFFICIENT" in out
+    assert "certificate=WITNESS_SYSTEM" in out
     assert code_oracle == 0
 
 
@@ -243,7 +244,7 @@ def test_verify_pass_and_tamper(tmp_path, capsys):
 
     with open(report_path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    payload["certificate"]["vectors"]["re"][0] += 1e-2
+    payload["certificate"]["right"][0]["re"][0] += 1e-2
     bad_path = str(tmp_path / "bad.json")
     with open(bad_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -253,24 +254,25 @@ def test_verify_pass_and_tamper(tmp_path, capsys):
 
 
 def test_verify_refuses_dense_density_report(tmp_path, capsys):
+    # a subspace report in a retired DENSITY_SYSTEM layout, dense n x n
+    # densities or per-cluster factors, is a usage error: re-run check
     from kyfanorth.decide import check_subspace
-    from kyfanorth.io import decode_matrix, encode_matrix, encode_report
+    from kyfanorth.io import encode_matrix, encode_report
 
     a = np.diag([3.0, 1.0, 1.0])
     basis = [np.diag([0.0, 1.0, -1.0])]
     path = str(tmp_path / "s.json")
     save_problem(path, {"a": a, "w0": basis[0]}, 2, subspace=["w0"])
     report = encode_report(check_subspace(a, basis, 2))
-    cert = report["certificate"]
-    factors = [decode_matrix(x) for x in cert.pop("factors")]
-    cert["densities"] = [encode_matrix(x @ x.conj().T) for x, m
-                         in zip(factors, cert.pop("multiplicities"))
-                         for _ in range(m)]
-    report_path = tmp_path / "old.json"
-    report_path.write_text(json.dumps(report), encoding="utf-8")
-    code, _, err = run(capsys, "verify", path, str(report_path))
-    assert code == 2
-    assert "dense DENSITY_SYSTEM" in err
+    x = report["certificate"]["right"]
+    for layout in ({"densities": [encode_matrix(np.diag([1.0, 0.0, 0.0]))]},
+                   {"factors": x, "multiplicities": [2] * len(x)}):
+        report["certificate"] = {"kind": "DENSITY_SYSTEM", **layout}
+        report_path = tmp_path / "old.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code, _, err = run(capsys, "verify", path, str(report_path))
+        assert code == 2
+        assert "DENSITY_SYSTEM is retired" in err
 
 
 @pytest.mark.parametrize("mode", ["pair", "parallel", "subspace"])
@@ -321,9 +323,9 @@ def test_verify_ignores_the_tolerances_a_report_carries(tmp_path, capsys):
 
     a, b, _ = make_nonorthogonal_pair(4, 2, np.random.default_rng(3))
     loose = Tolerances(decide=1e5, strict=1e6, cert=1e5, cluster=1e9)
-    cert = Certificate(kind=CertKind.WITNESS_SYSTEM,
-                       vectors=haar_unitary(4, np.random.default_rng(0))[:, :2],
-                       details={"purpose": "orthogonal"})
+    x = haar_unitary(4, np.random.default_rng(0))[:, :2]
+    cert = Certificate(kind=CertKind.WITNESS_SYSTEM, weights=[1.0], left=[x],
+                       right=[x], details={"purpose": "orthogonal"})
     report_path = str(tmp_path / "forged.json")
     save_report(report_path, Decision(verdict=Verdict.ORTHOGONAL, margin=0.0,
                                       scale=1.0, tolerances=loose,
@@ -402,7 +404,7 @@ def test_verify_reads_a_real_field_pair_through_real_certificates(tmp_path,
     assert run(capsys, "verify", complex_path, report_path)[0] == 1
     # at s_k = 0 the fixed part 2i overflows the widened block's disk of
     # radius 1, but its real part 0 needs no contraction: a real-purpose
-    # BLOCK_COEFFICIENT proves the real problem and nothing about the complex
+    # corral witness proves the real problem and nothing about the complex
     # one, which reads NOT_ORTHOGONAL with margin -1
     a, b = np.diag([2.0, 1.0, 0.0]), np.diag([2j, 0.0, 1.0])
     real = write_pair(tmp_path, a, b, 3, name="singular_real.json",
@@ -411,7 +413,7 @@ def test_verify_reads_a_real_field_pair_through_real_certificates(tmp_path,
     assert run(capsys, "check", real, "--report", report_path)[0] == 0
     assert load_report(report_path).certificate.details["purpose"] == "real"
     code, out, _ = run(capsys, "verify", real, report_path)
-    assert code == 0 and out.startswith("PASS kind=BLOCK_COEFFICIENT"), out
+    assert code == 0 and out.startswith("PASS kind=WITNESS_SYSTEM"), out
     complex_path = write_pair(tmp_path, a, b, 3, name="singular.json")
     code, out, _ = run(capsys, "check", complex_path)
     assert code == 1 and "margin=-1.000000e+00" in out, out
@@ -599,8 +601,8 @@ def test_check_report_verifies_against_its_own_problem(tmp_path, capsys,
                                                        case):
     # a cluster width of 1e-3 merges the near tie and decides orthogonal
     # draws with witnesses that mix it; verify reads the same width from
-    # the problem, while at the default width it splits the tie and fails
-    # those witnesses
+    # the problem, while at the default rounding level those witnesses do
+    # not norm A
     from kyfanorth.generate import make_nonorthogonal_pair, make_orthogonal_pair
 
     rng = np.random.default_rng(0)
@@ -623,7 +625,7 @@ def test_check_report_verifies_against_its_own_problem(tmp_path, capsys,
             bare = write_pair(tmp_path, a, b, 2, name=f"bare{i}.json")
             code, out, _ = run(capsys, "verify", bare, report_path)
             assert code == 1
-            assert "[FAIL] cluster_span_" in out
+            assert "[FAIL] norming" in out
     assert sorted(set(codes)) == [0, 1]
 
 
@@ -694,3 +696,49 @@ def test_gen_refuses_an_impossible_layout(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert not out_path.exists()
+
+
+def _three_kind_proves_verdict(verdict, kind, purpose, coefficient,
+                               real_pair):
+    """``_proves_verdict`` as it stood with three ORTHOGONAL kinds, over
+    the kinds' names."""
+    purpose = purpose or "orthogonal"
+    if verdict is Verdict.ORTHOGONAL:
+        if purpose == "real":
+            return real_pair and kind in ("WITNESS_SYSTEM",
+                                          "BLOCK_COEFFICIENT")
+        if kind == "WITNESS_SYSTEM":
+            return purpose == "orthogonal"
+        return kind in ("BLOCK_COEFFICIENT", "DENSITY_SYSTEM")
+    if verdict is Verdict.NOT_ORTHOGONAL:
+        real = coefficient is not None and coefficient.imag == 0.0
+        return kind == "VIOLATION" and (real or not real_pair)
+    if verdict is Verdict.PARALLEL:
+        return kind == "WITNESS_SYSTEM" and purpose == "parallel"
+    return False
+
+
+def test_proves_verdict_refuses_all_it_refused_with_three_kinds():
+    # every (verdict, kind, purpose, field) the three-kind table refused
+    # stays refused, and the two kinds left are read as before; the retired
+    # kinds no longer decode at all
+    from kyfanorth.cli import _proves_verdict
+    from kyfanorth.model import Certificate, CertKind
+
+    accepted = 0
+    for verdict in Verdict:
+        for kind in CertKind:
+            for purpose in (None, "orthogonal", "real", "parallel", "other"):
+                for coefficient in (None, 1.0 + 0j, 1j):
+                    for real_pair in (False, True):
+                        details = {} if purpose is None else {
+                            "purpose": purpose}
+                        cert = Certificate(kind=kind, coefficient=coefficient,
+                                           details=details)
+                        now = _proves_verdict(verdict, cert, real_pair)
+                        assert now == _three_kind_proves_verdict(
+                            verdict, kind.value, purpose, coefficient,
+                            real_pair), (verdict, kind, purpose, coefficient,
+                                         real_pair)
+                        accepted += now
+    assert accepted == 41

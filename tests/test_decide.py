@@ -10,19 +10,16 @@ import kyfanorth.decide
 from kyfanorth.cli import _proves_verdict
 from kyfanorth.decide import (
     _checked_miss,
-    _cluster_factors,
     _nearest_point,
     _pair_search,
     _pair_setup,
     _violation_certificate,
-    _witness_block,
+    _corral_witness,
     check_pair,
     check_parallel,
     check_subspace,
-    verify_certificate,
 )
 from kyfanorth.errors import (
-    BadBlockStructure,
     DegenerateRank,
     NoConvergence,
     WitnessSearchFailed,
@@ -52,12 +49,7 @@ from kyfanorth.subdiff import (
     subgradient_membership,
     swept_minimum,
 )
-
-
-def _densities(cert):
-    """The per-index density matrices P_i = X_c X_c* of a DENSITY_SYSTEM."""
-    return [x @ x.conj().T for x, m in zip(cert.factors, cert.multiplicities)
-            for _ in range(m)]
+from kyfanorth.verify import verify_certificate
 
 
 def complex_gauss(rng, rows, cols):
@@ -65,15 +57,15 @@ def complex_gauss(rng, rows, cols):
 
 
 def _fallback_block(setup):
-    """The BLOCK_COEFFICIENT check_pair falls back to, from the coefficient
-    of the complex pair search."""
-    return _witness_block(setup, _pair_search(setup, COMPLEX_FIELD).coeff,
-                          COMPLEX_FIELD)
+    """The witness check_pair falls back to, the corral of the complex pair
+    search term by term."""
+    return _corral_witness(setup, _pair_search(setup, COMPLEX_FIELD),
+                           COMPLEX_FIELD)
 
 
 def _block_decision(a, b, k):
-    """check_pair's decision certified by the BLOCK_COEFFICIENT it falls
-    back to when no witness system can be built."""
+    """check_pair's decision certified by the corral witness it falls back
+    to when no purified witness can be built."""
     d = check_pair(a, b, k, want_certificate=False)
     d.certificate = _fallback_block(_pair_setup(a, b, k))
     return d
@@ -188,13 +180,14 @@ def test_real_field_margin_is_two_point(rng):
 
 
 def test_blocks_worked_example_degenerate():
-    # at s_k = 0 the boundary-block criterion certifies the verdict
+    # at s_k = 0 the corral of contractions certifies the verdict
     a = np.diag([2.0, 1.0, 0.0]).astype(complex)
     b = np.zeros((3, 3), complex)
     b[2, 2] = 1.0
     d = check_pair(a, b, 3)
     assert d.verdict is Verdict.ORTHOGONAL
-    assert d.certificate.kind is CertKind.BLOCK_COEFFICIENT
+    assert d.certificate.kind is CertKind.WITNESS_SYSTEM
+    assert "purify_steps" not in d.certificate.details
     assert verify_certificate(d.certificate, a, b, 3)["ok"]
     # the trace norm grows one-for-one along this direction
     for lam in (0.5, -1.0, 1j):
@@ -388,7 +381,8 @@ def test_witness_system_quality(rng):
     a, b, _ = make_orthogonal_pair(5, 2, rng, q=2)
     cert = check_pair(a, b, 2).certificate
     assert cert.kind is CertKind.WITNESS_SYSTEM
-    vectors = cert.vectors
+    assert cert.weights == [1.0]
+    vectors = cert.right[0]
     gram = vectors.conj().T @ vectors
     assert np.abs(gram - np.eye(2)).max() <= 1e-7
     report = verify_certificate(cert, a, b, 2)
@@ -396,49 +390,55 @@ def test_witness_system_quality(rng):
 
 
 @pytest.mark.parametrize("defect", ["repeated", "scaled"])
-def test_witness_orthonormality_is_implied(rng, defect):
-    # the verifier has no orthonormality clause: on the tied cluster
-    # {1, 2} a repeated vector keeps unit traces and the cluster span but
-    # doubles the combined norm, and a column scaled by 1 + 1e-6 moves
-    # the cluster's trace by 1e-6
+def test_witness_orthonormality_is_checked(rng, defect):
+    # on the tied cluster {1, 2} a repeated vector still norms A but
+    # doubles the operator norm of Y X*, and a column scaled by 1 + 1e-6
+    # leaves the dual ball by 1e-6: both fail the orthonormality clause
     a, b, _ = make_orthogonal_pair(5, 2, rng, q=2)
     cert = check_pair(a, b, 2).certificate
     assert cert.kind is CertKind.WITNESS_SYSTEM
     assert verify_certificate(cert, a, b, 2)["ok"]
-    vectors = cert.vectors.copy()
+    vectors = cert.right[0].copy()
     if defect == "repeated":
         vectors[:, 1] = vectors[:, 0]
-        clause = "combined_operator_norm"
     else:
         vectors[:, 1] *= 1.0 + 1e-6
-        clause = "trace_one_0"
-    report = verify_certificate(dataclasses.replace(cert, vectors=vectors),
+    report = verify_certificate(dataclasses.replace(cert, right=[vectors]),
                                 a, b, 2)
     assert not report["ok"]
-    assert clause in {c["name"] for c in report["checks"] if not c["pass"]}
+    assert "orthonormal" in {c["name"] for c in report["checks"]
+                             if not c["pass"]}
+
+
+def _dual_matrix(cert):
+    """The dual matrix G = sum_i w_i Y_i X_i* of a witness system."""
+    return sum(w * y @ x.conj().T
+               for w, y, x in zip(cert.weights, cert.left, cert.right))
 
 
 def test_witness_block_hand_example():
+    # A = I, k = 1: the corral mixes rank-one projectors e e* with
+    # tr(e e* B) = 0, and G is the same mixture
     a = np.eye(2, dtype=complex)
     b = np.diag([1.0, -1.0]).astype(complex)
     cert = _block_decision(a, b, 1).certificate
-    assert cert.kind is CertKind.BLOCK_COEFFICIENT
-    t = cert.block_matrix
-    assert np.trace(t).real == pytest.approx(1.0, abs=1e-9)
-    w = np.linalg.eigvalsh(t)
+    assert cert.kind is CertKind.WITNESS_SYSTEM
+    g = _dual_matrix(cert)
+    assert np.abs(g - g.conj().T).max() <= 1e-12
+    assert np.trace(g).real == pytest.approx(1.0, abs=1e-9)
+    w = np.linalg.eigvalsh(g)
     assert w.min() >= -1e-9
     assert w.max() <= 1.0 + 1e-9
-    assert abs(np.trace(t @ b)) <= 1e-9
-    assert cert.subgradient is not None
-    assert subgradient_membership(a, 1, cert.subgradient, tol=1e-7)
+    assert abs(np.trace(g @ b)) <= 1e-9
+    assert subgradient_membership(a, 1, g, tol=1e-7)
 
 
 def test_witness_block_random_instances(rng):
     for _ in range(10):
         a, b, _ = make_orthogonal_pair(5, 3, rng, q=2)
         cert = _block_decision(a, b, 3).certificate
-        assert cert.kind is CertKind.BLOCK_COEFFICIENT
-        g = cert.subgradient
+        assert cert.kind is CertKind.WITNESS_SYSTEM
+        g = _dual_matrix(cert)
         assert subgradient_membership(a, 3, g, tol=1e-7)
         assert abs(np.trace(g.conj().T @ b)) <= 1e-6
         report = verify_certificate(cert, a, b, 3)
@@ -448,10 +448,10 @@ def test_witness_block_random_instances(rng):
 def test_witness_block_degenerate(rng):
     a, b, _ = make_orthogonal_pair(5, 3, rng, q=2, degenerate=True)
     cert = _block_decision(a, b, 3).certificate
-    assert cert.kind is CertKind.BLOCK_COEFFICIENT
+    assert cert.kind is CertKind.WITNESS_SYSTEM
     report = verify_certificate(cert, a, b, 3)
     assert report["ok"], report
-    g = cert.subgradient
+    g = _dual_matrix(cert)
     assert subgradient_membership(a, 3, g, tol=1e-7)
     assert abs(np.trace(g.conj().T @ b)) <= 1e-6
 
@@ -460,13 +460,13 @@ def test_witness_block_degenerate(rng):
 def test_witness_block_degenerate_across_orthogonal_band(eps):
     # margin -eps lies in the ORTHOGONAL band (decide*scale = 5e-7) while
     # the closed-form contraction's overflow of its budget, equal to eps,
-    # must pass the block equation
+    # must pass the pairing clause
     a = np.diag([2.0, 1.0, 0.0]).astype(complex)
     b = np.diag([1.0 + eps, 0.0, 1.0]).astype(complex)
     d = check_pair(a, b, 3)
     assert d.verdict is Verdict.ORTHOGONAL
     assert d.certificate is not None
-    assert d.certificate.kind is CertKind.BLOCK_COEFFICIENT
+    assert d.certificate.kind is CertKind.WITNESS_SYSTEM
     report = verify_certificate(d.certificate, a, b, 3)
     assert report["ok"], report
 
@@ -474,9 +474,10 @@ def test_witness_block_degenerate_across_orthogonal_band(eps):
 def test_witness_block_degenerate_spreads_the_contraction_evenly():
     # s_k = 0 with q = 2: A = diag(3, 2, 0, 0, 0), k = 4, the pairing set is
     # the disk of radius rho = 1 + 0.5 about the fixed part 0.72 + 0.96i.
-    # The closed form c U_q V_q* puts |c| = 1.2 / 1.5 on both top singular
-    # directions of the widened compression, where filling them one at a
-    # time would give 1 and 0.4
+    # The corral mixes the contraction -U_q V_q* with the zero start's
+    # +-E, so the coefficient c U_q V_q* puts |c| = 1.2 / 1.5 on both top
+    # singular directions of the widened compression, where filling them
+    # one at a time would give 1 and 0.4
     rng = np.random.default_rng(5)
     u, v = haar_unitary(5, rng), haar_unitary(5, rng)
     a = u @ np.diag([3.0, 2.0, 0.0, 0.0, 0.0]) @ v.conj().T
@@ -484,10 +485,10 @@ def test_witness_block_degenerate_spreads_the_contraction_evenly():
     d = check_pair(a, b, 4)
     assert d.verdict is Verdict.ORTHOGONAL and d.details["q"] == 2
     cert = d.certificate
-    assert cert.kind is CertKind.BLOCK_COEFFICIENT
-    assert cert.details["set"] == "general"
+    assert cert.kind is CertKind.WITNESS_SYSTEM
     assert verify_certificate(cert, a, b, 4)["ok"]
-    s = np.linalg.svd(cert.block_matrix, compute_uv=False)
+    search = _pair_search(_pair_setup(a, b, 4), COMPLEX_FIELD)
+    s = np.linalg.svd(search.coeff, compute_uv=False)
     live = s[s > 1e-12]
     assert live.size == 2
     assert live[1] == pytest.approx(live[0], rel=1e-12)
@@ -543,35 +544,41 @@ def test_contraction_overflow_is_a_failed_construction(monkeypatch):
         _pair_search(setup, COMPLEX_FIELD)
 
 
-def _coefficient_feasible(coeff, a, b, k):
-    cert = Certificate(kind=CertKind.BLOCK_COEFFICIENT, block_matrix=coeff)
+def _failed_clauses(cert, a, b, k):
     report = verify_certificate(cert, a, b, k)
-    return next(c["pass"] for c in report["checks"]
-                if c["name"] == "coefficient_feasible")
+    return {c["name"] for c in report["checks"] if not c["pass"]}
 
 
 def test_block_verifier_rejects_infeasible_coefficients(rng):
-    # s_k > 0: a boundary cluster of width 4 with q = 2, where T must be
-    # Hermitian with 0 <= T <= I and trace 2
+    # the verifier reads no coefficient: a boundary coefficient outside the
+    # set shows as factors that are no partial isometry or weights that are
+    # not convex, and each leaves the dual ball
     a, b, _ = make_orthogonal_pair(6, 3, rng, q=2, r=2)
-    coeff = _block_decision(a, b, 3).certificate.block_matrix
-    assert _coefficient_feasible(coeff, a, b, 3)
-    w = haar_unitary(4, rng)
-    skew = np.zeros((4, 4))
-    skew[0, 1], skew[1, 0] = 1e-3, -1e-3
-    for bad in (coeff + skew,
-                (w * [1.2, 0.8, 0.0, 0.0]) @ w.conj().T,
-                (w * [1.0, 0.8, 0.4, -0.2]) @ w.conj().T,
-                (w * [0.5, 0.5, 0.5, 0.4]) @ w.conj().T):
-        assert not _coefficient_feasible(bad, a, b, 3)
-    # s_k = 0 with q = 2 over a 4-column widened tail: a contraction whose
-    # singular values sum to at most 2
+    cert = _block_decision(a, b, 3).certificate
+    assert _failed_clauses(cert, a, b, 3) == set()
+    y, x = cert.left[0], cert.right[0]
+    skew = np.eye(3, dtype=complex)
+    skew[0, 1] = 1e-3
+    for bad, clause in (
+            (dataclasses.replace(cert, right=[x @ skew] + cert.right[1:]),
+             "orthonormal"),
+            (dataclasses.replace(cert, left=[1.2 * y] + cert.left[1:]),
+             "orthonormal"),
+            (dataclasses.replace(cert, weights=[w * 1.1 for w
+                                                in cert.weights]),
+             "convex_weights"),
+            (dataclasses.replace(cert, weights=[-0.2, 1.2], left=[y, y],
+                                 right=[x, x]), "convex_weights")):
+        assert clause in _failed_clauses(bad, a, b, 3)
+    # s_k = 0 with q = 2 over a 4-column widened tail: a contraction
+    # -U_q V_q* scaled past its singular-value budget
     a, b, _ = make_singular_pair(5, 3, rng, rank=1)
-    u, v = haar_unitary(4, rng), haar_unitary(4, rng)
-    assert _coefficient_feasible((u * [1.0, 1.0, 0.0, 0.0]) @ v.conj().T,
-                                 a, b, 3)
-    for values in ([1.5, 0.0, 0.0, 0.0], [0.8, 0.8, 0.8, 0.0]):
-        assert not _coefficient_feasible((u * values) @ v.conj().T, a, b, 3)
+    d = check_pair(a, b, 3)
+    if d.verdict is Verdict.ORTHOGONAL:
+        cert = d.certificate
+        assert _failed_clauses(cert, a, b, 3) == set()
+        bad = dataclasses.replace(cert, left=[1.5 * y for y in cert.left])
+        assert "orthonormal" in _failed_clauses(bad, a, b, 3)
 
 
 def test_checked_miss_bar_is_relative_at_small_scale(rng):
@@ -636,7 +643,7 @@ def _certified(decision, a, b, k):
     cert = decision.certificate
     assert cert is not None
     assert verify_certificate(cert, a, b, k)["ok"]
-    if cert.kind is CertKind.WITNESS_SYSTEM:
+    if "purify_steps" in cert.details:
         assert cert.details["purify_steps"] <= 3 * decision.details["q"]
     return cert
 
@@ -755,9 +762,7 @@ def test_witness_at_an_exposed_vertex(outside):
         cert = _certified(d, a, b, 2)
         if outside:
             assert -tol.decide * d.scale <= d.margin < 0.0
-            miss = (cert.details["construction_residual"]
-                    if cert.kind is CertKind.WITNESS_SYSTEM
-                    else cert.details["block_residual"])
+            miss = cert.details["construction_residual"]
             assert miss == pytest.approx(shift, rel=1e-3)
 
 
@@ -796,7 +801,7 @@ def test_subspace_positive_and_certificate(rng):
     d = check_subspace(a, basis, 2)
     assert d.verdict is Verdict.ORTHOGONAL
     assert d.certificate is not None
-    assert d.certificate.kind is CertKind.DENSITY_SYSTEM
+    assert d.certificate.kind is CertKind.WITNESS_SYSTEM
     report = verify_certificate(d.certificate, a, basis, 2)
     assert report["ok"], report
 
@@ -825,10 +830,9 @@ def test_subspace_hand_example():
     w2[0, 1] = 1.0
     d = check_subspace(a, [w1, w2], 1)
     assert d.verdict is Verdict.ORTHOGONAL
-    densities = _densities(d.certificate)
-    assert len(densities) == 1
-    p1 = densities[0]
-    assert np.abs(p1 - np.diag([1.0, 0.0])).max() <= 1e-9
+    # s1 is simple: one term, G = e1 e1*
+    assert np.abs(_dual_matrix(d.certificate)
+                  - np.diag([1.0, 0.0])).max() <= 1e-9
 
 
 def test_subspace_single_matrix_matches_pair(rng):
@@ -928,9 +932,8 @@ def _exposed_zero(rng):
 
 def test_one_matrix_subspace_decides_as_the_singular_pair():
     # s_k = 0: the subspace search runs on the pair's contraction oracle,
-    # so the verdicts agree on every draw, none BOUNDARY. A density system
-    # needs a PSD coefficient, which 58 of the ORTHOGONAL readings lack:
-    # those say why they carry no certificate
+    # so the verdicts agree on every draw, none BOUNDARY, and the corral's
+    # contractions certify every ORTHOGONAL reading of either
     rng = np.random.default_rng(0)
     readings = []
     for _ in range(200):
@@ -940,10 +943,7 @@ def test_one_matrix_subspace_decides_as_the_singular_pair():
         pair, sub = check_pair(a, b, k), check_subspace(a, [b], k)
         assert sub.verdict is pair.verdict is not Verdict.BOUNDARY
         for d, second in ((pair, b), (sub, [b])):
-            if d.certificate is None:
-                assert d.verdict is Verdict.ORTHOGONAL and d is sub
-                assert "density system" in d.details["certificate_error"]
-                continue
+            assert d.certificate is not None, d.details
             assert verify_certificate(d.certificate, a, second, k)["ok"]
         readings.append(sub.verdict)
     assert readings.count(Verdict.NOT_ORTHOGONAL) >= 50
@@ -1047,84 +1047,81 @@ def test_subspace_basis_rank_is_scale_free(exponent):
     assert not d.details.get("trivial")
 
 
-def test_extract_density_rejects_a_cluster_block_that_is_not_psd():
-    # the cluster factors of a density system refuse a boundary block
-    # diag(1.5, -0.5) of the right trace
-    frame = build_frame(np.diag([3.0, 1.0, 1.0]), 2)
-    with pytest.raises(BadBlockStructure, match="not PSD"):
-        _cluster_factors(frame, [np.eye(1), np.diag([1.5, -0.5])], 1e-8)
-    # and a boundary block with a skew part, which keeps the trace
-    skew = np.diag([0.5, 0.5])
-    skew[0, 1], skew[1, 0] = 0.3, -0.3
-    with pytest.raises(BadBlockStructure, match="not PSD"):
-        _cluster_factors(frame, [np.eye(1), skew], 1e-8)
-
-
-def test_density_system_is_one_factor_per_cluster():
-    # ginibre-like spectra: k distinct singular values, one column each
+def test_subspace_witness_is_one_term_per_atom():
+    # ginibre-like spectra: k distinct singular values make every pairing
+    # set a point, and the one term is the top k singular pairs
     rng = np.random.default_rng(5)
     a, basis, _ = make_subspace_instance(12, 4, 2, rng)
     cert = check_subspace(a, basis, 4).certificate
-    assert cert.multiplicities == [1, 1, 1, 1]
-    assert [x.shape for x in cert.factors] == [(12, 1)] * 4
-    # a tied boundary cluster (q = 2, r = 1) is one factor of multiplicity q
+    assert cert.weights == [1.0]
+    assert [x.shape for x in cert.left + cert.right] == [(12, 4)] * 2
+    # a tied boundary cluster (q = 2, r = 1): one term per corral atom, the
+    # centre start counting as its d = 3 projectors
     a, basis, _ = make_subspace_instance(6, 3, 2, rng, q=2, r=1)
-    cert = check_subspace(a, basis, 3).certificate
-    assert cert.multiplicities == [1, 2]
-    assert cert.factors[1].shape[0] == 6 and cert.factors[1].shape[1] <= 3
+    d = check_subspace(a, basis, 3)
+    cert = d.certificate
+    assert 1 <= len(cert.weights) <= 2 * len(basis) + 3
+    assert len(cert.left) == len(cert.right) == len(cert.weights)
+    assert all(m.shape == (6, 3) for m in cert.left + cert.right)
     assert verify_certificate(cert, a, basis, 3)["ok"]
 
 
 def _planted(defect):
-    """A certificate with one planted defect (a density certificate but for
-    the kind and block-shape cases), its problem, and the clause that must
-    fail."""
-    e = np.eye(3, dtype=complex)
+    """A subspace witness system with one planted defect, its problem, and
+    the clause that must fail."""
     if defect == "combined_norm":
-        # one tied cluster {1, 2}: a single unit column of multiplicity 2
-        # has trace one and lies in the eigenspace, but S S* = 2 x x*
+        # one tied cluster {1, 2}
         a, basis, k = np.diag([2.0, 2.0, 1.0]), [np.diag([0.0, 0.0, 1.0])], 2
     else:
-        # boundary cluster {2, 3} with q = 1, carrying I/2
+        # boundary cluster {2, 3} with q = 1
         a, basis, k = np.diag([3.0, 1.0, 1.0]), [np.diag([0.0, 1.0, -1.0])], 2
     d = check_subspace(a, basis, k)
     cert = d.certificate
     assert verify_certificate(cert, a, basis, k)["ok"]
+    e = np.eye(3, dtype=complex)
+    y, x = cert.left[0], cert.right[0]
     if defect == "trace":
-        cert.factors[0] = 0.99 * cert.factors[0]
-        return cert, a, basis, k, "trace_one_0"
+        # Y X* is unchanged, but its factors are no partial isometries
+        cert.left[0], cert.right[0] = y / 1.01, x * 1.01
+        return cert, a, basis, k, "orthonormal"
     if defect == "off_eigenspace":
-        x = cert.factors[0] + 0.01 * e[:, [1]]
-        cert.factors[0] = x / np.linalg.norm(x)
-        return cert, a, basis, k, "cluster_span_0"
+        x = x.copy()
+        x[:, 0] = x[:, 0] + 0.01 * e[:, 1]
+        cert.right[0] = x / np.linalg.norm(x, axis=0)
+        return cert, a, basis, k, "norming"
     if defect == "combined_norm":
-        cert.factors[0] = e[:, [0]]
-        return cert, a, basis, k, "combined_operator_norm"
+        # the same term twice at full weight: 2 G
+        cert.weights = [2.0 * w for w in cert.weights]
+        return cert, a, basis, k, "convex_weights"
     if defect == "pairing":
-        # a unit eigenvector of the boundary cluster pairs W to 1
-        cert.factors[1] = e[:, [1]]
+        # the top two singular pairs norm A, and pair W to 1
+        cert.weights, cert.left, cert.right = [1.0], [e[:, :2]], [e[:, :2]]
         return cert, a, basis, k, "basis_pairing_0"
+    if defect == "negative_weight":
+        # G itself, written as 1.5 G - 0.5 G
+        cert.weights = ([1.5 * w for w in cert.weights]
+                        + [-0.5 * w for w in cert.weights])
+        cert.left, cert.right = cert.left * 2, cert.right * 2
+        return cert, a, basis, k, "convex_weights"
     if defect == "straddle":
-        # one factor for indices 1 and 2, which lie in two clusters
-        cert.factors = [np.hstack(cert.factors) / np.sqrt(2.0)]
-        cert.multiplicities = [2]
-        return cert, a, basis, k, "factor_layout"
+        # k + 1 columns
+        cert.right[0] = np.hstack([x, e[:, [2]]])
+        return cert, a, basis, k, "term_layout"
     if defect == "kind":
         cert.kind = enum.Enum("Kind", "UNKNOWN").UNKNOWN
         return cert, a, basis, k, "known_kind"
     if defect == "block_shape":
-        # a 3 x 3 block where the boundary cluster {2, 3} takes a 2 x 2 one
-        block = Certificate(kind=CertKind.BLOCK_COEFFICIENT,
-                            block_matrix=np.eye(3))
-        return block, a, basis[0], k, "coefficient_shape"
-    cert.multiplicities[0] += 1
-    return cert, a, basis, k, "factor_layout"
+        # factors of the boundary block's shape rather than n x k
+        cert.left[0], cert.right[0] = e[:2, :2], e[:2, :2]
+        return cert, a, basis, k, "term_layout"
+    cert.weights = cert.weights + [0.0]
+    return cert, a, basis, k, "term_layout"
 
 
 @pytest.mark.parametrize("defect", ["trace", "off_eigenspace",
                                     "combined_norm", "pairing",
                                     "multiplicities", "straddle", "kind",
-                                    "block_shape"])
+                                    "block_shape", "negative_weight"])
 def test_density_verify_rejects_planted_defects(defect):
     cert, a, basis, k, clause = _planted(defect)
     report = verify_certificate(cert, a, basis, k)
@@ -1200,9 +1197,11 @@ def test_verify_never_raises_on_garbage(rng):
     from kyfanorth.model import Certificate
 
     a, b, _ = make_orthogonal_pair(4, 2, rng)
-    cert = Certificate(kind=CertKind.WITNESS_SYSTEM, vectors=None)
-    report = verify_certificate(cert, a, b, 2)
-    assert not report["ok"]
+    for cert in (Certificate(kind=CertKind.WITNESS_SYSTEM),
+                 Certificate(kind=CertKind.WITNESS_SYSTEM, weights=["x"],
+                             left=[None], right=[{}])):
+        report = verify_certificate(cert, a, b, 2)
+        assert not report["ok"]
 
 
 def test_tolerance_validation():

@@ -26,7 +26,6 @@ from kyfanorth.decide import (
     check_pair,
     check_parallel,
     check_subspace,
-    verify_certificate,
 )
 from kyfanorth.errors import NonFinite
 from kyfanorth.generate import (
@@ -42,6 +41,7 @@ from kyfanorth.oracle import (
     oracle_check_parallel,
     oracle_check_subspace,
 )
+from kyfanorth.verify import verify_certificate
 
 PAIR_ENTRIES = (check_pair, check_parallel, oracle_check_pair,
                 oracle_check_parallel)
@@ -85,7 +85,7 @@ def test_verify_fails_bad_operands_without_raising(rng):
     density = check_subspace(a_s, basis, 2).certificate
     assert violation.kind is CertKind.VIOLATION
     assert witness.kind is CertKind.WITNESS_SYSTEM
-    assert density.kind is CertKind.DENSITY_SYSTEM
+    assert density.kind is CertKind.WITNESS_SYSTEM
     for value in (np.nan, np.inf):
         _fails_without_raising(witness, _spoiled(a, value), b, 2)
         _fails_without_raising(witness, a, _spoiled(b, value), 2)
@@ -109,7 +109,10 @@ def test_verify_fails_non_finite_certificates_without_raising(rng):
     cert = check_pair(a, b, 2).certificate
     assert cert.kind is CertKind.WITNESS_SYSTEM
     assert verify_certificate(cert, a, b, 2)["ok"]
-    cert.vectors = _spoiled(cert.vectors, np.nan)
+    cert.right[0] = _spoiled(cert.right[0], np.nan)
+    _fails_without_raising(cert, a, b, 2)
+    cert.right[0] = cert.left[0]
+    cert.weights = [np.nan]
     _fails_without_raising(cert, a, b, 2)
 
 
@@ -160,7 +163,7 @@ def test_the_referee_takes_both_operand_norms_from_one_svd(monkeypatch):
 # failure, not a bad argument
 _TRUSTED = {"linalg": {"cluster_spectrum", "svd_frame"},
             "norms": {"ky_fan_sum"},
-            "subdiff": {"frame_of", "contains"}}
+            "subdiff": {"frame_of"}}
 _ARGUMENT_ERRORS = {"ShapeMismatch", "KOutOfRange", "NonFinite", "ValueError"}
 _CHECKS = {"as_matrix", "require_square", "require_k", "require_operands",
            "require_field"}

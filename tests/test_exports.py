@@ -107,3 +107,34 @@ def test_decisions_of_orthogonality_do_not_sweep():
             if name in {"minimum", "swept_minimum", "_inner_bound"}:
                 swept.add(f"{name} at line {node.lineno}")
     assert swept == set()
+
+
+def _imported_names(module) -> set:
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    return imported
+
+
+def test_the_verifier_imports_nothing_from_the_engine_or_the_referee():
+    # a certificate is evidence only while the routine that passes it
+    # shares no code with the frame that built it
+    import kyfanorth.verify
+
+    imported = _imported_names(kyfanorth.verify)
+    assert imported.isdisjoint({"decide", "subdiff", "oracle"}), imported
+    assert imported & _MODULES <= {"linalg", "norms", "model", "errors"}
+
+
+def test_the_package_exports_the_verifiers_own_function():
+    # perfbench reads verify_certificate from the top level, and its
+    # {"kind", "checks", "ok"} report
+    import kyfanorth.verify
+
+    assert kyfanorth.verify_certificate is kyfanorth.verify.verify_certificate

@@ -21,11 +21,10 @@ from kyfanorth.cli import main
 from kyfanorth.decide import (
     _pair_search,
     _pair_setup,
-    _witness_block,
+    _corral_witness,
     check_pair,
     check_parallel,
     check_subspace,
-    verify_certificate,
 )
 from kyfanorth.errors import DegenerateRank
 from kyfanorth.generate import (
@@ -48,6 +47,7 @@ from kyfanorth.model import (
     Verdict,
 )
 from kyfanorth.oracle import oracle_check_pair
+from kyfanorth.verify import verify_certificate
 
 pytestmark = pytest.mark.invariance
 
@@ -123,14 +123,13 @@ def _assert_same(before, after, factor, a, second, k):
 
 
 def _block_certified(a, b, k):
-    """check_pair's decision, an ORTHOGONAL one certified by the
-    BLOCK_COEFFICIENT it falls back to when no witness system can be
-    built."""
+    """check_pair's decision, an ORTHOGONAL one certified by the corral
+    witness it falls back to when no purified witness can be built."""
     d = check_pair(a, b, k, COMPLEX_FIELD, want_certificate=False)
     if d.verdict is Verdict.ORTHOGONAL:
         setup = _pair_setup(a, b, k)
-        d.certificate = _witness_block(
-            setup, _pair_search(setup, COMPLEX_FIELD).coeff, COMPLEX_FIELD)
+        d.certificate = _corral_witness(
+            setup, _pair_search(setup, COMPLEX_FIELD), COMPLEX_FIELD)
     return d
 
 
@@ -203,7 +202,8 @@ def _first_random_pair():
 def test_tiny_pair_keeps_its_verdict_and_rejects_the_collapsed_witness():
     # an absolute clustering width of 1e-8 takes the whole spectrum of
     # A/1e9 for one cluster, and on that collapsed frame the pair reads
-    # ORTHOGONAL; its witness must fail verification, as the referee refutes
+    # ORTHOGONAL; its witness norms A only to within that width, and fails
+    # verification at the default rounding level, as the referee refutes
     a, b = _first_random_pair()
     t = 1e-9
     assert check_pair(a, b, 2).verdict is Verdict.NOT_ORTHOGONAL
@@ -217,14 +217,14 @@ def test_tiny_pair_keeps_its_verdict_and_rejects_the_collapsed_witness():
     report = verify_certificate(collapsed.certificate, t * a, t * b, 2)
     assert not report["ok"]
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
-    assert failed and all(n.startswith("cluster_span_") for n in failed)
+    assert failed == {"norming"}
 
 
 @pytest.mark.parametrize("t", [1.0, 1e8, 1e12])
 def test_forged_witness_is_rejected_at_every_scale(t):
     # a rank-k witness purified to zero pairing on a frame that takes the
-    # whole spectrum for one cluster: orthonormal, zero pairing, but its
-    # vectors leave the spans of their clusters in the verifier's frame
+    # whole spectrum for one cluster: orthonormal, zero pairing, but it
+    # norms A only to within the spread of that spectrum
     a, b = _first_random_pair()
     a, b = t * a, t * b
     assert check_pair(a, b, 2).verdict is Verdict.NOT_ORTHOGONAL
@@ -233,26 +233,25 @@ def test_forged_witness_is_rejected_at_every_scale(t):
     report = verify_certificate(forged, a, b, 2)
     assert not report["ok"]
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
-    assert failed and all(n.startswith("cluster_span_") for n in failed)
+    assert failed == {"norming"}
 
 
 def _neighbour_forgery(kind, gap):
     """A = diag(1, 1 - gap) with k = 1, a direction B the engine refutes,
     and a forged certificate of orthogonality built from the neighbouring
-    singular value: e2 as a witness or as a density factor against
-    B = -E11, or the mixture w = sqrt(0.6) e1 + sqrt(0.4) e2 as a witness
-    against B = diag(-0.4, 0.6). Each pairs B to 0."""
+    singular value: X = e2 against B = -E11, as a pair or a one-matrix
+    subspace, or the mixture x = sqrt(0.6) e1 + sqrt(0.4) e2 against
+    B = diag(-0.4, 0.6), each with Y = polar(AX). Each pairs B to 0 and
+    falls short of ||A||_(k) by gap, or 0.4 gap."""
     a = np.diag([1.0, 1.0 - gap]).astype(complex)
-    e2 = np.eye(2, dtype=complex)[:, [1]]
-    if kind == "density":
-        return a, np.diag([-1.0, 0.0]).astype(complex), Certificate(
-            kind=CertKind.DENSITY_SYSTEM, factors=[e2], multiplicities=[1])
     if kind == "mixed":
         b = np.diag([-0.4, 0.6]).astype(complex)
-        vectors = np.sqrt([[0.6], [0.4]]).astype(complex)
+        x = np.sqrt([[0.6], [0.4]]).astype(complex)
     else:
-        b, vectors = np.diag([-1.0, 0.0]).astype(complex), e2
-    return a, b, Certificate(kind=CertKind.WITNESS_SYSTEM, vectors=vectors,
+        b, x = np.diag([-1.0, 0.0]).astype(complex), np.eye(2)[:, [1]]
+    y = a @ x / np.linalg.norm(a @ x)
+    return a, b, Certificate(kind=CertKind.WITNESS_SYSTEM, weights=[1.0],
+                             left=[y], right=[x.astype(complex)],
                              details={"purpose": "orthogonal"})
 
 
@@ -262,8 +261,8 @@ def _neighbour_forgery(kind, gap):
 def test_neighbouring_cluster_forgery_is_rejected(kind, gap, tmp_path,
                                                   capsys):
     # every gap is above the clustering width 1e-8, so the engine splits
-    # the two values and refutes; the forged vector pairs B to 0 but leaves
-    # the span of the top cluster, by the whole of e2 or by sqrt(0.4)
+    # the two values and refutes; the forged term pairs B to 0 but norms A
+    # short by the gap, far above the rounding level
     a, b, cert = _neighbour_forgery(kind, gap)
     density = kind == "density"
     second = [b] if density else b
@@ -271,14 +270,14 @@ def test_neighbouring_cluster_forgery_is_rejected(kind, gap, tmp_path,
     assert decision.verdict is Verdict.NOT_ORTHOGONAL
     report = verify_certificate(cert, a, second, 1)
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
-    assert failed == {"cluster_span_0"}, report
+    assert failed == {"norming"}, report
     problem, forged = tmp_path / "p.json", tmp_path / "r.json"
     save_problem(problem, {"a": a, "b": b}, 1,
                  subspace=["b"] if density else None)
     save_report(forged, Decision(verdict=Verdict.ORTHOGONAL, margin=0.0,
                                  scale=decision.scale, certificate=cert))
     assert main(["verify", str(problem), str(forged)]) == 1
-    assert "[FAIL] cluster_span_0" in capsys.readouterr().out
+    assert "[FAIL] norming" in capsys.readouterr().out
 
 
 def _near_tie_subspace(rng):
@@ -296,36 +295,37 @@ def _near_tie_subspace(rng):
 
 
 def test_density_certificate_under_a_wide_cluster_verifies():
-    # a cluster width of 1e-3 merges the near tie, and a verifier
-    # clustering at that width reads the merged span
+    # a cluster width of 1e-3 merges the near tie, and the subspace witness
+    # norms A to within k (n - 1) times that width, the level a verifier
+    # reading the same width allows
     rng = np.random.default_rng(4)
     wide = Tolerances(cluster=1e-3)
     for _ in range(8):
         a, basis = _near_tie_subspace(rng)
         d = check_subspace(a, basis, 2, tol=wide)
         assert d.verdict is Verdict.ORTHOGONAL
-        assert d.certificate.kind is CertKind.DENSITY_SYSTEM
+        assert d.certificate.kind is CertKind.WITNESS_SYSTEM
         assert verify_certificate(d.certificate, a, basis, 2, wide)["ok"]
-        # at the default width the tie is split and the mixture is no
-        # longer supported on one eigenspace
+        # at the default rounding level the mixture of the near tie no
+        # longer norms A
         report = verify_certificate(d.certificate, a, basis, 2)
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
-        assert failed and all(n.startswith("cluster_span_") for n in failed)
+        assert failed == {"norming"}
 
 
 ZERO_CASES = {
-    # (check_pair, its fallback BLOCK_COEFFICIENT, check_parallel,
+    # (check_pair, its fallback corral witness, check_parallel,
     # check_subspace): verdict and certificate kind, each certificate
-    # verifying. A = 0 is orthogonal to every direction; a density system
-    # pairs through A's own polar factor, and no PSD coefficient of it
-    # annihilates this B, so the subspace reading carries none
-    "a_zero": ("ORTHOGONAL BLOCK_COEFFICIENT", "ORTHOGONAL BLOCK_COEFFICIENT",
-               "DegenerateRank", "ORTHOGONAL None"),
-    "b_zero": ("ORTHOGONAL WITNESS_SYSTEM", "ORTHOGONAL BLOCK_COEFFICIENT",
-               "PARALLEL WITNESS_SYSTEM", "ORTHOGONAL DENSITY_SYSTEM"),
-    "both_zero": ("ORTHOGONAL BLOCK_COEFFICIENT",
-                  "ORTHOGONAL BLOCK_COEFFICIENT", "DegenerateRank",
-                  "ORTHOGONAL DENSITY_SYSTEM"),
+    # verifying. A = 0 is orthogonal to every direction, and the corral's
+    # contractions on A's null space certify it for the pair and the
+    # subspace alike
+    "a_zero": ("ORTHOGONAL WITNESS_SYSTEM", "ORTHOGONAL WITNESS_SYSTEM",
+               "DegenerateRank", "ORTHOGONAL WITNESS_SYSTEM"),
+    "b_zero": ("ORTHOGONAL WITNESS_SYSTEM", "ORTHOGONAL WITNESS_SYSTEM",
+               "PARALLEL WITNESS_SYSTEM", "ORTHOGONAL WITNESS_SYSTEM"),
+    "both_zero": ("ORTHOGONAL WITNESS_SYSTEM",
+                  "ORTHOGONAL WITNESS_SYSTEM", "DegenerateRank",
+                  "ORTHOGONAL WITNESS_SYSTEM"),
 }
 
 
@@ -353,15 +353,161 @@ def test_zero_operands_are_pinned(case):
     assert tuple(got) == ZERO_CASES[case]
 
 
+def _hand_pairs():
+    """The three hand pairs whose true margin is -0.5 scale but which the
+    default frame, clustering at 1e-8 s1 and cutting the rank at 1e-12 s1,
+    reads ORTHOGONAL: (A, B, k, and the witness the engine built before it
+    checked the norming defect, written as terms, with that defect). The
+    first mixes e1 and e2 across a gap of 5e-9; the second takes the null
+    vector e3 for s2 = 1e-11; the third is the zero contraction at
+    s2 = 1e-13, the mean of Y = [e1, +-e3] against X = [e1, e2]."""
+    e = np.eye(3, dtype=complex)
+    e22 = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    x = np.array([[-1.0], [-1j]]) / np.sqrt(2.0)
+    yield ("gap_5e-9", np.diag([1.0, 1.0 - 5e-9]).astype(complex),
+           np.diag([-1.0, 1.0]).astype(complex), 1, [1.0], [x], [x], 2.5e-9)
+    yield ("tail_1e-11", np.diag([1.0, 1e-11, 0.0]).astype(complex), e22, 2,
+           [1.0], [e[:, [0, 2]]], [e[:, [0, 2]]], 1e-11)
+    yield ("tail_1e-13", np.diag([1.0, 1e-13, 0.0]).astype(complex), e22, 2,
+           [0.5, 0.5], [e[:, [0, 2]], e[:, [0, 2]] * [1.0, -1.0]],
+           [e[:, :2], e[:, :2]], 1e-13)
+
+
+HAND_PAIRS = {case[0]: case[1:] for case in _hand_pairs()}
+
+
+@pytest.mark.parametrize("case", HAND_PAIRS)
+def test_hand_pairs_lose_their_false_witness(case):
+    # the old witness pairs B to 0 but norms A short by its defect, far
+    # above the rounding level 64 n eps s1 (2.8e-14 at n = 2, 4.3e-14 at
+    # n = 3): verify fails it on norming alone, and the engine, which
+    # applies the same level, keeps its verdict and says why it carries
+    # no certificate
+    a, b, k, weights, left, right, eta = HAND_PAIRS[case]
+    forged = Certificate(kind=CertKind.WITNESS_SYSTEM, weights=weights,
+                         left=left, right=right,
+                         details={"purpose": "orthogonal"})
+    report = verify_certificate(forged, a, b, k)
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed == {"norming"}, report
+    norming = next(c for c in report["checks"] if c["name"] == "norming")
+    assert norming["value"] == pytest.approx(eta, rel=1e-3)
+    level = 64.0 * a.shape[0] * np.finfo(float).eps
+    assert norming["bound"] == pytest.approx(level, rel=1e-12)
+    d = check_pair(a, b, k)
+    assert d.verdict is Verdict.ORTHOGONAL
+    assert d.certificate is None
+    assert "norming defect" in d.details["certificate_error"]
+
+
+def test_an_inflated_witness_fails_orthonormality():
+    # scaling X by 1 + 2.5e-9 makes up the first hand pair's norming defect,
+    # but leaves the dual ball by as much: the factors are held to the
+    # rounding level, so the inflation fails there instead
+    a, b, k, weights, left, right, eta = HAND_PAIRS["gap_5e-9"]
+    inflated = Certificate(kind=CertKind.WITNESS_SYSTEM, weights=weights,
+                           left=left, right=[(1.0 + eta) * right[0]],
+                           details={"purpose": "orthogonal"})
+    report = verify_certificate(inflated, a, b, k)
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed == {"orthonormal"}, report
+
+
+@pytest.mark.census
+def test_no_near_tie_witness_verifies_against_a_verified_refutation():
+    # census by contradiction: a frame clustered at the rounding level
+    # 64 n eps s1 refutes 40 of the near ties that the default frame reads
+    # ORTHOGONAL, with a VIOLATION that verifies; none of those ORTHOGONAL
+    # readings may carry a witness that verifies too. Of the 69 ORTHOGONAL
+    # readings, the 25 at j >= 13 whose witness norms A to rounding keep
+    # one
+    from test_oracle import _near_tie_draws
+
+    orthogonal = verified = contradicted = 0
+    for _, a, b, k in _near_tie_draws():
+        d = check_pair(a, b, k)
+        if d.verdict is not Verdict.ORTHOGONAL:
+            continue
+        orthogonal += 1
+        if d.certificate is None:
+            assert "norming defect" in d.details["certificate_error"]
+            continue
+        assert verify_certificate(d.certificate, a, b, k)["ok"]
+        verified += 1
+        s1 = float(np.linalg.svd(a, compute_uv=False)[0])
+        fine = Tolerances(cluster=64.0 * a.shape[0] * np.finfo(float).eps * s1)
+        refuted = check_pair(a, b, k, tol=fine)
+        contradicted += (refuted.verdict is Verdict.NOT_ORTHOGONAL
+                         and refuted.certificate is not None
+                         and verify_certificate(refuted.certificate, a, b, k,
+                                                fine)["ok"])
+    assert (orthogonal, verified, contradicted) == (69, 25, 0)
+
+
+def _statement_bound(statement, c):
+    """The right side of a verify statement at the scalars c."""
+    return statement["norm_a"] - statement["eta"] - sum(
+        abs(cj) * rho for cj, rho in zip(c, statement["rho"]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=seeds, subspace=st.booleans(), perturb=st.booleans())
+def test_a_verified_witness_bounds_every_norm_it_states(seed, subspace,
+                                                        perturb):
+    # ||A + sum_j c_j W_j||_(k) >= ||A||_(k) - eta - sum_j |c_j| rho_j for
+    # a witness that verifies, at random scalars of every size and at the
+    # referee's chord point, up to the rounding of the norm itself
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    k = int(rng.integers(1, n))
+    q = 1 + int(rng.integers(0, k))
+    r = int(rng.integers(0, n - k + 1))
+    if subspace:
+        m = int(rng.integers(1, 4))
+        a, basis, _ = make_subspace_instance(n, k, m, rng, q=q, r=r)
+    else:
+        a, b, _ = make_orthogonal_pair(n, k, rng, q=q, r=r)
+        basis = [b]
+    if perturb:
+        # a tilt of 1e-7 of each matrix's norm: the reading may turn
+        # BOUNDARY, or stay ORTHOGONAL with pairings of that size
+        basis = [w + 1e-7 * np.linalg.norm(w) * random_matrix(n, rng)
+                 / np.sqrt(n) for w in basis]
+    second = basis if subspace else basis[0]
+    d = (check_subspace if subspace else check_pair)(a, second, k)
+    cert = d.certificate
+    if cert is None or cert.kind is not CertKind.WITNESS_SYSTEM:
+        return
+    report = verify_certificate(cert, a, second, k)
+    if not report["ok"]:
+        return
+    statement = report["statement"]
+    norms = [float(np.linalg.svd(w, compute_uv=False)[:k].sum())
+             for w in basis]
+    norm_a = statement["norm_a"]
+    points = []
+    for size in 10.0 ** rng.uniform(-9.0, 3.0, size=12):
+        c = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        points.append(size * norm_a * c / max(norms))
+    if not subspace:
+        orc = oracle_check_pair(a, basis[0], k)
+        points.append(np.array([orc.details["chord_point"]]))
+    for c in points:
+        value = float(np.linalg.svd(a + sum(cj * w for cj, w in zip(c, basis)),
+                                    compute_uv=False)[:k].sum())
+        rounding = 64.0 * n * np.finfo(float).eps * (
+            norm_a + sum(abs(cj) * nw for cj, nw in zip(c, norms)))
+        assert value >= _statement_bound(statement, c) - rounding
+
+
 # ---------------------------------------------------------------------------
 # floor guard
 
 
 # clauses whose bound is a norm-valued quantity; every other bound is a
 # pure number
-_NORM_UNITS = ("pairing", "triangle_equality", "block_equation", "norming",
-               "direction_pairing", "basis_pairing_", "claimed_norm_matches",
-               "chord_rate")
+_NORM_UNITS = ("pairing", "triangle_equality", "norming", "basis_pairing_",
+               "claimed_norm_matches", "chord_rate")
 
 
 def _guarded_certificates():
@@ -374,7 +520,7 @@ def _guarded_certificates():
     a, b, _ = make_nonorthogonal_pair(4, 2, rng)
     yield "violation", check_pair(a, b, 2).certificate, a, b
     a, basis, _ = make_subspace_instance(6, 3, 2, rng, q=2, r=1)
-    yield "density", check_subspace(a, basis, 3).certificate, a, basis
+    yield "subspace", check_subspace(a, basis, 3).certificate, a, basis
 
 
 def _scaled(cert, second, t):
@@ -394,7 +540,7 @@ def test_clause_bounds_scale_with_the_problem(t):
     # floor anywhere in a verifier shows here
     kinds = set()
     for name, cert, a, second in _guarded_certificates():
-        k = 3 if name == "density" else 2
+        k = 3 if name == "subspace" else 2
         base = verify_certificate(cert, a, second, k)
         cert_t, second_t = _scaled(cert, second, t)
         moved = verify_certificate(cert_t, t * a, second_t, k)

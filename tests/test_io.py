@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kyfanorth.cli import main
-from kyfanorth.decide import check_pair, check_subspace, verify_certificate
+from kyfanorth.decide import check_pair, check_subspace
 from kyfanorth.errors import ParseError
 from kyfanorth.generate import make_orthogonal_pair, make_subspace_instance
 from kyfanorth.io import (
@@ -22,6 +22,7 @@ from kyfanorth.io import (
     save_problem,
 )
 from kyfanorth.model import REAL_FIELD, CertKind, Tolerances
+from kyfanorth.verify import verify_certificate
 
 
 def complex_gauss(rng, rows, cols):
@@ -122,8 +123,11 @@ def test_report_round_trip_with_certificate(rng, tmp_path):
     assert report.timings["total_s"] == 0.25
     cert = report.certificate
     assert cert.kind is decision.certificate.kind
-    np.testing.assert_allclose(cert.vectors, decision.certificate.vectors,
-                               atol=0)
+    assert cert.weights == decision.certificate.weights
+    for name in ("left", "right"):
+        for got, want in zip(getattr(cert, name),
+                             getattr(decision.certificate, name)):
+            assert np.array_equal(got, want)
 
 
 def test_report_decode_validation(rng):
@@ -236,48 +240,83 @@ def test_a_missing_matrix_and_a_1d_array_are_parse_errors():
         encode_matrix(np.ones(3))
 
 
-def _dense_density_report(decision) -> dict:
-    """A report in the retired format: one dense n x n matrix per index."""
-    obj = encode_report(decision)
-    cert = obj["certificate"]
-    factors = [decode_matrix(x) for x in cert.pop("factors")]
-    cert["densities"] = [encode_matrix(x @ x.conj().T)
-                         for x, m in zip(factors, cert.pop("multiplicities"))
-                         for _ in range(m)]
-    return obj
-
-
 def test_density_report_round_trip_and_old_format(rng):
+    # a subspace witness round-trips exactly; its three lists must keep one
+    # length, and the per-cluster factor layout it replaced is refused
     a, basis, _ = make_subspace_instance(6, 3, 2, rng, q=2, r=1)
     decision = check_subspace(a, basis, 3)
     back = decode_report(json.loads(json.dumps(encode_report(decision))))
     cert = back.certificate
-    assert cert.multiplicities == decision.certificate.multiplicities
-    for x, y in zip(cert.factors, decision.certificate.factors):
-        assert np.array_equal(x, y)
+    assert cert.weights == decision.certificate.weights
+    for got, want in zip(cert.left + cert.right,
+                         decision.certificate.left
+                         + decision.certificate.right):
+        assert np.array_equal(got, want)
     assert verify_certificate(cert, a, basis, 3)["ok"]
-    with pytest.raises(ParseError, match="dense DENSITY_SYSTEM"):
-        decode_report(_dense_density_report(decision))
     obj = encode_report(decision)
-    obj["certificate"]["multiplicities"] = [1.5] * len(cert.factors)
-    with pytest.raises(ParseError, match="multiplicities"):
+    obj["certificate"]["weights"].append(0.0)
+    with pytest.raises(ParseError, match="lists of one length"):
         decode_report(obj)
-    del obj["certificate"]["factors"]
-    with pytest.raises(ParseError, match="multiplicities"):
+    obj = encode_report(decision)
+    obj["certificate"]["weights"][0] = "0.5"
+    with pytest.raises(ParseError, match="weights must be a number"):
+        decode_report(obj)
+    del obj["certificate"]["right"]
+    with pytest.raises(ParseError, match="lists of one length"):
+        decode_report(obj)
+    obj = encode_report(decision)
+    cert = obj["certificate"]
+    cert["factors"] = cert.pop("right")
+    cert["multiplicities"] = [1] * len(cert["factors"])
+    del cert["weights"], cert["left"]
+    with pytest.raises(ParseError, match="'factors' is retired"):
         decode_report(obj)
 
 
 def test_density_report_size_guard():
-    # one n-row factor per cluster: the dense form of this report, 20 dense
-    # 200 x 200 matrices, took 37 MB
+    # one n x k factor pair per term: the dense form of a subspace report,
+    # 20 dense 200 x 200 matrices, took 37 MB
     rng = np.random.default_rng(1)
     a, basis, _ = make_subspace_instance(200, 20, 2, rng)
     decision = check_subspace(a, basis, 20)
-    assert decision.certificate.kind is CertKind.DENSITY_SYSTEM
+    assert decision.certificate.kind is CertKind.WITNESS_SYSTEM
     text = json.dumps(encode_report(decision), indent=2)
     assert len(text) < 1_000_000
     back = decode_report(json.loads(text))
     assert verify_certificate(back.certificate, a, basis, 20)["ok"]
+
+
+_RETIRED_LAYOUTS = {
+    # every certificate field and kind an earlier report wrote
+    "vectors": {"kind": "WITNESS_SYSTEM"},
+    "block_matrix": {"kind": "WITNESS_SYSTEM"},
+    "subgradient": {"kind": "WITNESS_SYSTEM"},
+    "factors": {"kind": "WITNESS_SYSTEM"},
+    "multiplicities": {"kind": "WITNESS_SYSTEM", "multiplicities": [1]},
+    "BLOCK_COEFFICIENT": {"kind": "BLOCK_COEFFICIENT"},
+    "DENSITY_SYSTEM": {"kind": "DENSITY_SYSTEM"},
+}
+
+
+@pytest.mark.parametrize("retired", _RETIRED_LAYOUTS)
+def test_retired_certificate_layouts_are_parse_errors(retired, tmp_path,
+                                                      capsys):
+    a = np.diag([2.0, 1.0])
+    b = np.array([[0.0, 1.0], [0.5j, 0.0]])
+    cert = dict(_RETIRED_LAYOUTS[retired])
+    if retired in ("vectors", "block_matrix", "subgradient"):
+        cert[retired] = encode_matrix(np.eye(2)[:, :1])
+    elif retired == "factors":
+        cert[retired] = [encode_matrix(np.eye(2)[:, :1])]
+    obj = encode_report(check_pair(a, b, 1, want_certificate=False))
+    obj["certificate"] = cert
+    with pytest.raises(ParseError, match=f"{retired}'? is retired"):
+        decode_report(obj)
+    p, r = tmp_path / "p.json", tmp_path / "r.json"
+    save_problem(p, {"a": a, "b": b}, 1)
+    r.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", str(p), str(r)]) == 2
+    assert "retired" in capsys.readouterr().err
 
 
 # a problem and its report as written before the unread "herm", "resid" and
@@ -308,24 +347,28 @@ _HERM_REPORT = (
 
 
 def test_files_with_a_herm_tolerance_still_load_and_verify(tmp_path):
+    # the tolerances still load; the report's single-vector witness is a
+    # retired layout, which verify refuses as a usage error
     problem = decode_problem(json.loads(_HERM_PROBLEM))
-    report = decode_report(json.loads(_HERM_REPORT))
+    with pytest.raises(ParseError, match="'vectors' is retired"):
+        decode_report(json.loads(_HERM_REPORT))
+    report = decode_report({**json.loads(_HERM_REPORT), "certificate": None})
     assert problem.tolerances == Tolerances()
     assert report.tolerances == Tolerances()
     a, b = problem.matrices["a"], problem.matrices["b"]
-    assert verify_certificate(report.certificate, a, b, 1)["ok"]
     p, r = tmp_path / "p.json", tmp_path / "r.json"
     p.write_text(_HERM_PROBLEM, encoding="utf-8")
     r.write_text(_HERM_REPORT, encoding="utf-8")
-    assert main(["verify", str(p), str(r)]) == 0
+    assert main(["verify", str(p), str(r)]) == 2
     # a retired key is dropped whatever its value, and so is a report seed
     old = json.loads(_HERM_PROBLEM)
     old["tolerances"].update(resid=0.5, herm=0.5, rank=0.5, decide=1e-3,
                              strict=1e-2)
     assert decode_problem(old).tolerances == Tolerances(decide=1e-3,
                                                         strict=1e-2)
-    seeded = decode_report({**json.loads(_HERM_REPORT), "seed": 7})
-    assert seeded.certificate.kind is report.certificate.kind
+    seeded = decode_report({**json.loads(_HERM_REPORT), "certificate": None,
+                            "seed": 7})
+    assert seeded.tolerances == report.tolerances
     # what is written now carries neither retired key, nor a seed
     decision = check_pair(a, b, 1)
     for obj in (encode_problem({"a": a, "b": b}, 1, tolerances=Tolerances()),

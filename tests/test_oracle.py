@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kyfanorth.oracle
-from kyfanorth.decide import check_pair, verify_certificate
+from kyfanorth.decide import check_pair
 from kyfanorth.errors import KOutOfRange, ShapeMismatch
 from kyfanorth.generate import (
     make_nonorthogonal_pair,
@@ -37,6 +37,7 @@ from kyfanorth.oracle import (
     sample_range_points,
 )
 from kyfanorth.subdiff import directional_derivative, subgradient_membership
+from kyfanorth.verify import verify_certificate
 
 
 def complex_gauss(rng, rows, cols):

@@ -163,8 +163,8 @@ def test_dual_pairing_bound_for_members(rng):
 
 def test_only_subdiff_reads_the_frame_blocks():
     # the shape of the subdifferential has one owner: every other module
-    # reaches the blocks through range_model, subgradient, witness_vectors
-    # and contains
+    # reaches the blocks through range_model, subgradient, term and
+    # top_term
     blocks = {"u1", "v1", "u2", "v2", "u2_wide"}
     readers = []
     for path in sorted(Path(kyfanorth.__file__).resolve().parent.glob("*.py")):
