@@ -307,10 +307,12 @@ def cmd_sweep_plot(args) -> int:
     a, b = problem.pair()
     if args.grid < 8:
         raise ParseError("--grid must be at least 8")
+    if args.points < 0:
+        raise ParseError("--points must be at least 0")
     model = _pair_setup(a, b, problem.k, _tolerances(problem)).model
     thetas = np.linspace(0.0, 2.0 * np.pi, args.grid, endpoint=False)
     h = model.support(thetas)
-    fixed = complex(model.fixed_part)
+    fixed = complex(model.fixed[0])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("theta,h,fixed_re,fixed_im\n")
         for th, hv in zip(thetas, h):

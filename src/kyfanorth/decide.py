@@ -4,18 +4,22 @@ A matrix A is orthogonal to B when ||A + c*B||_(k) >= ||A||_(k) for every
 scalar c. By convex duality this holds iff 0 lies in the attainable set
 K = {tr(G* B) : G a subgradient of the norm at A}, a compact convex subset
 of the plane, and A is orthogonal to a span iff 0 lies in the joint set of
-its basis in C^m. The engine models each set exactly through the spectral
-frame of A (a fixed complex offset plus a q-trace numerical range of the
-boundary compression), reads the decision off a certified bracket on the
-distance of 0 from it, found by one nearest-point search for pairs and
-subspaces alike, and backs each verdict with a checkable certificate: a
-witness system, a convex combination sum_i w_i Y_i X_i* of rank-k partial
-isometries that norms A and annihilates the direction or every basis
-matrix, or a scalar c whose chord rate (||A + cB||_(k) - ||A||_(k))/|c|,
-an upper bound on the derivative along cB by convexity, proves the margin
-below -strict*scale. The witness is the search's own corral: each atom, a
-rank-q projector or a contraction -U_q V_q* on the boundary block, lifts
-to one partial isometry, and a pair's mixture is purified to one term when
+its basis in C^m. Each set is the range model of the spectral frame of A
+(``subdiff.RangeSetModel``: fixed complex offsets plus the pairings of a
+boundary coefficient with the compressions of the directions), which
+alone knows the coefficient set: its start, and its exposure of the
+points lowest along a direction. This module holds the geometry on top of
+it. It reads the decision off a certified bracket on the distance of 0
+from the set, found by one nearest-point search (Wolfe's method) on the
+model's exposure for pairs and subspaces alike, bands it, and backs each
+verdict with a checkable certificate: a witness system, a convex
+combination sum_i w_i Y_i X_i* of rank-k partial isometries that norms A
+and annihilates the direction or every basis matrix, or a scalar c whose
+chord rate (||A + cB||_(k) - ||A||_(k))/|c|, an upper bound on the
+derivative along cB by convexity, proves the margin below -strict*scale.
+The witness is the search's own corral: each atom, a rank-q projector or
+a contraction -U_q V_q* on the boundary block, lifts to one partial
+isometry, and the model purifies a pair's mixture to one term when
 s_k > 0. Certificates are checked by ``verify.verify_certificate``, which
 reads nothing of the frame.
 """
@@ -23,13 +27,11 @@ reads nothing of the frame.
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRank, WitnessSearchFailed
-from .linalg import herm
 from .model import (
     COMPLEX_FIELD,
     REAL_FIELD,
@@ -118,21 +120,10 @@ def check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
 
 def _pair_search(setup: _PairSetup, field: str) -> "_Search":
     """The point of the pairing set (of its real parts, in the real field)
-    nearest 0, searched to 1e-3 cert*scale. The search starts from the
-    centre (q/d) I of the coefficient polytope, or from an exposed point
-    when d > 3q: its coefficient then has at most 3q eigenvalues strictly
-    between 0 and 1, and purifies in fewer than 3q steps. A point set is
-    its own nearest point, with coefficient I."""
-    model, real = setup.model, field == REAL_FIELD
-    if model.is_point:
-        z = model.point_value
-        x = np.array([complex(z.real) if real else z])
-        eye = np.eye(model.m, dtype=complex)
-        return _Search(terms=[(1.0, eye, eye)], x=x, lower=abs(x[0]),
-                       added=0, capped=False)
-    return _search(*_joint_oracle([model], real,
-                                  exposed=model.width > 3 * model.m),
-                   1e-3 * setup.tol.cert * setup.scale)
+    nearest 0, searched to 1e-3 cert*scale."""
+    model = setup.model
+    return _search(model, model.start(), 1e-3 * setup.tol.cert * setup.scale,
+                   real=field == REAL_FIELD)
 
 
 def _decide_pair(setup: _PairSetup, field: str,
@@ -148,7 +139,7 @@ def _decide_pair(setup: _PairSetup, field: str,
         "r": frame.part.r,
         "degenerate_zero": frame.degenerate_zero,
         "cluster_tol": frame.part.cluster_tol,
-        "leading_trace": complex(setup.model.fixed_part),
+        "leading_trace": complex(setup.model.fixed[0]),
     }
     decision = search.decision(setup.tol, scale, "nearest-point", details)
     if want_certificate:
@@ -254,9 +245,9 @@ def _nearest_point(oracle, start: tuple, tol: float,
         atoms = [a for a, kept in zip(atoms, keep) if kept]
         points = points[keep]
         x = weights @ points
-    # the distance is at most |x|; only rounding could put the bound above
-    return (atoms, weights, x, min(lower, float(np.linalg.norm(x))), added,
-            capped)
+    # the distance is at most |x| = miss, as x has not moved since; only
+    # rounding could put the bound above
+    return atoms, weights, x, min(lower, miss), added, capped
 
 
 def _wolfe_step(points: np.ndarray, weights: np.ndarray) -> tuple:
@@ -329,85 +320,29 @@ class _Search:
                         method=method, tolerances=tol, details=details)
 
 
-def _search(oracle, start: tuple, tol: float,
-            gate: float = np.inf) -> _Search:
-    """``_nearest_point`` over atoms that are mixtures [(w, L, R), ...] of
-    rank-q boundary atoms, its corral flattened into one mixture."""
-    atoms, weights, x, lower, added, capped = _nearest_point(oracle, start,
-                                                             tol, gate)
-    terms = [(float(w * v), left, right) for w, atom in zip(weights, atoms)
-             for v, left, right in atom]
-    return _Search(terms=terms, x=x, lower=lower, added=added, capped=capped)
+def _search(model: RangeSetModel, start: tuple, tol: float,
+            gate: float = np.inf, real: bool = False) -> _Search:
+    """``_nearest_point`` on the joint pairing set of the model from the
+    ``start`` it made, each oracle call one atom of the model's exposure,
+    and the corral flattened into one mixture [(w, L, R), ...]. ``real``
+    takes the real parts of the points, the set of a real-field pair. A
+    point set is its own nearest point, at distance |x|."""
+    def oracle(x):
+        points, left, right = model.expose(x[None])
+        return [(1.0, left[0], right[0])], points[0]
 
-
-def _joint_oracle(models: list, real: bool = False,
-                  exposed: bool = False) -> tuple:
-    """Linear oracle of the joint pairing set of the range models, one
-    coordinate each over a shared boundary coefficient T, and the start
-    for ``_nearest_point``: the centre of the coefficient set or, when
-    ``exposed``, the oracle's atom at the centre's image. ``real`` takes
-    the real parts of the points, the set of a real-field pair. Each atom
-    is a mixture [(w, L, R), ...] of rank-q partial isometries L R*: one
-    for an exposed point, several for the centre.
-
-    - s_k = 0: T ranges over the contractions with singular sum at most q,
-      centre 0. The minimum of Re tr(T* M) over them is -||M||_(q), at
-      T = -U_q V_q* for the top-q singular pairs of
-      M = sum_j conj(x_j) M_j. One matrix makes a disk, and one SVD of its
-      block, taken at the first exposure, serves every direction.
-    - Otherwise: the rank-q projector V V* on the bottom-q eigenvectors V
-      of herm(sum_j conj(x_j) C_j), centre (q/d) I.
-    """
-    fixed = np.array([complex(model.fixed_part) for model in models])
-    head, q = models[0], models[0].m
-    shape = head.block.shape
-    # row j is the block of model j, read entry by entry: the pairing
-    # tr(T* M_j) is then row j times conj(T), flattened
-    flat = np.stack([model.block.ravel() for model in models])
-    if head.degenerate and len(models) == 1:
-        @functools.cache
-        def disk():
-            u, s, vh = np.linalg.svd(head.block, full_matrices=False)
-            return u[:, :q], vh[:q].conj().T, float(s[:q].sum())
-
-        def oracle(x):
-            left, right, rho = disk()
-            unit = x[0] / abs(x[0])
-            return [(1.0, -np.conj(unit) * left, right)], fixed - unit * rho
-    elif head.degenerate:
-        def oracle(x):
-            u, _, vh = np.linalg.svd((x.conj() @ flat).reshape(shape),
-                                     full_matrices=False)
-            left, right = -u[:, :q], vh[:q].conj().T
-            t = left @ right.conj().T
-            return [(1.0, left, right)], fixed + flat @ t.conj().ravel()
-    else:
-        def oracle(x):
-            _, vec = np.linalg.eigh(herm((x.conj() @ flat).reshape(shape)))
-            v = vec[:, :q]
-            p = v @ v.conj().T
-            return [(1.0, v, v)], fixed + flat @ p.conj().ravel()
-
-    if head.degenerate:
-        # 0 is the midpoint of the contractions E and -E, E = [I_q; 0]
-        left = np.eye(shape[0], q, dtype=complex)
-        right = np.eye(shape[1], q, dtype=complex)
-        start = ([(0.5, left, right), (0.5, -left, right)], fixed)
-    else:
-        # (q/d) I is the mean of the d projectors on q cyclically
-        # consecutive coordinates
-        d = shape[0]
-        eye = np.eye(d, dtype=complex)
-        centre = eye * (q / d)
-        start = ([(1.0 / d, p, p) for p in
-                  (np.roll(eye, -i, axis=1)[:, :q] for i in range(d))],
-                 fixed + flat @ centre.ravel())
     if real:
         oracle, start = (lambda x, whole=oracle: _real_parts(whole(x)),
                          _real_parts(start))
-    if exposed and not head.degenerate:
-        start = oracle(start[1])
-    return oracle, start
+    if model.is_point:
+        atoms, weights, x = [start[0]], np.ones(1), start[1]
+        lower, added, capped = float(np.linalg.norm(x)), 0, False
+    else:
+        atoms, weights, x, lower, added, capped = _nearest_point(
+            oracle, start, tol, gate)
+    terms = [(float(w * v), left, right) for w, atom in zip(weights, atoms)
+             for v, left, right in atom]
+    return _Search(terms=terms, x=x, lower=lower, added=added, capped=capped)
 
 
 def _real_parts(exposure: tuple) -> tuple:
@@ -422,7 +357,7 @@ def _checked_miss(setup: _PairSetup, coeff: np.ndarray, field: str,
                   what: str = "nearest point of the pairing set") -> float:
     """|fixed part + tr(T* C)| (its real part in the real field), checked
     against the construction bar 10 cert_tol."""
-    miss = setup.model.pairing(coeff)
+    miss = complex(setup.model.pairing(coeff)[0])
     resid = abs(miss.real) if field == REAL_FIELD else abs(miss)
     if resid > 10.0 * setup.tol.cert * setup.scale:
         raise WitnessSearchFailed(f"{what} misses 0 by {resid:.3e}")
@@ -480,60 +415,6 @@ def _purpose(field: str) -> str:
     return "real" if field == REAL_FIELD else "orthogonal"
 
 
-# eigenvalues of a coefficient this close to 0 or 1 count as there
-_SNAP = 1e-11
-
-
-def _purify(coeff: np.ndarray, c: np.ndarray, q: int) -> tuple:
-    """q orthonormal columns spanning a rank-q projector P with
-    tr(P C) = tr(T C), walked from a trace-q coefficient 0 <= T <= I, and
-    the number of steps.
-
-    Each step takes two interior eigenvalues l_i, l_j of T (strictly
-    between 0 and 1). Of the traceless Hermitian 2x2 directions D on their
-    eigenvectors V, a 3-parameter family, one keeps tr(V D V* C) = 0. The
-    block diag(l_i, l_j) + tD keeps its mean m, and its spread
-    r(t)^2 = t^2 + 2 l a t + l^2 (l = (l_i - l_j) / 2, a = D_11) reaches
-    min(m, 1 - m) at the step, which sends one eigenvalue to 0 or 1. So p
-    interior eigenvalues take at most p - 1 steps: a lone one cannot
-    remain, as the trace q is whole. A pair search hands over at most 3q:
-    a mixture of three rank-q projectors, or one with the centre (q/d) I
-    when d <= 3q.
-    """
-    lam, vec = np.linalg.eigh(coeff)
-    steps = 0
-    while True:
-        lam[lam <= _SNAP] = 0.0
-        lam[lam >= 1.0 - _SNAP] = 1.0
-        inner = np.flatnonzero((lam > 0.0) & (lam < 1.0))
-        if inner.size < 2:
-            break
-        pair = inner[:2]
-        v = vec[:, pair]
-        m = v.conj().T @ c @ v
-        row = np.array([m[0, 0] - m[1, 1], m[0, 1] + m[1, 0],
-                        1j * (m[0, 1] - m[1, 0])])
-        a, b, s = np.linalg.svd(np.vstack([row.real, row.imag]))[2][-1]
-        li, lj = lam[pair]
-        mean, half = 0.5 * (li + lj), 0.5 * (li - lj)
-        reach = min(mean, 1.0 - mean)
-        if half * a > 0.0:  # -D keeps the root free of cancellation
-            a, b, s = -a, -b, -s
-        gap = (reach - half) * (reach + half)
-        t = np.sqrt((half * a) ** 2 + gap) - half * a
-        _, u = np.linalg.eigh([[li + t * a, t * (b - 1j * s)],
-                               [t * (b + 1j * s), lj - t * a]])
-        # the block keeps its trace 2 mean; one end lands on 0 or 1
-        lam[pair] = [2 * mean - 1.0, 1.0] if mean >= 0.5 else [0.0, 2 * mean]
-        vec[:, pair] = v @ u
-        steps += 1
-    picked = np.flatnonzero(lam > 0.5)
-    if picked.size != q:
-        raise WitnessSearchFailed(
-            f"purification left {picked.size} unit eigenvalues, expected {q}")
-    return vec[:, picked], steps
-
-
 def _witness_system(setup: _PairSetup, coeff: np.ndarray,
                     field: str) -> Certificate:
     """One term: the search's coefficient purified to a rank-q projector
@@ -541,7 +422,7 @@ def _witness_system(setup: _PairSetup, coeff: np.ndarray,
     real part, in the real field), so that X = [V1, V2 L] holds k
     orthonormal eigenvectors of |A| and Y = [U1, U2 L]."""
     _checked_miss(setup, coeff, field)
-    cols, steps = _purify(coeff, setup.model.compression, setup.frame.part.q)
+    cols, steps = setup.model.purify(coeff)
     resid = _checked_miss(setup, cols @ cols.conj().T, field,
                           "purified projector")
     return _witness(setup.frame, [(1.0, cols, cols)], {
@@ -618,9 +499,11 @@ def check_subspace(a, basis, k: int, tol: Tolerances | None = None,
     size = max(float(np.linalg.norm(w)) for w in basis)
     ortho = [size * w for w in ortho]
     scale = tol.margin_scale(norm_a, max(ky_fan_sum(w, k) for w in ortho))
-    models = [frame.range_model(w) for w in ortho]
     feas_tol, gate = 0.125 * tol.decide * scale, 4.0 * tol.strict * scale
-    search = _search(*_joint_oracle(models), feas_tol, gate)
+    # the corral is the witness as it stands, so the search starts at the
+    # centre: no start that purifies well is needed
+    model = frame.range_model(*ortho)
+    search = _search(model, model.centre, feas_tol, gate)
     decision = search.decision(tol, scale, "subspace-feasibility", {
         "basis_rank": len(ortho),
         "degenerate_zero": frame.degenerate_zero,
@@ -700,10 +583,10 @@ def check_parallel(a, b, k: int, tol: Tolerances | None = None,
                         method="parallel-sweep", tolerances=setup.tol,
                         details=details)
     if verdict is Verdict.PARALLEL and want_certificate:
-        # the top-q eigenvectors at the peak expose its point of the set
-        _, top = setup.model._top_eigen(np.array([outcome.theta]))
+        # the atom exposed along -e^{i theta} attains the peak
+        _, left, right = setup.model.expose(np.array([[-lam.conjugate()]]))
         _attach_witness(decision, setup.a, frame, setup.tol, lambda: _witness(
-            frame, [(1.0, top[0], top[0])], {
+            frame, [(1.0, left[0], right[0])], {
                 "purpose": "parallel",
                 "target_modulus": norm_b,
                 "lambda_re": lam.real,

@@ -74,27 +74,19 @@ def _compose(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u * s) @ v.conj().T
 
 
-def _shift_to_contain_zero(b: np.ndarray, frame, interior: bool,
-                           field: str) -> np.ndarray:
+def _shift_to_contain_zero(b: np.ndarray, frame, field: str) -> np.ndarray:
     """Subtract a multiple of the first singular pair's rank-one term so the
-    pairing set of the result contains zero, at an interior point when
-    ``interior``."""
+    pairing set of the result contains zero, at the image of the centre of
+    the boundary coefficients: an interior point whenever the set has two
+    dimensions."""
     model = frame.range_model(b)
-    q, d = model.m, model.width
-    fixed = model.fixed_part
-    if frame.degenerate_zero:
-        # pairing set is fixed + a disk; zeroing fixed centers it on zero
-        target = fixed
-    elif interior and d > q:
-        target = fixed + (q / d) * complex(np.trace(model.compression))
-    else:
-        target = fixed + complex(np.trace(model.compression))
+    target = complex(model.centre[1][0])
     if field == REAL_FIELD:
         target = complex(target.real, 0.0)
     # with no leading block the term lands in the boundary compression,
-    # whose pairing takes q/d of it when interior
-    if frame.part.boundary[0] == 0 and interior and d > q:
-        target = target * (d / q)
+    # whose pairing at the centre takes q/d of it
+    if frame.part.boundary[0] == 0 and model.width > model.q:
+        target = target * (model.width / model.q)
     return b - target * np.outer(frame.svd.u[:, 0], frame.svd.v[:, 0].conj())
 
 
@@ -113,8 +105,7 @@ def make_orthogonal_pair(n: int, k: int, rng=None, q: int = 1, r: int = 0,
     v = haar_unitary(n, rng)
     a = _compose(u, s, v)
     frame = build_frame(a, k)
-    b = _shift_to_contain_zero(random_matrix(n, rng), frame,
-                               interior=r >= 1 or degenerate, field=field)
+    b = _shift_to_contain_zero(random_matrix(n, rng), frame, field)
     label = {
         "kind": "orthogonal",
         "expected": Verdict.ORTHOGONAL.value,

@@ -47,8 +47,8 @@ def require_square(m: np.ndarray):
 
 
 def herm(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M*)/2."""
-    return 0.5 * (m + m.conj().T)
+    """Hermitian part (M + M*)/2, of each matrix of a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 def default_cluster_tol(s1: float) -> float:
@@ -114,14 +114,12 @@ def singular_values(m) -> np.ndarray:
 class SpectralPartition:
     """Single-linkage clustering of a descending spectrum around index k.
 
-    ``clusters`` lists the (start, stop) spans of the clusters, half-open
-    0-based index ranges, largest values first. ``q`` counts
-    boundary-cluster members with index <= k and ``r`` those with index
-    > k, so the cluster containing position k has exactly q + r members.
+    ``q`` counts boundary-cluster members with index <= k and ``r`` those
+    with index > k, so the cluster containing position k has exactly
+    q + r members.
     """
 
     k: int
-    clusters: list
     q: int
     r: int
     cluster_tol: float
@@ -147,10 +145,9 @@ def cluster_spectrum(values: np.ndarray, k: int,
     cut = np.flatnonzero(gaps > cluster_tol) + 1
     starts = np.concatenate([[0], cut])
     stops = np.concatenate([cut, [n]])
-    clusters = [(int(s), int(t)) for s, t in zip(starts, stops)]
     # the cluster holding index k - 1 is the first one stopping beyond it
     c = int(np.searchsorted(stops, k - 1, side="right"))
-    return SpectralPartition(k=k, clusters=clusters, q=k - int(starts[c]),
+    return SpectralPartition(k=k, q=k - int(starts[c]),
                              r=int(stops[c]) - k, cluster_tol=float(cluster_tol))
 
 

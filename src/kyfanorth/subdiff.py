@@ -13,21 +13,28 @@ contractions with singular value sum at most q (and the U2 block widened to
 the whole tail) when s_k = 0.
 
 ``SubdifferentialFrame`` is the one place that knows this shape: it builds
-the range model {tr(G* B)} of a direction B (a fixed complex offset plus
-the pairings tr(T* C) of the coefficient with a compression C of B), the
-subgradient of a coefficient and the partial-isometry factors of a rank-q
-one. The one-sided directional derivative along X is the range model's
-support function at angle 0; the certified sweeps of that support function
-over all angles close the module.
+the subgradient of a coefficient, the partial-isometry factors of a
+rank-q one, and the range model {(tr(G* B_j))_j} of directions B_1..B_m
+(fixed complex offsets plus the pairings tr(T* C_j) of the coefficient
+with compressions C_j of the B_j). ``RangeSetModel`` is the one place
+that knows the boundary coefficient set: its pairing, its centre and the
+nearest-point search's start, the batched exposure of the points lowest
+along given directions, which every search, sweep and support value
+reads, and the purification of a pair's coefficient to one projector.
+The one-sided directional derivative along X is the range model's
+support function at angle 0; the certified sweeps of that support
+function over all angles close the module.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import WitnessSearchFailed
 from .linalg import (
     SpectralPartition,
     SvdFrame,
@@ -35,6 +42,7 @@ from .linalg import (
     default_cluster_tol,
     default_rank_tol,
     haar_unitary,
+    herm,
     svd_frame,
 )
 from .norms import ky_fan_sum, require_operands
@@ -81,20 +89,16 @@ class SubdifferentialFrame:
     def norm_value(self) -> float:
         return float(self.svd.s[: self.part.k].sum())
 
-    def range_model(self, b: np.ndarray) -> "RangeSetModel":
-        """The pairing set {tr(G* B)} of the direction B over the
-        subgradients G at this frame."""
-        if self.u1.shape[1]:
-            fixed = complex(np.trace(self.u1.conj().T @ b @ self.v1))
-        else:
-            fixed = 0.0 + 0.0j
-        comp = self.u2.conj().T @ b @ self.v2
-        if self.degenerate_zero:
-            wide = self.u2_wide.conj().T @ b @ self.v2
-            return RangeSetModel(fixed_part=fixed, compression=comp,
-                                 m=self.part.q, degenerate=True,
-                                 wide_compression=wide)
-        return RangeSetModel(fixed_part=fixed, compression=comp, m=self.part.q)
+    def range_model(self, *directions: np.ndarray) -> "RangeSetModel":
+        """The joint pairing set {(tr(G* B_j))_j} of the directions over
+        the subgradients G at this frame; one direction makes a pair's."""
+        fixed = [complex(np.trace(self.u1.conj().T @ b @ self.v1))
+                 if self.u1.shape[1] else 0j for b in directions]
+        rows = self.u2_wide.conj().T
+        return RangeSetModel(fixed=np.array(fixed),
+                             blocks=np.array([rows @ b @ self.v2
+                                              for b in directions]),
+                             q=self.part.q, degenerate=self.degenerate_zero)
 
     def subgradient(self, coeff: np.ndarray) -> np.ndarray:
         """G = U1 V1* + U2 T V2* for the boundary coefficient T, with U2
@@ -211,16 +215,13 @@ class SweepOutcome:
     the sweep stopped before the bracket closed to its tolerance: on the
     evaluation cap, or with no angle left that it had not sampled.
     ``evals`` counts the angles sampled and ``rounds`` the batches after
-    the first; ``angles`` holds every angle sampled and ``points`` the
-    exposed point of the set found at each.
+    the first.
     """
 
     theta: float
     value: float
     bound: float
     evals: int
-    angles: np.ndarray
-    points: np.ndarray
     capped: bool = False
     rounds: int = 0
 
@@ -304,8 +305,7 @@ def _sweep(expose, tol_abs, max_evals, sign, certify) -> SweepOutcome:
     bound = max(bounds[j], h[i]) if sign > 0 else min(bounds[j], h[i])
     return SweepOutcome(theta=float(theta[i]), value=float(h[i]),
                         bound=float(bound), evals=int(theta.size),
-                        capped=bool(gaps[j] > tol_abs), angles=theta,
-                        points=z, rounds=rounds)
+                        capped=bool(gaps[j] > tol_abs), rounds=rounds)
 
 
 def _round_angles(th, spots, ranked, refined, taken) -> np.ndarray:
@@ -377,98 +377,197 @@ def _outer_bound(th, ends, slack: float) -> tuple:
 
 @dataclass
 class RangeSetModel:
-    """The attainable pairing set {tr(G* B)} of a direction B at a frame of A.
+    """The joint pairing set {(tr(G* B_j))_j} of directions B_1..B_m over
+    the subgradients G at a frame of A; a pair's set is m = 1.
 
-    The set equals fixed_part + {tr(T* C) : T in the boundary coefficient
-    set}, where fixed_part collects the forced traces over singular clusters
-    fully inside the top k and C = ``block`` is the boundary compression of
-    the direction. m is the trace budget of the boundary coefficient. When
-    the frame is degenerate (s_k = 0) the coefficient ranges over
-    contractions on the widened tail, C is ``wide_compression``, and the
-    support function loses its angular part except through fixed_part.
+    The set equals fixed + {(tr(T* C_j))_j : T a boundary coefficient}.
+    ``fixed`` collects the forced traces over the singular clusters fully
+    inside the top k, and ``blocks`` stacks the compressions C_j of the
+    directions that a coefficient pairs with. q is the coefficient's trace
+    budget. When s_k > 0 the coefficient ranges over the PSD contractions of
+    trace q and each C_j is the d x d boundary compression. When the frame
+    is ``degenerate`` (s_k = 0) it ranges over the contractions of singular
+    value sum at most q, and C_j widens to the rows of the whole tail.
+
+    The model is the one owner of that set. Its pairing, its centre and
+    start, and its batched ``expose`` serve the nearest-point search, the
+    parallel sweep, the support function and the generator.
     """
 
-    fixed_part: complex
-    compression: np.ndarray
-    m: int
+    fixed: np.ndarray
+    blocks: np.ndarray
+    q: int
     degenerate: bool = False
-    wide_compression: np.ndarray | None = None
 
     @property
     def width(self) -> int:
-        return int(self.compression.shape[1]) if self.compression.size else 0
-
-    @property
-    def block(self) -> np.ndarray:
-        """The compression a boundary coefficient pairs with."""
-        return self.wide_compression if self.degenerate else self.compression
-
-    def pairing(self, coeff: np.ndarray) -> complex:
-        """fixed_part + tr(T* C): the pairing tr(G* B) of the subgradient G
-        with coefficient T."""
-        return complex(self.fixed_part) + complex(np.vdot(coeff, self.block))
+        return int(self.blocks.shape[2])
 
     @property
     def is_point(self) -> bool:
         # trace budget equal to the block width pins the coefficient to I
-        return (not self.degenerate) and self.m == self.width
+        return (not self.degenerate) and self.q == self.width
 
-    @property
-    def point_value(self) -> complex:
-        return complex(self.fixed_part + np.trace(self.compression))
+    def pairing(self, coeff: np.ndarray) -> np.ndarray:
+        """fixed + (tr(T* C_j))_j: the pairings tr(G* B_j) of the
+        subgradient G with boundary coefficient T."""
+        flat = self.blocks.reshape(self.fixed.size, -1)
+        return self.fixed + flat @ coeff.conj().ravel()
+
+    @functools.cached_property
+    def centre(self) -> tuple:
+        """The centre of the coefficient set as a mixture [(w, L, R), ...]
+        of rank-q atoms L R*, and its image: the point the generator
+        shifts to 0.
+
+        - s_k = 0: the centre 0 is the midpoint of the contractions E and
+          -E, E = [I_q; 0], and its image is the fixed part.
+        - Otherwise: (q/d) I is the mean of the d projectors on q
+          cyclically consecutive coordinates, or I itself for a point set.
+        """
+        q, d = self.q, self.width
+        if self.degenerate:
+            left = np.eye(self.blocks.shape[1], q, dtype=complex)
+            right = np.eye(d, q, dtype=complex)
+            return [(0.5, left, right), (0.5, -left, right)], self.fixed
+        eye = np.eye(d, dtype=complex)
+        point = self.fixed + (q / d) * self.blocks.trace(axis1=1, axis2=2)
+        if self.is_point:
+            return [(1.0, eye, eye)], point
+        # column j of the i-th factor is column i + j (mod d) of I
+        cyclic = eye[:, (np.arange(d)[:, None] + np.arange(q)) % d]
+        return [(1.0 / d, p, p) for p in cyclic.transpose(1, 0, 2)], point
+
+    def start(self) -> tuple:
+        """A pair search's first atom and its point: the centre or, when
+        d > 3q, the atom exposed at the centre's image. The coefficient of
+        a corral of three atoms then has at most 3q eigenvalues strictly
+        between 0 and 1, and purifies in fewer than 3q steps."""
+        atoms, point = self.centre
+        if self.degenerate or self.width <= 3 * self.q:
+            return atoms, point
+        points, left, right = self.expose(point[None])
+        return [(1.0, left[0], right[0])], points[0]
+
+    def expose(self, x: np.ndarray) -> tuple:
+        """The points of the set lowest along the rows of the N x m
+        directions x, each minimizing Re <x_i, z>, and their rank-q atoms:
+        (points, L, R), N x m, N x rows x q and N x d x q, with T = L R*.
+
+        With M = sum_j conj(x_j) C_j the minimum of Re tr(T* M) is reached
+        at the rank-q projector V V* on the bottom-q eigenvectors V of
+        herm(M) when s_k > 0, and at T = -U_q V_q* for the top-q singular
+        pairs of M, with value -||M||_(q), at s_k = 0. A point set is its
+        own exposed point, with coefficient I.
+        """
+        n = x.shape[0]
+        if self.is_point:
+            eye = np.repeat(np.eye(self.q, dtype=complex)[None], n, axis=0)
+            return np.repeat(self.centre[1][None], n, axis=0), eye, eye
+        flat = self.blocks.reshape(self.fixed.size, -1)
+        mix = (x.conj() @ flat).reshape(n, *self.blocks.shape[1:])
+        if self.degenerate:
+            u, _, vh = np.linalg.svd(mix, full_matrices=False)
+            left, right = -u[..., :self.q], _adjoint(vh[:, :self.q])
+        else:
+            left = right = np.linalg.eigh(herm(mix))[1][..., :self.q]
+        coeff = left @ _adjoint(right)
+        return (self.fixed + coeff.conj().reshape(n, -1) @ flat.T, left,
+                right)
+
+    def purify(self, coeff: np.ndarray) -> tuple:
+        """q orthonormal columns L of a rank-q projector L L* whose pairing
+        equals that of the pair coefficient ``coeff`` at s_k > 0, and the
+        steps ``_purify`` took to reach it."""
+        return _purify(coeff, self.blocks[0], self.q)
+
+    def _angles(self, thetas: np.ndarray) -> tuple:
+        """A pair's support values at the angles and the points attaining
+        them: the points exposed along -e^{i theta}."""
+        ph = np.exp(-1j * thetas)
+        z = self.expose(-np.conj(ph)[:, None])[0][:, 0]
+        return np.real(ph * z), z
 
     def support(self, thetas):
-        """max over the set of Re(e^{-i theta} z), vectorized over thetas."""
-        th = np.atleast_1d(np.asarray(thetas, dtype=float))
-        out = self._expose(th)[0]
+        """A pair's max over the set of Re(e^{-i theta} z), vectorized over
+        thetas."""
+        out = self._angles(np.atleast_1d(np.asarray(thetas, dtype=float)))[0]
         if np.ndim(thetas) == 0:
             return float(out[0])
         return out
 
-    def _expose(self, thetas: np.ndarray) -> tuple:
-        """Support values at the angles and a point of the set attaining
-        each: fixed_part + tr(W* C W) for the top-m eigenvectors W of
-        H(theta), in closed form for a point or a disk."""
-        ph = np.exp(-1j * thetas)
-        fixed = complex(self.fixed_part)
-        if self.degenerate:
-            radius = ky_fan_sum(self.wide_compression, self.m)
-            return np.real(ph * fixed) + radius, fixed + radius * np.conj(ph)
-        if self.is_point:
-            z = self.point_value
-            return np.real(ph * z), np.full(thetas.shape, z)
-        w, top = self._top_eigen(thetas)
-        values = np.real(ph * fixed) + w.sum(axis=1)
-        points = fixed + np.sum(top.conj() * (self.compression @ top),
-                                axis=(1, 2))
-        return values, points
-
-    def _top_eigen(self, thetas: np.ndarray) -> tuple:
-        """Top-m eigenvalues and eigenvectors of H(theta) = (e^{-i theta} C
-        + e^{i theta} C*) / 2 at each angle."""
-        ph = np.exp(-1j * thetas)
-        c = self.compression
-        hs = 0.5 * (ph[:, None, None] * c
-                    + np.conj(ph)[:, None, None] * c.conj().T)
-        w, v = np.linalg.eigh(hs)
-        return w[:, -self.m:], v[:, :, -self.m:]
-
-    def _rounding_slack(self) -> float:
-        # eigenvalue sums and the traces tr(W* C W) carry rounding of order
-        # d * eps * ||C||; the certified bounds give that much away
+    @property
+    def slack(self) -> float:
+        """The rounding an exposed support value carries, of order
+        d * eps * ||C||, which the certified sweep bounds give away."""
         return (16.0 * self.width * np.finfo(float).eps
-                * (float(np.linalg.norm(self.compression))
-                   + abs(complex(self.fixed_part))))
+                * (float(np.linalg.norm(self.blocks))
+                   + float(np.abs(self.fixed).max())))
 
     def maximum(self, tol_abs: float) -> SweepOutcome:
-        """max over theta of the support function = max |z| over the set,
-        in closed form when the set is a point."""
+        """A pair's max over theta of the support function = max |z| over
+        the set, in closed form when the set is a point."""
         if self.is_point:
-            z = self.point_value
+            z = complex(self.centre[1][0])
             theta = 0.0 if z == 0 else cmath.phase(z) % _TWO_PI
-            angles = np.array([theta])
             return SweepOutcome(theta=theta, value=abs(z), bound=abs(z),
-                                evals=0, angles=angles,
-                                points=np.array([z]))
-        return swept_maximum(self._expose, tol_abs,
-                             slack=self._rounding_slack())
+                                evals=0)
+        return swept_maximum(self._angles, tol_abs, slack=self.slack)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2).conj()
+
+
+# eigenvalues of a coefficient this close to 0 or 1 count as there
+_SNAP = 1e-11
+
+
+def _purify(coeff: np.ndarray, c: np.ndarray, q: int) -> tuple:
+    """q orthonormal columns spanning a rank-q projector P with
+    tr(P C) = tr(T C), walked from a trace-q coefficient 0 <= T <= I, and
+    the number of steps.
+
+    Each step takes two interior eigenvalues l_i, l_j of T (strictly
+    between 0 and 1). Of the traceless Hermitian 2x2 directions D on their
+    eigenvectors V, a 3-parameter family, one keeps tr(V D V* C) = 0. The
+    block diag(l_i, l_j) + tD keeps its mean m, and its spread
+    r(t)^2 = t^2 + 2 l a t + l^2 (l = (l_i - l_j) / 2, a = D_11) reaches
+    min(m, 1 - m) at the step, which sends one eigenvalue to 0 or 1. So p
+    interior eigenvalues take at most p - 1 steps: a lone one cannot
+    remain, as the trace q is whole. A pair search hands over at most 3q:
+    a mixture of three rank-q projectors, or one with the centre (q/d) I
+    when d <= 3q.
+    """
+    lam, vec = np.linalg.eigh(coeff)
+    steps = 0
+    while True:
+        lam[lam <= _SNAP] = 0.0
+        lam[lam >= 1.0 - _SNAP] = 1.0
+        inner = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+        if inner.size < 2:
+            break
+        pair = inner[:2]
+        v = vec[:, pair]
+        m = v.conj().T @ c @ v
+        row = np.array([m[0, 0] - m[1, 1], m[0, 1] + m[1, 0],
+                        1j * (m[0, 1] - m[1, 0])])
+        a, b, s = np.linalg.svd(np.vstack([row.real, row.imag]))[2][-1]
+        li, lj = lam[pair]
+        mean, half = 0.5 * (li + lj), 0.5 * (li - lj)
+        reach = min(mean, 1.0 - mean)
+        if half * a > 0.0:  # -D keeps the root free of cancellation
+            a, b, s = -a, -b, -s
+        gap = (reach - half) * (reach + half)
+        t = np.sqrt((half * a) ** 2 + gap) - half * a
+        _, u = np.linalg.eigh([[li + t * a, t * (b - 1j * s)],
+                               [t * (b + 1j * s), lj - t * a]])
+        # the block keeps its trace 2 mean; one end lands on 0 or 1
+        lam[pair] = [2 * mean - 1.0, 1.0] if mean >= 0.5 else [0.0, 2 * mean]
+        vec[:, pair] = v @ u
+        steps += 1
+    picked = np.flatnonzero(lam > 0.5)
+    if picked.size != q:
+        raise WitnessSearchFailed(
+            f"purification left {picked.size} unit eigenvalues, expected {q}")
+    return vec[:, picked], steps

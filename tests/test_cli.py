@@ -214,6 +214,19 @@ def test_sweep_plot_refuses_a_grid_below_8(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_sweep_plot_refuses_negative_points(tmp_path, capsys):
+    # a negative count is refused, as a grid below 8 is, before any file
+    # is written
+    path = write_pair(tmp_path, np.diag([2.0, 1.0]), np.eye(2), 2)
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep-plot", path, "--out", str(out_path),
+                       "--points", "-5")
+    assert code == 2
+    assert "--points" in err
+    assert not out_path.exists()
+    assert not (tmp_path / "sweep.csv.points.csv").exists()
+
+
 def test_problem_tolerances_change_bands(tmp_path, capsys):
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

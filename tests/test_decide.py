@@ -588,11 +588,12 @@ def test_checked_miss_bar_is_relative_at_small_scale(rng):
     for t in (1e-9, 1.0):
         setup = _pair_setup(t * a, t * b, 2)
         model, bar = setup.model, setup.tol.cert * setup.scale
-        unit = model.block / np.vdot(model.block, model.block)
+        block = model.blocks[0]
+        unit = block / np.vdot(block, block)
         for miss in (bar, 100.0 * bar):
             # fixed + tr(T* C) = miss
-            coeff = np.conj(miss - model.fixed_part) * unit
-            assert model.pairing(coeff) == pytest.approx(miss, rel=1e-9)
+            coeff = np.conj(miss - model.fixed[0]) * unit
+            assert model.pairing(coeff)[0] == pytest.approx(miss, rel=1e-9)
             if miss > bar:
                 with pytest.raises(WitnessSearchFailed):
                     _checked_miss(setup, coeff, COMPLEX_FIELD, "planted")
@@ -926,7 +927,9 @@ def _exposed_zero(rng):
     a random angle."""
     a, b, k = _tied_range_set(rng, push=False)
     theta = np.array([rng.uniform(0.0, 2.0 * np.pi)])
-    z = complex(build_frame(a, k).range_model(b)._expose(theta)[1][0])
+    # the point lowest along -e^{i theta} attains the support value there
+    z = complex(build_frame(a, k).range_model(b).expose(
+        -np.exp(1j * theta)[:, None])[0][0, 0])
     return a, b - (z / ky_fan_norm(a, k)) * a, k
 
 

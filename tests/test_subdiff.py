@@ -10,6 +10,7 @@ import kyfanorth
 from kyfanorth.generate import make_singular_pair
 from kyfanorth.norms import ky_fan_norm
 from kyfanorth.subdiff import (
+    RangeSetModel,
     build_frame,
     directional_derivative,
     sample_subgradient,
@@ -161,11 +162,8 @@ def test_dual_pairing_bound_for_members(rng):
         assert lhs <= directional_derivative(a, k, x, frame=frame) + 1e-8
 
 
-def test_only_subdiff_reads_the_frame_blocks():
-    # the shape of the subdifferential has one owner: every other module
-    # reaches the blocks through range_model, subgradient, term and
-    # top_term
-    blocks = {"u1", "v1", "u2", "v2", "u2_wide"}
+def _attribute_readers(names: set) -> list:
+    """Every read of an attribute in ``names`` outside subdiff.py."""
     readers = []
     for path in sorted(Path(kyfanorth.__file__).resolve().parent.glob("*.py")):
         if path.name == "subdiff.py":
@@ -173,5 +171,22 @@ def test_only_subdiff_reads_the_frame_blocks():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         readers += [f"{path.name}:{node.lineno} .{node.attr}"
                     for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr in blocks]
-    assert readers == []
+                    if isinstance(node, ast.Attribute) and node.attr in names]
+    return readers
+
+
+def test_only_subdiff_reads_the_frame_blocks():
+    # the shape of the subdifferential has one owner: every other module
+    # reaches the blocks through range_model, subgradient, term and
+    # top_term
+    assert _attribute_readers({"u1", "v1", "u2", "v2", "u2_wide"}) == []
+
+
+def test_only_subdiff_knows_the_coefficient_set():
+    # the boundary coefficient set has one owner: every other module reads
+    # a range model through its pairing, centre, start, exposure, purify,
+    # support and maximum, never through its blocks or a private method
+    private = {name for name in vars(RangeSetModel)
+               if name.startswith("_") and not name.startswith("__")}
+    blocks = {"compression", "wide_compression", "block", "blocks"}
+    assert _attribute_readers(blocks | private) == []

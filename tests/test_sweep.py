@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import kyfanorth
-from kyfanorth.decide import _joint_oracle, _search
+from kyfanorth.decide import _search
 from kyfanorth.generate import make_orthogonal_pair
 from kyfanorth.linalg import haar_unitary
 from kyfanorth.subdiff import RangeSetModel, swept_maximum, swept_minimum
@@ -42,22 +42,41 @@ def _signed_distance(points) -> float:
     return -min(gaps)
 
 
+def _model(fixed, c: np.ndarray, q: int) -> RangeSetModel:
+    """The pair model fixed + {tr(T* C)} over the trace-q coefficients."""
+    return RangeSetModel(fixed=np.array([complex(fixed)]), blocks=c[None],
+                         q=q)
+
+
+def _angles(model: RangeSetModel):
+    """The sweep's evaluator on the model's exposure: the support values
+    at the angles and the points exposed along -e^{i theta}."""
+    def expose(th):
+        ph = np.exp(-1j * th)
+        z = model.expose(-np.conj(ph)[:, None])[0][:, 0]
+        return np.real(ph * z), z
+
+    return expose
+
+
 def _check_both(model: RangeSetModel, exact_min: float, exact_max: float,
                 tol: float, rounding: float) -> None:
     """The sweeps bracket the extremes of the support function within tol
-    and uncapped, and the pair's nearest-point search brackets the
-    distance of 0 from the set, max(0, -exact_min), the same way."""
-    low = swept_minimum(model._expose, tol, slack=model._rounding_slack())
+    and uncapped, and the pair's nearest-point search, started at the atom
+    exposed at the centre's image, brackets the distance of 0 from the
+    set, max(0, -exact_min), the same way."""
+    low = swept_minimum(_angles(model), tol, slack=model.slack)
     assert low.bound <= exact_min + rounding
     assert exact_min <= low.value + rounding
     assert low.value - low.bound <= tol
-    near = _search(*_joint_oracle([model], exposed=True), tol)
+    points, left, right = model.expose(model.centre[1][None])
+    near = _search(model, ([(1.0, left[0], right[0])], points[0]), tol)
     resid = float(np.linalg.norm(near.x))
     assert near.lower <= max(0.0, -exact_min) + rounding
     assert max(0.0, -exact_min) <= resid + rounding
     assert resid <= tol or resid - near.lower <= tol
     assert not near.capped and near.added <= 100
-    assert abs(model.pairing(near.coeff) - complex(near.x[0])) <= rounding
+    assert abs(model.pairing(near.coeff)[0] - near.x[0]) <= rounding
     high = model.maximum(tol)
     assert high.value <= exact_max + rounding
     assert exact_max <= high.bound + rounding
@@ -84,8 +103,7 @@ def test_normal_compression_is_a_polygon(seed, d, data):
     sums = np.array([eigs[list(s)].sum() for s in combinations(range(d), m)])
     fixed = -sums.mean() + rng.uniform(0.0, 2.0) * np.abs(sums).max() * (
         np.exp(2j * np.pi * rng.random()))
-    model = RangeSetModel(fixed_part=fixed, compression=_normal(rng, eigs),
-                          m=m)
+    model = _model(fixed, _normal(rng, eigs), m)
     size = abs(fixed) + np.abs(sums).max()
     _check_both(model, _signed_distance(fixed + sums),
                 float(np.abs(fixed + sums).max()), 1e-9 * size,
@@ -102,7 +120,7 @@ def test_jordan_block_is_a_disk(seed):
     fixed = complex(*rng.normal(size=2)) * rng.uniform(0.0, 1.5)
     u = haar_unitary(2, rng)
     jordan = u @ np.array([[a, b], [0.0, a]]) @ u.conj().T
-    model = RangeSetModel(fixed_part=fixed, compression=jordan, m=1)
+    model = _model(fixed, jordan, 1)
     centre, radius = abs(fixed + a), abs(b) / 2
     size = abs(fixed) + abs(a) + abs(b)
     _check_both(model, radius - centre, centre + radius, 1e-9 * size,
@@ -131,7 +149,7 @@ def test_hermitian_compression_is_a_segment(seed, d, data):
         t = np.clip(-np.real(np.conj(ends[1] - ends[0]) * ends[0])
                     / abs(ends[1] - ends[0]) ** 2, 0.0, 1.0)
         exact_min = -abs(ends[0] + t * (ends[1] - ends[0]))
-    model = RangeSetModel(fixed_part=complex(fixed), compression=c, m=m)
+    model = _model(fixed, c, m)
     size = abs(fixed) + np.abs(eigs).max() * m
     _check_both(model, exact_min, float(np.abs(ends).max()), 1e-9 * size,
                 1e-13 * size)
@@ -145,8 +163,7 @@ def test_zero_exactly_on_an_edge(seed, up, down, x, width):
     # the vertical edge of the triangle, where min h is exactly 0
     rng = np.random.default_rng(seed)
     eigs = np.array([x + 1j * up, x - 1j * down, x - width])
-    model = RangeSetModel(fixed_part=complex(-x),
-                          compression=_normal(rng, eigs), m=1)
+    model = _model(-x, _normal(rng, eigs), 1)
     size = abs(x) + max(up, down, width)
     _check_both(model, 0.0, float(np.abs(eigs - x).max()), 1e-9 * size,
                 1e-13 * size)
@@ -237,22 +254,18 @@ def test_point_set_needs_no_refinement(sweep):
 
 
 def _counted_search(monkeypatch, a, b, k):
-    """check_pair on (A, B), with its search's oracle calls counted and
+    """check_pair on (A, B), with the range model's exposures counted and
     checked against the report: one for each atom added, and one more for
-    the bound that stops the search."""
+    the bound that stops the search (the instances start at the centre,
+    d <= 3q, so the start exposes nothing)."""
     calls = []
-    oracle = kyfanorth.decide._joint_oracle
+    expose = RangeSetModel.expose
 
-    def counted(*args, **kwargs):
-        expose, start = oracle(*args, **kwargs)
+    def tallied(model, x):
+        calls.append(x)
+        return expose(model, x)
 
-        def tallied(x):
-            calls.append(x)
-            return expose(x)
-
-        return tallied, start
-
-    monkeypatch.setattr(kyfanorth.decide, "_joint_oracle", counted)
+    monkeypatch.setattr(RangeSetModel, "expose", tallied)
     d = kyfanorth.check_pair(a, b, k, want_certificate=False)
     assert "sweep_rounds" not in d.details
     assert len(calls) <= d.details["iterations"] + 1
