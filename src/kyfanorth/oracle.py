@@ -8,9 +8,14 @@ two sides is meaningful evidence. The margin estimator uses chord rates
 (f(c) - f(0)) / |c|, which by convexity are upper bounds on the one-sided
 derivative at 0 for every sampled scalar c, so the sampled minimum can
 undershoot the true margin only by floating-point noise. Fan's bound only
-decides which probe phases need no evaluation, whether a reading settles on
-its strided probe and, where it can, proves that no scalar dips the norm;
-every chord reported is a norm evaluation.
+decides which probe phases need no evaluation, whether a reading settles at
+A's own singular vectors or on its strided probe and, where it can, proves
+that no scalar dips the norm; every chord reported is a norm evaluation.
+
+A reading settled at A (``_settle_at_a``) takes its minorant from this
+module's own SVD of A, but that minorant's dual matrix U_k V_k* is the
+engine's point-set witness: such a reading re-checks the engine's
+arithmetic, not its frame logic.
 """
 
 from __future__ import annotations
@@ -79,11 +84,11 @@ _SUBSPACE_DIRECTIONS = 64
 _PEAK_CAP = 1024
 
 
-def _operand_norms(a: np.ndarray, others: list, k: int) -> tuple:
-    """The singular values of A, and ||A||_(k) followed by the norm of each
-    of ``others``, from one SVD call."""
+def _operand_norms(a: np.ndarray, others: list, k: int) -> list:
+    """||A||_(k) followed by the norm of each of ``others``, from one SVD
+    call for singular values only."""
     sv = np.linalg.svd(np.stack([a, *others]), compute_uv=False)
-    return sv[0], [float(x) for x in sv[:, :k].sum(axis=-1)]
+    return [float(x) for x in sv[:, :k].sum(axis=-1)]
 
 
 def _norms_at(a: np.ndarray, b: np.ndarray, k: int, cs: np.ndarray) -> np.ndarray:
@@ -308,14 +313,20 @@ def _fan_minorants(a: np.ndarray, b: np.ndarray, k: int,
     """
     u, _, vh = np.linalg.svd(a[None, :, :] + known[:, None, None] * b[None, :, :])
     u, vh = u[:, :, :k], vh[:, :k, :]
-    eye = np.eye(k)
-    defect = k * float(np.abs(u.conj().swapaxes(1, 2) @ u - eye).max()
-                       + np.abs(vh @ vh.conj().swapaxes(1, 2) - eye).max())
     # tr(U* M V) = <U V*, M>
     polar = (u @ vh).conj()
     alpha = np.einsum("jpq,pq->j", polar, a).real
     beta = np.einsum("jpq,pq->j", polar, b)
-    return alpha, beta, defect
+    return alpha, beta, _isometry_defect(u, vh)
+
+
+def _isometry_defect(u: np.ndarray, vh: np.ndarray) -> float:
+    """k (max |U*U - I| + max |V*V - I|) over computed n x k factors U and
+    k x n factors V*, one pair or a stack of them."""
+    k = u.shape[-1]
+    eye = np.eye(k)
+    return k * float(np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max()
+                     + np.abs(vh @ vh.conj().swapaxes(-1, -2) - eye).max())
 
 
 def _chord_floors(minorants: tuple, n: int, norm_a: float, norm_b: float,
@@ -528,9 +539,62 @@ def _chord_scan(a: np.ndarray, b: np.ndarray, k: int, norm_a: float,
     return best, theta % _TWO_PI, details, minorants
 
 
+def _settle_at_a(a: np.ndarray, b: np.ndarray, k: int, u: np.ndarray,
+                 vh: np.ndarray, norm_a: float, norm_b: float, level: float,
+                 depth: float):
+    """Settle an ORTHOGONAL reading from the Fan minorant at c = 0, or
+    return None.
+
+    U and V* are A's top-k singular vectors, n x k and k x n, and ||B||_(k)
+    is positive. The minorant c -> alpha_0 + Re(c beta_0), beta_0 =
+    tr(U* B V) and alpha_0 = Re tr(U* A V), is what ``_fan_minorants``
+    takes at 0. Where s_k > s_{k+1} and s_k > 0 the norm is smooth at A and
+    beta_0 is the whole pairing set, so A is orthogonal to B iff beta_0 =
+    0. The reading settles when |beta_0| is below ``level``, the minorant
+    alone clears the dip annulus (``_minorants_clear``, in effect eta_0 +
+    (2 ||A||_(k) / ||B||_(k)) |beta_0| plus rounding at most ``depth``,
+    with eta_0 = ||A||_(k) - alpha_0), and the lower of two chords at the
+    tail's smallest radius, along +-(-conj(beta_0) / |beta_0|) where the
+    minorant falls fastest, is at or above -``level``. Returns (margin,
+    phase, details) like ``_chord_scan``: ``chord_evals`` is 4 (the two
+    norms in hand and the two chords) and ``settled_at_a`` marks it.
+    """
+    polar = u @ vh
+    beta = complex(np.vdot(polar, b))
+    if not abs(beta) < level:
+        return None
+    alpha = float(np.vdot(polar, a).real)
+    minorant = (np.array([alpha]), np.array([beta]), _isometry_defect(u, vh))
+    if not _minorants_clear(minorant, a.shape[0], norm_a, norm_b, depth):
+        return None
+    toward = -beta.conjugate() / abs(beta) if beta else 1.0
+    t = (norm_a + norm_b) / norm_b * _tail_steps(_TAIL_RADII)[0]
+    cs = t * np.array([toward, -toward])
+    chords = (_norms_at(a, b, k, cs) - norm_a) / np.abs(cs)
+    j = int(np.argmin(chords))
+    if not chords[j] >= -level:
+        return None
+    return (float(chords[j]), cmath.phase(cs[j]) % _TWO_PI,
+            {"chord_point": complex(cs[j]), "chord_evals": 4,
+             "probe_evals": 0, "probe_minorants": 0, "refine_rounds": 0,
+             "settled_at_a": True})
+
+
 def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
                       tol: Tolerances | None = None) -> Decision:
     """Referee verdict on pair orthogonality from norm evaluations alone.
+
+    In the complex field a reading first tries to settle at A
+    (``_settle_at_a``): the one SVD call that gives both operand norms also
+    gives A's top-k singular vectors U_k, V_k. When |tr(U_k* B V_k)| is
+    below decide scale, their Fan minorant clears the dip annulus alone,
+    and the lower of two chords at the tail's smallest radius reads
+    ORTHOGONAL, that chord is the margin (``settled_at_a``, 4 norm
+    evaluations, ``dip_status`` ``cleared`` with ``dip_evals`` 0), and the
+    near-tie rule below runs as on any reading. U_k V_k* is the engine's
+    own point-set witness, so such a reading re-checks the engine's
+    arithmetic rather than its frame logic. Any other reading runs the
+    chord scan.
 
     The margin estimate comes from the chord scan, which stops at the first
     chord below -strict scale: by convexity that chord proves NOT_ORTHOGONAL,
@@ -562,12 +626,21 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
     tol = Tolerances() if tol is None else tol
     require_field(field)
     a, (b,) = require_operands(a, [b], k)
-    sv_a, (norm_a, norm_b) = _operand_norms(a, [b], k)
+    # A's singular vectors come with the norms, for the settle at A
+    u, sv, vh = np.linalg.svd(np.stack([a, b]))
+    sv_a = sv[0]
+    norm_a, norm_b = (float(x) for x in sv[:, :k].sum(axis=-1))
     scale = tol.margin_scale(norm_a, norm_b)
     depth = 1e-3 * scale
-    margin, theta, scan, minorants = _chord_scan(a, b, k, norm_a, norm_b,
-                                                 field, -tol.strict * scale,
-                                                 depth)
+    settle = None
+    if field == COMPLEX_FIELD and norm_b > 0:
+        settle = _settle_at_a(a, b, k, u[0, :, :k], vh[0, :k], norm_a,
+                              norm_b, tol.decide * scale, depth)
+    if settle is None:
+        margin, theta, scan, minorants = _chord_scan(
+            a, b, k, norm_a, norm_b, field, -tol.strict * scale, depth)
+    else:
+        (margin, theta, scan), minorants = settle, None
     verdict = tol.band(margin, scale)
     details = {"field": field, "norm_a": norm_a, "norm_b": norm_b,
                "chord_phase": theta, **scan}
@@ -576,6 +649,9 @@ def oracle_check_pair(a, b, k: int, field: str = COMPLEX_FIELD,
         details.update(dip_status="real_field", dip_evals=0)
     elif verdict is not Verdict.ORTHOGONAL:
         details.update(dip_status="skipped", dip_evals=0)
+    elif settle is not None:
+        # its own minorant cleared the annulus
+        details.update(dip_status="cleared", dip_evals=0)
     elif minorants is not None and (
             _minorants_clear(minorants, a.shape[0], norm_a, norm_b, depth)
             or _minorants_clear(
@@ -616,7 +692,7 @@ def oracle_check_subspace(a, basis, k: int,
     tol = Tolerances() if tol is None else tol
     rng = np.random.default_rng(0)
     a, mats = require_operands(a, basis, k)
-    _, (norm_a, *norms_w) = _operand_norms(a, mats, k)
+    norm_a, *norms_w = _operand_norms(a, mats, k)
     if not mats:
         return Decision(verdict=Verdict.NO_COUNTEREXAMPLE, margin=0.0,
                         scale=tol.margin_scale(norm_a, 0.0),
@@ -676,7 +752,7 @@ def oracle_check_parallel(a, b, k: int,
     """
     tol = Tolerances() if tol is None else tol
     a, (b,) = require_operands(a, [b], k)
-    _, (norm_a, norm_b) = _operand_norms(a, [b], k)
+    norm_a, norm_b = _operand_norms(a, [b], k)
     scale, triangle = tol.margin_scale(norm_a, norm_b), norm_a + norm_b
     allowance = 64.0 * a.shape[0] * np.finfo(float).eps * triangle
 

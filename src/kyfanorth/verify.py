@@ -12,8 +12,8 @@ for every choice of scalars c_j, with the norming defect
 eta = ||A||_(k) - Re tr(G* A) and the pairings rho_j = |tr(G* W_j)| (their
 real parts when the scalars are real). The verifier checks the layout, the
 orthonormality and weights to the rounding level 64 n eps, eta against
-``Tolerances.norming_level`` and each rho_j against 0.1 strict*scale, and
-states the bound it proved. It reads ||A||_(k) from
+``Tolerances.norming_level`` and each rho_j against min(decide,
+0.1 strict)*scale, and states the bound it proved. It reads ||A||_(k) from
 singular values and uses no singular vector or cluster of A: it imports
 nothing from the engine (``decide``, ``subdiff``) or the referee
 (``oracle``), so a fault in the frame that builds a certificate cannot
@@ -121,7 +121,8 @@ def _verify_witness(cert, a, second, k, tol, add):
     eta = norm_a - terms.pairing(a).real
     add("norming", eta, tol.norming_level(n, k, float(sv[0, 0])))
     pairings = [terms.pairing(m) for m in mats]
-    bound = 0.1 * tol.strict * scale
+    # a pairing beyond decide*scale leaves the margin short of ORTHOGONAL
+    bound = min(tol.decide, 0.1 * tol.strict) * scale
     purpose = cert.details.get("purpose", "orthogonal")
     if purpose == "parallel":
         return _verify_parallel(cert, a, mats, basis, k, norm_a, norms,

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+import kyfanorth.oracle
 from kyfanorth.cli import main as cli_main
 from kyfanorth.decide import (
     _pair_search,
@@ -73,29 +74,45 @@ def _pair_corpus(rng, n, k, count):
     return out
 
 
-def test_c01_engine_matches_oracle_on_random_pairs():
+def _scanned_reading(a, b, k, monkeypatch):
+    """The referee's reading with no settle at A: the chord scan runs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kyfanorth.oracle, "_settle_at_a", lambda *args: None)
+        return oracle_check_pair(a, b, k)
+
+
+def test_c01_engine_matches_oracle_on_random_pairs(monkeypatch):
     rng = np.random.default_rng(101)
-    probe_evals, refine_rounds, settled = [], [], 0
+    probe_evals, refine_rounds, settled, settled_at_a = [], [], 0, 0
     for k in (1, 2, 3, 4):
         disagreements = 0
         boundary = 0
         for a, b in _pair_corpus(rng, 4, k, 200):
             eng = check_pair(a, b, k, want_certificate=False)
-            orc = oracle_check_pair(a, b, k)
+            orc = scan = oracle_check_pair(a, b, k)
             s = singular_values(a)
+            # a reading settled at A takes two chords at the tail's
+            # smallest radius and no scan; the chord scan it skips reads
+            # the same verdict, and the counts below come from that scan
+            if orc.details.get("settled_at_a"):
+                settled_at_a += 1
+                assert orc.details["chord_evals"] == 4
+                assert orc.details["refine_rounds"] == 0
+                scan = _scanned_reading(a, b, k, monkeypatch)
+                assert scan.verdict is orc.verdict
             # a settled reading stops at the strided probe, its inner ring
             # and the tail: 2 + 16 + 16 + 13 norms and no refinement round
-            if orc.details.get("settled"):
+            if scan.details.get("settled"):
                 settled += 1
-                assert orc.details["chord_evals"] == 47
-                assert orc.details["refine_rounds"] == 0
+                assert scan.details["chord_evals"] == 47
+                assert scan.details["refine_rounds"] == 0
             # a refutation stops after the strided phases, before any
             # minorant is taken, and a settled reading runs neither the
             # pruning nor the refinement, so only the other full scans
             # show them
             elif (s[k - 1] > 1e-10 * s[0]
-                    and orc.details["probe_minorants"] > 0):
-                probe_evals.append(orc.details["probe_evals"])
+                    and scan.details["probe_minorants"] > 0):
+                probe_evals.append(scan.details["probe_evals"])
             # the dip check runs on every ORTHOGONAL chord verdict and
             # settles each one within its count
             if orc.details["dip_status"] != "skipped":
@@ -106,8 +123,8 @@ def test_c01_engine_matches_oracle_on_random_pairs():
             if orc.verdict is Verdict.ORTHOGONAL:
                 assert orc.details["dip_status"] == "cleared"
                 assert orc.details["dip_evals"] == 0
-                if not orc.details.get("settled"):
-                    refine_rounds.append(orc.details["refine_rounds"])
+                if not scan.details.get("settled"):
+                    refine_rounds.append(scan.details["refine_rounds"])
             if Verdict.BOUNDARY in (eng.verdict, orc.verdict):
                 boundary += 1
                 continue
@@ -116,14 +133,37 @@ def test_c01_engine_matches_oracle_on_random_pairs():
         assert disagreements == 0, f"k={k}: {disagreements} disagreements"
         assert boundary <= 10, f"k={k}: {boundary} boundary exclusions"
     # the 150 pairs with 0 inside a two-dimensional pairing set (r = 1 or
-    # s_k = 0) settle; on the 150 others the Fan minorants rule out most of
-    # the 512 probe phases and the refinement stops early (counts, so no
+    # s_k = 0) settle on the strided probe, and the 150 smooth ones (r = 0)
+    # at A; on the scans of the smooth ones the Fan minorants rule out most
+    # of the 512 probe phases and the refinement stops early (counts, so no
     # timing noise)
     assert settled >= 140, settled
+    assert settled_at_a >= 140, settled_at_a
     assert len(probe_evals) >= 140, len(probe_evals)
     assert np.median(probe_evals) <= 128, np.median(probe_evals)
     assert len(refine_rounds) >= 140, len(refine_rounds)
     assert np.median(refine_rounds) <= 4, np.median(refine_rounds)
+
+
+def test_c01_referee_work_is_pinned():
+    """The referee's norm evaluations on the c01 corpus, a count and so
+    free of timing noise: 16,650 chord evaluations in all, and every smooth
+    orthogonal reading (s_k > s_{k+1} and s_k > 0, where the pairing set is
+    one point) settled at A in at most 4. A settle that stops taking
+    effect fails here at once."""
+    rng = np.random.default_rng(101)
+    chord_evals = smooth = 0
+    for k in (1, 2, 3, 4):
+        for i, (a, b) in enumerate(_pair_corpus(rng, 4, k, 200)):
+            d = oracle_check_pair(a, b, k)
+            chord_evals += d.details["chord_evals"]
+            s = np.append(singular_values(a), 0.0)
+            if 4 <= i % 10 < 7 and s[k - 1] - s[k] > 1e-8 * s[0]:
+                smooth += 1
+                assert d.details.get("settled_at_a"), (k, i, d.details)
+                assert d.details["chord_evals"] + d.details["dip_evals"] <= 4
+    assert smooth == 150
+    assert chord_evals == 16650
 
 
 def test_c02_pair_and_block_criteria_cross_consistent():

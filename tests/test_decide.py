@@ -353,6 +353,30 @@ def test_a_dip_without_a_proving_chord_rate_fails_verify():
     assert not verify_certificate(cert, a, b, 1)["ok"]
 
 
+def test_a_pairing_beyond_decide_fails_verify():
+    # with decide = 1e-9 below 0.1 strict = 1e-7, B of a smooth orthogonal
+    # pair moved along A's polar factor U V* has margin -1e-8 scale, which
+    # reads BOUNDARY; the unmoved pair's witness pairs the moved B to
+    # 1e-8 scale, under 0.1 strict scale but past decide scale, so it must
+    # not verify against it
+    tol = Tolerances(decide=1e-9, strict=1e-6)
+    a, b, _ = make_orthogonal_pair(4, 2, np.random.default_rng(7), q=1)
+    d = check_pair(a, b, 2, tol=tol)
+    assert d.verdict is Verdict.ORTHOGONAL
+    assert verify_certificate(d.certificate, a, b, 2, tol)["ok"]
+    u, _, vh = np.linalg.svd(a)
+    polar = u[:, :2] @ vh[:2]
+    moved = b + 1e-8 * d.scale / 2 * polar
+    assert check_pair(a, moved, 2, tol=tol,
+                      want_certificate=False).verdict is Verdict.BOUNDARY
+    report = verify_certificate(d.certificate, a, moved, 2, tol)
+    assert not report["ok"]
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["pairing"]
+    assert failed[0]["value"] == pytest.approx(1e-8 * d.scale, rel=1e-3)
+    assert failed[0]["bound"] == pytest.approx(1e-9 * d.scale, rel=1e-6)
+
+
 def test_violation_search_gives_up_when_rounding_covers_the_margin():
     # a margin within rounding of -strict*scale leaves no chord that can
     # prove it at any |c|, so the search stops before its first evaluation

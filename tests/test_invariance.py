@@ -190,6 +190,28 @@ def test_subspace_checks_are_invariant(seed, data, orthogonal):
                      on_a(a), moved, k)
 
 
+@settings(deadline=None, max_examples=30)
+@given(seed=seeds, data=st.data())
+def test_a_smooth_orthogonal_pair_settles_at_a_under_the_symmetries(seed,
+                                                                    data):
+    # r = 0 keeps s_k > s_{k+1} and s_k > 0: the pairing set is the one
+    # point tr(U_k* B V_k), and the referee settles from A's own Fan
+    # minorant in 4 norm evaluations on every side of each symmetry
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    k = int(rng.integers(1, n + 1))
+    a, b, _ = make_orthogonal_pair(n, k, rng, q=1 + int(rng.integers(0, k)))
+    before = oracle_check_pair(a, b, k)
+    for symmetry in ("scale", "unitary", "phase", "adjoint"):
+        on_a, on_b, factor = _symmetry(symmetry, n, rng, data)
+        after = oracle_check_pair(on_a(a), on_b(b), k)
+        for d in (before, after):
+            assert d.details.get("settled_at_a"), (symmetry, d.details)
+            assert d.details["chord_evals"] + d.details["dip_evals"] == 4
+        assert after.verdict is before.verdict, (symmetry, after.details)
+        assert after.scale == pytest.approx(factor * before.scale, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # pinned regressions
 

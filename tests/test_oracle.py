@@ -376,7 +376,22 @@ def test_oracle_check_pair_explains_itself(rng):
     assert d.details["dip_evals"] == 0
     a, b, _ = make_orthogonal_pair(4, 2, rng, q=1, r=0)
     d = oracle_check_pair(a, b, 2)
+    # s_k > s_{k+1} > 0: the norm is smooth at A, and its pairing set is
+    # the one point tr(U_k* B V_k), 0 here. The Fan minorant at A's own
+    # singular vectors clears the annulus, and two chords at the tail's
+    # smallest radius read the margin
+    assert d.details["settled_at_a"] is True
     assert "settled" not in d.details
+    assert d.details["chord_evals"] == 2 + 2
+    assert d.details["probe_evals"] == 0
+    assert d.details["probe_minorants"] == 0
+    assert d.details["refine_rounds"] == 0
+    assert d.details["dip_status"] == "cleared"
+    assert d.details["dip_evals"] == 0
+    # with no settle at all the same pair runs the chord scan
+    d = _reading_without_settling(a, b, 2)
+    assert "settled" not in d.details
+    assert "settled_at_a" not in d.details
     # the probe, 16 new points in each refinement round, 13 radii
     rounds = d.details["refine_rounds"]
     assert 1 <= rounds <= 7
@@ -462,15 +477,17 @@ def test_engine_refutes_a_dip_inside_the_tails_smallest_radius():
     assert abs(d.certificate.coefficient) < 1e-7 * (norm_a + norm_b) / norm_b
 
 
-def _reading_without_settling(a, b, k):
-    """oracle_check_pair with the settle level left at the scan's default,
-    so that nothing settles; the dip and near-tie rules are the same. The
-    referee passes the scan's eight arguments by position, the settle level
-    last."""
+def _reading_without_settling(a, b, k, strided=False):
+    """oracle_check_pair with no settle at A and, unless ``strided``, the
+    settle level left at the scan's default, so that nothing settles; the
+    dip and near-tie rules are the same. The referee passes the scan's
+    eight arguments by position, the settle level last."""
     scan = kyfanorth.oracle._chord_scan
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kyfanorth.oracle, "_chord_scan",
-                      lambda *args: scan(*args[:7]))
+        patch.setattr(kyfanorth.oracle, "_settle_at_a", lambda *args: None)
+        if not strided:
+            patch.setattr(kyfanorth.oracle, "_chord_scan",
+                          lambda *args: scan(*args[:7]))
         return oracle_check_pair(a, b, k)
 
 
@@ -480,9 +497,10 @@ def test_settled_readings_match_the_full_scan_census():
     with B tilted by 10^U(-9,-1) ||B||_F along a unit Ginibre direction and
     A scaled by 10^U(-6,6): every settled reading's verdict is the one read
     off the full scan's margin and phase under the same dip and near-tie
-    rules."""
+    rules. A reading settled at A reads the same verdict too, and its
+    margin is the chord at its ``chord_point``."""
     rng = np.random.default_rng(33)
-    settled = 0
+    settled = settled_at_a = 0
     for i in range(300):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, n + 1))
@@ -498,15 +516,49 @@ def test_settled_readings_match_the_full_scan_census():
             * g / np.linalg.norm(g)
         a = 10.0 ** rng.uniform(-6.0, 6.0) * a
         d = oracle_check_pair(a, b, k)
-        if "settled" not in d.details:
+        if d.details.get("settled_at_a"):
+            settled_at_a += 1
+            assert d.details["chord_evals"] == 4
+            chord, slack = _chord_at(a, b, k, d.details["chord_point"])
+            assert abs(d.margin - chord) <= slack
+        elif "settled" in d.details:
+            settled += 1
+        else:
             continue
-        settled += 1
         full = _reading_without_settling(a, b, k)
         if full.verdict is not Verdict.NOT_ORTHOGONAL:
             assert (full.margin, full.details["chord_phase"]) \
-                == _full_probe_scan(a, b, k)
+                == _full_probe_scan(a, b, k, norms=_norms_of(full))
         assert d.verdict is full.verdict, (i, d.details, full.details)
     assert settled >= 100, settled
+    assert settled_at_a >= 50, settled_at_a
+
+
+def test_a_smooth_pair_tilted_off_zero_does_not_settle_at_a():
+    # B moved along A's own polar factor U_k V_k* puts beta_0 = tr(U_k* B
+    # V_k) at a chosen multiple of decide scale: from decide scale on the
+    # settle at A never opens, and the chord scan reads the pair
+    rng = np.random.default_rng(34)
+    decide = Tolerances().decide
+    for i in range(24):
+        k = 1 + i % 4
+        a, b, _ = make_orthogonal_pair(4, k, rng, q=1, r=0)
+        u, _, vh = np.linalg.svd(a)
+        polar = u[:, :k] @ vh[:k]
+        scale = ky_fan_norm(a, k) + ky_fan_norm(b, k)
+        for factor in (0.5, 1.01, 3.0, 1e2, 1e4):
+            moved = b + factor * decide * scale / k * polar
+            d = oracle_check_pair(a, moved, k)
+            beta = abs(np.vdot(polar, moved))
+            if factor < 1.0:
+                assert beta < decide * d.scale
+                assert d.details.get("settled_at_a"), (i, factor)
+                continue
+            assert beta >= decide * d.scale, (i, factor)
+            assert "settled_at_a" not in d.details, (i, factor)
+            assert d.details["chord_evals"] > 4
+            if factor >= 1e2:
+                assert d.verdict is Verdict.NOT_ORTHOGONAL
 
 
 def _near_tie_draws():
@@ -563,16 +615,25 @@ def test_near_tie_reads_only_values_that_cross_index_k():
     assert "near_tie" not in d.details
 
 
+def _norms_of(d) -> tuple:
+    """The operand norms (||A||_(k), ||B||_(k)) a referee reading d took."""
+    return d.details["norm_a"], d.details["norm_b"]
+
+
 def _full_probe_scan(a, b, k, field="complex", n_theta=_PROBE_PHASES,
                      refine_rounds=_REFINE_ROUNDS, t_count=_TAIL_RADII,
-                     stride=1):
+                     stride=1, norms=None):
     """The chord scan with no pruning: all n_theta probe phases (every
     stride-th of them) and all 17 points of each refinement round are
     evaluated, and the rounds stop after one whose chords span no more than
     the rounding of a chord at the probe radius. The pruned scan must
-    return exactly its (margin, phase)."""
+    return exactly its (margin, phase). ``norms`` are the operand norms a
+    referee reading took (``_norms_of``); by default they are evaluated
+    here."""
     a, b = as_matrix(a), as_matrix(b)
-    norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
+    if norms is None:
+        norms = ky_fan_norm(a, k), ky_fan_norm(b, k)
+    norm_a, norm_b = norms
     if norm_b <= 0:
         return 0.0, 0.0
 
@@ -612,15 +673,16 @@ def _full_probe_scan(a, b, k, field="complex", n_theta=_PROBE_PHASES,
     return best, theta % (2.0 * np.pi)
 
 
-def _chord_scan_with(a, b, k, field="complex", **constants):
+def _chord_scan_with(a, b, k, field="complex", norms=None, **constants):
     """The chord scan's (margin, phase) with some of the oracle's scan
-    constants replaced."""
+    constants replaced, from ``norms`` as in ``_full_probe_scan``."""
     a, b = as_matrix(a), as_matrix(b)
+    if norms is None:
+        norms = ky_fan_norm(a, k), ky_fan_norm(b, k)
     with pytest.MonkeyPatch.context() as patch:
         for name, value in constants.items():
             patch.setattr(kyfanorth.oracle, name, value)
-        return _chord_scan(a, b, k, ky_fan_norm(a, k), ky_fan_norm(b, k),
-                           field)[:2]
+        return _chord_scan(a, b, k, *norms, field)[:2]
 
 
 def _chord_at(a, b, k, c):
@@ -647,34 +709,41 @@ def _probe_chords(d, a, b, k) -> np.ndarray:
 
 def _assert_full_scan_result(a, b, k, field="complex"):
     """The chord scan with no proof or settle level returns what the
-    unpruned scan gives, bit for bit. oracle_check_pair reads the same
-    verdict and dip_* details, unless a near tie demotes ORTHOGONAL to
-    BOUNDARY. A refutation reports the chord that proved it, at or above
-    the full scan's margin. A settled reading (``details["settled"]``) has
-    every one of the 512 probe chords and the 16 strided chords on the
-    tail's smallest radius at or above the dip depth 1e-3 scale, and
-    reports the margin and phase of a scan of the strided phases with no
-    refinement, bit for bit; any other reading reports the full scan's
-    margin and phase bit for bit. The margin is the chord at
+    unpruned scan gives, bit for bit, both from the operand norms the
+    referee's reading took. oracle_check_pair reads the same verdict and
+    dip_* details, unless a near tie demotes ORTHOGONAL to BOUNDARY. A
+    refutation reports the chord that proved it, at or above the full
+    scan's margin. A settled reading (``details["settled"]``) has every one
+    of the 512 probe chords and the 16 strided chords on the tail's
+    smallest radius at or above the dip depth 1e-3 scale, and reports the
+    margin and phase of a scan of the strided phases with no refinement,
+    bit for bit. A reading settled at A (``details["settled_at_a"]``) took
+    4 norm evaluations and no scan. Any other reading reports the full
+    scan's margin and phase bit for bit. The margin is the chord at
     ``chord_point``, up to the rounding of two norm evaluations (a batched
-    SVD and a single one round differently). When the probe's minorants
-    clear the annulus (``dip_evals`` 0 where the dip check evaluates
-    norms), the dip check must clear it too; otherwise the dip check ran
-    and its details are the same."""
+    SVD and a single one round differently). When the minorants clear the
+    annulus (``dip_evals`` 0 where the dip check evaluates norms), the dip
+    check must clear it too; otherwise the dip check ran and its details
+    are the same."""
     a, b = as_matrix(a), as_matrix(b)
-    # with no refinement the phase is the probe's own first argmin
-    assert _chord_scan_with(a, b, k, field, _REFINE_ROUNDS=0) \
-        == _full_probe_scan(a, b, k, field, refine_rounds=0)
-    margin, theta = _full_probe_scan(a, b, k, field)
-    assert _chord_scan_with(a, b, k, field) == (margin, theta)
-    norm_a, norm_b = ky_fan_norm(a, k), ky_fan_norm(b, k)
-    scale = Tolerances().margin_scale(norm_a, norm_b)
     d = oracle_check_pair(a, b, k, field=field)
+    norms = norm_a, norm_b = _norms_of(d)
+    # with no refinement the phase is the probe's own first argmin
+    assert _chord_scan_with(a, b, k, field, norms, _REFINE_ROUNDS=0) \
+        == _full_probe_scan(a, b, k, field, refine_rounds=0, norms=norms)
+    margin, theta = _full_probe_scan(a, b, k, field, norms=norms)
+    assert _chord_scan_with(a, b, k, field, norms) == (margin, theta)
+    scale = Tolerances().margin_scale(norm_a, norm_b)
+    assert d.scale == scale
+    at_a = d.details.get("settled_at_a", False)
+    if at_a:
+        assert field == "complex"
+        assert d.details["chord_evals"] == 4
     if d.details.get("settled"):
         assert d.details["chord_evals"] == 2 + 16 + 16 + 13
         assert _probe_chords(d, a, b, k).min() >= 1e-3 * d.scale
         margin, theta = _full_probe_scan(a, b, k, field, refine_rounds=0,
-                                         stride=_PROBE_STRIDE)
+                                         stride=_PROBE_STRIDE, norms=norms)
     verdict = Tolerances().band(margin, scale)
     if field != "complex":
         dips = {"dip_status": "real_field", "dip_evals": 0}
@@ -698,7 +767,7 @@ def _assert_full_scan_result(a, b, k, field="complex"):
         assert abs(d.margin - chord) <= slack
     if verdict is Verdict.NOT_ORTHOGONAL:
         assert margin <= d.margin < -Tolerances().strict * scale
-    else:
+    elif not at_a:
         assert (d.margin, d.details["chord_phase"]) == (margin, theta)
     return d
 
@@ -717,6 +786,9 @@ def test_pruned_probe_matches_full_scan_on_seeded_pairs():
                 a, b, _ = make_orthogonal_pair(n, k, rng, q=1 + k // 2,
                                                r=int(k < n), field=field)
                 d = _assert_full_scan_result(a, b, k, field)
+                if d.details.get("settled_at_a"):
+                    # count the chord scan that the settle at A skips
+                    d = _reading_without_settling(a, b, k, strided=True)
                 # a refutation stops before any minorant is taken, so count
                 # the orthogonal pairs, whose scans stop short of 512 phases
                 # by the pruning or by settling
